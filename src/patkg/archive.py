@@ -22,15 +22,16 @@ produce byte-identical archives.
 from __future__ import annotations
 
 import json
+import math
 import os
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ArchiveError, FingerprintMismatch
+from .errors import ArchiveError, FingerprintMismatch, UnknownEntity
 from .graph import RelationKind, Vocabulary
-from .models import ModelKind, ModelParams, is_complex, relation_block_shapes
+from .models import SPECS, ModelKind, ModelParams
 
 MAGIC = "patkg-archive 1"
 _ENCODINGS = {"float32": np.float32, "float64": np.float64}
@@ -52,12 +53,21 @@ def _deinterleave(rows: np.ndarray, dim: int) -> np.ndarray:
     return out
 
 
-def _payload_blocks(params: ModelParams) -> list[np.ndarray]:
-    blocks = [params.entities]
+def _payload_layout(kind: ModelKind, n_entities: int, dim: int):
+    """Payload blocks in disk order: (relation or None, name, shape, complex)."""
+    spec = SPECS[kind]
+    layout = [(None, "entities", (n_entities, spec.row_dim(dim)), spec.complex_rows)]
+    shapes = spec.relation_blocks(dim)
     for rel in RelationKind:
-        for name in sorted(params.relations[rel]):
-            blocks.append(params.relations[rel][name])
-    return blocks
+        for name in sorted(shapes):
+            layout.append((rel, name, shapes[name], name in spec.complex_blocks))
+    return layout
+
+
+def _relation_shapes(kind: ModelKind, dim: int) -> dict[str, dict[str, list[int]]]:
+    """The manifest's `relations` entry: block shapes per relation."""
+    shapes = SPECS[kind].relation_blocks(dim)
+    return {rel.value: {name: list(shapes[name]) for name in sorted(shapes)} for rel in RelationKind}
 
 
 def save_archive(path, params: ModelParams, vocab: Vocabulary | None = None,
@@ -72,11 +82,7 @@ def save_archive(path, params: ModelParams, vocab: Vocabulary | None = None,
         "kind": params.kind.value,
         "dim": params.dim,
         "entities": params.n_entities,
-        "relations": {
-            rel.value: {name: list(shape) for name, shape in
-                        sorted(relation_block_shapes(params.kind, params.dim).items())}
-            for rel in RelationKind
-        },
+        "relations": _relation_shapes(params.kind, params.dim),
         "encoding": encoding,
         "vocab_sha256": params.vocab_fingerprint,
         "vocab_entities": len(vocab) if vocab is not None else 0,
@@ -85,23 +91,58 @@ def save_archive(path, params: ModelParams, vocab: Vocabulary | None = None,
     if epoch is not None:
         manifest["created"] = datetime.fromtimestamp(int(epoch), tz=timezone.utc).isoformat()
 
-    complex_dim = params.dim if is_complex(params.kind) else None
     with open(path, "wb") as fh:
         fh.write((MAGIC + "\n").encode("utf-8"))
         fh.write((json.dumps(manifest, sort_keys=True, separators=(",", ":")) + "\n").encode("utf-8"))
         if vocab is not None:
             fh.write(("\n".join(vocab.export_lines()) + "\n").encode("utf-8"))
-        for block in _payload_blocks(params):
-            if complex_dim is not None and block.ndim >= 1 and block.shape[-1] == 2 * params.dim:
+        for rel, name, _, is_complex in _payload_layout(params.kind, params.n_entities, params.dim):
+            block = params.entities if rel is None else params.relations[rel][name]
+            if is_complex:
                 block = _interleave(block, params.dim)
             fh.write(np.ascontiguousarray(block, dtype=dtype).tobytes())
+
+
+def _is_count(value, least: int) -> bool:
+    return type(value) is int and value >= least
+
+
+def _parse_manifest(text: bytes, offset: int):
+    """(kind, dim, n_entities, dtype, n_vocab, fingerprint) from the manifest line."""
+    def bad(reason: str) -> ArchiveError:
+        return ArchiveError(f"bad manifest at byte {offset}: {reason}")
+
+    try:
+        manifest = json.loads(text.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ArchiveError(f"unreadable manifest at byte {offset}: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise bad("not a JSON object")
+    try:
+        kind = ModelKind(manifest.get("kind"))
+    except ValueError:
+        raise bad(f"unknown model kind {manifest.get('kind')!r}") from None
+    dim, n_entities = manifest.get("dim"), manifest.get("entities")
+    n_vocab = manifest.get("vocab_entities", 0)
+    if not (_is_count(dim, 1) and _is_count(n_entities, 1) and _is_count(n_vocab, 0)):
+        raise bad("dim and entities must be integers >= 1, vocab_entities >= 0")
+    encoding = manifest.get("encoding")
+    if not isinstance(encoding, str) or encoding not in _ENCODINGS:
+        raise bad(f"unknown encoding {encoding!r}")
+    fingerprint = manifest.get("vocab_sha256")
+    if not isinstance(fingerprint, str):
+        raise bad("vocab_sha256 must be a string")
+    if manifest.get("relations") != _relation_shapes(kind, dim):
+        raise bad("relation block shapes do not match the model kind and dim")
+    dtype = np.dtype(_ENCODINGS[encoding]).newbyteorder("<")
+    return kind, dim, n_entities, dtype, n_vocab, fingerprint
 
 
 def load_archive(path) -> tuple[ModelParams, Vocabulary | None]:
     """Read an archive back into (params, vocab-or-None).
 
-    Raises ArchiveError with the offending byte offset when the payload
-    does not match the manifest exactly.
+    Raises ArchiveError with the offending byte offset when the manifest
+    is malformed or the payload does not match it exactly.
     """
     raw = Path(path).read_bytes()
     nl1 = raw.find(b"\n")
@@ -110,71 +151,47 @@ def load_archive(path) -> tuple[ModelParams, Vocabulary | None]:
     nl2 = raw.find(b"\n", nl1 + 1)
     if nl2 < 0:
         raise ArchiveError(f"truncated manifest at byte {len(raw)}")
-    try:
-        manifest = json.loads(raw[nl1 + 1 : nl2].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ArchiveError(f"unreadable manifest at byte {nl1 + 1}: {exc}") from None
-
-    kind = ModelKind(manifest["kind"])
-    dim = int(manifest["dim"])
-    n_entities = int(manifest["entities"])
-    encoding = manifest["encoding"]
-    if encoding not in _ENCODINGS:
-        raise ArchiveError(f"unknown encoding {encoding!r}")
-    dtype = np.dtype(_ENCODINGS[encoding]).newbyteorder("<")
+    kind, dim, n_entities, dtype, n_vocab, fingerprint = _parse_manifest(raw[nl1 + 1 : nl2], nl1 + 1)
 
     pos = nl2 + 1
     vocab: Vocabulary | None = None
-    n_vocab = int(manifest.get("vocab_entities", 0))
     if n_vocab:
         lines = []
         for _ in range(n_vocab):
             nl = raw.find(b"\n", pos)
             if nl < 0:
                 raise ArchiveError(f"truncated vocabulary at byte {pos}")
-            lines.append(raw[pos:nl].decode("utf-8"))
+            lines.append(raw[pos:nl])
             pos = nl + 1
-        vocab = Vocabulary.from_lines(lines)
+        try:
+            vocab = Vocabulary.from_lines([line.decode("utf-8") for line in lines])
+        except (ValueError, UnknownEntity) as exc:
+            raise ArchiveError(f"bad vocabulary before byte {pos}: {exc}") from None
         if len(vocab) != n_entities:
-            raise ArchiveError("vocabulary size does not match entity table")
+            raise ArchiveError(f"vocabulary size does not match entity table at byte {pos}")
 
-    row_dim = 2 * dim if is_complex(kind) else dim
-    shapes: list[tuple[int, ...]] = [(n_entities, row_dim)]
-    block_names: list[tuple[RelationKind, str]] = []
-    for rel in RelationKind:
-        declared = manifest["relations"][rel.value]
-        expected = relation_block_shapes(kind, dim)
-        for name in sorted(expected):
-            if tuple(declared.get(name, ())) != expected[name]:
-                raise ArchiveError(f"manifest shape mismatch for {rel.value}/{name}")
-            shapes.append(expected[name])
-            block_names.append((rel, name))
-
-    need = sum(int(np.prod(s)) for s in shapes) * dtype.itemsize
+    layout = _payload_layout(kind, n_entities, dim)
+    need = sum(math.prod(shape) for _, _, shape, _ in layout) * dtype.itemsize
     if len(raw) - pos != need:
         raise ArchiveError(
             f"payload length {len(raw) - pos} != expected {need} at byte {pos}"
         )
 
-    arrays: list[np.ndarray] = []
-    for shape in shapes:
-        count = int(np.prod(shape))
-        nbytes = count * dtype.itemsize
-        arr = np.frombuffer(raw, dtype=dtype, count=count, offset=pos).reshape(shape)
-        arrays.append(arr.astype(np.float64))
-        pos += nbytes
-
-    entities = arrays[0]
-    if is_complex(kind):
-        entities = _deinterleave(entities, dim)
+    entities = None
     relations: dict[RelationKind, dict[str, np.ndarray]] = {rel: {} for rel in RelationKind}
-    for (rel, name), arr in zip(block_names, arrays[1:]):
-        if kind is ModelKind.COMPLEX and name == "vec":
+    for rel, name, shape, is_complex in layout:
+        count = math.prod(shape)
+        arr = np.frombuffer(raw, dtype=dtype, count=count, offset=pos).reshape(shape)
+        arr = arr.astype(np.float64)
+        pos += count * dtype.itemsize
+        if is_complex:
             arr = _deinterleave(arr, dim)
-        relations[rel][name] = arr
+        if rel is None:
+            entities = arr
+        else:
+            relations[rel][name] = arr
 
-    params = ModelParams(kind, dim, entities, relations, manifest["vocab_sha256"])
-    return params, vocab
+    return ModelParams(kind, dim, entities, relations, fingerprint), vocab
 
 
 def check_fingerprint(params: ModelParams, vocab: Vocabulary) -> None:

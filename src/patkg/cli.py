@@ -1,9 +1,9 @@
 """Command-line surface.
 
 Subcommands: ingest, train, eval, neighbors, proximity, expansion,
-export-embeddings. Every command takes --seed where randomness is
-involved and is a pure function of its inputs and flags in reference
-mode. Usage errors exit 2 (argparse); data errors exit 1 after printing
+export-embeddings. The commands that involve randomness (train, eval)
+take --seed, and every command is a pure function of its inputs and
+flags. Usage errors exit 2 (argparse); data errors exit 1 after printing
 one `error: <Kind>: <reason>` line to stderr.
 """
 
@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import archive, evaluator, expansion, ingestion, proximity, reports, trainer
-from .errors import PatkgError
+from .errors import PatkgError, UnknownEntity
 from .evaluator import EvalConfig, Sides, TieRule
 from .graph import CandidatePool, EntityKind, SplitSpec, split
 from .models import ModelKind
@@ -25,7 +25,10 @@ def _parse_entity_label(label: str) -> tuple[EntityKind, str]:
     kind_text, sep, source_id = label.partition(":")
     if not sep or not source_id:
         raise PatkgError(f"entity label {label!r} must look like kind:id")
-    return EntityKind(kind_text), source_id
+    try:
+        return EntityKind(kind_text), source_id
+    except ValueError:
+        raise UnknownEntity(f"unknown entity kind {kind_text!r} in label {label!r}") from None
 
 
 def _add_split_flags(p: argparse.ArgumentParser) -> None:
@@ -41,7 +44,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ingest", help="parse a triple file into a canonical store")
     p.add_argument("triples_path")
     p.add_argument("out_store_path")
-    p.add_argument("--seed", type=int, default=0, help="accepted for interface parity; unused")
 
     p = sub.add_parser("train", help="train one embedding model on a store")
     p.add_argument("store_path")
@@ -84,7 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind-filter", nargs="*", choices=[k.value for k in EntityKind], default=None)
     p.add_argument("--mode", choices=[m.value for m in proximity.TransformMode],
                    default="translation_algebra")
-    p.add_argument("--seed", type=int, default=0, help="accepted for interface parity; unused")
 
     p = sub.add_parser("proximity", help="pairwise proximity matrix over listed entities")
     p.add_argument("archive_path")
@@ -93,7 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("out_matrix_path")
     p.add_argument("--mode", choices=[m.value for m in proximity.TransformMode],
                    default="translation_algebra")
-    p.add_argument("--seed", type=int, default=0, help="accepted for interface parity; unused")
 
     p = sub.add_parser("expansion", help="domain-expansion study over one or more models")
     p.add_argument("archive_paths", nargs="+")
@@ -104,13 +104,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-patents", type=int, default=30)
     p.add_argument("--raw-cosine", action="store_true",
                    help="use raw cosines instead of flooring negatives at 0")
-    p.add_argument("--seed", type=int, default=0, help="accepted for interface parity; unused")
 
     p = sub.add_parser("export-embeddings", help="dump entity embeddings as TSV")
     p.add_argument("archive_path")
     p.add_argument("out_tsv_path")
     p.add_argument("--kind-filter", nargs="*", choices=[k.value for k in EntityKind], default=None)
-    p.add_argument("--seed", type=int, default=0, help="accepted for interface parity; unused")
 
     return parser
 

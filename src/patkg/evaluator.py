@@ -18,7 +18,7 @@ from enum import Enum
 import numpy as np
 
 from .archive import check_fingerprint
-from .errors import EmptyTestSet, PoolTooSmall
+from .errors import EmptyTestSet, InvalidConfig, PoolTooSmall
 from .graph import (
     CandidatePool,
     RELATION_INDEX,
@@ -58,7 +58,7 @@ class EvalConfig:
 
     def __post_init__(self) -> None:
         if self.corruptions_per_side < 1:
-            raise ValueError("corruptions_per_side must be >= 1")
+            raise InvalidConfig("corruptions_per_side must be >= 1")
 
 
 @dataclass(frozen=True, slots=True)

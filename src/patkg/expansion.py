@@ -31,11 +31,11 @@ from .errors import (
     TargetInHome,
     TooFewTargets,
     UnknownGroup,
-    ZeroVector,
 )
-from .graph import EntityKind, TripleStore, Vocabulary
+from .graph import EntityKind, EntityRef, TripleStore, Vocabulary
 from .ingestion import AgentPortfolio
 from .models import ModelParams
+from .proximity import knowledge_proximity, pairwise_matrix
 
 log = logging.getLogger(__name__)
 
@@ -58,13 +58,13 @@ class ExpansionProfile:
         return len(self.entries)
 
 
+def _group_ref(vocab: Vocabulary, code: str) -> EntityRef:
+    return vocab.refs[vocab.ordinal_of(EntityKind.GROUP, code)]
+
+
 def group_proximity(params: ModelParams, vocab: Vocabulary, g1: str, g2: str) -> float:
     """Raw cosine between two group embedding rows."""
-    from .proximity import cosine
-
-    u = params.entity_row(vocab.ordinal_of(EntityKind.GROUP, g1))
-    v = params.entity_row(vocab.ordinal_of(EntityKind.GROUP, g2))
-    return cosine(u, v)
+    return knowledge_proximity(params, vocab, _group_ref(vocab, g1), _group_ref(vocab, g2))
 
 
 def group_proximity_matrix(
@@ -76,16 +76,8 @@ def group_proximity_matrix(
     stays within the study's [0, 1] framing; pass floor_negative=False
     for raw cosines.
     """
-    rows = np.stack(
-        [params.entity_row(vocab.ordinal_of(EntityKind.GROUP, code)) for code in universe]
-    )
-    norms = np.linalg.norm(rows, axis=1, keepdims=True)
-    if np.any(norms == 0.0):
-        raise ZeroVector("group embedding has zero norm")
-    unit = rows / norms
-    phi = np.clip(unit @ unit.T, -1.0, 1.0)
-    phi = (phi + phi.T) / 2.0
-    np.fill_diagonal(phi, 1.0)
+    refs = [_group_ref(vocab, code) for code in universe]
+    phi = pairwise_matrix(params, vocab, refs, EntityKind.GROUP)
     if floor_negative:
         np.maximum(phi, 0.0, out=phi)
     return phi

@@ -306,17 +306,6 @@ def sample_corrupt(
     return [Triple(t.head, t.relation, int(o)) for o in chosen]
 
 
-@dataclass(frozen=True, slots=True)
-class SyntheticConfig:
-    communities: int
-    patents_per_community: int
-    inventors_per_community: int
-    assignees_per_community: int
-    intra_cite_prob: float
-    inter_cite_prob: float
-    seed: int = 0
-
-
 def generate_synthetic(
     communities: int,
     patents_per_community: int,

@@ -11,21 +11,23 @@ fact:
     ComplEx     Re(sum_i r_i h_i conj(t_i))
     RotatE      -|h o r - t|_2     (o = complex Hadamard, |r_i| = 1)
 
-Complex-valued tables (ComplEx, RotatE) are stored as 2d-real rows with
-the real parts in the first d columns and the imaginary parts in the
-last d. All score/gradient kernels accept index arrays so callers can
-batch; the scalar `score` and `grad` entry points are the single-triple
-contract on top of them.
+Each model is one `ModelSpec` row in `SPECS`: its parameter layout,
+training defaults and kernels. Complex-valued tables (ComplEx, RotatE)
+are stored as 2d-real rows with the real parts in the first d columns
+and the imaginary parts in the last d. All score/gradient kernels accept
+index arrays so callers can batch; the scalar `score` and `grad` entry
+points are the single-triple contract on top of them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
 import numpy as np
 
-from .errors import UnknownOrdinal
+from .errors import InvalidConfig, UnknownOrdinal
 from .graph import RelationKind
 
 WEIGHT_BOUND_NUMERATOR = 6.0  # init entries are uniform in +-6/sqrt(dim)
@@ -41,33 +43,36 @@ class ModelKind(Enum):
     ROTATE = "rotate"
 
 
-COMPLEX_MODELS = frozenset({ModelKind.COMPLEX, ModelKind.ROTATE})
-TRANSLATIONAL_MODELS = frozenset(
-    {ModelKind.TRANSE_L1, ModelKind.TRANSE_L2, ModelKind.TRANSR, ModelKind.ROTATE}
-)
+@dataclass(frozen=True, slots=True)
+class ModelSpec:
+    """Every per-model fact: parameter layout, training defaults, kernels.
 
+    Kernels take the gathered head rows H, tail rows T, one relation's
+    blocks and the dimension d. `score` returns one score per row;
+    `gradients` also takes column weights w and returns (dH, dT, dRel)
+    as `weighted_gradients` documents; `at_kink` tells whether a single
+    triple sits where its score is not differentiable.
+    """
 
-def is_complex(kind: ModelKind) -> bool:
-    return kind in COMPLEX_MODELS
+    relation_blocks: Callable[[int], dict[str, tuple[int, ...]]]  # dim -> {name: shape}
+    translational: bool  # unit-norm init, margin-loss default, normalization applies
+    learning_rate: float  # default SGD step
+    score: Callable[..., np.ndarray]
+    gradients: Callable[..., tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]]
+    at_kink: Callable[..., bool] = lambda H, T, blocks, d: False
+    normalize_entities: bool = False  # default for TrainConfig.normalize_entities
+    complex_rows: bool = False  # entity rows hold the [re | im] halves of d complex values
+    complex_blocks: frozenset[str] = frozenset()  # relation blocks in that same halves layout
 
+    def row_dim(self, dim: int) -> int:
+        return 2 * dim if self.complex_rows else dim
 
-def is_translational(kind: ModelKind) -> bool:
-    return kind in TRANSLATIONAL_MODELS
-
-
-def relation_block_shapes(kind: ModelKind, dim: int) -> dict[str, tuple[int, ...]]:
-    """Parameter blocks (name -> shape) held per relation by each model."""
-    if kind in (ModelKind.TRANSE_L1, ModelKind.TRANSE_L2, ModelKind.DISTMULT):
-        return {"vec": (dim,)}
-    if kind is ModelKind.COMPLEX:
-        return {"vec": (2 * dim,)}
-    if kind is ModelKind.ROTATE:
-        return {"phase": (dim,)}
-    if kind is ModelKind.RESCAL:
-        return {"mat": (dim, dim)}
-    if kind is ModelKind.TRANSR:
-        return {"vec": (dim,), "mat": (dim, dim)}
-    raise ValueError(kind)
+    @property
+    def vector_relations(self) -> bool:
+        """Every parameter is a real vector, so h + r is defined across kinds."""
+        return not (self.complex_rows or self.complex_blocks) and all(
+            len(shape) == 1 for shape in self.relation_blocks(1).values()
+        )
 
 
 @dataclass
@@ -79,6 +84,10 @@ class ModelParams:
     entities: np.ndarray  # (n, dim) real models, (n, 2*dim) complex models
     relations: dict[RelationKind, dict[str, np.ndarray]]
     vocab_fingerprint: str
+
+    @property
+    def spec(self) -> ModelSpec:
+        return SPECS[self.kind]
 
     @property
     def n_entities(self) -> int:
@@ -116,17 +125,17 @@ def init_params(
     component has unit modulus by construction.
     """
     if n_entities < 1 or dim < 1:
-        raise ValueError("n_entities and dim must be >= 1")
+        raise InvalidConfig("n_entities and dim must be >= 1")
+    spec = SPECS[kind]
     rng = np.random.default_rng(seed)
     bound = WEIGHT_BOUND_NUMERATOR / np.sqrt(dim)
-    row_dim = 2 * dim if is_complex(kind) else dim
-    entities = rng.uniform(-bound, bound, size=(n_entities, row_dim))
-    if is_translational(kind):
+    entities = rng.uniform(-bound, bound, size=(n_entities, spec.row_dim(dim)))
+    if spec.translational:
         entities /= np.linalg.norm(entities, axis=1, keepdims=True)
     relations: dict[RelationKind, dict[str, np.ndarray]] = {}
     for rel in RelationKind:
         blocks: dict[str, np.ndarray] = {}
-        for name, shape in sorted(relation_block_shapes(kind, dim).items()):
+        for name, shape in sorted(spec.relation_blocks(dim).items()):
             if name == "phase":
                 blocks[name] = rng.uniform(-np.pi, np.pi, size=shape)
             else:
@@ -150,39 +159,9 @@ def scores(params: ModelParams, heads: np.ndarray, relation: RelationKind, tails
     tails = np.asarray(tails, dtype=np.int64)
     _check_ordinals(params, heads)
     _check_ordinals(params, tails)
-    H = params.entities[heads]
-    T = params.entities[tails]
-    blocks = params.relations[relation]
-    kind, d = params.kind, params.dim
-
-    if kind is ModelKind.TRANSE_L1:
-        return -np.abs(H + blocks["vec"] - T).sum(axis=1)
-    if kind is ModelKind.TRANSE_L2:
-        return -np.linalg.norm(H + blocks["vec"] - T, axis=1)
-    if kind is ModelKind.TRANSR:
-        M = blocks["mat"]
-        U = (H - T) @ M.T + blocks["vec"]
-        return -(U * U).sum(axis=1)
-    if kind is ModelKind.RESCAL:
-        return ((H @ blocks["mat"]) * T).sum(axis=1)
-    if kind is ModelKind.DISTMULT:
-        # (H*T)*r keeps score(h,r,t) == score(t,r,h) bit-exact.
-        return ((H * T) * blocks["vec"]).sum(axis=1)
-    if kind is ModelKind.COMPLEX:
-        h_re, h_im = _split_complex(H, d)
-        t_re, t_im = _split_complex(T, d)
-        r_re, r_im = _split_complex(blocks["vec"], d)
-        return (
-            r_re * (h_re * t_re + h_im * t_im) + r_im * (h_re * t_im - h_im * t_re)
-        ).sum(axis=1)
-    if kind is ModelKind.ROTATE:
-        h_re, h_im = _split_complex(H, d)
-        t_re, t_im = _split_complex(T, d)
-        c, s = np.cos(blocks["phase"]), np.sin(blocks["phase"])
-        u_re = h_re * c - h_im * s - t_re
-        u_im = h_re * s + h_im * c - t_im
-        return -np.sqrt((u_re * u_re + u_im * u_im).sum(axis=1))
-    raise ValueError(kind)
+    return params.spec.score(
+        params.entities[heads], params.entities[tails], params.relations[relation], params.dim
+    )
 
 
 def score(params: ModelParams, h: int, r: RelationKind, t: int) -> float:
@@ -224,63 +203,9 @@ def weighted_gradients(
     _check_ordinals(params, heads)
     _check_ordinals(params, tails)
     w = np.asarray(weights, dtype=np.float64)[:, None]
-    H = params.entities[heads]
-    T = params.entities[tails]
-    blocks = params.relations[relation]
-    kind, d = params.kind, params.dim
-
-    if kind is ModelKind.TRANSE_L1:
-        S = np.sign(H + blocks["vec"] - T)
-        dH = -w * S
-        return dH, -dH, {"vec": dH.sum(axis=0)}
-    if kind is ModelKind.TRANSE_L2:
-        D = H + blocks["vec"] - T
-        n = np.linalg.norm(D, axis=1, keepdims=True)
-        G = np.divide(D, n, out=np.zeros_like(D), where=n > 0)
-        dH = -w * G
-        return dH, -dH, {"vec": dH.sum(axis=0)}
-    if kind is ModelKind.TRANSR:
-        M = blocks["mat"]
-        diff = H - T
-        U = diff @ M.T + blocks["vec"]
-        WU = w * U
-        dH = -2.0 * (WU @ M)
-        d_mat = -2.0 * WU.T @ diff
-        return dH, -dH, {"mat": d_mat, "vec": -2.0 * WU.sum(axis=0)}
-    if kind is ModelKind.RESCAL:
-        M = blocks["mat"]
-        dH = w * (T @ M.T)
-        dT = w * (H @ M)
-        return dH, dT, {"mat": (w * H).T @ T}
-    if kind is ModelKind.DISTMULT:
-        r = blocks["vec"]
-        return w * (T * r), w * (H * r), {"vec": (w * (H * T)).sum(axis=0)}
-    if kind is ModelKind.COMPLEX:
-        h_re, h_im = _split_complex(H, d)
-        t_re, t_im = _split_complex(T, d)
-        r_re, r_im = _split_complex(blocks["vec"], d)
-        dH = w * np.concatenate([r_re * t_re + r_im * t_im, r_re * t_im - r_im * t_re], axis=1)
-        dT = w * np.concatenate([r_re * h_re - r_im * h_im, r_re * h_im + r_im * h_re], axis=1)
-        d_vec = (
-            w * np.concatenate([h_re * t_re + h_im * t_im, h_re * t_im - h_im * t_re], axis=1)
-        ).sum(axis=0)
-        return dH, dT, {"vec": d_vec}
-    if kind is ModelKind.ROTATE:
-        h_re, h_im = _split_complex(H, d)
-        t_re, t_im = _split_complex(T, d)
-        c, s = np.cos(blocks["phase"]), np.sin(blocks["phase"])
-        hr_re = h_re * c - h_im * s
-        hr_im = h_re * s + h_im * c
-        u_re = hr_re - t_re
-        u_im = hr_im - t_im
-        n = np.sqrt((u_re * u_re + u_im * u_im).sum(axis=1, keepdims=True))
-        inv = np.divide(1.0, n, out=np.zeros_like(n), where=n > 0)
-        g_re, g_im = u_re * inv, u_im * inv  # d(-score)/d u
-        dH = -w * np.concatenate([g_re * c + g_im * s, -g_re * s + g_im * c], axis=1)
-        dT = w * np.concatenate([g_re, g_im], axis=1)
-        d_phase = (w * (g_re * hr_im - g_im * hr_re)).sum(axis=0)
-        return dH, dT, {"phase": d_phase}
-    raise ValueError(kind)
+    return params.spec.gradients(
+        params.entities[heads], params.entities[tails], params.relations[relation], params.dim, w
+    )
 
 
 def grad(params: ModelParams, h: int, r: RelationKind, t: int) -> ScoreGradient:
@@ -293,24 +218,154 @@ def grad(params: ModelParams, h: int, r: RelationKind, t: int) -> ScoreGradient:
     heads = np.array([h], dtype=np.int64)
     tails = np.array([t], dtype=np.int64)
     dH, dT, dRel = weighted_gradients(params, heads, r, tails, np.ones(1))
-    flag = _at_kink(params, heads, r, tails)
+    flag = params.spec.at_kink(
+        params.entities[heads], params.entities[tails], params.relations[r], params.dim
+    )
     return ScoreGradient(head=dH[0], tail=dT[0], relation=dRel, nondifferentiable=flag)
 
 
-def _at_kink(params: ModelParams, heads: np.ndarray, r: RelationKind, tails: np.ndarray) -> bool:
-    kind, d = params.kind, params.dim
-    H = params.entities[heads]
-    T = params.entities[tails]
-    blocks = params.relations[r]
-    if kind is ModelKind.TRANSE_L1:
-        return bool(np.any(H + blocks["vec"] - T == 0.0))
-    if kind is ModelKind.TRANSE_L2:
-        return bool(np.all(H + blocks["vec"] - T == 0.0))
-    if kind is ModelKind.ROTATE:
-        h_re, h_im = _split_complex(H, d)
-        t_re, t_im = _split_complex(T, d)
-        c, s = np.cos(blocks["phase"]), np.sin(blocks["phase"])
-        u_re = h_re * c - h_im * s - t_re
-        u_im = h_re * s + h_im * c - t_im
-        return bool(np.all(u_re == 0.0) and np.all(u_im == 0.0))
-    return False
+# -- kernels, one group per model ------------------------------------------
+
+def _transe_l1_score(H, T, b, d):
+    return -np.abs(H + b["vec"] - T).sum(axis=1)
+
+
+def _transe_l1_gradients(H, T, b, d, w):
+    dH = -w * np.sign(H + b["vec"] - T)
+    return dH, -dH, {"vec": dH.sum(axis=0)}
+
+
+def _transe_l1_at_kink(H, T, b, d):
+    return bool(np.any(H + b["vec"] - T == 0.0))
+
+
+def _transe_l2_score(H, T, b, d):
+    return -np.linalg.norm(H + b["vec"] - T, axis=1)
+
+
+def _transe_l2_gradients(H, T, b, d, w):
+    D = H + b["vec"] - T
+    n = np.linalg.norm(D, axis=1, keepdims=True)
+    dH = -w * np.divide(D, n, out=np.zeros_like(D), where=n > 0)
+    return dH, -dH, {"vec": dH.sum(axis=0)}
+
+
+def _transe_l2_at_kink(H, T, b, d):
+    return bool(np.all(H + b["vec"] - T == 0.0))
+
+
+def _transr_score(H, T, b, d):
+    U = (H - T) @ b["mat"].T + b["vec"]
+    return -(U * U).sum(axis=1)
+
+
+def _transr_gradients(H, T, b, d, w):
+    M = b["mat"]
+    diff = H - T
+    WU = w * (diff @ M.T + b["vec"])
+    dH = -2.0 * (WU @ M)
+    return dH, -dH, {"mat": -2.0 * WU.T @ diff, "vec": -2.0 * WU.sum(axis=0)}
+
+
+def _rescal_score(H, T, b, d):
+    return ((H @ b["mat"]) * T).sum(axis=1)
+
+
+def _rescal_gradients(H, T, b, d, w):
+    M = b["mat"]
+    return w * (T @ M.T), w * (H @ M), {"mat": (w * H).T @ T}
+
+
+def _distmult_score(H, T, b, d):
+    # (H*T)*r keeps score(h,r,t) == score(t,r,h) bit-exact.
+    return ((H * T) * b["vec"]).sum(axis=1)
+
+
+def _distmult_gradients(H, T, b, d, w):
+    r = b["vec"]
+    return w * (T * r), w * (H * r), {"vec": (w * (H * T)).sum(axis=0)}
+
+
+def _complex_score(H, T, b, d):
+    h_re, h_im = _split_complex(H, d)
+    t_re, t_im = _split_complex(T, d)
+    r_re, r_im = _split_complex(b["vec"], d)
+    return (
+        r_re * (h_re * t_re + h_im * t_im) + r_im * (h_re * t_im - h_im * t_re)
+    ).sum(axis=1)
+
+
+def _complex_gradients(H, T, b, d, w):
+    h_re, h_im = _split_complex(H, d)
+    t_re, t_im = _split_complex(T, d)
+    r_re, r_im = _split_complex(b["vec"], d)
+    dH = w * np.concatenate([r_re * t_re + r_im * t_im, r_re * t_im - r_im * t_re], axis=1)
+    dT = w * np.concatenate([r_re * h_re - r_im * h_im, r_re * h_im + r_im * h_re], axis=1)
+    d_vec = (
+        w * np.concatenate([h_re * t_re + h_im * t_im, h_re * t_im - h_im * t_re], axis=1)
+    ).sum(axis=0)
+    return dH, dT, {"vec": d_vec}
+
+
+def _rotate_parts(H, T, b, d):
+    """(hr_re, hr_im, u_re, u_im, cos, sin): rotated head hr = h o r, residual u = hr - t."""
+    h_re, h_im = _split_complex(H, d)
+    t_re, t_im = _split_complex(T, d)
+    c, s = np.cos(b["phase"]), np.sin(b["phase"])
+    hr_re = h_re * c - h_im * s
+    hr_im = h_re * s + h_im * c
+    return hr_re, hr_im, hr_re - t_re, hr_im - t_im, c, s
+
+
+def _rotate_score(H, T, b, d):
+    _, _, u_re, u_im, _, _ = _rotate_parts(H, T, b, d)
+    return -np.sqrt((u_re * u_re + u_im * u_im).sum(axis=1))
+
+
+def _rotate_gradients(H, T, b, d, w):
+    hr_re, hr_im, u_re, u_im, c, s = _rotate_parts(H, T, b, d)
+    n = np.sqrt((u_re * u_re + u_im * u_im).sum(axis=1, keepdims=True))
+    inv = np.divide(1.0, n, out=np.zeros_like(n), where=n > 0)
+    g_re, g_im = u_re * inv, u_im * inv  # d(-score)/d u
+    dH = -w * np.concatenate([g_re * c + g_im * s, -g_re * s + g_im * c], axis=1)
+    dT = w * np.concatenate([g_re, g_im], axis=1)
+    d_phase = (w * (g_re * hr_im - g_im * hr_re)).sum(axis=0)
+    return dH, dT, {"phase": d_phase}
+
+
+def _rotate_at_kink(H, T, b, d):
+    _, _, u_re, u_im, _, _ = _rotate_parts(H, T, b, d)
+    return bool(np.all(u_re == 0.0) and np.all(u_im == 0.0))
+
+
+SPECS: dict[ModelKind, ModelSpec] = {
+    ModelKind.TRANSE_L1: ModelSpec(
+        lambda d: {"vec": (d,)}, translational=True, learning_rate=0.5, normalize_entities=True,
+        score=_transe_l1_score, gradients=_transe_l1_gradients, at_kink=_transe_l1_at_kink,
+    ),
+    ModelKind.TRANSE_L2: ModelSpec(
+        lambda d: {"vec": (d,)}, translational=True, learning_rate=2.0, normalize_entities=True,
+        score=_transe_l2_score, gradients=_transe_l2_gradients, at_kink=_transe_l2_at_kink,
+    ),
+    ModelKind.TRANSR: ModelSpec(
+        lambda d: {"vec": (d,), "mat": (d, d)}, translational=True, learning_rate=0.5,
+        score=_transr_score, gradients=_transr_gradients,
+    ),
+    ModelKind.RESCAL: ModelSpec(
+        lambda d: {"mat": (d, d)}, translational=False, learning_rate=2.0,
+        score=_rescal_score, gradients=_rescal_gradients,
+    ),
+    ModelKind.DISTMULT: ModelSpec(
+        lambda d: {"vec": (d,)}, translational=False, learning_rate=8.0,
+        score=_distmult_score, gradients=_distmult_gradients,
+    ),
+    ModelKind.COMPLEX: ModelSpec(
+        lambda d: {"vec": (2 * d,)}, translational=False, learning_rate=8.0,
+        complex_rows=True, complex_blocks=frozenset({"vec"}),
+        score=_complex_score, gradients=_complex_gradients,
+    ),
+    ModelKind.ROTATE: ModelSpec(
+        lambda d: {"phase": (d,)}, translational=True, learning_rate=1.0, complex_rows=True,
+        score=_rotate_score, gradients=_rotate_gradients, at_kink=_rotate_at_kink,
+    ),
+}

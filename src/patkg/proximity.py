@@ -13,10 +13,12 @@ patent hub (subsection steps go through its group). ``GUIDE_LITERAL``
 applies the same step sequences with every sign flipped, reproducing
 the published transformation guide verbatim.
 
-Cross-kind transformation needs vector-valued relations, so it is
-rejected for TransR and RESCAL (matrix relations) and for the
-complex-valued models (ComplEx, RotatE); same-kind proximity works for
-all seven models, complex rows being compared as 2d-real vectors.
+Cross-kind transformation adds relation parameters to entity rows, so
+it needs a model whose parameters are real vectors only (its spec's
+`vector_relations`): TransE_L1, TransE_L2 and DistMult. TransR and
+RESCAL (matrix relations) and the complex-valued models (ComplEx,
+RotatE) reject it; same-kind proximity works for all seven models,
+complex rows being compared as 2d-real vectors.
 """
 
 from __future__ import annotations
@@ -26,13 +28,9 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import UnsupportedModel, ZeroVector
+from .errors import InvalidConfig, UnsupportedModel, ZeroVector
 from .graph import EntityKind, EntityRef, RelationKind, Vocabulary
-from .models import ModelKind, ModelParams
-
-VECTOR_RELATION_MODELS = frozenset(
-    {ModelKind.TRANSE_L1, ModelKind.TRANSE_L2, ModelKind.DISTMULT}
-)
+from .models import ModelParams
 
 
 class TransformMode(Enum):
@@ -94,7 +92,7 @@ def cosine(u: np.ndarray, v: np.ndarray) -> float:
 
 
 def _relation_offset(params: ModelParams, steps: tuple[tuple[RelationKind, int], ...]) -> np.ndarray:
-    if steps and params.kind not in VECTOR_RELATION_MODELS:
+    if steps and not params.spec.vector_relations:
         raise UnsupportedModel(
             f"{params.kind.value} relations cannot be added as vectors; "
             "cross-kind transformation is undefined"
@@ -155,7 +153,7 @@ def nearest_neighbors(
     ranked list.
     """
     if k < 1:
-        raise ValueError("k must be >= 1")
+        raise InvalidConfig("k must be >= 1")
     focal_row = params.entity_row(focal.ordinal)
     focal_norm = np.linalg.norm(focal_row)
     if focal_norm == 0.0:
@@ -202,7 +200,7 @@ def pairwise_matrix(
     Exactly symmetric with a unit diagonal.
     """
     if not entities:
-        raise ValueError("entities must be non-empty")
+        raise InvalidConfig("entities must be non-empty")
     rows = np.stack([transform(params, vocab, e, common_kind, mode) for e in entities])
     norms = np.linalg.norm(rows, axis=1, keepdims=True)
     if np.any(norms == 0.0):

@@ -1,15 +1,10 @@
 """Mini-batch SGD with negative sampling over a training triple store.
 
-Reference mode (workers=1) is single-threaded and bit-deterministic per
-seed; that is the mode every acceptance check uses. Parallel mode shards
-each epoch's batches across threads that update disjoint parameter
-copies merged by averaging at the end of the epoch, and is explicitly
-not bit-deterministic.
+Training is single-threaded and bit-deterministic per seed.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -19,7 +14,7 @@ import numpy as np
 from . import archive as _archive
 from .errors import EmptyStore, InvalidConfig, NumericalDivergence
 from .graph import RELATION_SCHEMA, RelationKind, TripleStore
-from .models import ModelKind, ModelParams, init_params, is_translational, weighted_gradients, scores
+from .models import SPECS, ModelKind, ModelParams, init_params, scores, weighted_gradients
 
 RELATIONS = list(RelationKind)
 
@@ -59,28 +54,17 @@ class TrainReport:
     wall_time_s: float = 0.0
 
 
-_DEFAULT_LR = {
-    ModelKind.TRANSE_L1: 0.5,
-    ModelKind.TRANSE_L2: 2.0,
-    ModelKind.TRANSR: 0.5,
-    ModelKind.ROTATE: 1.0,
-    ModelKind.RESCAL: 2.0,
-    ModelKind.DISTMULT: 8.0,
-    ModelKind.COMPLEX: 8.0,
-}
-
-
 def default_config(kind: ModelKind) -> TrainConfig:
-    """Per-family defaults: margin loss for translational models, logistic
-    for the semantic-matching ones. Either loss stays selectable."""
-    if kind in (ModelKind.TRANSE_L1, ModelKind.TRANSE_L2, ModelKind.TRANSR, ModelKind.ROTATE):
-        return TrainConfig(
-            loss=LossKind.MARGIN_RANK,
-            margin=1.0,
-            learning_rate=_DEFAULT_LR[kind],
-            normalize_entities=kind in (ModelKind.TRANSE_L1, ModelKind.TRANSE_L2),
-        )
-    return TrainConfig(loss=LossKind.LOGISTIC, l2_coefficient=1e-5, learning_rate=_DEFAULT_LR[kind])
+    """Per-model defaults from the model's spec: margin loss for
+    translational models, logistic loss with a small L2 penalty for the
+    semantic-matching ones. Either loss stays selectable."""
+    spec = SPECS[kind]
+    return TrainConfig(
+        loss=LossKind.MARGIN_RANK if spec.translational else LossKind.LOGISTIC,
+        l2_coefficient=0.0 if spec.translational else 1e-5,
+        learning_rate=spec.learning_rate,
+        normalize_entities=spec.normalize_entities,
+    )
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -121,143 +105,118 @@ def _draw_replacements(rng: np.random.Generator, pool: np.ndarray, originals: np
     return out
 
 
-class _SgdState:
-    """One epoch-sharded training state over a fixed triple array."""
+def _sgd_batch(params: ModelParams, cfg: TrainConfig,
+               pools: dict[RelationKind, tuple[np.ndarray, np.ndarray]],
+               heads: np.ndarray, rels: np.ndarray, tails: np.ndarray,
+               offset: int, rng: np.random.Generator) -> float:
+    """One gradient step over a batch of positives; returns summed loss.
 
-    def __init__(self, params: ModelParams, config: TrainConfig,
-                 pools: dict[RelationKind, tuple[np.ndarray, np.ndarray]]):
-        self.params = params
-        self.config = config
-        self.pools = pools
-        self.normalize = config.normalize_entities and is_translational(params.kind)
+    `offset` is the epoch position of the first positive, used by the
+    alternating corruption rule: the global negative-sample index
+    (position * negatives_per_positive + slot) corrupts the head when
+    even and the tail when odd.
+    """
+    m = len(heads)
+    npp = cfg.negatives_per_positive
 
-    def run_batch(self, heads: np.ndarray, rels: np.ndarray, tails: np.ndarray,
-                  offset: int, rng: np.random.Generator) -> float:
-        """One gradient step over `batch` positives; returns summed loss.
+    neg_heads = np.repeat(heads, npp)
+    neg_tails = np.repeat(tails, npp)
+    neg_rels = np.repeat(rels, npp)
+    sample_index = (offset + np.arange(m)).repeat(npp) * npp + np.tile(np.arange(npp), m)
+    corrupt_head = sample_index % 2 == 0
+    neg_valid = np.ones(m * npp, dtype=bool)
 
-        `offset` is the epoch position of the first positive, used by the
-        alternating corruption rule: the global negative-sample index
-        (position * negatives_per_positive + slot) corrupts the head when
-        even and the tail when odd.
-        """
-        cfg = self.config
-        params = self.params
-        m = len(heads)
-        npp = cfg.negatives_per_positive
+    # Ascending batch positions of each present relation's positives and
+    # negatives, so every loop below visits samples in batch order.
+    present = []
+    for r_i, rel in enumerate(RELATIONS):
+        pos = np.flatnonzero(rels == r_i)
+        if pos.size:
+            present.append((rel, pos, np.flatnonzero(neg_rels == r_i)))
 
-        neg_heads = np.repeat(heads, npp)
-        neg_tails = np.repeat(tails, npp)
-        neg_rels = np.repeat(rels, npp)
-        sample_index = (offset + np.arange(m)).repeat(npp) * npp + np.tile(np.arange(npp), m)
-        corrupt_head = sample_index % 2 == 0
-        neg_valid = np.ones(m * npp, dtype=bool)
-
-        for r_i, rel in enumerate(RELATIONS):
-            head_pool, tail_pool = self.pools[rel]
-            sel = (neg_rels == r_i) & corrupt_head
-            if np.any(sel):
-                if len(head_pool) < 2:
-                    neg_valid[sel] = False  # no alternative entity to swap in
-                else:
-                    neg_heads[sel] = _draw_replacements(rng, head_pool, neg_heads[sel])
-            sel = (neg_rels == r_i) & ~corrupt_head
-            if np.any(sel):
-                if len(tail_pool) < 2:
-                    neg_valid[sel] = False
-                else:
-                    neg_tails[sel] = _draw_replacements(rng, tail_pool, neg_tails[sel])
-
-        pos_scores = np.empty(m)
-        neg_scores = np.empty(m * npp)
-        for r_i, rel in enumerate(RELATIONS):
-            sel = rels == r_i
-            if np.any(sel):
-                pos_scores[sel] = scores(params, heads[sel], rel, tails[sel])
-            sel = neg_rels == r_i
-            if np.any(sel):
-                neg_scores[sel] = scores(params, neg_heads[sel], rel, neg_tails[sel])
-
-        # Batch gradient is the mean over the batch's positives, so step
-        # sizes do not scale with batch_size.
-        if cfg.loss is LossKind.MARGIN_RANK:
-            hinge = cfg.margin - np.repeat(pos_scores, npp) + neg_scores
-            active = (hinge > 0.0) & neg_valid
-            data_loss = float(hinge[active].sum())
-            w_neg = active.astype(np.float64) / m
-            w_pos = -active.reshape(m, npp).sum(axis=1).astype(np.float64) / m
-        else:
-            neg_ll = np.where(neg_valid, _log_sigmoid(-neg_scores), 0.0)
-            data_loss = float(-_log_sigmoid(pos_scores).sum() - neg_ll.sum())
-            w_pos = -_sigmoid(-pos_scores) / m
-            w_neg = np.where(neg_valid, _sigmoid(neg_scores), 0.0) / m
-
-        all_heads = np.concatenate([heads, neg_heads])
-        all_tails = np.concatenate([tails, neg_tails])
-        all_rels = np.concatenate([rels, neg_rels])
-        all_w = np.concatenate([w_pos, w_neg])
-        nonzero = all_w != 0.0
-
-        touched = np.unique(np.concatenate([all_heads, all_tails]))
-        touched_rels = [rel for r_i, rel in enumerate(RELATIONS) if np.any(all_rels == r_i)]
-        loss = data_loss
-        if cfg.l2_coefficient > 0.0:
-            sq = float((params.entities[touched] ** 2).sum())
-            for rel in touched_rels:
-                for block in params.relations[rel].values():
-                    sq += float((block**2).sum())
-            loss += cfg.l2_coefficient * sq
-            decay = cfg.learning_rate * 2.0 * cfg.l2_coefficient
-            params.entities[touched] -= decay * params.entities[touched]
-            for rel in touched_rels:
-                for block in params.relations[rel].values():
-                    block -= decay * block
-
-        lr = cfg.learning_rate
-        for r_i, rel in enumerate(RELATIONS):
-            sel = (all_rels == r_i) & nonzero
-            if not np.any(sel):
+    for rel, _, neg in present:
+        at_head = corrupt_head[neg]
+        for pool, ends, sel in zip(pools[rel], (neg_heads, neg_tails), (neg[at_head], neg[~at_head])):
+            if sel.size == 0:
                 continue
-            dH, dT, dRel = weighted_gradients(
-                params, all_heads[sel], rel, all_tails[sel], all_w[sel]
-            )
-            np.add.at(params.entities, all_heads[sel], -lr * dH)
-            np.add.at(params.entities, all_tails[sel], -lr * dT)
-            for name, g in dRel.items():
-                params.relations[rel][name] -= lr * g
+            if len(pool) < 2:
+                neg_valid[sel] = False  # no alternative entity to swap in
+            else:
+                ends[sel] = _draw_replacements(rng, pool, ends[sel])
 
-        if self.normalize and lr > 0.0:
-            rows = params.entities[touched]
-            params.entities[touched] = rows / np.linalg.norm(rows, axis=1, keepdims=True)
+    pos_scores = np.empty(m)
+    neg_scores = np.empty(m * npp)
+    for rel, pos, neg in present:
+        pos_scores[pos] = scores(params, heads[pos], rel, tails[pos])
+        neg_scores[neg] = scores(params, neg_heads[neg], rel, neg_tails[neg])
 
-        finite = np.isfinite(loss) and np.isfinite(params.entities[touched]).all()
-        finite = finite and all(
-            np.isfinite(block).all()
-            for rel in touched_rels
-            for block in params.relations[rel].values()
+    # Batch gradient is the mean over the batch's positives, so step
+    # sizes do not scale with batch_size.
+    if cfg.loss is LossKind.MARGIN_RANK:
+        hinge = cfg.margin - np.repeat(pos_scores, npp) + neg_scores
+        active = (hinge > 0.0) & neg_valid
+        data_loss = float(hinge[active].sum())
+        w_neg = active.astype(np.float64) / m
+        w_pos = -active.reshape(m, npp).sum(axis=1).astype(np.float64) / m
+    else:
+        neg_ll = np.where(neg_valid, _log_sigmoid(-neg_scores), 0.0)
+        data_loss = float(-_log_sigmoid(pos_scores).sum() - neg_ll.sum())
+        w_pos = -_sigmoid(-pos_scores) / m
+        w_neg = np.where(neg_valid, _sigmoid(neg_scores), 0.0) / m
+
+    all_heads = np.concatenate([heads, neg_heads])
+    all_tails = np.concatenate([tails, neg_tails])
+    all_w = np.concatenate([w_pos, w_neg])
+    nonzero = all_w != 0.0
+
+    touched = np.unique(np.concatenate([all_heads, all_tails]))
+    touched_rels = [rel for rel, _, _ in present]
+    loss = data_loss
+    if cfg.l2_coefficient > 0.0:
+        sq = float((params.entities[touched] ** 2).sum())
+        for rel in touched_rels:
+            for block in params.relations[rel].values():
+                sq += float((block**2).sum())
+        loss += cfg.l2_coefficient * sq
+        decay = cfg.learning_rate * 2.0 * cfg.l2_coefficient
+        params.entities[touched] -= decay * params.entities[touched]
+        for rel in touched_rels:
+            for block in params.relations[rel].values():
+                block -= decay * block
+
+    lr = cfg.learning_rate
+    for rel, pos, neg in present:
+        sel = np.concatenate([pos, m + neg])
+        sel = sel[nonzero[sel]]
+        if sel.size == 0:
+            continue
+        dH, dT, dRel = weighted_gradients(
+            params, all_heads[sel], rel, all_tails[sel], all_w[sel]
         )
-        if not finite:
-            raise NumericalDivergence("non-finite loss or parameter")
-        return loss
+        np.add.at(params.entities, all_heads[sel], -lr * dH)
+        np.add.at(params.entities, all_tails[sel], -lr * dT)
+        for name, g in dRel.items():
+            params.relations[rel][name] -= lr * g
 
+    if cfg.normalize_entities and params.spec.translational and lr > 0.0:
+        rows = params.entities[touched]
+        params.entities[touched] = rows / np.linalg.norm(rows, axis=1, keepdims=True)
 
-def _train_shard(state: _SgdState, heads, rels, tails, order, rng_seed: int) -> float:
-    rng = np.random.default_rng(rng_seed)
-    batch = state.config.batch_size
-    total = 0.0
-    for start in range(0, len(order), batch):
-        sel = order[start : start + batch]
-        try:
-            total += state.run_batch(heads[sel], rels[sel], tails[sel], start, rng)
-        except NumericalDivergence as exc:
-            raise NumericalDivergence(f"batch {start // batch}: {exc}") from None
-    return total
+    finite = np.isfinite(loss) and np.isfinite(params.entities[touched]).all()
+    finite = finite and all(
+        np.isfinite(block).all()
+        for rel in touched_rels
+        for block in params.relations[rel].values()
+    )
+    if not finite:
+        raise NumericalDivergence("non-finite loss or parameter")
+    return loss
 
 
 def train(
     train_store: TripleStore,
     kind: ModelKind,
     config: TrainConfig,
-    workers: int = 1,
 ) -> tuple[ModelParams, TrainReport]:
     """Train `kind` on the store's triples and return (params, report).
 
@@ -276,45 +235,25 @@ def train(
     pools = _kind_pools(train_store)
     report = TrainReport(kind=kind, config=config)
     shuffle_rng = np.random.default_rng(config.seed + 1)
+    batch = config.batch_size
 
     for epoch in range(config.epochs):
         order = shuffle_rng.permutation(len(heads))
-        try:
-            if workers <= 1:
-                state = _SgdState(params, config, pools)
-                total = _train_shard(
-                    state, heads, rels, tails, order, rng_seed=config.seed + 10_000 + epoch
-                )
-            else:
-                total = _train_parallel_epoch(params, config, pools, heads, rels, tails, order,
-                                              epoch, workers)
-        except NumericalDivergence as exc:
-            raise NumericalDivergence(f"epoch {epoch}: {exc}") from None
+        rng = np.random.default_rng(config.seed + 10_000 + epoch)
+        total = 0.0
+        for start in range(0, len(order), batch):
+            sel = order[start : start + batch]
+            try:
+                total += _sgd_batch(params, config, pools, heads[sel], rels[sel], tails[sel],
+                                    start, rng)
+            except NumericalDivergence as exc:
+                raise NumericalDivergence(
+                    f"epoch {epoch}: batch {start // batch}: {exc}"
+                ) from None
         report.epoch_losses.append(total / len(heads))
 
     report.wall_time_s = time.perf_counter() - t0
     return params, report
-
-
-def _train_parallel_epoch(params, config, pools, heads, rels, tails, order, epoch, workers) -> float:
-    """Disjoint parameter copies per shard, merged by averaging. Not bit-deterministic."""
-    shards = np.array_split(order, workers)
-    copies = [params.copy() for _ in shards]
-    states = [_SgdState(c, config, pools) for c in copies]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(_train_shard, st, heads, rels, tails, shard,
-                        config.seed + 10_000 + epoch * workers + i)
-            for i, (st, shard) in enumerate(zip(states, shards))
-        ]
-        total = sum(f.result() for f in futures)
-    params.entities[:] = np.mean([c.entities for c in copies], axis=0)
-    for rel in RELATIONS:
-        for name in params.relations[rel]:
-            params.relations[rel][name][:] = np.mean(
-                [c.relations[rel][name] for c in copies], axis=0
-            )
-    return total
 
 
 def checkpoint(params: ModelParams, path) -> None:

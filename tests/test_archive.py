@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from patkg.archive import load_archive, save_archive
 from patkg.errors import ArchiveError
@@ -102,3 +103,56 @@ def test_complex_interleaving_on_disk(store, tmp_path):
     header_end = raw.index(b"\n", raw.index(b"\n") + 1) + 1
     row0 = np.frombuffer(raw, dtype="<f8", count=4, offset=header_end)
     np.testing.assert_array_equal(row0, [1.0, 3.0, 2.0, 4.0])
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=12)
+    | st.sampled_from([k.value for k in ModelKind] + ["float32", "float64", "vec", "mat"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=6,
+)
+MANIFEST_KEYS = ["kind", "dim", "entities", "relations", "encoding", "vocab_sha256",
+                 "vocab_entities"]
+MANIFEST_EDITS = st.one_of(
+    st.tuples(st.just("set"), st.sampled_from(MANIFEST_KEYS), JSON_VALUES),
+    st.tuples(st.just("drop"), st.sampled_from(MANIFEST_KEYS), st.none()),
+    st.tuples(st.just("relation"), st.sampled_from([r.value for r in RelationKind]), JSON_VALUES),
+    st.tuples(st.just("replace"), st.none(), JSON_VALUES),
+    st.tuples(st.just("text"), st.none(), st.text(max_size=40).filter(lambda t: "\n" not in t)),
+)
+
+
+@pytest.fixture(scope="module")
+def archive_bytes(store, tmp_path_factory):
+    out = {}
+    for kind in ModelKind:
+        path = tmp_path_factory.mktemp("valid") / f"{kind.value}.kge"
+        save_archive(path, params_for(store, kind, dim=2), vocab=store.vocab)
+        out[kind] = path.read_bytes()
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(list(ModelKind)), edit=MANIFEST_EDITS)
+def test_manifest_edits_load_or_raise_archive_error(archive_bytes, tmp_path_factory, kind, edit):
+    magic, manifest_line, rest = archive_bytes[kind].split(b"\n", 2)
+    manifest = json.loads(manifest_line)
+    action, key, value = edit
+    if action == "set":
+        manifest[key] = value
+    elif action == "drop":
+        manifest.pop(key)
+    elif action == "relation":
+        manifest["relations"][key] = value
+    elif action == "replace":
+        manifest = value
+    text = value if action == "text" else json.dumps(manifest)
+    path = tmp_path_factory.getbasetemp() / "edited.kge"
+    path.write_bytes(b"\n".join([magic, text.encode("utf-8"), rest]))
+    try:
+        params, vocab = load_archive(path)
+    except ArchiveError as exc:
+        assert "byte" in str(exc)
+    else:
+        assert params.entities.shape[0] == len(vocab)

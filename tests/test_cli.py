@@ -92,6 +92,8 @@ class TestTrainEval:
         run_cli("train", graph_file, "transe_l2", arc, "--dim", "4", "--epochs", "1")
         assert run_cli("eval", arc, other_store, tmp_path / "r.txt", "--seed", "1") == 1
         assert "FingerprintMismatch" in capsys.readouterr().err
+        assert run_cli("eval", arc, graph_file, tmp_path / "r.txt", "-K", "0") == 1
+        assert capsys.readouterr().err.startswith("error: InvalidConfig:")
 
 
 @pytest.fixture(scope="module")
@@ -136,8 +138,28 @@ class TestProximityCommands:
         assert all(line.startswith("group:") for line in lines)
 
     def test_unknown_entity_exit_1(self, archive, tmp_path, capsys):
-        assert run_cli("neighbors", archive, "patent:missing", tmp_path / "o.tsv") == 1
-        assert "UnknownEntity" in capsys.readouterr().err
+        no_labels = tmp_path / "none.txt"
+        no_labels.write_text("# no entities\n")
+        magic, _, rest = archive.read_bytes().split(b"\n", 2)
+        bad_archives = {}
+        for name, manifest in (("kind", '{"kind":"transx"}'), ("keys", '{"kind":"transe_l2"}'),
+                               ("list", "[1, 2]")):
+            bad_archives[name] = tmp_path / f"{name}.kge"
+            bad_archives[name].write_bytes(b"\n".join([magic, manifest.encode(), rest]))
+        cases = [
+            (["neighbors", archive, "patent:missing", tmp_path / "o.tsv"], "UnknownEntity"),
+            (["neighbors", archive, "foo:bar", tmp_path / "o.tsv"], "UnknownEntity"),
+            (["neighbors", archive, "patent:p000_00000", tmp_path / "o.tsv", "-k", "0"],
+             "InvalidConfig"),
+            (["proximity", archive, no_labels, "patent", tmp_path / "m.tsv"], "InvalidConfig"),
+        ] + [
+            (["neighbors", path, "patent:p000_00000", tmp_path / "o.tsv"], "ArchiveError")
+            for path in bad_archives.values()
+        ]
+        for argv, kind in cases:
+            assert run_cli(*argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {kind}:") and err.count("\n") == 1, err
 
 
 def portfolio_lines():

@@ -6,10 +6,10 @@ import pytest
 from patkg.errors import UnknownOrdinal
 from patkg.graph import RelationKind
 from patkg.models import (
+    SPECS,
     ModelKind,
     grad,
     init_params,
-    is_translational,
     score,
     scores,
 )
@@ -45,7 +45,7 @@ class TestInit:
         for kind in ModelKind:
             p = init_params(kind, 10, 6, seed=3)
             norms = np.linalg.norm(p.entities, axis=1)
-            if is_translational(kind):
+            if SPECS[kind].translational:
                 np.testing.assert_allclose(norms, 1.0, atol=1e-12)
             else:
                 assert not np.allclose(norms, 1.0)

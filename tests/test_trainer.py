@@ -29,23 +29,26 @@ def small_config(**kw):
     return TrainConfig(**base)
 
 
+# (learning_rate, loss, margin, l2_coefficient, normalize_entities) per model
+DEFAULTS = {
+    ModelKind.TRANSE_L1: (0.5, LossKind.MARGIN_RANK, 1.0, 0.0, True),
+    ModelKind.TRANSE_L2: (2.0, LossKind.MARGIN_RANK, 1.0, 0.0, True),
+    ModelKind.TRANSR: (0.5, LossKind.MARGIN_RANK, 1.0, 0.0, False),
+    ModelKind.ROTATE: (1.0, LossKind.MARGIN_RANK, 1.0, 0.0, False),
+    ModelKind.RESCAL: (2.0, LossKind.LOGISTIC, 1.0, 1e-5, False),
+    ModelKind.DISTMULT: (8.0, LossKind.LOGISTIC, 1.0, 1e-5, False),
+    ModelKind.COMPLEX: (8.0, LossKind.LOGISTIC, 1.0, 1e-5, False),
+}
+
+
 class TestDefaultConfig:
-    def test_translational_margin(self):
-        cfg = default_config(ModelKind.TRANSE_L2)
-        assert cfg.loss is LossKind.MARGIN_RANK
-        assert cfg.margin == 1.0
-        assert cfg.normalize_entities
-
-    def test_semantic_logistic(self):
-        cfg = default_config(ModelKind.RESCAL)
-        assert cfg.loss is LossKind.LOGISTIC
-        assert cfg.l2_coefficient == 1e-5
-        assert not cfg.normalize_entities
-
-    def test_normalize_only_transe_variants(self):
-        assert not default_config(ModelKind.TRANSR).normalize_entities
-        assert not default_config(ModelKind.ROTATE).normalize_entities
-        assert default_config(ModelKind.TRANSE_L1).normalize_entities
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_full_defaults(self, kind):
+        lr, loss, margin, l2, normalize = DEFAULTS[kind]
+        assert default_config(kind) == TrainConfig(
+            learning_rate=lr, loss=loss, margin=margin, l2_coefficient=l2,
+            normalize_entities=normalize,
+        )
 
     @pytest.mark.parametrize("kind", list(ModelKind))
     def test_dim_default_500(self, kind):
@@ -125,12 +128,14 @@ class TestTrain:
             train(small_store, ModelKind.TRANSE_L2, small_config(epochs=0))
         with pytest.raises(InvalidConfig):
             TrainConfig(learning_rate=-1.0).validate()
+        with pytest.raises(InvalidConfig):
+            init_params(ModelKind.TRANSE_L2, 0, 4)
 
     def test_hinge_inactive_no_update(self):
         # a pair already separated by the margin contributes zero loss and
         # leaves every parameter untouched
         from patkg.graph import EntityKind, RelationKind, Triple, TripleStore
-        from patkg.trainer import _SgdState, _kind_pools
+        from patkg.trainer import _kind_pools, _sgd_batch
 
         store = TripleStore()
         g = store.add_entity(EntityKind.GROUP, "G00A")
@@ -145,22 +150,16 @@ class TestTrain:
         # s_pos = 1, any corrupt tail scores -1: hinge 1 - 1 + (-1) < 0
         cfg = small_config(epochs=1, margin=1.0, learning_rate=0.5,
                            negatives_per_positive=2, normalize_entities=False)
-        state = _SgdState(params, cfg, _kind_pools(store))
         before = params.copy()
         heads, rels, tails = store.triple_arrays()
-        loss = state.run_batch(heads, rels, tails, 0, np.random.default_rng(0))
+        loss = _sgd_batch(params, cfg, _kind_pools(store), heads, rels, tails, 0,
+                          np.random.default_rng(0))
         assert loss == 0.0
         assert np.array_equal(params.entities, before.entities)
         for rel in params.relations:
             for name in params.relations[rel]:
                 assert np.array_equal(params.relations[rel][name],
                                       before.relations[rel][name])
-
-    def test_parallel_mode_runs(self, small_store):
-        cfg = small_config(epochs=2)
-        params, report = train(small_store, ModelKind.TRANSE_L2, cfg, workers=2)
-        assert np.isfinite(params.entities).all()
-        assert len(report.epoch_losses) == 2
 
 
 class TestCheckpoint:
