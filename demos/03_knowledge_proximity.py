@@ -53,8 +53,12 @@ for rank, hit in enumerate(nearest_neighbors(params, vocab, inventor, k=5), star
 # Proximity is direction-dependent across kinds: the transformation
 # differs with the focal side.
 from patkg import RelationKind
+from patkg.graph import RELATION_INDEX
 
-patent = vocab.refs[store.index_hr[(inventor.ordinal, RelationKind.WRITE)][0]]
+# The inventor's first patent in insertion order, read from the store's columns.
+heads, rels, tails = store.triple_arrays()
+written = tails[(heads == inventor.ordinal) & (rels == RELATION_INDEX[RelationKind.WRITE])]
+patent = vocab.refs[int(written[0])]
 ab = knowledge_proximity(params, vocab, inventor, patent)
 ba = knowledge_proximity(params, vocab, patent, inventor)
 print(f"\nproximity(inventor, patent) = {ab:.4f}")

@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ArchiveError, FingerprintMismatch, UnknownEntity
+from .errors import ArchiveError, FingerprintMismatch, PatkgError
 from .graph import RelationKind, Vocabulary
 from .models import SPECS, ModelKind, ModelParams
 
@@ -165,7 +165,7 @@ def load_archive(path) -> tuple[ModelParams, Vocabulary | None]:
             pos = nl + 1
         try:
             vocab = Vocabulary.from_lines([line.decode("utf-8") for line in lines])
-        except (ValueError, UnknownEntity) as exc:
+        except (PatkgError, UnicodeDecodeError) as exc:
             raise ArchiveError(f"bad vocabulary before byte {pos}: {exc}") from None
         if len(vocab) != n_entities:
             raise ArchiveError(f"vocabulary size does not match entity table at byte {pos}")

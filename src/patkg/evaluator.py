@@ -26,6 +26,7 @@ from .graph import (
     Side,
     Triple,
     TripleStore,
+    corruption_candidates,
     sample_corrupt,
 )
 from .models import ModelParams, scores
@@ -124,22 +125,6 @@ def _record_seed(seed: int, triple: Triple, side: Side) -> int:
     return int.from_bytes(hashlib.blake2b(payload, digest_size=8).digest(), "little")
 
 
-def _pool_size(store: TripleStore, triple: Triple, side: Side, config: EvalConfig) -> int:
-    original = triple.head if side is Side.HEAD else triple.tail
-    if config.pool is CandidatePool.SAME_KIND:
-        kind = store.vocab.refs[original].kind
-        n = len(store.vocab.ordinals_of_kind(kind)) - 1
-    else:
-        n = len(store.vocab) - 1
-    if config.filtered:
-        if side is Side.HEAD:
-            known = store.index_tr.get((triple.tail, triple.relation), [])
-        else:
-            known = store.index_hr.get((triple.head, triple.relation), [])
-        n -= len(set(known) - {original})
-    return n
-
-
 def evaluate(
     params: ModelParams,
     test: list[Triple],
@@ -167,7 +152,7 @@ def evaluate(
     records: list[RankRecord] = []
     for triple in test:
         for side in sides:
-            available = _pool_size(store, triple, side, config)
+            available = len(corruption_candidates(store, triple, side, config.pool, config.filtered))
             if available < 1:
                 skipped += 1  # nothing to corrupt with; query is unrankable
                 continue

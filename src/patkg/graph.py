@@ -1,10 +1,10 @@
 """Typed triple store for the five-relation patent metadata graph.
 
 Entities come in five kinds and facts in five relation kinds, each with a
-fixed (head kind, tail kind) schema. The store keeps forward and backward
-adjacency indexes, supports deterministic train/test splitting and corrupt
-triple sampling, and ships a planted-community synthetic generator for
-desk-scale experiments.
+fixed (head kind, tail kind) schema. The store keeps its triples as int
+columns plus sorted packed keys, supports deterministic train/test
+splitting and corrupt triple sampling, and ships a planted-community
+synthetic generator for desk-scale experiments.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from .errors import (
     DuplicateTriple,
     EmptyStore,
     InvalidConfig,
+    ParseError,
     PoolTooSmall,
     SchemaViolation,
     UnknownEntity,
@@ -54,6 +55,7 @@ RELATION_SCHEMA: dict[RelationKind, tuple[EntityKind, EntityKind]] = {
     RelationKind.COMPRISE: (EntityKind.SUBSECTION, EntityKind.GROUP),
 }
 
+RELATIONS = list(RelationKind)
 RELATION_INDEX = {r: i for i, r in enumerate(RelationKind)}
 
 
@@ -127,11 +129,6 @@ class Vocabulary:
         except KeyError:
             raise UnknownEntity(f"{kind.value}:{source_id} not in vocabulary") from None
 
-    def ref(self, ordinal: int) -> EntityRef:
-        if not 0 <= ordinal < len(self.refs):
-            raise UnknownEntity(f"ordinal {ordinal} out of range")
-        return self.refs[ordinal]
-
     def ordinals_of_kind(self, kind: EntityKind) -> list[int]:
         return self._by_kind[kind]
 
@@ -147,8 +144,12 @@ class Vocabulary:
                 continue
             ordinal_text, _, label = line.rstrip("\n").partition("\t")
             kind_text, _, source_id = label.partition(":")
-            ref = vocab.add(EntityKind(kind_text), source_id)
-            if ref.ordinal != int(ordinal_text):
+            try:
+                ordinal = int(ordinal_text)
+                ref = vocab.add(EntityKind(kind_text), source_id)
+            except ValueError:
+                raise ParseError(f"vocabulary line {i}: {line!r} is not <ordinal>\\t<kind>:<id>") from None
+            if ref.ordinal != ordinal:
                 raise UnknownEntity(f"vocabulary line {i}: non-contiguous ordinal {ordinal_text}")
         return vocab
 
@@ -160,8 +161,26 @@ class Vocabulary:
         return digest.hexdigest()
 
 
+def check_schema(relation: RelationKind, head_kind: EntityKind, tail_kind: EntityKind, at: str = "") -> None:
+    """Raise SchemaViolation, its message prefixed by `at`, unless the kinds fit the relation."""
+    want = RELATION_SCHEMA[relation]
+    if (head_kind, tail_kind) != want:
+        raise SchemaViolation(
+            f"{at}{relation.value} requires {want[0].value}->{want[1].value}, "
+            f"got {head_kind.value}->{tail_kind.value}"
+        )
+
+
+def pack_keys(heads, rels, tails) -> np.ndarray:
+    """One int64 key per triple, ordered as (relation, head, tail): rel << 58 | head << 29 | tail."""
+    return (rels << 58) | (heads << 29) | tails
+
+
 class TripleStore:
-    """Set of schema-valid triples plus both adjacency indexes.
+    """Set of schema-valid triples: read-only int64 columns `heads`, `rels`
+    (`RELATION_INDEX` codes) and `tails` in insertion order, plus the sorted
+    `pack_keys` of every triple for membership by binary search. Entity
+    ordinals must stay below 2**29 (about 537M entities) for keys to be unique.
 
     Construction is single-writer; afterwards the store is treated as
     immutable and is safe for parallel readers. Sampling takes explicit
@@ -170,53 +189,63 @@ class TripleStore:
 
     def __init__(self, vocab: Vocabulary | None = None) -> None:
         self.vocab = vocab if vocab is not None else Vocabulary()
-        self.triples: list[Triple] = []
-        self._triple_set: set[Triple] = set()
-        self.index_hr: dict[tuple[int, RelationKind], list[int]] = {}
-        self.index_tr: dict[tuple[int, RelationKind], list[int]] = {}
+        self.heads = self.rels = self.tails = self._keys = np.zeros(0, dtype=np.int64)
 
     def __len__(self) -> int:
-        return len(self.triples)
+        return len(self.heads)
 
     def __contains__(self, t: Triple) -> bool:
-        return t in self._triple_set
+        return bool(self.contains(t.head, RELATION_INDEX[t.relation], t.tail))
+
+    @property
+    def triples(self) -> list[Triple]:
+        """Every triple in insertion order, built anew on each read."""
+        columns = zip(self.heads.tolist(), self.rels.tolist(), self.tails.tolist())
+        return [Triple(h, RELATIONS[r], t) for h, r, t in columns]
+
+    def contains(self, heads, rels, tails) -> np.ndarray:
+        """Membership of each (head, relation code, tail) row, as bools."""
+        keys = pack_keys(heads, rels, tails)
+        return np.searchsorted(self._keys, keys, "right") > np.searchsorted(self._keys, keys)
 
     def add_entity(self, kind: EntityKind, source_id: str) -> EntityRef:
         return self.vocab.add(kind, source_id)
 
     def add_triple(self, t: Triple) -> None:
         """Add one triple, enforcing schema and set semantics."""
-        n = len(self.vocab)
-        if not (0 <= t.head < n and 0 <= t.tail < n):
-            raise UnknownEntity(f"triple references ordinal outside vocabulary: {t}")
-        head_kind = self.vocab.refs[t.head].kind
-        tail_kind = self.vocab.refs[t.tail].kind
-        want = RELATION_SCHEMA[t.relation]
-        if (head_kind, tail_kind) != want:
-            raise SchemaViolation(
-                f"{t.relation.value} requires {want[0].value}->{want[1].value}, "
-                f"got {head_kind.value}->{tail_kind.value}"
-            )
-        if t.relation is RelationKind.CITE and t.head == t.tail:
-            raise SchemaViolation(f"self-citation: {t}")
-        if t in self._triple_set:
-            raise DuplicateTriple(f"{t}")
-        self.triples.append(t)
-        self._triple_set.add(t)
-        self.index_hr.setdefault((t.head, t.relation), []).append(t.tail)
-        self.index_tr.setdefault((t.tail, t.relation), []).append(t.head)
+        self.add_triples([t.head], [RELATION_INDEX[t.relation]], [t.tail])
+
+    def add_triples(self, heads, rels, tails) -> None:
+        """Append (head, relation code, tail) rows, all or none; a scalar column is broadcast.
+
+        Each row in turn must name vocabulary ordinals, fit its relation's schema, not
+        cite itself, and repeat neither a stored triple nor an earlier row (DuplicateTriple).
+        """
+        heads, rels, tails = np.broadcast_arrays(*(np.asarray(c, dtype=np.int64) for c in (heads, rels, tails)))
+        keys = pack_keys(heads, rels, tails)
+        duplicate = np.ones(len(keys), dtype=bool)
+        duplicate[np.unique(keys, return_index=True)[1]] = False
+        duplicate |= self.contains(heads, rels, tails)
+        refs, n = self.vocab.refs, len(self.vocab)
+        for h, r, t, dup in zip(heads.tolist(), rels.tolist(), tails.tolist(), duplicate.tolist()):
+            if not (0 <= h < n and 0 <= t < n and 0 <= r < len(RELATIONS)):
+                raise UnknownEntity(f"row {(h, r, t)}: ordinal outside the vocabulary or unknown relation")
+            relation = RELATIONS[r]
+            check_schema(relation, refs[h].kind, refs[t].kind)
+            if relation is RelationKind.CITE and h == t:
+                raise SchemaViolation(f"self-citation: {Triple(h, relation, t)}")
+            if dup:
+                raise DuplicateTriple(f"{Triple(h, relation, t)}")
+        self.heads = np.concatenate([self.heads, heads])
+        self.rels = np.concatenate([self.rels, rels])
+        self.tails = np.concatenate([self.tails, tails])
+        self._keys = np.sort(np.concatenate([self._keys, keys]))
+        for column in (self.heads, self.rels, self.tails, self._keys):
+            column.flags.writeable = False
 
     def triple_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(heads, relation indexes, tails) as parallel int64 arrays."""
-        if not self.triples:
-            z = np.zeros(0, dtype=np.int64)
-            return z, z.copy(), z.copy()
-        heads = np.fromiter((t.head for t in self.triples), dtype=np.int64, count=len(self.triples))
-        rels = np.fromiter(
-            (RELATION_INDEX[t.relation] for t in self.triples), dtype=np.int64, count=len(self.triples)
-        )
-        tails = np.fromiter((t.tail for t in self.triples), dtype=np.int64, count=len(self.triples))
-        return heads, rels, tails
+        """(heads, relation indexes, tails): the store's read-only columns."""
+        return self.heads, self.rels, self.tails
 
 
 @dataclass(slots=True)
@@ -229,17 +258,9 @@ class StoreStats:
 
 def stats(store: TripleStore) -> StoreStats:
     """Count entities per kind and triples per relation kind."""
-    entity_counts = {k: 0 for k in EntityKind}
-    for ref in store.vocab.refs:
-        entity_counts[ref.kind] += 1
-    relation_counts = {r: 0 for r in RelationKind}
-    for t in store.triples:
-        relation_counts[t.relation] += 1
+    entity_counts = {k: len(store.vocab.ordinals_of_kind(k)) for k in EntityKind}
+    relation_counts = dict(zip(RELATIONS, np.bincount(store.rels, minlength=len(RELATIONS)).tolist()))
     return StoreStats(entity_counts, relation_counts, len(store.vocab), len(store))
-
-
-def _canonical_order(triples: list[Triple]) -> list[Triple]:
-    return sorted(triples, key=lambda t: (RELATION_INDEX[t.relation], t.head, t.tail))
 
 
 def split(store: TripleStore, spec: SplitSpec) -> tuple[TripleStore, list[Triple]]:
@@ -252,19 +273,34 @@ def split(store: TripleStore, spec: SplitSpec) -> tuple[TripleStore, list[Triple
     """
     if len(store) == 0:
         raise EmptyStore("cannot split an empty store")
-    canonical = _canonical_order(store.triples)
+    canonical = np.argsort(pack_keys(store.heads, store.rels, store.tails))
     n_test = round(spec.test_fraction * len(canonical))
     rng = np.random.default_rng(spec.seed)
-    perm = rng.permutation(len(canonical))
-    test_ids = set(perm[:n_test].tolist())
+    is_test = np.zeros(len(canonical), dtype=bool)
+    is_test[rng.permutation(len(canonical))[:n_test]] = True
+    rows = canonical[~is_test]
     train = TripleStore(store.vocab)
-    test: list[Triple] = []
-    for i, t in enumerate(canonical):
-        if i in test_ids:
-            test.append(t)
-        else:
-            train.add_triple(t)
-    return train, test
+    train.add_triples(store.heads[rows], store.rels[rows], store.tails[rows])
+    triples = store.triples
+    return train, [triples[i] for i in canonical[is_test].tolist()]
+
+
+def corruption_candidates(
+    store: TripleStore, t: Triple, side: Side, pool: CandidatePool, filtered: bool
+) -> np.ndarray:
+    """Ascending ordinals that may replace `side` of `t`: the pool minus the original
+    entity and, if `filtered`, minus every entity that would rebuild a stored triple."""
+    original = t.head if side is Side.HEAD else t.tail
+    if pool is CandidatePool.SAME_KIND:
+        kind = store.vocab.refs[original].kind
+        candidates = np.asarray(store.vocab.ordinals_of_kind(kind), dtype=np.int64)
+    else:
+        candidates = np.arange(len(store.vocab), dtype=np.int64)
+    candidates = candidates[candidates != original]
+    if filtered:
+        heads, tails = (candidates, t.tail) if side is Side.HEAD else (t.head, candidates)
+        candidates = candidates[~store.contains(heads, RELATION_INDEX[t.relation], tails)]
+    return candidates
 
 
 def sample_corrupt(
@@ -278,29 +314,18 @@ def sample_corrupt(
 ) -> list[Triple]:
     """Draw n corrupt versions of `t`, replacing one side.
 
-    Candidates are drawn uniformly without replacement from the pool, never
-    equal to the original entity. With `filtered`, candidates that would
-    reconstruct a true triple of the store are excluded first.
+    Candidates are drawn uniformly without replacement from
+    `corruption_candidates(store, t, side, pool, filtered)`.
     """
     if n < 1:
         raise InvalidConfig("n must be >= 1")
-    original = t.head if side is Side.HEAD else t.tail
-    if pool is CandidatePool.SAME_KIND:
-        kind = store.vocab.refs[original].kind
-        candidates = [o for o in store.vocab.ordinals_of_kind(kind) if o != original]
-    else:
-        candidates = [o for o in range(len(store.vocab)) if o != original]
-    if filtered:
-        if side is Side.HEAD:
-            candidates = [o for o in candidates if Triple(o, t.relation, t.tail) not in store]
-        else:
-            candidates = [o for o in candidates if Triple(t.head, t.relation, o) not in store]
+    candidates = corruption_candidates(store, t, side, pool, filtered)
     if len(candidates) < n:
         raise PoolTooSmall(
             f"need {n} candidates for {side.value} of {t.relation.value}, have {len(candidates)}"
         )
     rng = np.random.default_rng(rng_seed)
-    chosen = rng.choice(np.asarray(candidates, dtype=np.int64), size=n, replace=False)
+    chosen = rng.choice(candidates, size=n, replace=False)
     if side is Side.HEAD:
         return [Triple(int(o), t.relation, t.tail) for o in chosen]
     return [Triple(t.head, t.relation, int(o)) for o in chosen]
@@ -355,8 +380,8 @@ def generate_synthetic(
             [store.add_entity(EntityKind.ASSIGNEE, f"a{c:03d}_{i:03d}") for i in range(assignees_per_community)]
         )
 
-    for c, group in enumerate(groups):
-        store.add_triple(Triple(subsections[c % n_sub].ordinal, RelationKind.COMPRISE, group.ordinal))
+    code = RELATION_INDEX
+    rows = [(subsections[c % n_sub].ordinal, code[RelationKind.COMPRISE], g.ordinal) for c, g in enumerate(groups)]
     for c in range(communities):
         n_inv = inventors_per_community
         inv_pick = rng.integers(0, n_inv, size=patents_per_community)
@@ -364,21 +389,21 @@ def generate_synthetic(
         inv_pick2 = (inv_pick + rng.integers(1, n_inv, size=patents_per_community)) % n_inv if n_inv > 1 else None
         own_pick = rng.integers(0, assignees_per_community, size=patents_per_community)
         for i, patent in enumerate(patents[c]):
-            store.add_triple(Triple(groups[c].ordinal, RelationKind.CONTAIN, patent.ordinal))
-            store.add_triple(Triple(inventors[c][int(inv_pick[i])].ordinal, RelationKind.WRITE, patent.ordinal))
+            rows.append((groups[c].ordinal, code[RelationKind.CONTAIN], patent.ordinal))
+            rows.append((inventors[c][int(inv_pick[i])].ordinal, code[RelationKind.WRITE], patent.ordinal))
             if inv_pick2 is not None:
-                store.add_triple(Triple(inventors[c][int(inv_pick2[i])].ordinal, RelationKind.WRITE, patent.ordinal))
-            store.add_triple(Triple(assignees[c][int(own_pick[i])].ordinal, RelationKind.OWN, patent.ordinal))
+                rows.append((inventors[c][int(inv_pick2[i])].ordinal, code[RelationKind.WRITE], patent.ordinal))
+            rows.append((assignees[c][int(own_pick[i])].ordinal, code[RelationKind.OWN], patent.ordinal))
 
-    all_patents = [p.ordinal for comm in patents for p in comm]
+    ordinals = np.array([p.ordinal for comm in patents for p in comm], dtype=np.int64)
     community_of = np.repeat(np.arange(communities), patents_per_community)
-    n_pat = len(all_patents)
+    n_pat = len(ordinals)
     draws = rng.random((n_pat, n_pat))
     prob = np.where(
         community_of[:, None] == community_of[None, :], intra_cite_prob, inter_cite_prob
     )
     np.fill_diagonal(prob, 0.0)
-    ordinals = np.asarray(all_patents, dtype=np.int64)
-    for i, j in zip(*np.nonzero(draws < prob)):
-        store.add_triple(Triple(int(ordinals[i]), RelationKind.CITE, int(ordinals[j])))
+    i, j = np.nonzero(draws < prob)
+    cites = np.stack([ordinals[i], np.full(len(i), code[RelationKind.CITE]), ordinals[j]], axis=1)
+    store.add_triples(*np.concatenate([np.array(rows, dtype=np.int64), cites]).T)
     return store

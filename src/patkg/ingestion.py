@@ -26,8 +26,11 @@ from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
 
+import numpy as np
+
 from .errors import MalformedCode, ParseError
-from .graph import EntityKind, RelationKind, Triple, TripleStore, Vocabulary
+from .graph import RELATION_INDEX, RELATIONS, EntityKind, RelationKind, Triple, TripleStore, Vocabulary
+from .graph import check_schema, pack_keys
 
 log = logging.getLogger(__name__)
 
@@ -55,7 +58,7 @@ def parse_triples_file(path, vocab: Vocabulary | None = None) -> TripleStore:
     store = TripleStore(vocab)
     dropped_self_cites = 0
     dropped_missing = 0
-    duplicates = 0
+    rows: list[tuple[int, int, int]] = []
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -72,19 +75,17 @@ def parse_triples_file(path, vocab: Vocabulary | None = None) -> TripleStore:
             if not head_id or not tail_id:
                 dropped_missing += 1
                 continue
-            head = store.add_entity(head_kind, head_id)
-            tail = store.add_entity(tail_kind, tail_id)
-            if relation is RelationKind.CITE and head.ordinal == tail.ordinal:
+            head = store.add_entity(head_kind, head_id).ordinal
+            tail = store.add_entity(tail_kind, tail_id).ordinal
+            if relation is RelationKind.CITE and head == tail:
                 dropped_self_cites += 1
                 continue
-            triple = Triple(head.ordinal, relation, tail.ordinal)
-            if triple in store:
-                duplicates += 1
-                continue
-            try:
-                store.add_triple(triple)
-            except Exception as exc:
-                raise type(exc)(f"line {line_no}: {exc}") from None
+            check_schema(relation, head_kind, tail_kind, f"line {line_no}: ")
+            rows.append((head, RELATION_INDEX[relation], tail))
+    heads, rels, tails = np.array(rows, dtype=np.int64).reshape(-1, 3).T
+    first = np.sort(np.unique(pack_keys(heads, rels, tails), return_index=True)[1])
+    store.add_triples(heads[first], rels[first], tails[first])
+    duplicates = len(rows) - len(first)
     if dropped_self_cites or dropped_missing or duplicates:
         log.info(
             "%s: dropped %d self-citations, %d missing-endpoint lines, %d duplicates",
@@ -112,8 +113,8 @@ def derive_comprise(store: TripleStore, groups: set[str]) -> list[Triple]:
         grp = store.add_entity(EntityKind.GROUP, code)
         triple = Triple(sub.ordinal, RelationKind.COMPRISE, grp.ordinal)
         if triple not in store:
-            store.add_triple(triple)
             added.append(triple)
+    store.add_triples([t.head for t in added], RELATION_INDEX[RelationKind.COMPRISE], [t.tail for t in added])
     return added
 
 
@@ -232,19 +233,11 @@ def load_universe(path) -> list[str]:
 
 def write_triples_file(store: TripleStore, path) -> None:
     """Canonical TSV export in stored order plus a `.vocab` sidecar."""
-    lines = []
-    for t in store.triples:
-        head = store.vocab.refs[t.head]
-        tail = store.vocab.refs[t.tail]
-        lines.append(
-            f"{head.kind.value}:{head.source_id}\t{t.relation.value}\t"
-            f"{tail.kind.value}:{tail.source_id}"
-        )
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
-    vocab_lines = store.vocab.export_lines()
-    Path(f"{path}.vocab").write_text(
-        "\n".join(vocab_lines) + ("\n" if vocab_lines else ""), encoding="utf-8"
-    )
+    label = [f"{r.kind.value}:{r.source_id}" for r in store.vocab.refs]
+    columns = zip(store.heads.tolist(), store.rels.tolist(), store.tails.tolist())
+    lines = [f"{label[h]}\t{RELATIONS[r].value}\t{label[t]}" for h, r, t in columns]
+    for out, text in ((path, lines), (f"{path}.vocab", store.vocab.export_lines())):
+        Path(out).write_text("\n".join(text) + ("\n" if text else ""), encoding="utf-8")
 
 
 def load_store(path) -> TripleStore:

@@ -13,10 +13,8 @@ import numpy as np
 
 from . import archive as _archive
 from .errors import EmptyStore, InvalidConfig, NumericalDivergence
-from .graph import RELATION_SCHEMA, RelationKind, TripleStore
+from .graph import RELATION_SCHEMA, RELATIONS, RelationKind, TripleStore
 from .models import SPECS, ModelKind, ModelParams, init_params, scores, weighted_gradients
-
-RELATIONS = list(RelationKind)
 
 
 class LossKind(Enum):

@@ -75,4 +75,5 @@ def trained_models(accept_store):
 def accept_test_sample(accept_store):
     rng = np.random.default_rng(0)
     idx = rng.choice(len(accept_store), size=400, replace=False)
-    return [accept_store.triples[i] for i in idx]
+    triples = accept_store.triples
+    return [triples[i] for i in idx]

@@ -24,6 +24,7 @@ from patkg.expansion import (
     run_study,
 )
 from patkg.graph import (
+    RELATION_INDEX,
     EntityKind,
     RelationKind,
     Side,
@@ -352,9 +353,16 @@ def test_criterion_10_transformation_consistency(accept_store, trained_models):
         params, _ = trained_models(ModelKind.TRANSE_L2)
         vocab = accept_store.vocab
         inventors = [vocab.refs[o] for o in vocab.ordinals_of_kind(EntityKind.INVENTOR)]
+        heads, rels, tails = accept_store.triple_arrays()
+        writes = rels == RELATION_INDEX[RelationKind.WRITE]
+
+        def patents_of(inventor):
+            """The inventor's patents in insertion order."""
+            return tails[writes & (heads == inventor.ordinal)].tolist()
+
         found = 0
         for inventor in inventors:
-            own = set(accept_store.index_hr.get((inventor.ordinal, RelationKind.WRITE), []))
+            own = set(patents_of(inventor))
             hits = nearest_neighbors(params, vocab, inventor, k=10,
                                      kind_filter={EntityKind.PATENT},
                                      mode=TransformMode.TRANSLATION_ALGEBRA)
@@ -364,7 +372,7 @@ def test_criterion_10_transformation_consistency(accept_store, trained_models):
         assert fraction >= 0.80, f"only {fraction:.2%} of inventors matched"
 
         inventor = inventors[0]
-        patent = vocab.refs[accept_store.index_hr[(inventor.ordinal, RelationKind.WRITE)][0]]
+        patent = vocab.refs[patents_of(inventor)[0]]
         ab = knowledge_proximity(params, vocab, inventor, patent)
         ba = knowledge_proximity(params, vocab, patent, inventor)
         assert abs(ab - ba) > 1e-6

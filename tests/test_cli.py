@@ -40,11 +40,13 @@ class TestIngest:
 
     def test_data_error_exit_1(self, tmp_path, capsys):
         src = tmp_path / "in.tsv"
-        src.write_text("patent:1\twrite\tinventor:2\n")
         out = tmp_path / "store.tsv"
-        assert run_cli("ingest", src, out) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: SchemaViolation:")
+        for data, kind in ((b"patent:1\twrite\tinventor:2\n", "SchemaViolation"),
+                           (b"patent:1\tcite\tpatent:\xff2\n", "UnicodeDecodeError")):
+            src.write_bytes(data)
+            assert run_cli("ingest", src, out) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {kind}:") and err.count("\n") == 1, err
 
     def test_missing_file_exit_1(self, tmp_path, capsys):
         assert run_cli("ingest", tmp_path / "nope.tsv", tmp_path / "out.tsv") == 1
@@ -94,6 +96,17 @@ class TestTrainEval:
         assert "FingerprintMismatch" in capsys.readouterr().err
         assert run_cli("eval", arc, graph_file, tmp_path / "r.txt", "-K", "0") == 1
         assert capsys.readouterr().err.startswith("error: InvalidConfig:")
+        # a damaged .vocab sidecar: non-integer ordinal, unknown kind, no tab
+        vocab = graph_file.with_name(graph_file.name + ".vocab").read_text()
+        for i, bad_line in enumerate(("x\tpatent:1", "1\tbogus:2", "no-tab-here")):
+            damaged = tmp_path / f"damaged{i}.tsv"
+            damaged.write_text(graph_file.read_text())
+            damaged.with_name(damaged.name + ".vocab").write_text(f"{bad_line}\n{vocab}")
+            for argv in (["train", damaged, "transe_l2", tmp_path / "d.kge", "--dim", "4"],
+                         ["eval", arc, damaged, tmp_path / "r.txt"]):
+                assert run_cli(*argv) == 1
+                err = capsys.readouterr().err
+                assert err.startswith("error: ParseError: vocabulary line 0:") and err.count("\n") == 1, err
 
 
 @pytest.fixture(scope="module")

@@ -1,7 +1,10 @@
 """Triple store, splitting, corruption sampling and the synthetic generator."""
 
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from patkg.errors import (
     DuplicateTriple,
@@ -12,6 +15,9 @@ from patkg.errors import (
     UnknownEntity,
 )
 from patkg.graph import (
+    RELATION_INDEX,
+    RELATION_SCHEMA,
+    RELATIONS,
     CandidatePool,
     EntityKind,
     RelationKind,
@@ -20,6 +26,7 @@ from patkg.graph import (
     Triple,
     TripleStore,
     Vocabulary,
+    corruption_candidates,
     generate_synthetic,
     sample_corrupt,
     split,
@@ -54,8 +61,10 @@ class TestAddTriple:
         pat = store.add_entity(EntityKind.PATENT, "7")
         store.add_triple(Triple(inv.ordinal, RelationKind.WRITE, pat.ordinal))
         assert len(store) == 1
-        assert store.index_hr[(inv.ordinal, RelationKind.WRITE)] == [pat.ordinal]
-        assert store.index_tr[(pat.ordinal, RelationKind.WRITE)] == [inv.ordinal]
+        write = RELATION_INDEX[RelationKind.WRITE]
+        assert [c.tolist() for c in store.triple_arrays()] == [[inv.ordinal], [write], [pat.ordinal]]
+        assert store.contains(inv.ordinal, write, pat.ordinal)
+        assert not store.contains(pat.ordinal, write, inv.ordinal)
 
     def test_schema_violation_on_reversed_write(self):
         store = TripleStore()
@@ -96,17 +105,127 @@ class TestAddTriple:
 
     def test_index_coherence_round_trip(self):
         store = generate_synthetic(3, 20, 5, 2, 0.1, 0.01, seed=3)
-        from_hr = {
-            Triple(h, r, t)
-            for (h, r), tails in store.index_hr.items()
-            for t in tails
-        }
-        from_tr = {
-            Triple(h, r, t)
-            for (t, r), heads in store.index_tr.items()
-            for h in heads
-        }
-        assert from_hr == set(store.triples) == from_tr
+        heads, rels, tails = store.triple_arrays()
+        triples = store.triples
+        assert [(t.head, RELATION_INDEX[t.relation], t.tail) for t in triples] == list(
+            zip(heads.tolist(), rels.tolist(), tails.tolist())
+        )
+        assert len(set(triples)) == len(store)
+        assert store.contains(heads, rels, tails).all()
+        assert all(t in store for t in triples)
+        # reversed non-cite triples break the schema, so none is stored
+        assert not store.contains(tails, rels, heads)[rels != RELATION_INDEX[RelationKind.CITE]].any()
+        with pytest.raises(ValueError):
+            heads[0] = 1  # the columns are read-only
+
+
+# -- the per-triple structures the columnar store replaced, kept as oracles ----
+
+def reference_candidates(store, facts, t, side, pool, filtered):
+    """Candidate list as built from per-triple objects: `facts` is a set of (h, r, t) tuples."""
+    original = t.head if side is Side.HEAD else t.tail
+    if pool is CandidatePool.SAME_KIND:
+        kind = store.vocab.refs[original].kind
+        candidates = [o for o in store.vocab.ordinals_of_kind(kind) if o != original]
+    else:
+        candidates = [o for o in range(len(store.vocab)) if o != original]
+    if filtered:
+        if side is Side.HEAD:
+            candidates = [o for o in candidates if (o, t.relation, t.tail) not in facts]
+        else:
+            candidates = [o for o in candidates if (t.head, t.relation, o) not in facts]
+    return candidates
+
+
+def test_corruption_candidates_match_reference():
+    full = generate_synthetic(3, 12, 4, 2, 0.3, 0.05, seed=5)
+    store, held_out = split(full, SplitSpec(0.2, seed=1))
+    triples = store.triples
+    facts = {(t.head, t.relation, t.tail) for t in triples}
+    checked = 0
+    for t in triples + held_out:
+        for side in Side:
+            for pool in CandidatePool:
+                for filtered in (False, True):
+                    want = reference_candidates(store, facts, t, side, pool, filtered)
+                    got = corruption_candidates(store, t, side, pool, filtered)
+                    assert got.tolist() == want
+                    if not want:
+                        continue
+                    n = min(3, len(want))
+                    rng = np.random.default_rng(checked)
+                    chosen = rng.choice(np.asarray(want, dtype=np.int64), size=n, replace=False)
+                    expect = [Triple(int(o), t.relation, t.tail) if side is Side.HEAD
+                              else Triple(t.head, t.relation, int(o)) for o in chosen]
+                    assert sample_corrupt(store, t, n, side, pool, filtered, rng_seed=checked) == expect
+                    checked += 1
+    assert checked > 1000
+
+
+# Ordinals 0-3 patents, then one inventor, assignee, group and subsection.
+MODEL_KINDS = [EntityKind.PATENT] * 4 + [
+    EntityKind.INVENTOR, EntityKind.ASSIGNEE, EntityKind.GROUP, EntityKind.SUBSECTION
+]
+VALID_ROWS = [
+    (h, RELATION_INDEX[rel], t)
+    for rel, (hk, tk) in RELATION_SCHEMA.items()
+    for h in range(len(MODEL_KINDS)) for t in range(len(MODEL_KINDS))
+    if (MODEL_KINDS[h], MODEL_KINDS[t]) == (hk, tk) and not (rel is RelationKind.CITE and h == t)
+]
+ANY_ROW = st.tuples(st.integers(-1, 9), st.integers(-1, 5), st.integers(-1, 9))
+ROWS = st.sampled_from(VALID_ROWS) | ANY_ROW
+OPS = st.lists(
+    st.tuples(st.just("one"), st.tuples(st.integers(-1, 9), st.integers(0, 4), st.integers(-1, 9)))
+    | st.tuples(st.just("one"), st.sampled_from(VALID_ROWS))
+    | st.tuples(st.just("many"), st.lists(ROWS, max_size=6)),
+    max_size=12,
+)
+
+
+def model_error(rows, facts):
+    """Exception type a list-plus-set store raises for `rows`, or None to accept them all."""
+    seen = set(facts)
+    for h, r, t in rows:
+        if not (0 <= h < len(MODEL_KINDS) and 0 <= t < len(MODEL_KINDS) and 0 <= r < len(RELATIONS)):
+            return UnknownEntity
+        rel = RELATIONS[r]
+        if (MODEL_KINDS[h], MODEL_KINDS[t]) != RELATION_SCHEMA[rel] or (rel is RelationKind.CITE and h == t):
+            return SchemaViolation
+        if (h, r, t) in seen:
+            return DuplicateTriple
+        seen.add((h, r, t))
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(ops=OPS)
+def test_add_triples_match_list_and_set_model(ops):
+    store = TripleStore()
+    for i, kind in enumerate(MODEL_KINDS):
+        store.add_entity(kind, str(i))
+    rows_model: list[tuple[int, int, int]] = []
+    facts: set[tuple[int, int, int]] = set()
+    grid = np.array([(h, r, t) for h in range(8) for r in range(5) for t in range(8)]).T
+    for op, arg in ops:
+        rows = [arg] if op == "one" else arg
+        error = model_error(rows, facts)
+        before = [c.copy() for c in store.triple_arrays()]
+        with pytest.raises(error) if error else nullcontext():
+            if op == "one":
+                h, r, t = arg
+                store.add_triple(Triple(h, RELATIONS[r], t))
+            else:
+                store.add_triples([r[0] for r in rows], [r[1] for r in rows], [r[2] for r in rows])
+        if error is None:
+            rows_model.extend(rows)
+            facts.update(rows)
+        else:
+            assert all(np.array_equal(a, b) for a, b in zip(store.triple_arrays(), before))
+        assert list(zip(*(c.tolist() for c in store.triple_arrays()))) == rows_model
+        assert store.contains(*grid).tolist() == [row in facts for row in zip(*grid.tolist())]
+        for h, r, t in rows:
+            if 0 <= r < len(RELATIONS):
+                assert (Triple(h, RELATIONS[r], t) in store) == ((h, r, t) in facts)
 
 
 class TestVocabulary:

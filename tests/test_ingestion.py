@@ -1,9 +1,12 @@
 """Triple-file parsing, comprise derivation, portfolios and universes."""
 
-import pytest
+import logging
 
-from patkg.errors import MalformedCode, ParseError, SchemaViolation
-from patkg.graph import EntityKind, RelationKind, TripleStore
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from patkg.errors import MalformedCode, ParseError, PatkgError, SchemaViolation
+from patkg.graph import EntityKind, RelationKind, TripleStore, Vocabulary
 from patkg.ingestion import (
     derive_comprise,
     load_portfolios,
@@ -70,14 +73,21 @@ class TestParseTriples:
         path.write_text("# header\n\n" + MINIMAL_GRAPH)
         assert len(parse_triples_file(path)) == 4
 
-    def test_duplicates_dropped_silently(self, tmp_path):
+    def test_duplicates_dropped_silently(self, tmp_path, caplog):
         path = tmp_path / "t.tsv"
         path.write_text(MINIMAL_GRAPH + MINIMAL_GRAPH)
-        assert len(parse_triples_file(path)) == 4
+        once = tmp_path / "once.tsv"
+        once.write_text(MINIMAL_GRAPH)
+        with caplog.at_level(logging.INFO, logger="patkg.ingestion"):
+            store = parse_triples_file(path)
+        assert store.triples == parse_triples_file(once).triples  # first copies, file order
+        assert "dropped 0 self-citations, 0 missing-endpoint lines, 4 duplicates" in caplog.text
 
     def test_self_citation_dropped(self, tmp_path):
         path = tmp_path / "t.tsv"
-        path.write_text("patent:1\tcite\tpatent:1\npatent:1\tcite\tpatent:2\n")
+        # a self-citation is dropped before the schema check, even between non-patents
+        path.write_text("patent:1\tcite\tpatent:1\npatent:1\tcite\tpatent:2\n"
+                        "inventor:x\tcite\tinventor:x\n")
         store = parse_triples_file(path)
         assert len(store) == 1
 
@@ -213,3 +223,39 @@ class TestUniverse:
         path.write_text("H04L\nH04L\n")
         with pytest.raises(ParseError):
             load_universe(path)
+
+
+# -- fuzzing: any text yields a result or a PatkgError -----------------------
+
+TOKENS = ["patent:1", "patent:2", "inventor:x", "group:H01L", "subsection:H01", "patent:", ":",
+          "cite", "write", "own", "contain", "comprise", "bogus:2", "0", "1", "x", "#",
+          "1990-01-02", "H01L", "A01B,H01L", "H0", "inv1", ""]
+FIELDS = st.sampled_from(TOKENS) | st.text(max_size=8)
+LINES = st.lists(FIELDS, max_size=6).map("\t".join) | st.text(max_size=30)
+TEXTS = st.lists(LINES, max_size=8).map("\n".join)
+
+
+@pytest.fixture(scope="module")
+def fuzz_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "input.txt"
+
+
+@pytest.mark.parametrize("parser", [parse_triples_file, parse_patent_records, load_universe],
+                         ids=lambda f: f.__name__)
+@settings(max_examples=300, deadline=None)
+@given(text=TEXTS)
+def test_file_parsers_return_or_raise_patkg_error(parser, fuzz_file, text):
+    fuzz_file.write_text(text, encoding="utf-8")
+    try:
+        parser(fuzz_file)
+    except PatkgError:
+        pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=st.lists(LINES, max_size=8))
+def test_vocabulary_from_lines_returns_or_raises_patkg_error(lines):
+    try:
+        Vocabulary.from_lines(lines)
+    except PatkgError:
+        pass
