@@ -61,11 +61,12 @@ with tempfile.TemporaryDirectory() as tmp:
 train_store, test = split(store, SplitSpec(test_fraction=0.10, seed=7))
 print(f"\nsplit: {len(train_store)} train / {len(test)} test")
 
-# Corrupt a test triple on the tail side, staying within the same kind.
+# Corrupt a test triple on the tail side, staying within the same kind:
+# the sampler returns the replacement tails as an int64 ordinal array.
 triple = test[0]
 corrupts = sample_corrupt(store, triple, n=5, side=Side.TAIL, rng_seed=3)
 print(f"\ntrue triple: {triple}")
-for c in corrupts:
-    ref = store.vocab.refs[c.tail]
+for ordinal in corrupts.tolist():
+    ref = store.vocab.refs[ordinal]
     print(f"  corrupt tail -> {ref.kind.value}:{ref.source_id}")
-assert all(store.vocab.refs[c.tail].kind is EntityKind.PATENT for c in corrupts)
+assert all(store.vocab.refs[o].kind is EntityKind.PATENT for o in corrupts.tolist())

@@ -24,7 +24,7 @@ class EmptyStore(PatkgError):
 
 
 class PoolTooSmall(PatkgError):
-    """Not enough candidate entities to draw the requested corruptions."""
+    """A corruption pool is empty: no candidate entity can replace the chosen side."""
 
 
 class InvalidConfig(PatkgError):

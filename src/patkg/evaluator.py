@@ -26,7 +26,6 @@ from .graph import (
     Side,
     Triple,
     TripleStore,
-    corruption_candidates,
     sample_corrupt,
 )
 from .models import ModelParams, scores
@@ -87,6 +86,8 @@ class EvalReport:
     per_relation: dict[RelationKind, RelationMetrics]
     config: EvalConfig
     records: list[RankRecord] = field(default_factory=list)
+    clamped: int = 0  # queries whose pool held fewer than K candidates, ranked exhaustively
+    skipped: int = 0  # queries with an empty pool, left unranked
 
 
 def _rank_from_scores(true_score: float, corrupt_scores: np.ndarray, tie_rule: TieRule) -> float:
@@ -103,12 +104,16 @@ def rank_target(
     params: ModelParams,
     triple: Triple,
     side: Side,
-    corrupts: list[Triple],
+    corrupts: np.ndarray,
     tie_rule: TieRule = TieRule.MIDPOINT,
 ) -> float:
-    """Rank of the true entity among the given corruptions (1 is best)."""
-    heads = np.array([triple.head] + [c.head for c in corrupts], dtype=np.int64)
-    tails = np.array([triple.tail] + [c.tail for c in corrupts], dtype=np.int64)
+    """Rank of the true entity among the replacement ordinals `corrupts` for `side` (1 is best)."""
+    if side is Side.HEAD:
+        heads = np.concatenate(([triple.head], corrupts))
+        tails = np.full_like(heads, triple.tail)
+    else:
+        tails = np.concatenate(([triple.tail], corrupts))
+        heads = np.full_like(tails, triple.head)
     s = scores(params, heads, triple.relation, tails)
     return _rank_from_scores(float(s[0]), s[1:], tie_rule)
 
@@ -134,7 +139,8 @@ def evaluate(
     """Rank every test triple on the requested sides and aggregate.
 
     When K exceeds a triple's candidate pool it is clamped to the pool
-    (with a warning), which makes the ranking exhaustive for that query.
+    (with a warning), which makes the ranking exhaustive for that query; a
+    query with an empty pool is skipped. The report counts both.
     """
     if not test:
         raise EmptyTestSet("no test triples")
@@ -152,24 +158,17 @@ def evaluate(
     records: list[RankRecord] = []
     for triple in test:
         for side in sides:
-            available = len(corruption_candidates(store, triple, side, config.pool, config.filtered))
-            if available < 1:
+            try:
+                corrupts = sample_corrupt(
+                    store, triple, config.corruptions_per_side, side, pool=config.pool,
+                    filtered=config.filtered, rng_seed=_record_seed(config.seed, triple, side),
+                )
+            except PoolTooSmall:
                 skipped += 1  # nothing to corrupt with; query is unrankable
                 continue
-            k = min(config.corruptions_per_side, available)
-            if k < config.corruptions_per_side:
-                clamped += 1
-            corrupts = sample_corrupt(
-                store,
-                triple,
-                k,
-                side,
-                pool=config.pool,
-                filtered=config.filtered,
-                rng_seed=_record_seed(config.seed, triple, side),
-            )
+            clamped += len(corrupts) < config.corruptions_per_side
             rank = rank_target(params, triple, side, corrupts, config.tie_rule)
-            records.append(RankRecord(triple, side, rank, k))
+            records.append(RankRecord(triple, side, rank, len(corrupts)))
     if skipped:
         log.warning("skipped %d queries with an empty corruption pool", skipped)
     if not records:
@@ -200,4 +199,6 @@ def evaluate(
         per_relation=per_relation,
         config=config,
         records=records,
+        clamped=clamped,
+        skipped=skipped,
     )

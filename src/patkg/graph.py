@@ -103,7 +103,7 @@ class Vocabulary:
     def __init__(self) -> None:
         self.refs: list[EntityRef] = []
         self._lookup: dict[tuple[EntityKind, str], int] = {}
-        self._by_kind: dict[EntityKind, list[int]] = {k: [] for k in EntityKind}
+        self._by_kind: dict[EntityKind, np.ndarray] = {}
 
     def __len__(self) -> int:
         return len(self.refs)
@@ -120,7 +120,7 @@ class Vocabulary:
         ref = EntityRef(kind, source_id, len(self.refs))
         self.refs.append(ref)
         self._lookup[key] = ref.ordinal
-        self._by_kind[kind].append(ref.ordinal)
+        self._by_kind.pop(kind, None)
         return ref
 
     def ordinal_of(self, kind: EntityKind, source_id: str) -> int:
@@ -129,8 +129,14 @@ class Vocabulary:
         except KeyError:
             raise UnknownEntity(f"{kind.value}:{source_id} not in vocabulary") from None
 
-    def ordinals_of_kind(self, kind: EntityKind) -> list[int]:
-        return self._by_kind[kind]
+    def ordinals_of_kind(self, kind: EntityKind) -> np.ndarray:
+        """Ascending ordinals of every `kind` entity, as a read-only int64 array."""
+        ordinals = self._by_kind.get(kind)
+        if ordinals is None:
+            ordinals = np.fromiter((r.ordinal for r in self.refs if r.kind is kind), dtype=np.int64)
+            ordinals.flags.writeable = False
+            self._by_kind[kind] = ordinals
+        return ordinals
 
     def export_lines(self) -> list[str]:
         """One `<ordinal>\\t<kind>:<source_id>` line per entity, ordinal order."""
@@ -292,8 +298,7 @@ def corruption_candidates(
     entity and, if `filtered`, minus every entity that would rebuild a stored triple."""
     original = t.head if side is Side.HEAD else t.tail
     if pool is CandidatePool.SAME_KIND:
-        kind = store.vocab.refs[original].kind
-        candidates = np.asarray(store.vocab.ordinals_of_kind(kind), dtype=np.int64)
+        candidates = store.vocab.ordinals_of_kind(store.vocab.refs[original].kind)
     else:
         candidates = np.arange(len(store.vocab), dtype=np.int64)
     candidates = candidates[candidates != original]
@@ -311,24 +316,21 @@ def sample_corrupt(
     pool: CandidatePool = CandidatePool.SAME_KIND,
     filtered: bool = False,
     rng_seed: int = 0,
-) -> list[Triple]:
-    """Draw n corrupt versions of `t`, replacing one side.
+) -> np.ndarray:
+    """Draw up to n replacement ordinals for `side` of `t`, as int64 in draw order.
 
     Candidates are drawn uniformly without replacement from
-    `corruption_candidates(store, t, side, pool, filtered)`.
+    `corruption_candidates(store, t, side, pool, filtered)`. When the pool
+    holds fewer than n candidates, all of them are returned (in seeded
+    order); an empty pool raises PoolTooSmall.
     """
     if n < 1:
         raise InvalidConfig("n must be >= 1")
     candidates = corruption_candidates(store, t, side, pool, filtered)
-    if len(candidates) < n:
-        raise PoolTooSmall(
-            f"need {n} candidates for {side.value} of {t.relation.value}, have {len(candidates)}"
-        )
+    if len(candidates) == 0:
+        raise PoolTooSmall(f"no candidates for {side.value} of {t.relation.value}")
     rng = np.random.default_rng(rng_seed)
-    chosen = rng.choice(candidates, size=n, replace=False)
-    if side is Side.HEAD:
-        return [Triple(int(o), t.relation, t.tail) for o in chosen]
-    return [Triple(t.head, t.relation, int(o)) for o in chosen]
+    return rng.choice(candidates, size=min(n, len(candidates)), replace=False)
 
 
 def generate_synthetic(

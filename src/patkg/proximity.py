@@ -163,7 +163,7 @@ def nearest_neighbors(
     ordinals: list[np.ndarray] = []
     proximities: list[np.ndarray] = []
     for kind in kinds:
-        members = np.asarray(vocab.ordinals_of_kind(kind), dtype=np.int64)
+        members = vocab.ordinals_of_kind(kind)
         members = members[members != focal.ordinal]
         if members.size == 0:
             continue

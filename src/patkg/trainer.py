@@ -84,13 +84,8 @@ def _log_sigmoid(x: np.ndarray) -> np.ndarray:
 
 def _kind_pools(store: TripleStore) -> dict[RelationKind, tuple[np.ndarray, np.ndarray]]:
     """Per relation: (head-kind pool, tail-kind pool) as ordinal arrays."""
-    pools: dict[RelationKind, tuple[np.ndarray, np.ndarray]] = {}
-    for rel, (hk, tk) in RELATION_SCHEMA.items():
-        pools[rel] = (
-            np.asarray(store.vocab.ordinals_of_kind(hk), dtype=np.int64),
-            np.asarray(store.vocab.ordinals_of_kind(tk), dtype=np.int64),
-        )
-    return pools
+    return {rel: (store.vocab.ordinals_of_kind(hk), store.vocab.ordinals_of_kind(tk))
+            for rel, (hk, tk) in RELATION_SCHEMA.items()}
 
 
 def _draw_replacements(rng: np.random.Generator, pool: np.ndarray, originals: np.ndarray) -> np.ndarray:

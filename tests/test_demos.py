@@ -1,6 +1,7 @@
-"""Smoke test: every demo script runs to completion."""
+"""Smoke test: every demo script and the README's Python quick start run to completion."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,11 +16,21 @@ def test_demos_found():
     assert len(DEMOS) == 4
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
-def test_demo_exits_0(demo, tmp_path):
+def run_python(args, cwd):
     paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
     result = subprocess.run(
-        [sys.executable, str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300
+        [sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=300
     )
     assert result.returncode == 0, result.stderr[-2000:]
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
+def test_demo_exits_0(demo, tmp_path):
+    run_python([str(demo)], tmp_path)
+
+
+def test_readme_quickstart_exits_0(tmp_path):
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    assert len(blocks) == 1
+    run_python(["-c", blocks[0]], tmp_path)

@@ -1,23 +1,32 @@
 """Ranking metrics against a brute-force exhaustive-scoring oracle."""
 
+import logging
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from test_graph import micro_store, reference_candidates
 
 from patkg.errors import EmptyTestSet, FingerprintMismatch
 from patkg.evaluator import (
     EvalConfig,
+    RankRecord,
     Sides,
     TieRule,
+    _record_seed,
     evaluate,
     rank_target,
 )
 from patkg.graph import (
+    CandidatePool,
     EntityKind,
     RelationKind,
     Side,
+    SplitSpec,
     Triple,
     TripleStore,
     generate_synthetic,
+    split,
 )
 from patkg.models import ModelKind, init_params, score
 
@@ -49,7 +58,7 @@ class TestRankTarget:
         for i, v in enumerate(corrupt_vals):
             self.params.entities[2 + i] = [v, 0.0]
         triple = Triple(0, self.rel, 1)
-        corrupts = [Triple(0, self.rel, 2 + i) for i in range(len(corrupt_vals))]
+        corrupts = np.arange(2, 2 + len(corrupt_vals), dtype=np.int64)  # replacement tails
         return triple, corrupts
 
     def test_rank_one_when_above_all(self):
@@ -69,6 +78,16 @@ class TestRankTarget:
         triple, corrupts = self._set_scores(2.0, [3.0, 2.0, 2.0, 1.0])
         assert rank_target(self.params, triple, Side.TAIL, corrupts, TieRule.OPTIMISTIC) == 2.0
         assert rank_target(self.params, triple, Side.TAIL, corrupts, TieRule.PESSIMISTIC) == 4.0
+
+    def test_head_side_replaces_heads(self):
+        # score(h, r, t) = h[0] * t[0]: with tail 1 at 1.0 each head scores its own first coordinate
+        triple, _ = self._set_scores(1.0, [])
+        self.params.entities[0] = [2.0, 0.0]
+        for o, v in zip(range(2, 6), [3.0, 2.0, 2.0, 1.0]):
+            self.params.entities[o] = [v, 0.0]
+        corrupts = np.arange(2, 6, dtype=np.int64)  # replacement heads
+        assert rank_target(self.params, triple, Side.HEAD, corrupts) == 3.0
+        assert rank_target(self.params, triple, Side.HEAD, corrupts[[0, 3]]) == 2.0
 
 
 class TestAggregates:
@@ -199,3 +218,73 @@ class TestOracleEquivalence:
         assert abs(report.mrr - want["mrr"]) < 1e-12
         for k in (1, 3, 10):
             assert abs(report.hits[k] - want["hits"][k]) < 1e-12
+
+
+class TestClampedAndSkipped:
+    def test_report_counts_and_log_lines(self, caplog):
+        # micro store: one inventor, assignee, group and subsection, so every head
+        # pool but cite's is empty; filtered cite tails p1->p2 and p1->p3 keep one patent
+        store = micro_store()
+        params = fixed_params(store)
+        with caplog.at_level(logging.WARNING, logger="patkg.evaluator"):
+            report = evaluate(params, store.triples, store,
+                              EvalConfig(corruptions_per_side=2, filtered=True, seed=1))
+        assert (report.n_queries, report.clamped, report.skipped) == (9, 2, 5)
+        assert [r.getMessage() for r in caplog.records] == [
+            "skipped 5 queries with an empty corruption pool",
+            "K=2 exceeded the candidate pool for 2 of 9 queries; clamped to exhaustive ranking",
+        ]
+        assert sorted(r.n_corrupts for r in report.records) == [1, 1] + [2] * 7
+        raw = evaluate(params, store.triples, store, EvalConfig(corruptions_per_side=2, seed=1))
+        assert (raw.n_queries, raw.clamped, raw.skipped) == (9, 0, 5)
+
+
+def sampled_oracle(params, test, store, config):
+    """Records as the per-triple evaluator built them, for every TieRule at once.
+
+    Sizes each pool from the list-based reference candidates, draws min(K, pool)
+    with the same seeded rng.choice, wraps the draws in Triples and scores each
+    with the scalar `score`.
+    """
+    facts = {(t.head, t.relation, t.tail) for t in store.triples}
+    records = {tie: [] for tie in TieRule}
+    for triple in test:
+        for side in (Side.HEAD, Side.TAIL):
+            candidates = reference_candidates(store, facts, triple, side, config.pool, config.filtered)
+            if not candidates:
+                continue
+            k = min(config.corruptions_per_side, len(candidates))
+            rng = np.random.default_rng(_record_seed(config.seed, triple, side))
+            chosen = rng.choice(np.array(candidates, dtype=np.int64), size=k, replace=False)
+            corrupts = [Triple(int(o), triple.relation, triple.tail) if side is Side.HEAD
+                        else Triple(triple.head, triple.relation, int(o)) for o in chosen]
+            true_score = score(params, triple.head, triple.relation, triple.tail)
+            corrupt_scores = [score(params, c.head, c.relation, c.tail) for c in corrupts]
+            better = sum(1 for s in corrupt_scores if s > true_score)
+            ties = sum(1 for s in corrupt_scores if s == true_score)
+            for tie, rank in ((TieRule.MIDPOINT, 1.0 + better + ties / 2.0),
+                              (TieRule.OPTIMISTIC, 1.0 + better),
+                              (TieRule.PESSIMISTIC, 1.0 + better + ties)):
+                records[tie].append(RankRecord(triple, side, rank, k))
+    return records
+
+
+@pytest.mark.parametrize("pool", list(CandidatePool), ids=lambda p: p.value)
+@pytest.mark.parametrize("filtered", [False, True], ids=["raw", "filtered"])
+def test_records_equal_sampled_oracle(pool, filtered):
+    store = generate_synthetic(3, 12, 4, 2, 0.3, 0.05, seed=5)
+    train_store, held_out = split(store, SplitSpec(0.2, seed=1))
+    test = held_out + train_store.triples[::4]
+    params = fixed_params(store, kind=ModelKind.DISTMULT, dim=4, seed=5)
+    # entries in {-1, 0, 1}: exact scores, so many ties and no rounding-order effects
+    rng = np.random.default_rng(5)
+    for table in [params.entities] + [block["vec"] for block in params.relations.values()]:
+        table[:] = rng.integers(-1, 2, size=table.shape)
+    config = EvalConfig(corruptions_per_side=20, pool=pool, filtered=filtered, seed=9)
+    want = sampled_oracle(params, test, store, config)
+    for tie in TieRule:
+        report = evaluate(params, test, store, replace(config, tie_rule=tie))
+        assert report.records == want[tie]
+    assert [r.rank for r in want[TieRule.OPTIMISTIC]] != [r.rank for r in want[TieRule.PESSIMISTIC]]
+    if pool is CandidatePool.SAME_KIND:  # the 57-entity pool never runs short of K=20
+        assert report.clamped > 0 and report.skipped > 0

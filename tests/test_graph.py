@@ -124,11 +124,9 @@ class TestAddTriple:
 def reference_candidates(store, facts, t, side, pool, filtered):
     """Candidate list as built from per-triple objects: `facts` is a set of (h, r, t) tuples."""
     original = t.head if side is Side.HEAD else t.tail
-    if pool is CandidatePool.SAME_KIND:
-        kind = store.vocab.refs[original].kind
-        candidates = [o for o in store.vocab.ordinals_of_kind(kind) if o != original]
-    else:
-        candidates = [o for o in range(len(store.vocab)) if o != original]
+    kind = store.vocab.refs[original].kind
+    candidates = [r.ordinal for r in store.vocab.refs
+                  if r.ordinal != original and (pool is CandidatePool.ALL_ENTITIES or r.kind is kind)]
     if filtered:
         if side is Side.HEAD:
             candidates = [o for o in candidates if (o, t.relation, t.tail) not in facts]
@@ -149,15 +147,14 @@ def test_corruption_candidates_match_reference():
                 for filtered in (False, True):
                     want = reference_candidates(store, facts, t, side, pool, filtered)
                     got = corruption_candidates(store, t, side, pool, filtered)
-                    assert got.tolist() == want
+                    assert got.dtype == np.int64 and got.tolist() == want
                     if not want:
                         continue
-                    n = min(3, len(want))
+                    n = (1, 3, len(want) + 2)[checked % 3]  # the last is above the pool: all of it
                     rng = np.random.default_rng(checked)
-                    chosen = rng.choice(np.asarray(want, dtype=np.int64), size=n, replace=False)
-                    expect = [Triple(int(o), t.relation, t.tail) if side is Side.HEAD
-                              else Triple(t.head, t.relation, int(o)) for o in chosen]
-                    assert sample_corrupt(store, t, n, side, pool, filtered, rng_seed=checked) == expect
+                    expect = rng.choice(np.array(want, dtype=np.int64), size=min(n, len(want)), replace=False)
+                    drawn = sample_corrupt(store, t, n, side, pool, filtered, rng_seed=checked)
+                    assert drawn.dtype == np.int64 and drawn.tolist() == expect.tolist()
                     checked += 1
     assert checked > 1000
 
@@ -247,6 +244,23 @@ class TestVocabulary:
         with pytest.raises(UnknownEntity):
             vocab.ordinal_of(EntityKind.PATENT, "nope")
 
+    def test_ordinals_of_kind_arrays(self):
+        store = generate_synthetic(3, 8, 3, 2, 0.2, 0.01, seed=2)
+        vocab = store.vocab
+        for kind in EntityKind:
+            ordinals = vocab.ordinals_of_kind(kind)
+            assert ordinals.dtype == np.int64
+            assert ordinals.tolist() == [r.ordinal for r in vocab.refs if r.kind is kind]
+            assert (np.diff(ordinals) > 0).all()
+            with pytest.raises(ValueError):
+                ordinals[0] = 0
+        before = vocab.ordinals_of_kind(EntityKind.INVENTOR).tolist()
+        late = vocab.add(EntityKind.INVENTOR, "late")
+        assert vocab.ordinals_of_kind(EntityKind.INVENTOR).tolist() == before + [late.ordinal]
+        clone = Vocabulary.from_lines(vocab.export_lines())
+        for kind in EntityKind:
+            assert np.array_equal(clone.ordinals_of_kind(kind), vocab.ordinals_of_kind(kind))
+
 
 class TestSplit:
     def test_sizes(self):
@@ -302,16 +316,32 @@ class TestSampleCorrupt:
         store = micro_store()
         t = store.triples[2]  # group contain patent
         corrupts = sample_corrupt(store, t, 2, Side.TAIL, rng_seed=0)
-        for c in corrupts:
-            assert store.vocab.refs[c.tail].kind is EntityKind.PATENT
-            assert c.tail != t.tail
-            assert (c.head, c.relation) == (t.head, t.relation)
+        assert len(corrupts) == 2
+        for o in corrupts.tolist():
+            assert store.vocab.refs[o].kind is EntityKind.PATENT
+            assert o != t.tail
 
     def test_exhaustion_of_pool(self):
         store = micro_store()
         t = store.triples[2]
         corrupts = sample_corrupt(store, t, 2, Side.TAIL, rng_seed=1)
-        assert {store.vocab.refs[c.tail].source_id for c in corrupts} == {"4879255", "5654220"}
+        assert {store.vocab.refs[o].source_id for o in corrupts.tolist()} == {"4879255", "5654220"}
+
+    def test_n_above_pool_returns_whole_pool(self):
+        store = micro_store()
+        t = store.triples[2]
+        pool = corruption_candidates(store, t, Side.TAIL, CandidatePool.SAME_KIND, False)
+        expect = np.random.default_rng(4).choice(pool, size=len(pool), replace=False)
+        corrupts = sample_corrupt(store, t, 50, Side.TAIL, rng_seed=4)
+        assert corrupts.tolist() == expect.tolist()
+        assert sorted(corrupts.tolist()) == pool.tolist()
+
+    def test_returns_int64_ordinals(self):
+        store = micro_store()
+        for t in store.triples:
+            for pool in CandidatePool:
+                if corruption_candidates(store, t, Side.TAIL, pool, False).size:  # comprise: one group
+                    assert sample_corrupt(store, t, 3, Side.TAIL, pool, rng_seed=0).dtype == np.int64
 
     def test_filtered_excludes_true_triples(self):
         store = TripleStore()
@@ -323,13 +353,16 @@ class TestSampleCorrupt:
         store.add_triple(Triple(g.ordinal, RelationKind.CONTAIN, p2.ordinal))
         t = store.triples[0]
         corrupts = sample_corrupt(store, t, 1, Side.TAIL, filtered=True, rng_seed=0)
-        assert [store.vocab.refs[c.tail].source_id for c in corrupts] == ["p3"]
+        assert [store.vocab.refs[o].source_id for o in corrupts.tolist()] == ["p3"]
 
     def test_pool_too_small(self):
         store = micro_store()
         t = store.triples[0]  # write: only one inventor exists
-        with pytest.raises(PoolTooSmall):
-            sample_corrupt(store, t, 1, Side.HEAD, rng_seed=0)
+        for n in (1, 5, 1000):  # an empty pool raises whatever n asks for
+            with pytest.raises(PoolTooSmall):
+                sample_corrupt(store, t, n, Side.HEAD, rng_seed=0)
+        with pytest.raises(InvalidConfig):
+            sample_corrupt(store, t, 0, Side.HEAD)
 
     def test_all_entities_pool(self):
         store = micro_store()
@@ -337,10 +370,11 @@ class TestSampleCorrupt:
         corrupts = sample_corrupt(
             store, t, 6, Side.HEAD, pool=CandidatePool.ALL_ENTITIES, rng_seed=3
         )
-        assert len({c.head for c in corrupts}) == 6
-        assert all(c.head != t.head for c in corrupts)
+        assert len(set(corrupts.tolist())) == 6
+        assert t.head not in corrupts.tolist()
 
     def test_differs_in_exactly_one_slot(self):
+        # the drawn ordinals replace one side; the kept side and relation are the triple's own
         store = generate_synthetic(2, 10, 3, 2, 0.2, 0.01, seed=5)
         rng = np.random.default_rng(0)
         checked = 0
@@ -351,24 +385,24 @@ class TestSampleCorrupt:
                 corrupts = sample_corrupt(store, t, 2, side, rng_seed=int(rng.integers(2**32)))
             except PoolTooSmall:
                 continue  # comprise triples: too few subsections/groups
-            for c in corrupts:
-                diffs = (c.head != t.head) + (c.tail != t.tail) + (c.relation != t.relation)
-                assert diffs == 1
+            original = t.head if side is Side.HEAD else t.tail
+            assert len(corrupts) >= 1 and original not in corrupts.tolist()
             checked += 1
         assert checked > 50
 
     def test_filtered_membership_false(self):
         store = generate_synthetic(2, 10, 3, 2, 0.5, 0.05, seed=6)
         t = store.triples[-1]
-        for c in sample_corrupt(store, t, 5, Side.TAIL, filtered=True, rng_seed=2):
-            assert c not in store
+        corrupts = sample_corrupt(store, t, 5, Side.TAIL, filtered=True, rng_seed=2)
+        assert len(corrupts) == 5
+        assert not store.contains(t.head, RELATION_INDEX[t.relation], corrupts).any()
 
     def test_deterministic_per_seed(self):
         store = generate_synthetic(2, 10, 3, 2, 0.2, 0.01, seed=5)
         t = next(t for t in store.triples if t.relation is RelationKind.CITE)
         a = sample_corrupt(store, t, 4, Side.TAIL, rng_seed=11)
         b = sample_corrupt(store, t, 4, Side.TAIL, rng_seed=11)
-        assert a == b
+        assert a.tolist() == b.tolist()
 
 
 class TestStats:
