@@ -52,12 +52,10 @@ from .expansion import (
     ExpansionProfile,
     ExpansionReport,
     auc,
-    build_profile,
     combine,
     cumulative_distribution,
     domain_agent_proximity,
     explainability,
-    group_proximity,
     group_proximity_matrix,
     percentiles,
     run_study,

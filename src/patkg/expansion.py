@@ -35,7 +35,7 @@ from .errors import (
 from .graph import EntityKind, EntityRef, TripleStore, Vocabulary
 from .ingestion import AgentPortfolio
 from .models import ModelParams
-from .proximity import knowledge_proximity, pairwise_matrix
+from .proximity import pairwise_matrix
 
 log = logging.getLogger(__name__)
 
@@ -53,6 +53,7 @@ class ExpansionProfile:
     agent_id: str
     agent_kind: EntityKind | None
     entries: list[float] = field(default_factory=list)
+    skipped: int = 0  # emissions skipped because fewer than two targets were left
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -60,11 +61,6 @@ class ExpansionProfile:
 
 def _group_ref(vocab: Vocabulary, code: str) -> EntityRef:
     return vocab.refs[vocab.ordinal_of(EntityKind.GROUP, code)]
-
-
-def group_proximity(params: ModelParams, vocab: Vocabulary, g1: str, g2: str) -> float:
-    """Raw cosine between two group embedding rows."""
-    return knowledge_proximity(params, vocab, _group_ref(vocab, g1), _group_ref(vocab, g2))
 
 
 def group_proximity_matrix(
@@ -102,54 +98,46 @@ def domain_agent_proximity(state: DomainState, j: str, phi) -> float:
     return num / den
 
 
-def percentiles(values: list[tuple[str, float]]) -> dict[str, float]:
-    """Rank percentiles (N - r) / (N - 1), descending by proximity.
+def _rank_percentiles(values: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """Percentiles (N - r) / (N - 1) of the entries `values[at]`, ranked descending.
 
-    The top-ranked group gets exactly 1 and the bottom-ranked exactly 0;
-    exact ties receive the mean of their ranks before the formula.
+    r is the mean of the ranks a tie group spans, counted on the sorted
+    vector: r = 1 + #greater + (#equal - 1) / 2.
     """
     n = len(values)
     if n < 2:
         raise TooFewTargets("percentiles need at least two target groups")
-    ordered = sorted(values, key=lambda kv: -kv[1])
-    out: dict[str, float] = {}
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and ordered[j + 1][1] == ordered[i][1]:
-            j += 1
-        mean_rank = (i + 1 + j + 1) / 2.0
-        pp = (n - mean_rank) / (n - 1)
-        for k in range(i, j + 1):
-            out[ordered[k][0]] = pp
-        i = j + 1
-    return out
+    ordered = np.sort(values)
+    chosen = values[at]
+    below = np.searchsorted(ordered, chosen, "left")
+    upto = np.searchsorted(ordered, chosen, "right")
+    mean_rank = (2 * (n - upto) + (upto - below) + 1) / 2.0
+    return (n - mean_rank) / (n - 1)
 
 
-def build_profile(
-    params: ModelParams,
-    vocab: Vocabulary,
-    portfolio: AgentPortfolio,
-    universe: list[str],
-    floor_negative: bool = True,
-) -> ExpansionProfile:
-    """Expansion profile of one agent under one model's embeddings."""
-    phi = group_proximity_matrix(params, vocab, universe, floor_negative)
-    return profile_from_phi(phi, portfolio, universe)
+def percentiles(values: list[tuple[str, float]]) -> dict[str, float]:
+    """Rank percentiles (N - r) / (N - 1), descending by proximity, keyed in input order.
+
+    The top-ranked group gets exactly 1 and the bottom-ranked exactly 0;
+    exact ties receive the mean of their ranks before the formula.
+    """
+    vector = np.array([v for _, v in values], dtype=np.float64)
+    pp = _rank_percentiles(vector, np.arange(len(vector)))
+    return dict(zip((code for code, _ in values), pp.tolist()))
 
 
 def profile_from_phi(
     phi: np.ndarray, portfolio: AgentPortfolio, universe: list[str]
 ) -> ExpansionProfile:
-    """Same as `build_profile` given a precomputed universe proximity matrix.
+    """Expansion profile of one agent given the universe proximity matrix.
 
     The first patent seeds the home domains without emitting a
     percentile. For each later patent the percentiles of all current
     targets are computed against the pre-patent state; each group of the
     patent not yet in the home appends its percentile (new groups in
     lexicographic order), and only then are the patent's groups counted
-    into the home. Emission is skipped (and logged) when fewer than two
-    targets remain.
+    into the home. Emission is skipped (logged and counted in
+    `skipped`) when fewer than two targets remain.
     """
     if len(portfolio) == 0:
         raise EmptyPortfolio(f"agent {portfolio.agent_id} has no patents")
@@ -176,23 +164,23 @@ def profile_from_phi(
                     "agent %s: %d target domains left, skipping percentile emission",
                     portfolio.agent_id, len(target_idx),
                 )
+                profile.skipped += 1
             else:
                 weights = counts[home_mask]
                 prox = phi[np.ix_(home_mask, ~home_mask)].T @ weights / weights.sum()
-                pp = percentiles(
-                    [(universe[i], float(p)) for i, p in zip(target_idx, prox)]
-                )
-                profile.entries.extend(pp[g] for g in new_groups)
+                at = np.searchsorted(target_idx, [index[g] for g in new_groups])
+                profile.entries.extend(_rank_percentiles(prox, at).tolist())
         for code in record.groups:
             counts[index[code]] += 1
     return profile
 
 
 def combine(profiles: list[ExpansionProfile]) -> ExpansionProfile:
-    """Concatenate profiles in input order into one composite profile."""
+    """Concatenate profiles in input order into one composite profile; skips add up."""
     combined = ExpansionProfile(agent_id="composite", agent_kind=None)
     for p in profiles:
         combined.entries.extend(p.entries)
+        combined.skipped += p.skipped
     return combined
 
 
@@ -247,6 +235,8 @@ class ClassResult:
     combined_auc: dict[str, float]
     explainability: dict[str, float]
     combined_profiles: dict[str, ExpansionProfile]
+    below_min_patents: int  # agents of the class excluded for holding too few patents
+    never_expanded: int  # eligible agents excluded because their profiles are empty
 
 
 @dataclass(slots=True)
@@ -266,7 +256,8 @@ def run_study(
     """Full study: per-agent profiles, combined AUC and explainability per model.
 
     Agents below `min_patents` or whose profiles never expand are
-    excluded. All model fingerprints must match the one vocabulary.
+    excluded and counted per class; a class none of whose agents remain
+    has no result. All model fingerprints must match the one vocabulary.
     """
     vocab = store_or_vocab.vocab if isinstance(store_or_vocab, TripleStore) else store_or_vocab
     if not models:
@@ -278,23 +269,23 @@ def run_study(
         name: group_proximity_matrix(params, vocab, universe, floor_negative)
         for name, params in models.items()
     }
-    eligible = sorted(
-        (p for p in portfolios if len(p) >= min_patents), key=lambda p: p.agent_id
-    )
     classes: dict[EntityKind, ClassResult] = {}
     for agent_kind in (EntityKind.INVENTOR, EntityKind.ASSIGNEE):
-        members = [p for p in eligible if p.agent_kind is agent_kind]
+        of_kind = [p for p in portfolios if p.agent_kind is agent_kind]
+        members = sorted((p for p in of_kind if len(p) >= min_patents), key=lambda p: p.agent_id)
         if not members:
             continue
         profiles: dict[str, list[ExpansionProfile]] = {name: [] for name in models}
         agent_ids: list[str] = []
         per_agent_auc: dict[str, dict[str, float]] = {}
+        never_expanded = 0
         for portfolio in members:
             by_model = {
                 name: profile_from_phi(phis[name], portfolio, universe) for name in models
             }
             if len(next(iter(by_model.values()))) == 0:
-                continue  # never expanded; profile length is model-independent
+                never_expanded += 1  # profile length is model-independent
+                continue
             agent_ids.append(portfolio.agent_id)
             per_agent_auc[portfolio.agent_id] = {
                 name: auc(profile) for name, profile in by_model.items()
@@ -309,5 +300,7 @@ def run_study(
             combined_auc={name: auc(p) for name, p in combined_profiles.items()},
             explainability=explainability(per_agent_auc),
             combined_profiles=combined_profiles,
+            below_min_patents=len(of_kind) - len(members),
+            never_expanded=never_expanded,
         )
     return ExpansionReport(classes=classes, min_patents=min_patents)

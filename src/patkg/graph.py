@@ -182,6 +182,11 @@ def pack_keys(heads, rels, tails) -> np.ndarray:
     return (rels << 58) | (heads << 29) | tails
 
 
+def _as_triples(heads: np.ndarray, rels: np.ndarray, tails: np.ndarray) -> list[Triple]:
+    """`Triple` values of int64 (head, relation code, tail) columns, row by row."""
+    return [Triple(h, RELATIONS[r], t) for h, r, t in zip(heads.tolist(), rels.tolist(), tails.tolist())]
+
+
 class TripleStore:
     """Set of schema-valid triples: read-only int64 columns `heads`, `rels`
     (`RELATION_INDEX` codes) and `tails` in insertion order, plus the sorted
@@ -206,13 +211,15 @@ class TripleStore:
     @property
     def triples(self) -> list[Triple]:
         """Every triple in insertion order, built anew on each read."""
-        columns = zip(self.heads.tolist(), self.rels.tolist(), self.tails.tolist())
-        return [Triple(h, RELATIONS[r], t) for h, r, t in columns]
+        return _as_triples(self.heads, self.rels, self.tails)
 
     def contains(self, heads, rels, tails) -> np.ndarray:
         """Membership of each (head, relation code, tail) row, as bools."""
         keys = pack_keys(heads, rels, tails)
-        return np.searchsorted(self._keys, keys, "right") > np.searchsorted(self._keys, keys)
+        if len(self._keys) == 0:
+            return np.zeros(np.shape(keys), dtype=bool)
+        at = np.minimum(np.searchsorted(self._keys, keys), len(self._keys) - 1)
+        return self._keys[at] == keys
 
     def add_entity(self, kind: EntityKind, source_id: str) -> EntityRef:
         return self.vocab.add(kind, source_id)
@@ -287,8 +294,8 @@ def split(store: TripleStore, spec: SplitSpec) -> tuple[TripleStore, list[Triple
     rows = canonical[~is_test]
     train = TripleStore(store.vocab)
     train.add_triples(store.heads[rows], store.rels[rows], store.tails[rows])
-    triples = store.triples
-    return train, [triples[i] for i in canonical[is_test].tolist()]
+    held = canonical[is_test]
+    return train, _as_triples(store.heads[held], store.rels[held], store.tails[held])
 
 
 def corruption_candidates(

@@ -4,6 +4,7 @@ from datetime import date
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from patkg.errors import (
     EmptyHome,
@@ -18,12 +19,10 @@ from patkg.expansion import (
     DomainState,
     ExpansionProfile,
     auc,
-    build_profile,
     combine,
     cumulative_distribution,
     domain_agent_proximity,
     explainability,
-    group_proximity,
     group_proximity_matrix,
     percentiles,
     profile_from_phi,
@@ -32,6 +31,7 @@ from patkg.expansion import (
 from patkg.graph import EntityKind, TripleStore
 from patkg.ingestion import AgentPortfolio, PatentRecord
 from patkg.models import ModelKind, init_params
+from patkg.proximity import knowledge_proximity
 
 
 def profile(*entries):
@@ -111,8 +111,47 @@ class TestPercentiles:
                 assert out[bottom] == 0.0
 
     def test_too_few(self):
-        with pytest.raises(TooFewTargets):
-            percentiles([("A", 0.5)])
+        for values in ([], [("A", 0.5)]):
+            with pytest.raises(TooFewTargets):
+                percentiles(values)
+
+
+def percentiles_oracle(values: list[tuple[str, float]]) -> dict[str, float]:
+    """Reference percentiles: sort descending, then walk each run of exact ties."""
+    n = len(values)
+    if n < 2:
+        raise TooFewTargets("percentiles need at least two target groups")
+    ordered = sorted(values, key=lambda kv: -kv[1])
+    out: dict[str, float] = {}
+    i = 0
+    while i < n:
+        j = i
+        while j + 1 < n and ordered[j + 1][1] == ordered[i][1]:
+            j += 1
+        mean_rank = (i + 1 + j + 1) / 2.0
+        pp = (n - mean_rank) / (n - 1)
+        for k in range(i, j + 1):
+            out[ordered[k][0]] = pp
+        i = j + 1
+    return out
+
+
+def bits(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+# a small pool so that exact ties, signed zeros included, are common
+VALUE_POOL = [0.0, -0.0, 1e-300, 0.1, 0.25, 1 / 3, 0.5, 0.9, 1.0, -0.2]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(VALUE_POOL), min_size=2, max_size=40))
+def test_percentiles_match_sort_and_walk_oracle(pool_values):
+    values = [(f"g{i}", v) for i, v in enumerate(pool_values)]
+    out = percentiles(values)
+    oracle = percentiles_oracle(values)
+    assert list(out) == [code for code, _ in values]  # keys in input order
+    assert bits(out.values()) == bits(oracle[code] for code in out)
 
 
 def make_portfolio(agent, patents, kind=EntityKind.INVENTOR):
@@ -165,8 +204,9 @@ class TestBuildProfile:
             ("p5", "1993-01-01", ["F01F"]),
         ])
         prof = profile_from_phi(phi_matrix(PHI_CODES), portfolio, UNIVERSE)
-        # D entered at percentile 1; E at 1 (0.054 > 0.007); F last target silently skipped
+        # D entered at percentile 1; E at 1 (0.054 > 0.007); F last target skipped
         assert prof.entries == [1.0, 1.0]
+        assert prof.skipped == 1
 
     def test_never_expanding_agent_empty_profile(self):
         portfolio = make_portfolio("x", [
@@ -237,6 +277,64 @@ class TestBuildProfile:
         phi_fn = lambda i, j: m[UNIVERSE.index(i), UNIVERSE.index(j)]
         for value, j in zip(vec, [g for g in UNIVERSE if g not in counts]):
             assert abs(value - domain_agent_proximity(state, j, phi_fn)) < 1e-12
+
+
+def profile_oracle(phi, portfolio, universe) -> tuple[list[float], int]:
+    """(entries, skipped) built per record from a code-keyed list and `percentiles_oracle`."""
+    index = {code: i for i, code in enumerate(universe)}
+    counts = np.zeros(len(universe), dtype=np.int64)
+    entries: list[float] = []
+    skipped = 0
+    for code in portfolio.records[0].groups:
+        counts[index[code]] += 1
+    for record in portfolio.records[1:]:
+        home_mask = counts > 0
+        target_idx = np.nonzero(~home_mask)[0]
+        new_groups = sorted(g for g in record.groups if not home_mask[index[g]])
+        if new_groups and len(target_idx) < 2:
+            skipped += 1
+        elif new_groups:
+            weights = counts[home_mask]
+            prox = phi[np.ix_(home_mask, ~home_mask)].T @ weights / weights.sum()
+            pp = percentiles_oracle([(universe[i], float(p)) for i, p in zip(target_idx, prox)])
+            entries.extend(pp[g] for g in new_groups)
+        for code in record.groups:
+            counts[index[code]] += 1
+    return entries, skipped
+
+
+@st.composite
+def study_cases(draw):
+    """(phi floored at 0, portfolio, universe) over 2-6 groups and 1-8 patents."""
+    n = draw(st.integers(2, len(UNIVERSE)))
+    universe = UNIVERSE[:n]
+    upper = np.triu(np.array(draw(st.lists(st.sampled_from(VALUE_POOL), min_size=n * n,
+                                           max_size=n * n))).reshape(n, n), 1)
+    phi = np.maximum(upper + upper.T, 0.0)
+    np.fill_diagonal(phi, 1.0)
+    records = draw(st.lists(st.sets(st.sampled_from(universe), min_size=1, max_size=3),
+                            min_size=1, max_size=8))
+    patents = [(f"p{i}", f"{1980 + i}-01-01", sorted(groups)) for i, groups in enumerate(records)]
+    return phi, make_portfolio("x", patents), universe
+
+
+def three_group_case(*records):
+    """Zero off-diagonal proximities over three groups: every target ties."""
+    universe = UNIVERSE[:3]
+    patents = [(f"p{i}", f"{1980 + i}-01-01", groups) for i, groups in enumerate(records)]
+    return np.eye(3), make_portfolio("x", patents), universe
+
+
+@settings(max_examples=300, deadline=None)
+@given(study_cases())
+@example(three_group_case(["A01A"], ["B01B", "C01C"]))  # two new groups at once
+@example(three_group_case(["A01A"], ["B01B"], ["C01C"]))  # one target left: skipped
+def test_profile_matches_sort_and_walk_oracle(case):
+    phi, portfolio, universe = case
+    prof = profile_from_phi(phi, portfolio, universe)
+    entries, skipped = profile_oracle(phi, portfolio, universe)
+    assert bits(prof.entries) == bits(entries)
+    assert prof.skipped == skipped
 
 
 class TestCombine:
@@ -339,11 +437,15 @@ class TestGroupProximity:
             store.add_entity(EntityKind.GROUP, code)
         return store
 
+    def proximity(self, params, vocab, g1, g2):
+        ref = lambda code: vocab.refs[vocab.ordinal_of(EntityKind.GROUP, code)]
+        return knowledge_proximity(params, vocab, ref(g1), ref(g2))
+
     def test_self_proximity(self):
         store = self.build()
         params = init_params(ModelKind.TRANSE_L2, len(store.vocab), 4, 0,
                              store.vocab.fingerprint())
-        assert group_proximity(params, store.vocab, "A01A", "A01A") == 1.0
+        assert self.proximity(params, store.vocab, "A01A", "A01A") == 1.0
 
     def test_orthogonal_zero(self):
         store = self.build()
@@ -351,7 +453,7 @@ class TestGroupProximity:
                              store.vocab.fingerprint())
         params.entities[0] = [1.0, 0.0]
         params.entities[1] = [0.0, 1.0]
-        assert group_proximity(params, store.vocab, "A01A", "B01B") == 0.0
+        assert self.proximity(params, store.vocab, "A01A", "B01B") == 0.0
 
     def test_gram_factorization_reproduces_prescribed_cosines(self):
         # Build unit vectors with prescribed pairwise cosines via Cholesky
@@ -362,8 +464,8 @@ class TestGroupProximity:
         params = init_params(ModelKind.TRANSE_L2, len(store.vocab), len(UNIVERSE), 0,
                              store.vocab.fingerprint())
         params.entities[: len(UNIVERSE)] = chol
-        assert abs(group_proximity(params, store.vocab, "A01A", "D01D") - 0.06) < 1e-12
-        assert abs(group_proximity(params, store.vocab, "C01C", "D01D") - 0.18) < 1e-12
+        assert abs(self.proximity(params, store.vocab, "A01A", "D01D") - 0.06) < 1e-12
+        assert abs(self.proximity(params, store.vocab, "C01C", "D01D") - 0.18) < 1e-12
 
     def test_floor_negative(self):
         store = self.build()
@@ -386,9 +488,11 @@ class TestGroupProximity:
             ("p2", "1991-01-01", ["B01B"]),
             ("p3", "1992-01-01", ["C01C", "D01D"]),
         ])
-        base = build_profile(params, store.vocab, portfolio, UNIVERSE)
+        base = profile_from_phi(group_proximity_matrix(params, store.vocab, UNIVERSE),
+                                portfolio, UNIVERSE)
         params.entities *= 7.5
-        scaled = build_profile(params, store.vocab, portfolio, UNIVERSE)
+        scaled = profile_from_phi(group_proximity_matrix(params, store.vocab, UNIVERSE),
+                                  portfolio, UNIVERSE)
         assert scaled.entries == base.entries
 
 
@@ -427,6 +531,19 @@ class TestRunStudy:
         report = run_study(store, portfolios, UNIVERSE, {"m": self.model(store, 1)},
                            min_patents=30)
         assert report.classes == {}
+        # two agents cut to 2 patents, one that never leaves A01A, one whose
+        # last emission is skipped with a single target left
+        short = [AgentPortfolio(p.agent_id, p.agent_kind, p.records[:2]) for p in portfolios[:2]]
+        stayer = make_portfolio("stayer", [(f"s{i}", f"198{i}-01-01", ["A01A"]) for i in range(3)])
+        filler = make_portfolio("filler", [("f0", "1980-01-01", UNIVERSE[:4]),
+                                           ("f1", "1981-01-01", ["E01E"]),
+                                           ("f2", "1982-01-01", ["F01F"])])
+        report = run_study(store, short + portfolios[2:] + [stayer, filler], UNIVERSE,
+                           {"m": self.model(store, 1)}, min_patents=3)
+        result = report.classes[EntityKind.INVENTOR]
+        assert result.agent_ids == ["agent2", "filler"]
+        assert (result.below_min_patents, result.never_expanded) == (2, 1)
+        assert result.combined_profiles["m"].skipped == 1
 
     def test_explainability_sums_to_one(self):
         store, portfolios = self.build_world()

@@ -202,7 +202,11 @@ def test_add_triples_match_list_and_set_model(ops):
         store.add_entity(kind, str(i))
     rows_model: list[tuple[int, int, int]] = []
     facts: set[tuple[int, int, int]] = set()
-    grid = np.array([(h, r, t) for h in range(8) for r in range(5) for t in range(8)]).T
+    # every in-range row, plus one key below the smallest and one above the largest possible
+    grid = np.array([(h, r, t) for h in range(8) for r in range(5) for t in range(8)]
+                    + [(-1, 0, 0), (2**29 - 1, 7, 2**29 - 1)]).T
+    assert store.contains(*grid).tolist() == [False] * grid.shape[1]  # empty store
+    assert Triple(0, RelationKind.CITE, 1) not in store
     for op, arg in ops:
         rows = [arg] if op == "one" else arg
         error = model_error(rows, facts)
