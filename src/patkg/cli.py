@@ -10,25 +10,16 @@ one `error: <Kind>: <reason>` line to stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
 from . import archive, evaluator, expansion, ingestion, proximity, reports, trainer
-from .errors import PatkgError, UnknownEntity
+from .errors import PatkgError
 from .evaluator import EvalConfig, Sides, TieRule
 from .graph import CandidatePool, EntityKind, SplitSpec, split
 from .models import ModelKind
 from .trainer import LossKind, TrainConfig
-
-
-def _parse_entity_label(label: str) -> tuple[EntityKind, str]:
-    kind_text, sep, source_id = label.partition(":")
-    if not sep or not source_id:
-        raise PatkgError(f"entity label {label!r} must look like kind:id")
-    try:
-        return EntityKind(kind_text), source_id
-    except ValueError:
-        raise UnknownEntity(f"unknown entity kind {kind_text!r} in label {label!r}") from None
 
 
 def _add_split_flags(p: argparse.ArgumentParser) -> None:
@@ -114,19 +105,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _train_config(args: argparse.Namespace) -> TrainConfig:
-    kind = ModelKind(args.model_kind)
-    base = trainer.default_config(kind)
-    return TrainConfig(
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        negatives_per_positive=args.negatives,
-        learning_rate=args.lr if args.lr is not None else base.learning_rate,
-        margin=args.margin if args.margin is not None else base.margin,
-        loss=LossKind(args.loss) if args.loss is not None else base.loss,
-        l2_coefficient=args.l2 if args.l2 is not None else base.l2_coefficient,
-        normalize_entities=args.normalize if args.normalize is not None else base.normalize_entities,
-        seed=args.seed,
-        dim=args.dim,
+    """The model's default config with the flags given on the command line."""
+    given = {"learning_rate": args.lr, "margin": args.margin, "l2_coefficient": args.l2,
+             "normalize_entities": args.normalize, "loss": None if args.loss is None else LossKind(args.loss)}
+    return dataclasses.replace(
+        trainer.default_config(ModelKind(args.model_kind)),
+        epochs=args.epochs, batch_size=args.batch_size, negatives_per_positive=args.negatives,
+        seed=args.seed, dim=args.dim, **{name: value for name, value in given.items() if value is not None},
     )
 
 
@@ -182,8 +167,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_neighbors(args) -> int:
     params, vocab = _load_archive_with_vocab(args.archive_path)
-    kind, source_id = _parse_entity_label(args.focal)
-    focal = vocab.refs[vocab.ordinal_of(kind, source_id)]
+    focal = vocab.refs[vocab.ordinal_of_label(args.focal)]
     kind_filter = {EntityKind(k) for k in args.kind_filter} if args.kind_filter else None
     hits = proximity.nearest_neighbors(
         params, vocab, focal, args.k, kind_filter, proximity.TransformMode(args.mode)
@@ -199,10 +183,7 @@ def _cmd_proximity(args) -> int:
         line.strip() for line in Path(args.entities_path).read_text(encoding="utf-8").splitlines()
         if line.strip() and not line.startswith("#")
     ]
-    refs = []
-    for label in labels:
-        kind, source_id = _parse_entity_label(label)
-        refs.append(vocab.refs[vocab.ordinal_of(kind, source_id)])
+    refs = [vocab.refs[vocab.ordinal_of_label(label)] for label in labels]
     matrix = proximity.pairwise_matrix(
         params, vocab, refs, EntityKind(args.common_kind), proximity.TransformMode(args.mode)
     )

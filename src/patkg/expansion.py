@@ -32,7 +32,7 @@ from .errors import (
     TooFewTargets,
     UnknownGroup,
 )
-from .graph import EntityKind, EntityRef, TripleStore, Vocabulary
+from .graph import EntityKind, TripleStore, Vocabulary
 from .ingestion import AgentPortfolio
 from .models import ModelParams
 from .proximity import pairwise_matrix
@@ -59,10 +59,6 @@ class ExpansionProfile:
         return len(self.entries)
 
 
-def _group_ref(vocab: Vocabulary, code: str) -> EntityRef:
-    return vocab.refs[vocab.ordinal_of(EntityKind.GROUP, code)]
-
-
 def group_proximity_matrix(
     params: ModelParams, vocab: Vocabulary, universe: list[str], floor_negative: bool = True
 ) -> np.ndarray:
@@ -72,7 +68,7 @@ def group_proximity_matrix(
     stays within the study's [0, 1] framing; pass floor_negative=False
     for raw cosines.
     """
-    refs = [_group_ref(vocab, code) for code in universe]
+    refs = [vocab.refs[vocab.ordinal_of(EntityKind.GROUP, code)] for code in universe]
     phi = pairwise_matrix(params, vocab, refs, EntityKind.GROUP)
     if floor_negative:
         np.maximum(phi, 0.0, out=phi)
@@ -235,14 +231,15 @@ class ClassResult:
     combined_auc: dict[str, float]
     explainability: dict[str, float]
     combined_profiles: dict[str, ExpansionProfile]
-    below_min_patents: int  # agents of the class excluded for holding too few patents
-    never_expanded: int  # eligible agents excluded because their profiles are empty
 
 
 @dataclass(slots=True)
 class ExpansionReport:
     classes: dict[EntityKind, ClassResult]
     min_patents: int
+    # agents excluded per agent kind, for both kinds whether or not `classes` has them
+    below_min_patents: dict[EntityKind, int]  # holding fewer than min_patents patents
+    never_expanded: dict[EntityKind, int]  # eligible, but their profiles are empty
 
 
 def run_study(
@@ -256,8 +253,9 @@ def run_study(
     """Full study: per-agent profiles, combined AUC and explainability per model.
 
     Agents below `min_patents` or whose profiles never expand are
-    excluded and counted per class; a class none of whose agents remain
-    has no result. All model fingerprints must match the one vocabulary.
+    excluded and counted per agent kind; a class none of whose agents
+    remain has no entry in `classes`. All model fingerprints must match
+    the one vocabulary.
     """
     vocab = store_or_vocab.vocab if isinstance(store_or_vocab, TripleStore) else store_or_vocab
     if not models:
@@ -269,22 +267,21 @@ def run_study(
         name: group_proximity_matrix(params, vocab, universe, floor_negative)
         for name, params in models.items()
     }
-    classes: dict[EntityKind, ClassResult] = {}
+    report = ExpansionReport({}, min_patents, below_min_patents={}, never_expanded={})
     for agent_kind in (EntityKind.INVENTOR, EntityKind.ASSIGNEE):
         of_kind = [p for p in portfolios if p.agent_kind is agent_kind]
         members = sorted((p for p in of_kind if len(p) >= min_patents), key=lambda p: p.agent_id)
-        if not members:
-            continue
+        report.below_min_patents[agent_kind] = len(of_kind) - len(members)
+        report.never_expanded[agent_kind] = 0
         profiles: dict[str, list[ExpansionProfile]] = {name: [] for name in models}
         agent_ids: list[str] = []
         per_agent_auc: dict[str, dict[str, float]] = {}
-        never_expanded = 0
         for portfolio in members:
             by_model = {
                 name: profile_from_phi(phis[name], portfolio, universe) for name in models
             }
             if len(next(iter(by_model.values()))) == 0:
-                never_expanded += 1  # profile length is model-independent
+                report.never_expanded[agent_kind] += 1  # profile length is model-independent
                 continue
             agent_ids.append(portfolio.agent_id)
             per_agent_auc[portfolio.agent_id] = {
@@ -295,12 +292,10 @@ def run_study(
         if not agent_ids:
             continue
         combined_profiles = {name: combine(profiles[name]) for name in models}
-        classes[agent_kind] = ClassResult(
+        report.classes[agent_kind] = ClassResult(
             agent_ids=agent_ids,
             combined_auc={name: auc(p) for name, p in combined_profiles.items()},
             explainability=explainability(per_agent_auc),
             combined_profiles=combined_profiles,
-            below_min_patents=len(of_kind) - len(members),
-            never_expanded=never_expanded,
         )
-    return ExpansionReport(classes=classes, min_patents=min_patents)
+    return report

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import logging
 import math
+from array import array
 from dataclasses import dataclass
 from enum import Enum
 
@@ -57,6 +58,9 @@ RELATION_SCHEMA: dict[RelationKind, tuple[EntityKind, EntityKind]] = {
 
 RELATIONS = list(RelationKind)
 RELATION_INDEX = {r: i for i, r in enumerate(RelationKind)}
+KIND_INDEX = {k: i for i, k in enumerate(EntityKind)}
+# (head, tail) KIND_INDEX codes required by each relation code
+_SCHEMA_CODES = np.array([[KIND_INDEX[kind] for kind in RELATION_SCHEMA[r]] for r in RELATIONS])
 
 
 class Side(Enum):
@@ -94,7 +98,7 @@ class SplitSpec:
 
 
 class Vocabulary:
-    """Dense ordinal-indexed registry of (kind, source_id) entities.
+    """Dense ordinal-indexed registry of entities, keyed by their `kind:source_id` label.
 
     Ordinals are assigned in first-seen order, which the export format
     preserves so a vocabulary round-trips exactly.
@@ -102,45 +106,49 @@ class Vocabulary:
 
     def __init__(self) -> None:
         self.refs: list[EntityRef] = []
-        self._lookup: dict[tuple[EntityKind, str], int] = {}
+        self.ordinals: dict[str, int] = {}  # label -> ordinal, in ordinal order; read-only to callers
+        self.kinds = array("b")  # KIND_INDEX code per ordinal; read-only to callers
         self._by_kind: dict[EntityKind, np.ndarray] = {}
 
     def __len__(self) -> int:
         return len(self.refs)
 
     def __contains__(self, key: tuple[EntityKind, str]) -> bool:
-        return key in self._lookup
+        return f"{key[0].value}:{key[1]}" in self.ordinals
 
     def add(self, kind: EntityKind, source_id: str) -> EntityRef:
         """Register (kind, source_id) if new; return its EntityRef either way."""
-        key = (kind, source_id)
-        ordinal = self._lookup.get(key)
-        if ordinal is not None:
-            return self.refs[ordinal]
-        ref = EntityRef(kind, source_id, len(self.refs))
-        self.refs.append(ref)
-        self._lookup[key] = ref.ordinal
-        self._by_kind.pop(kind, None)
-        return ref
+        label = f"{kind.value}:{source_id}"
+        ordinal = self.ordinals.get(label)
+        if ordinal is None:
+            ordinal = self.ordinals[label] = len(self.refs)
+            self.refs.append(EntityRef(kind, source_id, ordinal))
+            self.kinds.append(KIND_INDEX[kind])
+            self._by_kind.pop(kind, None)
+        return self.refs[ordinal]
 
     def ordinal_of(self, kind: EntityKind, source_id: str) -> int:
+        return self.ordinal_of_label(f"{kind.value}:{source_id}")
+
+    def ordinal_of_label(self, label: str) -> int:
+        """Ordinal of the entity labelled `kind:source_id`; UnknownEntity if absent."""
         try:
-            return self._lookup[(kind, source_id)]
+            return self.ordinals[label]
         except KeyError:
-            raise UnknownEntity(f"{kind.value}:{source_id} not in vocabulary") from None
+            raise UnknownEntity(f"{label} not in vocabulary") from None
 
     def ordinals_of_kind(self, kind: EntityKind) -> np.ndarray:
         """Ascending ordinals of every `kind` entity, as a read-only int64 array."""
         ordinals = self._by_kind.get(kind)
         if ordinals is None:
-            ordinals = np.fromiter((r.ordinal for r in self.refs if r.kind is kind), dtype=np.int64)
+            ordinals = np.flatnonzero(np.array(self.kinds, dtype=np.int8) == KIND_INDEX[kind])
             ordinals.flags.writeable = False
             self._by_kind[kind] = ordinals
         return ordinals
 
     def export_lines(self) -> list[str]:
         """One `<ordinal>\\t<kind>:<source_id>` line per entity, ordinal order."""
-        return [f"{r.ordinal}\t{r.kind.value}:{r.source_id}" for r in self.refs]
+        return [f"{ordinal}\t{label}" for label, ordinal in self.ordinals.items()]
 
     @classmethod
     def from_lines(cls, lines: list[str]) -> Vocabulary:
@@ -165,16 +173,6 @@ class Vocabulary:
             digest.update(line.encode("utf-8"))
             digest.update(b"\n")
         return digest.hexdigest()
-
-
-def check_schema(relation: RelationKind, head_kind: EntityKind, tail_kind: EntityKind, at: str = "") -> None:
-    """Raise SchemaViolation, its message prefixed by `at`, unless the kinds fit the relation."""
-    want = RELATION_SCHEMA[relation]
-    if (head_kind, tail_kind) != want:
-        raise SchemaViolation(
-            f"{at}{relation.value} requires {want[0].value}->{want[1].value}, "
-            f"got {head_kind.value}->{tail_kind.value}"
-        )
 
 
 def pack_keys(heads, rels, tails) -> np.ndarray:
@@ -231,24 +229,38 @@ class TripleStore:
     def add_triples(self, heads, rels, tails) -> None:
         """Append (head, relation code, tail) rows, all or none; a scalar column is broadcast.
 
-        Each row in turn must name vocabulary ordinals, fit its relation's schema, not
-        cite itself, and repeat neither a stored triple nor an earlier row (DuplicateTriple).
+        The row rules, in check order: name vocabulary ordinals and a relation code
+        (UnknownEntity), fit the relation's schema, do not cite yourself (SchemaViolation),
+        repeat neither a stored triple nor an earlier row (DuplicateTriple). The first
+        failing row raises for the first rule it breaks; the exception's `row` is its index.
         """
         heads, rels, tails = np.broadcast_arrays(*(np.asarray(c, dtype=np.int64) for c in (heads, rels, tails)))
         keys = pack_keys(heads, rels, tails)
-        duplicate = np.ones(len(keys), dtype=bool)
+        n = len(self.vocab)
+        in_range = (heads >= 0) & (heads < n) & (tails >= 0) & (tails < n) & (rels >= 0) & (rels < len(RELATIONS))
+        # (head, tail) kinds against the relation's; rows out of range read the appended -1
+        kinds = np.append(np.array(self.vocab.kinds, dtype=np.int8), -1)[np.where(in_range, [heads, tails], -1)]
+        off_schema = (kinds != _SCHEMA_CODES[np.where(in_range, rels, 0)].T).any(axis=0)
+        self_cite = (rels == RELATION_INDEX[RelationKind.CITE]) & (heads == tails)
+        duplicate = np.ones(len(keys), dtype=bool)  # repeats an earlier row or a stored triple
         duplicate[np.unique(keys, return_index=True)[1]] = False
         duplicate |= self.contains(heads, rels, tails)
-        refs, n = self.vocab.refs, len(self.vocab)
-        for h, r, t, dup in zip(heads.tolist(), rels.tolist(), tails.tolist(), duplicate.tolist()):
-            if not (0 <= h < n and 0 <= t < n and 0 <= r < len(RELATIONS)):
-                raise UnknownEntity(f"row {(h, r, t)}: ordinal outside the vocabulary or unknown relation")
-            relation = RELATIONS[r]
-            check_schema(relation, refs[h].kind, refs[t].kind)
-            if relation is RelationKind.CITE and h == t:
-                raise SchemaViolation(f"self-citation: {Triple(h, relation, t)}")
-            if dup:
-                raise DuplicateTriple(f"{Triple(h, relation, t)}")
+        rule = np.select([~in_range, off_schema, self_cite, duplicate], [1, 2, 3, 4])
+        if rule.any():
+            i = int(np.argmax(rule > 0))
+            h, r, t = int(heads[i]), int(rels[i]), int(tails[i])
+            if rule[i] == 1:
+                error = UnknownEntity(f"row {(h, r, t)}: ordinal outside the vocabulary or unknown relation")
+            elif rule[i] == 2:
+                (want_head, want_tail), refs = RELATION_SCHEMA[RELATIONS[r]], self.vocab.refs
+                error = SchemaViolation(f"{RELATIONS[r].value} requires {want_head.value}->{want_tail.value}, "
+                                        f"got {refs[h].kind.value}->{refs[t].kind.value}")
+            elif rule[i] == 3:
+                error = SchemaViolation(f"self-citation: {Triple(h, RELATIONS[r], t)}")
+            else:
+                error = DuplicateTriple(f"{Triple(h, RELATIONS[r], t)}")
+            error.row = i
+            raise error
         self.heads = np.concatenate([self.heads, heads])
         self.rels = np.concatenate([self.rels, rels])
         self.tails = np.concatenate([self.tails, tails])

@@ -22,20 +22,21 @@ from __future__ import annotations
 
 import logging
 import re
+from array import array
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
 
 import numpy as np
 
-from .errors import MalformedCode, ParseError
+from .errors import MalformedCode, ParseError, SchemaViolation
 from .graph import RELATION_INDEX, RELATIONS, EntityKind, RelationKind, Triple, TripleStore, Vocabulary
-from .graph import check_schema, pack_keys
+from .graph import pack_keys
 
 log = logging.getLogger(__name__)
 
 _KIND_TOKENS = {k.value: k for k in EntityKind}
-_RELATION_TOKENS = {r.value: r for r in RelationKind}
+_RELATION_CODES = {r.value: i for i, r in enumerate(RELATIONS)}
 _GROUP_PREFIX = re.compile(r"^[A-Za-z][0-9][0-9][A-Za-z]")
 
 
@@ -53,44 +54,53 @@ def parse_triples_file(path, vocab: Vocabulary | None = None) -> TripleStore:
     """Parse a triple file into a store, assigning ordinals first-seen.
 
     Passing a pre-built vocabulary (e.g. from a `.vocab` sidecar) pins
-    the ordinal assignment regardless of triple order.
+    the ordinal assignment regardless of triple order. The earliest bad
+    line raises: a schema error wins over a ParseError on a later line.
     """
     store = TripleStore(vocab)
-    dropped_self_cites = 0
-    dropped_missing = 0
-    rows: list[tuple[int, int, int]] = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise ParseError(f"line {line_no}: expected 3 tab-separated fields, got {len(parts)}")
-            head_kind, head_id = _parse_entity_token(parts[0], line_no)
-            relation = _RELATION_TOKENS.get(parts[1])
-            if relation is None:
-                raise ParseError(f"line {line_no}: unknown relation {parts[1]!r}")
-            tail_kind, tail_id = _parse_entity_token(parts[2], line_no)
-            if not head_id or not tail_id:
-                dropped_missing += 1
-                continue
-            head = store.add_entity(head_kind, head_id).ordinal
-            tail = store.add_entity(tail_kind, tail_id).ordinal
-            if relation is RelationKind.CITE and head == tail:
-                dropped_self_cites += 1
-                continue
-            check_schema(relation, head_kind, tail_kind, f"line {line_no}: ")
-            rows.append((head, RELATION_INDEX[relation], tail))
-    heads, rels, tails = np.array(rows, dtype=np.int64).reshape(-1, 3).T
-    first = np.sort(np.unique(pack_keys(heads, rels, tails), return_index=True)[1])
-    store.add_triples(heads[first], rels[first], tails[first])
-    duplicates = len(rows) - len(first)
-    if dropped_self_cites or dropped_missing or duplicates:
-        log.info(
-            "%s: dropped %d self-citations, %d missing-endpoint lines, %d duplicates",
-            path, dropped_self_cites, dropped_missing, duplicates,
-        )
+    known = store.vocab.ordinals
+    rows = array("q")  # head, relation code, tail, line number per fact line
+    missing = 0
+    error = None
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                line = line.rstrip("\n")
+                if not line or line.startswith("#"):
+                    continue
+                fields = line.split("\t")
+                if len(fields) != 3:
+                    raise ParseError(f"line {line_no}: expected 3 tab-separated fields, got {len(fields)}")
+                head, rel, tail = known.get(fields[0]), _RELATION_CODES.get(fields[1]), known.get(fields[2])
+                if head is None or rel is None or tail is None:  # unseen: the token checks, in order
+                    head_kind, head_id = _parse_entity_token(fields[0], line_no)
+                    if rel is None:
+                        raise ParseError(f"line {line_no}: unknown relation {fields[1]!r}")
+                    tail_kind, tail_id = _parse_entity_token(fields[2], line_no)
+                    if not head_id or not tail_id:
+                        missing += 1
+                        continue
+                    head = store.add_entity(head_kind, head_id).ordinal
+                    tail = store.add_entity(tail_kind, tail_id).ordinal
+                rows.extend((head, rel, tail, line_no))
+    except ParseError as exc:
+        error = exc  # raised once the lines before it are checked
+    heads, rels, tails, line_nos = np.frombuffer(rows, dtype=np.int64).reshape(-1, 4).T
+    # a pinned vocabulary may hold `kind:` labels, whose empty ids count as missing endpoints
+    blanks = [known[f"{k.value}:"] for k in EntityKind if f"{k.value}:" in known]
+    blank = np.isin(heads, blanks) | np.isin(tails, blanks)
+    self_cite = ~blank & (rels == RELATION_INDEX[RelationKind.CITE]) & (heads == tails)
+    kept = np.flatnonzero(~(blank | self_cite))
+    first = kept[np.sort(np.unique(pack_keys(heads[kept], rels[kept], tails[kept]), return_index=True)[1])]
+    try:
+        store.add_triples(heads[first], rels[first], tails[first])
+    except SchemaViolation as exc:
+        raise SchemaViolation(f"line {line_nos[first[exc.row]]}: {exc}") from None
+    if error is not None:
+        raise error
+    dropped = (int(self_cite.sum()), missing + int(blank.sum()), len(kept) - len(first))
+    if any(dropped):
+        log.info("%s: dropped %d self-citations, %d missing-endpoint lines, %d duplicates", path, *dropped)
     return store
 
 
@@ -233,7 +243,7 @@ def load_universe(path) -> list[str]:
 
 def write_triples_file(store: TripleStore, path) -> None:
     """Canonical TSV export in stored order plus a `.vocab` sidecar."""
-    label = [f"{r.kind.value}:{r.source_id}" for r in store.vocab.refs]
+    label = list(store.vocab.ordinals)
     columns = zip(store.heads.tolist(), store.rels.tolist(), store.tails.tolist())
     lines = [f"{label[h]}\t{RELATIONS[r].value}\t{label[t]}" for h, r, t in columns]
     for out, text in ((path, lines), (f"{path}.vocab", store.vocab.export_lines())):

@@ -92,12 +92,10 @@ def matrix_tsv(labels: list[str], matrix: np.ndarray) -> str:
 
 def embeddings_tsv(params: ModelParams, vocab: Vocabulary,
                    kind_filter: set[EntityKind] | None = None) -> str:
-    lines = []
-    for ref in vocab.refs:
-        if kind_filter and ref.kind not in kind_filter:
-            continue
-        row = params.entities[ref.ordinal]
-        lines.append(f"{ref.kind.value}:{ref.source_id}\t" + "\t".join(fnum(v) for v in row))
+    lines = [
+        f"{label}\t" + "\t".join(fnum(v) for v in params.entities[ref.ordinal])
+        for ref, label in zip(vocab.refs, vocab.ordinals) if not kind_filter or ref.kind in kind_filter
+    ]
     return "\n".join(lines) + ("\n" if lines else "")
 
 

@@ -2,10 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from patkg.graph import generate_synthetic
 from patkg.models import ModelKind
 from patkg.trainer import LossKind, TrainConfig, train
+
+# Every property-based test draws 300 examples with no per-example deadline.
+settings.register_profile("patkg", max_examples=300, deadline=None)
+settings.load_profile("patkg")
 
 # Acceptance-scale planted graph: 5 communities, ~2,000 entities,
 # ~20,000 triples. Regenerated per session, deterministic per seed.

@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from patkg.archive import load_archive, save_archive
 from patkg.errors import ArchiveError
@@ -133,7 +133,6 @@ def archive_bytes(store, tmp_path_factory):
     return out
 
 
-@settings(max_examples=300, deadline=None)
 @given(kind=st.sampled_from(list(ModelKind)), edit=MANIFEST_EDITS)
 def test_manifest_edits_load_or_raise_archive_error(archive_bytes, tmp_path_factory, kind, edit):
     magic, manifest_line, rest = archive_bytes[kind].split(b"\n", 2)

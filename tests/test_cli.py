@@ -9,6 +9,9 @@ import pytest
 from patkg.cli import main
 from patkg.graph import generate_synthetic
 from patkg.ingestion import write_triples_file
+from patkg.models import ModelKind
+from patkg.reports import fnum
+from patkg.trainer import default_config
 
 MINIMAL_GRAPH = """\
 inventor:4074775\twrite\tpatent:5252504
@@ -80,6 +83,26 @@ class TestTrainEval:
         text = report.read_text()
         assert text.startswith("patkg eval-report")
         assert "mrr:" in text and "per-relation:" in text
+
+    def test_train_flags_reach_report(self, graph_file, tmp_path):
+        defaults = default_config(ModelKind.TRANSE_L2)
+        flags = {"--lr": "0.125", "--margin": "2.5", "--loss": "logistic", "--l2": "0.001"}
+        runs = {
+            "set": ([a for pair in flags.items() for a in pair] + ["--no-normalize"],
+                    ["learning_rate: 0.125", "margin: 2.5", "loss: logistic",
+                     "l2_coefficient: 0.001", "normalize_entities: false"]),
+            "default": ([], [f"learning_rate: {fnum(defaults.learning_rate)}",
+                             f"margin: {fnum(defaults.margin)}", f"loss: {defaults.loss.value}",
+                             f"l2_coefficient: {fnum(defaults.l2_coefficient)}",
+                             f"normalize_entities: {str(defaults.normalize_entities).lower()}"]),
+        }
+        for name, (extra, want) in runs.items():
+            report = tmp_path / f"{name}.txt"
+            assert run_cli("train", graph_file, "transe_l2", tmp_path / f"{name}.kge", "--dim", "4",
+                           "--epochs", "1", "--seed", "5", "--report", report, *extra) == 0
+            lines = report.read_text().splitlines()
+            assert [line for line in want if line not in lines] == []
+            assert "epochs: 1" in lines and "dim: 4" in lines and "seed: 5" in lines
 
     def test_eval_clamps_large_K(self, graph_file, tmp_path):
         arc = tmp_path / "m.kge"
@@ -159,9 +182,15 @@ class TestProximityCommands:
                                ("list", "[1, 2]")):
             bad_archives[name] = tmp_path / f"{name}.kge"
             bad_archives[name].write_bytes(b"\n".join([magic, manifest.encode(), rest]))
+        # a label the vocabulary lacks, malformed or not, is an unknown entity
+        for label in ("patent:missing", "foo:bar", "patent", "patent:"):
+            listing = tmp_path / "labels.txt"
+            listing.write_text(f"patent:p000_00000\n{label}\n")
+            for argv in (["neighbors", archive, label, tmp_path / "o.tsv"],
+                         ["proximity", archive, listing, "patent", tmp_path / "m.tsv"]):
+                assert run_cli(*argv) == 1
+                assert capsys.readouterr().err == f"error: UnknownEntity: {label} not in vocabulary\n"
         cases = [
-            (["neighbors", archive, "patent:missing", tmp_path / "o.tsv"], "UnknownEntity"),
-            (["neighbors", archive, "foo:bar", tmp_path / "o.tsv"], "UnknownEntity"),
             (["neighbors", archive, "patent:p000_00000", tmp_path / "o.tsv", "-k", "0"],
              "InvalidConfig"),
             (["proximity", archive, no_labels, "patent", tmp_path / "m.tsv"], "InvalidConfig"),

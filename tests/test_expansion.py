@@ -4,7 +4,7 @@ from datetime import date
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, strategies as st
 
 from patkg.errors import (
     EmptyHome,
@@ -144,7 +144,6 @@ def bits(values) -> list[str]:
 VALUE_POOL = [0.0, -0.0, 1e-300, 0.1, 0.25, 1 / 3, 0.5, 0.9, 1.0, -0.2]
 
 
-@settings(max_examples=300, deadline=None)
 @given(st.lists(st.sampled_from(VALUE_POOL), min_size=2, max_size=40))
 def test_percentiles_match_sort_and_walk_oracle(pool_values):
     values = [(f"g{i}", v) for i, v in enumerate(pool_values)]
@@ -325,7 +324,6 @@ def three_group_case(*records):
     return np.eye(3), make_portfolio("x", patents), universe
 
 
-@settings(max_examples=300, deadline=None)
 @given(study_cases())
 @example(three_group_case(["A01A"], ["B01B", "C01C"]))  # two new groups at once
 @example(three_group_case(["A01A"], ["B01B"], ["C01C"]))  # one target left: skipped
@@ -531,6 +529,8 @@ class TestRunStudy:
         report = run_study(store, portfolios, UNIVERSE, {"m": self.model(store, 1)},
                            min_patents=30)
         assert report.classes == {}
+        assert report.below_min_patents == {EntityKind.INVENTOR: 3, EntityKind.ASSIGNEE: 0}
+        assert report.never_expanded == {EntityKind.INVENTOR: 0, EntityKind.ASSIGNEE: 0}
         # two agents cut to 2 patents, one that never leaves A01A, one whose
         # last emission is skipped with a single target left
         short = [AgentPortfolio(p.agent_id, p.agent_kind, p.records[:2]) for p in portfolios[:2]]
@@ -542,7 +542,8 @@ class TestRunStudy:
                            {"m": self.model(store, 1)}, min_patents=3)
         result = report.classes[EntityKind.INVENTOR]
         assert result.agent_ids == ["agent2", "filler"]
-        assert (result.below_min_patents, result.never_expanded) == (2, 1)
+        assert (report.below_min_patents, report.never_expanded) == (
+            {EntityKind.INVENTOR: 2, EntityKind.ASSIGNEE: 0}, {EntityKind.INVENTOR: 1, EntityKind.ASSIGNEE: 0})
         assert result.combined_profiles["m"].skipped == 1
 
     def test_explainability_sums_to_one(self):

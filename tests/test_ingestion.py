@@ -2,11 +2,12 @@
 
 import logging
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, strategies as st
 
 from patkg.errors import MalformedCode, ParseError, PatkgError, SchemaViolation
-from patkg.graph import EntityKind, RelationKind, TripleStore, Vocabulary
+from patkg.graph import RELATION_INDEX, RELATION_SCHEMA, EntityKind, RelationKind, TripleStore, Vocabulary, pack_keys
 from patkg.ingestion import (
     derive_comprise,
     load_portfolios,
@@ -242,7 +243,6 @@ def fuzz_file(tmp_path_factory):
 
 @pytest.mark.parametrize("parser", [parse_triples_file, parse_patent_records, load_universe],
                          ids=lambda f: f.__name__)
-@settings(max_examples=300, deadline=None)
 @given(text=TEXTS)
 def test_file_parsers_return_or_raise_patkg_error(parser, fuzz_file, text):
     fuzz_file.write_text(text, encoding="utf-8")
@@ -252,10 +252,130 @@ def test_file_parsers_return_or_raise_patkg_error(parser, fuzz_file, text):
         pass
 
 
-@settings(max_examples=300, deadline=None)
 @given(lines=st.lists(LINES, max_size=8))
 def test_vocabulary_from_lines_returns_or_raises_patkg_error(lines):
     try:
         Vocabulary.from_lines(lines)
     except PatkgError:
         pass
+
+
+# -- the per-line parser as the oracle for parse_triples_file ----------------
+
+def _oracle_entity_token(token, line_no):
+    kind_text, sep, source_id = token.partition(":")
+    if not sep:
+        raise ParseError(f"line {line_no}: entity token {token!r} lacks ':'")
+    kinds = {k.value: k for k in EntityKind}
+    if kind_text not in kinds:
+        raise ParseError(f"line {line_no}: unknown entity kind {kind_text!r}")
+    return kinds[kind_text], source_id
+
+
+def parse_triples_file_oracle(path, vocab=None):
+    """The line-by-line parser `parse_triples_file` replaced: every check on each line in turn."""
+    store = TripleStore(vocab)
+    dropped_self_cites = 0
+    dropped_missing = 0
+    rows = []
+    relations = {r.value: r for r in RelationKind}
+    with open(path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split("\t")
+            if len(parts) != 3:
+                raise ParseError(f"line {line_no}: expected 3 tab-separated fields, got {len(parts)}")
+            head_kind, head_id = _oracle_entity_token(parts[0], line_no)
+            relation = relations.get(parts[1])
+            if relation is None:
+                raise ParseError(f"line {line_no}: unknown relation {parts[1]!r}")
+            tail_kind, tail_id = _oracle_entity_token(parts[2], line_no)
+            if not head_id or not tail_id:
+                dropped_missing += 1
+                continue
+            head = store.add_entity(head_kind, head_id).ordinal
+            tail = store.add_entity(tail_kind, tail_id).ordinal
+            if relation is RelationKind.CITE and head == tail:
+                dropped_self_cites += 1
+                continue
+            want = RELATION_SCHEMA[relation]
+            if (head_kind, tail_kind) != want:
+                raise SchemaViolation(
+                    f"line {line_no}: {relation.value} requires {want[0].value}->{want[1].value}, "
+                    f"got {head_kind.value}->{tail_kind.value}"
+                )
+            rows.append((head, RELATION_INDEX[relation], tail))
+    heads, rels, tails = np.array(rows, dtype=np.int64).reshape(-1, 3).T
+    first = np.sort(np.unique(pack_keys(heads, rels, tails), return_index=True)[1])
+    store.add_triples(heads[first], rels[first], tails[first])
+    duplicates = len(rows) - len(first)
+    if dropped_self_cites or dropped_missing or duplicates:
+        logging.getLogger("patkg.ingestion").info(
+            "%s: dropped %d self-citations, %d missing-endpoint lines, %d duplicates",
+            path, dropped_self_cites, dropped_missing, duplicates,
+        )
+    return store
+
+
+def run_parser(parser, path, vocab_lines):
+    """Columns, vocabulary lines and log lines of one parse, or the error's type and message."""
+    records = []
+    handler = logging.Handler(logging.INFO)
+    handler.emit = records.append
+    logger = logging.getLogger("patkg.ingestion")
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.INFO)
+    try:
+        store = parser(path, None if vocab_lines is None else Vocabulary.from_lines(vocab_lines))
+    except PatkgError as exc:
+        return type(exc), str(exc)
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+    return [c.tolist() for c in store.triple_arrays()], store.vocab.export_lines(), [r.getMessage() for r in records]
+
+
+# labels of every kind, empty ids (`patent:`) and malformed tokens
+LABELS = ["patent:1", "patent:2", "patent:3", "inventor:x", "inventor:y", "assignee:a", "group:H01L",
+          "group:G06F", "subsection:H01", "patent:", "inventor:", "group:"]
+BAD_LABELS = ["bogus:2", "patent", ":", "Patent:1", ""]
+RELATION_TOKENS = [r.value for r in RelationKind]
+SCHEMA_LINES = [
+    f"{h}\t{r.value}\t{t}"
+    for r, (hk, tk) in RELATION_SCHEMA.items()
+    for h in LABELS if h.startswith(hk.value + ":")
+    for t in LABELS if t.startswith(tk.value + ":")
+]
+OTHER_LINES = st.one_of(
+    st.tuples(st.sampled_from(LABELS), st.sampled_from(RELATION_TOKENS), st.sampled_from(LABELS)).map("\t".join),
+    st.tuples(st.sampled_from(LABELS + BAD_LABELS), st.sampled_from(RELATION_TOKENS + ["CITE", ""]),
+              st.sampled_from(LABELS + BAD_LABELS)).map("\t".join),
+    st.sampled_from(["", "# comment", "patent:1\tcite", "patent:1\tcite\tpatent:2\tx"]),
+)
+
+
+@st.composite
+def triple_texts(draw):
+    """Lines that fit the schema (or are self-citations or have an empty id), plus up to two
+    others anywhere: schema violations, malformed lines, comments and blanks."""
+    lines = draw(st.lists(st.sampled_from(SCHEMA_LINES), max_size=16))
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(OTHER_LINES))
+    return "\n".join(lines)
+
+
+PINNED = st.none() | st.lists(st.sampled_from(LABELS), unique=True).map(
+    lambda labels: [f"{i}\t{label}" for i, label in enumerate(labels)])
+
+
+@given(text=triple_texts(), vocab_lines=PINNED)
+@example(text="group:H01L\tcite\tpatent:1\nbogus:1\tcite\tpatent:2\n", vocab_lines=None)
+@example(text="patent:1\tcite\tpatent:2\ninventor:x\twrite\tpatent:\npatent:\tcite\tpatent:1\n",
+         vocab_lines=["0\tpatent:", "1\tinventor:", "2\tpatent:1"])
+def test_parse_triples_file_matches_line_by_line_oracle(fuzz_file, text, vocab_lines):
+    fuzz_file.write_text(text, encoding="utf-8")
+    assert run_parser(parse_triples_file, fuzz_file, vocab_lines) == run_parser(
+        parse_triples_file_oracle, fuzz_file, vocab_lines)
