@@ -157,9 +157,9 @@ class Vocabulary:
             if not line.strip():
                 continue
             ordinal_text, _, label = line.rstrip("\n").partition("\t")
-            kind_text, _, source_id = label.partition(":")
             try:
                 ordinal = int(ordinal_text)
+                kind_text, source_id = label.split(":", 1)
                 ref = vocab.add(EntityKind(kind_text), source_id)
             except ValueError:
                 raise ParseError(f"vocabulary line {i}: {line!r} is not <ordinal>\\t<kind>:<id>") from None

@@ -98,6 +98,14 @@ def _draw_replacements(rng: np.random.Generator, pool: np.ndarray, originals: np
     return out
 
 
+def _scatter_rows(table: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
+    """`np.add.at(table, rows, values)` for a C-contiguous 2-D table, done on
+    its flat view: numpy's 1-D `add.at` fast path gives every element the
+    same addends in the same order, so the result is bit-identical."""
+    d = table.shape[1]
+    np.add.at(table.reshape(-1), (rows[:, None] * d + np.arange(d)).ravel(), values.ravel())
+
+
 def _sgd_batch(params: ModelParams, cfg: TrainConfig,
                pools: dict[RelationKind, tuple[np.ndarray, np.ndarray]],
                heads: np.ndarray, rels: np.ndarray, tails: np.ndarray,
@@ -162,17 +170,21 @@ def _sgd_batch(params: ModelParams, cfg: TrainConfig,
     all_w = np.concatenate([w_pos, w_neg])
     nonzero = all_w != 0.0
 
-    touched = np.unique(np.concatenate([all_heads, all_tails]))
+    mask = np.zeros(params.n_entities, dtype=bool)
+    mask[all_heads] = True
+    mask[all_tails] = True
+    touched = np.flatnonzero(mask)
     touched_rels = [rel for rel, _, _ in present]
     loss = data_loss
     if cfg.l2_coefficient > 0.0:
-        sq = float((params.entities[touched] ** 2).sum())
+        rows = params.entities[touched]
+        sq = float((rows**2).sum())
         for rel in touched_rels:
             for block in params.relations[rel].values():
                 sq += float((block**2).sum())
         loss += cfg.l2_coefficient * sq
         decay = cfg.learning_rate * 2.0 * cfg.l2_coefficient
-        params.entities[touched] -= decay * params.entities[touched]
+        params.entities[touched] = rows - decay * rows
         for rel in touched_rels:
             for block in params.relations[rel].values():
                 block -= decay * block
@@ -186,16 +198,19 @@ def _sgd_batch(params: ModelParams, cfg: TrainConfig,
         dH, dT, dRel = weighted_gradients(
             params, all_heads[sel], rel, all_tails[sel], all_w[sel]
         )
-        np.add.at(params.entities, all_heads[sel], -lr * dH)
-        np.add.at(params.entities, all_tails[sel], -lr * dT)
+        # Heads before tails, each in batch order: the add order of np.add.at
+        # over heads and then over tails.
+        _scatter_rows(params.entities, np.concatenate([all_heads[sel], all_tails[sel]]),
+                      -lr * np.concatenate([dH, dT]))
         for name, g in dRel.items():
             params.relations[rel][name] -= lr * g
 
+    rows = params.entities[touched]
     if cfg.normalize_entities and params.spec.translational and lr > 0.0:
-        rows = params.entities[touched]
-        params.entities[touched] = rows / np.linalg.norm(rows, axis=1, keepdims=True)
+        rows = rows / np.linalg.norm(rows, axis=1, keepdims=True)
+        params.entities[touched] = rows
 
-    finite = np.isfinite(loss) and np.isfinite(params.entities[touched]).all()
+    finite = np.isfinite(loss) and np.isfinite(rows).all()
     finite = finite and all(
         np.isfinite(block).all()
         for rel in touched_rels

@@ -119,9 +119,9 @@ class TestTrainEval:
         assert "FingerprintMismatch" in capsys.readouterr().err
         assert run_cli("eval", arc, graph_file, tmp_path / "r.txt", "-K", "0") == 1
         assert capsys.readouterr().err.startswith("error: InvalidConfig:")
-        # a damaged .vocab sidecar: non-integer ordinal, unknown kind, no tab
+        # a damaged .vocab sidecar: non-integer ordinal, unknown kind, no tab, no colon
         vocab = graph_file.with_name(graph_file.name + ".vocab").read_text()
-        for i, bad_line in enumerate(("x\tpatent:1", "1\tbogus:2", "no-tab-here")):
+        for i, bad_line in enumerate(("x\tpatent:1", "1\tbogus:2", "no-tab-here", "0\tpatent")):
             damaged = tmp_path / f"damaged{i}.tsv"
             damaged.write_text(graph_file.read_text())
             damaged.with_name(damaged.name + ".vocab").write_text(f"{bad_line}\n{vocab}")

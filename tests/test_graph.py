@@ -10,6 +10,7 @@ from patkg.errors import (
     DuplicateTriple,
     EmptyStore,
     InvalidConfig,
+    ParseError,
     PoolTooSmall,
     SchemaViolation,
     UnknownEntity,
@@ -247,6 +248,13 @@ class TestVocabulary:
         clone = Vocabulary.from_lines(store.vocab.export_lines())
         assert clone.export_lines() == store.vocab.export_lines()
         assert clone.fingerprint() == store.vocab.fingerprint()
+
+    def test_from_lines_needs_a_colon(self):
+        # `kind:` (empty id) is a label; a bare kind is not
+        vocab = Vocabulary.from_lines(["0\tpatent:", "1\tinventor:x"])
+        assert vocab.export_lines() == ["0\tpatent:", "1\tinventor:x"]
+        with pytest.raises(ParseError, match=r"vocabulary line 0: '0\\tpatent' is not <ordinal>"):
+            Vocabulary.from_lines(["0\tpatent", "1\tinventor:x"])
 
     def test_unknown_lookup(self):
         vocab = Vocabulary()
