@@ -10,6 +10,7 @@ one `error: <Kind>: <reason>` line to stderr.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import sys
 from pathlib import Path
@@ -102,6 +103,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind-filter", nargs="*", choices=[k.value for k in EntityKind], default=None)
 
     return parser
+
+
+def _pin_malloc_thresholds() -> None:
+    """Start glibc's malloc at the end state of its dynamic thresholds.
+
+    glibc raises the mmap threshold toward 32 MiB, trim at twice that, as
+    large blocks are freed. A process that has only parsed text starts
+    low, so the trainer's 0.5-5 MB numpy temporaries go back to the kernel
+    after every batch and page-fault in again on the next one. Both values
+    are set: either alone stops the dynamic rule for both. A C library
+    without `mallopt` is left as it is.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
 
 
 def _train_config(args: argparse.Namespace) -> TrainConfig:
@@ -240,6 +260,7 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    _pin_malloc_thresholds()
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)

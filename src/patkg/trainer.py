@@ -38,6 +38,8 @@ class TrainConfig:
     def validate(self) -> None:
         if self.epochs < 1 or self.batch_size < 1 or self.negatives_per_positive < 1:
             raise InvalidConfig("epochs, batch_size and negatives_per_positive must be >= 1")
+        if not np.isfinite([self.learning_rate, self.margin, self.l2_coefficient]).all():
+            raise InvalidConfig("learning_rate, margin and l2_coefficient must be finite")
         if self.learning_rate < 0.0:
             raise InvalidConfig("learning_rate must be >= 0")
         if self.margin < 0.0 or self.l2_coefficient < 0.0 or self.dim < 1:
@@ -245,20 +247,23 @@ def train(
     shuffle_rng = np.random.default_rng(config.seed + 1)
     batch = config.batch_size
 
-    for epoch in range(config.epochs):
-        order = shuffle_rng.permutation(len(heads))
-        rng = np.random.default_rng(config.seed + 10_000 + epoch)
-        total = 0.0
-        for start in range(0, len(order), batch):
-            sel = order[start : start + batch]
-            try:
-                total += _sgd_batch(params, config, pools, heads[sel], rels[sel], tails[sel],
-                                    start, rng)
-            except NumericalDivergence as exc:
-                raise NumericalDivergence(
-                    f"epoch {epoch}: batch {start // batch}: {exc}"
-                ) from None
-        report.epoch_losses.append(total / len(heads))
+    # A diverging step overflows before the finiteness check in _sgd_batch
+    # turns it into NumericalDivergence; numpy's warnings would add nothing.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for epoch in range(config.epochs):
+            order = shuffle_rng.permutation(len(heads))
+            rng = np.random.default_rng(config.seed + 10_000 + epoch)
+            total = 0.0
+            for start in range(0, len(order), batch):
+                sel = order[start : start + batch]
+                try:
+                    total += _sgd_batch(params, config, pools, heads[sel], rels[sel], tails[sel],
+                                        start, rng)
+                except NumericalDivergence as exc:
+                    raise NumericalDivergence(
+                        f"epoch {epoch}: batch {start // batch}: {exc}"
+                    ) from None
+            report.epoch_losses.append(total / len(heads))
 
     report.wall_time_s = time.perf_counter() - t0
     return params, report

@@ -3,9 +3,12 @@
 import json
 import subprocess
 import sys
+import types
+import warnings
 
 import pytest
 
+from patkg import cli
 from patkg.cli import main
 from patkg.graph import generate_synthetic
 from patkg.ingestion import write_triples_file
@@ -130,6 +133,60 @@ class TestTrainEval:
                 assert run_cli(*argv) == 1
                 err = capsys.readouterr().err
                 assert err.startswith("error: ParseError: vocabulary line 0:") and err.count("\n") == 1, err
+
+    def test_train_errors_are_one_line(self, tmp_path, capsys):
+        src = tmp_path / "g.tsv"
+        write_triples_file(generate_synthetic(2, 20, 5, 2, 0.2, 0.02, seed=3), src)
+        cases = {
+            # diverges: numpy's overflow warnings must not reach stderr
+            ("--epochs", "3", "--lr", "50", "--batch-size", "32", "--no-normalize"):
+                "NumericalDivergence: epoch 0: batch 3: non-finite loss or parameter",
+            # nan fails every hinge comparison: trains nothing unless rejected
+            ("--margin", "nan"): "InvalidConfig: learning_rate, margin and l2_coefficient must be finite",
+        }
+        for flags, message in cases.items():
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = run_cli("train", src, "transr", tmp_path / "m.kge", "--dim", "8", *flags)
+            assert code == 1
+            assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+            assert capsys.readouterr().err == f"error: {message}\n"
+            assert not (tmp_path / "m.kge").exists()
+
+
+# Runs `patkg train` with glibc's default malloc thresholds: the oracle for
+# the pinned ones, which change where memory comes from but no arithmetic.
+UNPINNED_MAIN = ("import sys; from patkg import cli; "
+                 "cli._pin_malloc_thresholds = lambda: None; sys.exit(cli.main(sys.argv[1:]))")
+
+
+@pytest.mark.parametrize("model", ["complex", "rescal"])
+def test_pinned_malloc_thresholds_keep_bytes(model, tmp_path):
+    src = tmp_path / "g.tsv"
+    # 2,636 triples: batches of 512 at dim 50 allocate temporaries above
+    # glibc's default 128 KiB mmap threshold.
+    write_triples_file(generate_synthetic(2, 120, 20, 4, 0.05, 0.005, seed=5), src)
+    outputs = {}
+    for tag, prefix in (("pinned", ["-m", "patkg.cli"]), ("default", ["-c", UNPINNED_MAIN])):
+        arc, report = tmp_path / f"{tag}.kge", tmp_path / f"{tag}.txt"
+        subprocess.run([sys.executable, *prefix, "train", str(src), model, str(arc),
+                        "--dim", "50", "--epochs", "2", "--batch-size", "512",
+                        "--encoding", "float64", "--report", str(report)], check=True)
+        outputs[tag] = arc.read_bytes(), report.read_bytes()
+    assert outputs["pinned"] == outputs["default"]
+
+
+def _no_cdll(name):
+    raise TypeError("no C library handle")  # ctypes.CDLL(None) on Windows
+
+
+@pytest.mark.parametrize("cdll", [lambda name: types.SimpleNamespace(), _no_cdll],
+                         ids=["no-mallopt", "no-libc-handle"])
+def test_missing_mallopt_is_skipped(cdll, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "ctypes", types.SimpleNamespace(CDLL=cdll))
+    src = tmp_path / "in.tsv"
+    src.write_text(MINIMAL_GRAPH)
+    assert main(["ingest", str(src), str(tmp_path / "store.tsv")]) == 0
 
 
 @pytest.fixture(scope="module")

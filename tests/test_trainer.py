@@ -135,6 +135,11 @@ class TestTrain:
             train(small_store, ModelKind.TRANSE_L2, small_config(epochs=0))
         with pytest.raises(InvalidConfig):
             TrainConfig(learning_rate=-1.0).validate()
+        # nan compares False against every bound, so each field is checked for finiteness
+        for name in ("learning_rate", "margin", "l2_coefficient"):
+            for bad in (float("nan"), float("inf"), float("-inf")):
+                with pytest.raises(InvalidConfig, match="finite"):
+                    TrainConfig(**{name: bad}).validate()
         with pytest.raises(InvalidConfig):
             init_params(ModelKind.TRANSE_L2, 0, 4)
 
