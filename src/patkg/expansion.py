@@ -32,7 +32,7 @@ from .errors import (
     TooFewTargets,
     UnknownGroup,
 )
-from .graph import EntityKind, TripleStore, Vocabulary
+from .graph import EntityKind, EntityRef, TripleStore, Vocabulary
 from .ingestion import AgentPortfolio
 from .models import ModelParams
 from .proximity import pairwise_matrix
@@ -68,7 +68,7 @@ def group_proximity_matrix(
     stays within the study's [0, 1] framing; pass floor_negative=False
     for raw cosines.
     """
-    refs = [vocab.refs[vocab.ordinal_of(EntityKind.GROUP, code)] for code in universe]
+    refs = [EntityRef(EntityKind.GROUP, code, vocab.ordinal_of(EntityKind.GROUP, code)) for code in universe]
     phi = pairwise_matrix(params, vocab, refs, EntityKind.GROUP)
     if floor_negative:
         np.maximum(phi, 0.0, out=phi)

@@ -58,7 +58,9 @@ RELATION_SCHEMA: dict[RelationKind, tuple[EntityKind, EntityKind]] = {
 
 RELATIONS = list(RelationKind)
 RELATION_INDEX = {r: i for i, r in enumerate(RelationKind)}
+KINDS = list(EntityKind)
 KIND_INDEX = {k: i for i, k in enumerate(EntityKind)}
+_KIND_CODES = {k.value: i for i, k in enumerate(EntityKind)}
 # (head, tail) KIND_INDEX codes required by each relation code
 _SCHEMA_CODES = np.array([[KIND_INDEX[kind] for kind in RELATION_SCHEMA[r]] for r in RELATIONS])
 
@@ -95,37 +97,58 @@ class SplitSpec:
     def __post_init__(self) -> None:
         if not 0.0 < self.test_fraction < 1.0:
             raise InvalidConfig(f"test_fraction must be in (0,1), got {self.test_fraction}")
+        if self.seed < 0:
+            raise InvalidConfig(f"split seed must be >= 0, got {self.seed}")
+
+
+def parse_label(label: str, where: str = "") -> tuple[int, str]:
+    """(KIND_INDEX code, source id) of a `kind:source_id` label; `where` prefixes the ParseError."""
+    kind_text, sep, source_id = label.partition(":")
+    if not sep:
+        raise ParseError(f"{where}entity token {label!r} lacks ':'")
+    code = _KIND_CODES.get(kind_text)
+    if code is None:
+        raise ParseError(f"{where}unknown entity kind {kind_text!r}")
+    return code, source_id
 
 
 class Vocabulary:
     """Dense ordinal-indexed registry of entities, keyed by their `kind:source_id` label.
 
     Ordinals are assigned in first-seen order, which the export format
-    preserves so a vocabulary round-trips exactly.
+    preserves so a vocabulary round-trips exactly. Each entity is stored
+    once, as its label and its kind code.
     """
 
     def __init__(self) -> None:
-        self.refs: list[EntityRef] = []
         self.ordinals: dict[str, int] = {}  # label -> ordinal, in ordinal order; read-only to callers
         self.kinds = array("b")  # KIND_INDEX code per ordinal; read-only to callers
-        self._by_kind: dict[EntityKind, np.ndarray] = {}
+        self._derived: dict = {}  # "refs" and per-EntityKind ordinals, dropped by every new entity
 
     def __len__(self) -> int:
-        return len(self.refs)
+        return len(self.kinds)
 
-    def __contains__(self, key: tuple[EntityKind, str]) -> bool:
-        return f"{key[0].value}:{key[1]}" in self.ordinals
+    def add_label(self, label: str) -> int:
+        """Register the `kind:source_id` label if new; return its ordinal either way."""
+        ordinal = self.ordinals.get(label)
+        if ordinal is None:
+            code, _ = parse_label(label)
+            ordinal = self.ordinals[label] = len(self.kinds)
+            self.kinds.append(code)
+            self._derived.clear()
+        return ordinal
 
     def add(self, kind: EntityKind, source_id: str) -> EntityRef:
         """Register (kind, source_id) if new; return its EntityRef either way."""
-        label = f"{kind.value}:{source_id}"
-        ordinal = self.ordinals.get(label)
-        if ordinal is None:
-            ordinal = self.ordinals[label] = len(self.refs)
-            self.refs.append(EntityRef(kind, source_id, ordinal))
-            self.kinds.append(KIND_INDEX[kind])
-            self._by_kind.pop(kind, None)
-        return self.refs[ordinal]
+        return EntityRef(kind, source_id, self.add_label(f"{kind.value}:{source_id}"))
+
+    @property
+    def refs(self) -> list[EntityRef]:
+        """One EntityRef per ordinal, derived on read: a snapshot, so re-read it after `add`."""
+        if "refs" not in self._derived:
+            self._derived["refs"] = [EntityRef(KINDS[code], label.partition(":")[2], ordinal)
+                                     for ordinal, (label, code) in enumerate(zip(self.ordinals, self.kinds))]
+        return self._derived["refs"]
 
     def ordinal_of(self, kind: EntityKind, source_id: str) -> int:
         return self.ordinal_of_label(f"{kind.value}:{source_id}")
@@ -139,12 +162,10 @@ class Vocabulary:
 
     def ordinals_of_kind(self, kind: EntityKind) -> np.ndarray:
         """Ascending ordinals of every `kind` entity, as a read-only int64 array."""
-        ordinals = self._by_kind.get(kind)
-        if ordinals is None:
-            ordinals = np.flatnonzero(np.array(self.kinds, dtype=np.int8) == KIND_INDEX[kind])
-            ordinals.flags.writeable = False
-            self._by_kind[kind] = ordinals
-        return ordinals
+        if kind not in self._derived:
+            self._derived[kind] = np.flatnonzero(np.array(self.kinds, dtype=np.int8) == KIND_INDEX[kind])
+            self._derived[kind].flags.writeable = False
+        return self._derived[kind]
 
     def export_lines(self) -> list[str]:
         """One `<ordinal>\\t<kind>:<source_id>` line per entity, ordinal order."""
@@ -158,12 +179,10 @@ class Vocabulary:
                 continue
             ordinal_text, _, label = line.rstrip("\n").partition("\t")
             try:
-                ordinal = int(ordinal_text)
-                kind_text, source_id = label.split(":", 1)
-                ref = vocab.add(EntityKind(kind_text), source_id)
-            except ValueError:
+                contiguous = int(ordinal_text) == vocab.add_label(label)
+            except (ValueError, ParseError):
                 raise ParseError(f"vocabulary line {i}: {line!r} is not <ordinal>\\t<kind>:<id>") from None
-            if ref.ordinal != ordinal:
+            if not contiguous:
                 raise UnknownEntity(f"vocabulary line {i}: non-contiguous ordinal {ordinal_text}")
         return vocab
 
@@ -252,9 +271,9 @@ class TripleStore:
             if rule[i] == 1:
                 error = UnknownEntity(f"row {(h, r, t)}: ordinal outside the vocabulary or unknown relation")
             elif rule[i] == 2:
-                (want_head, want_tail), refs = RELATION_SCHEMA[RELATIONS[r]], self.vocab.refs
+                (want_head, want_tail), kinds = RELATION_SCHEMA[RELATIONS[r]], self.vocab.kinds
                 error = SchemaViolation(f"{RELATIONS[r].value} requires {want_head.value}->{want_tail.value}, "
-                                        f"got {refs[h].kind.value}->{refs[t].kind.value}")
+                                        f"got {KINDS[kinds[h]].value}->{KINDS[kinds[t]].value}")
             elif rule[i] == 3:
                 error = SchemaViolation(f"self-citation: {Triple(h, RELATIONS[r], t)}")
             else:
@@ -317,7 +336,7 @@ def corruption_candidates(
     entity and, if `filtered`, minus every entity that would rebuild a stored triple."""
     original = t.head if side is Side.HEAD else t.tail
     if pool is CandidatePool.SAME_KIND:
-        candidates = store.vocab.ordinals_of_kind(store.vocab.refs[original].kind)
+        candidates = store.vocab.ordinals_of_kind(KINDS[store.vocab.kinds[original]])
     else:
         candidates = np.arange(len(store.vocab), dtype=np.int64)
     candidates = candidates[candidates != original]
@@ -380,29 +399,21 @@ def generate_synthetic(
 
     rng = np.random.default_rng(seed)
     store = TripleStore()
+    add = store.vocab.add_label
     n_sub = math.ceil(communities / 4)
     # classification-style codes: subsection = 3-char prefix of its groups
     sub_codes = [f"{chr(65 + j % 26)}{j // 26:02d}" for j in range(n_sub)]
-    subsections = [store.add_entity(EntityKind.SUBSECTION, code) for code in sub_codes]
-    group_codes = [f"{sub_codes[c % n_sub]}{chr(65 + c // n_sub)}" for c in range(communities)]
-    groups = [store.add_entity(EntityKind.GROUP, code) for code in group_codes]
+    subsections = [add(f"subsection:{code}") for code in sub_codes]
+    groups = [add(f"group:{sub_codes[c % n_sub]}{chr(65 + c // n_sub)}") for c in range(communities)]
 
-    patents: list[list[EntityRef]] = []
-    inventors: list[list[EntityRef]] = []
-    assignees: list[list[EntityRef]] = []
+    patents, inventors, assignees = [], [], []  # ordinals per community
     for c in range(communities):
-        patents.append(
-            [store.add_entity(EntityKind.PATENT, f"p{c:03d}_{i:05d}") for i in range(patents_per_community)]
-        )
-        inventors.append(
-            [store.add_entity(EntityKind.INVENTOR, f"i{c:03d}_{i:04d}") for i in range(inventors_per_community)]
-        )
-        assignees.append(
-            [store.add_entity(EntityKind.ASSIGNEE, f"a{c:03d}_{i:03d}") for i in range(assignees_per_community)]
-        )
+        patents.append([add(f"patent:p{c:03d}_{i:05d}") for i in range(patents_per_community)])
+        inventors.append([add(f"inventor:i{c:03d}_{i:04d}") for i in range(inventors_per_community)])
+        assignees.append([add(f"assignee:a{c:03d}_{i:03d}") for i in range(assignees_per_community)])
 
     code = RELATION_INDEX
-    rows = [(subsections[c % n_sub].ordinal, code[RelationKind.COMPRISE], g.ordinal) for c, g in enumerate(groups)]
+    rows = [(subsections[c % n_sub], code[RelationKind.COMPRISE], g) for c, g in enumerate(groups)]
     for c in range(communities):
         n_inv = inventors_per_community
         inv_pick = rng.integers(0, n_inv, size=patents_per_community)
@@ -410,13 +421,13 @@ def generate_synthetic(
         inv_pick2 = (inv_pick + rng.integers(1, n_inv, size=patents_per_community)) % n_inv if n_inv > 1 else None
         own_pick = rng.integers(0, assignees_per_community, size=patents_per_community)
         for i, patent in enumerate(patents[c]):
-            rows.append((groups[c].ordinal, code[RelationKind.CONTAIN], patent.ordinal))
-            rows.append((inventors[c][int(inv_pick[i])].ordinal, code[RelationKind.WRITE], patent.ordinal))
+            rows.append((groups[c], code[RelationKind.CONTAIN], patent))
+            rows.append((inventors[c][int(inv_pick[i])], code[RelationKind.WRITE], patent))
             if inv_pick2 is not None:
-                rows.append((inventors[c][int(inv_pick2[i])].ordinal, code[RelationKind.WRITE], patent.ordinal))
-            rows.append((assignees[c][int(own_pick[i])].ordinal, code[RelationKind.OWN], patent.ordinal))
+                rows.append((inventors[c][int(inv_pick2[i])], code[RelationKind.WRITE], patent))
+            rows.append((assignees[c][int(own_pick[i])], code[RelationKind.OWN], patent))
 
-    ordinals = np.array([p.ordinal for comm in patents for p in comm], dtype=np.int64)
+    ordinals = np.array(patents, dtype=np.int64).ravel()
     community_of = np.repeat(np.arange(communities), patents_per_community)
     n_pat = len(ordinals)
     draws = rng.random((n_pat, n_pat))

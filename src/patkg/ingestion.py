@@ -31,23 +31,12 @@ import numpy as np
 
 from .errors import MalformedCode, ParseError, SchemaViolation
 from .graph import RELATION_INDEX, RELATIONS, EntityKind, RelationKind, Triple, TripleStore, Vocabulary
-from .graph import pack_keys
+from .graph import pack_keys, parse_label
 
 log = logging.getLogger(__name__)
 
-_KIND_TOKENS = {k.value: k for k in EntityKind}
 _RELATION_CODES = {r.value: i for i, r in enumerate(RELATIONS)}
 _GROUP_PREFIX = re.compile(r"^[A-Za-z][0-9][0-9][A-Za-z]")
-
-
-def _parse_entity_token(token: str, line_no: int) -> tuple[EntityKind, str]:
-    kind_text, sep, source_id = token.partition(":")
-    if not sep:
-        raise ParseError(f"line {line_no}: entity token {token!r} lacks ':'")
-    kind = _KIND_TOKENS.get(kind_text)
-    if kind is None:
-        raise ParseError(f"line {line_no}: unknown entity kind {kind_text!r}")
-    return kind, source_id
 
 
 def parse_triples_file(path, vocab: Vocabulary | None = None) -> TripleStore:
@@ -58,7 +47,7 @@ def parse_triples_file(path, vocab: Vocabulary | None = None) -> TripleStore:
     line raises: a schema error wins over a ParseError on a later line.
     """
     store = TripleStore(vocab)
-    known = store.vocab.ordinals
+    known, add = store.vocab.ordinals, store.vocab.add_label
     rows = array("q")  # head, relation code, tail, line number per fact line
     missing = 0
     error = None
@@ -73,15 +62,14 @@ def parse_triples_file(path, vocab: Vocabulary | None = None) -> TripleStore:
                     raise ParseError(f"line {line_no}: expected 3 tab-separated fields, got {len(fields)}")
                 head, rel, tail = known.get(fields[0]), _RELATION_CODES.get(fields[1]), known.get(fields[2])
                 if head is None or rel is None or tail is None:  # unseen: the token checks, in order
-                    head_kind, head_id = _parse_entity_token(fields[0], line_no)
+                    _, head_id = parse_label(fields[0], f"line {line_no}: ")
                     if rel is None:
                         raise ParseError(f"line {line_no}: unknown relation {fields[1]!r}")
-                    tail_kind, tail_id = _parse_entity_token(fields[2], line_no)
+                    _, tail_id = parse_label(fields[2], f"line {line_no}: ")
                     if not head_id or not tail_id:
                         missing += 1
                         continue
-                    head = store.add_entity(head_kind, head_id).ordinal
-                    tail = store.add_entity(tail_kind, tail_id).ordinal
+                    head, tail = add(fields[0]), add(fields[2])
                 rows.extend((head, rel, tail, line_no))
     except ParseError as exc:
         error = exc  # raised once the lines before it are checked

@@ -181,11 +181,8 @@ def nearest_neighbors(
     all_ordinals = np.concatenate(ordinals)
     all_prox = np.concatenate(proximities)
     order = np.lexsort((all_ordinals, -all_prox))[:k]
-    return [
-        NeighborHit(vocab.refs[int(all_ordinals[i])], vocab.refs[int(all_ordinals[i])].kind,
-                    float(all_prox[i]))
-        for i in order
-    ]
+    refs = vocab.refs
+    return [NeighborHit(refs[all_ordinals[i]], refs[all_ordinals[i]].kind, float(all_prox[i])) for i in order]
 
 
 def pairwise_matrix(

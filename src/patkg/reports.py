@@ -13,7 +13,7 @@ import numpy as np
 
 from .evaluator import EvalReport, HITS_CUTOFFS
 from .expansion import ExpansionReport, cumulative_distribution
-from .graph import EntityKind, RelationKind, Vocabulary
+from .graph import KINDS, EntityKind, RelationKind, Vocabulary
 from .models import ModelParams
 from .proximity import NeighborHit
 from .trainer import TrainReport
@@ -93,8 +93,8 @@ def matrix_tsv(labels: list[str], matrix: np.ndarray) -> str:
 def embeddings_tsv(params: ModelParams, vocab: Vocabulary,
                    kind_filter: set[EntityKind] | None = None) -> str:
     lines = [
-        f"{label}\t" + "\t".join(fnum(v) for v in params.entities[ref.ordinal])
-        for ref, label in zip(vocab.refs, vocab.ordinals) if not kind_filter or ref.kind in kind_filter
+        f"{label}\t" + "\t".join(fnum(v) for v in params.entities[ordinal])
+        for label, ordinal in vocab.ordinals.items() if not kind_filter or KINDS[vocab.kinds[ordinal]] in kind_filter
     ]
     return "\n".join(lines) + ("\n" if lines else "")
 

@@ -44,6 +44,8 @@ class TrainConfig:
             raise InvalidConfig("learning_rate must be >= 0")
         if self.margin < 0.0 or self.l2_coefficient < 0.0 or self.dim < 1:
             raise InvalidConfig("margin/l2_coefficient must be >= 0 and dim >= 1")
+        if self.seed < 0:
+            raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(slots=True)
@@ -235,6 +237,8 @@ def train(
     learning_rate 0 the parameters come back bit-identical to the init.
     """
     config.validate()
+    if config.normalize_entities and not SPECS[kind].translational:
+        raise InvalidConfig(f"normalize_entities applies only to translational models, not {kind.value}")
     if len(train_store) == 0:
         raise EmptyStore("training store has no triples")
     t0 = time.perf_counter()

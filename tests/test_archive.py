@@ -155,3 +155,22 @@ def test_manifest_edits_load_or_raise_archive_error(archive_bytes, tmp_path_fact
         assert "byte" in str(exc)
     else:
         assert params.entities.shape[0] == len(vocab)
+
+
+@pytest.mark.parametrize("kind", [ModelKind.TRANSE_L2, ModelKind.COMPLEX])
+def test_every_truncation_raises_archive_error(archive_bytes, tmp_path, kind):
+    raw = archive_bytes[kind]
+    vocab_start = raw.index(b"\n", raw.index(b"\n") + 1) + 1
+    vocab_end = vocab_start
+    for _ in range(json.loads(raw.split(b"\n", 2)[1])["vocab_entities"]):
+        vocab_end = raw.index(b"\n", vocab_end) + 1
+    assert vocab_start < vocab_end < len(raw)
+    path = tmp_path / "cut.kge"
+    for cut in range(len(raw)):
+        path.write_bytes(raw[:cut])
+        with pytest.raises(ArchiveError) as err:
+            load_archive(path)
+        if vocab_start <= cut < vocab_end:
+            # the offset where the first incomplete vocabulary line starts
+            line_start = raw.rfind(b"\n", 0, cut) + 1
+            assert str(err.value) == f"truncated vocabulary at byte {line_start}"

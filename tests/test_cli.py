@@ -153,6 +153,25 @@ class TestTrainEval:
             assert capsys.readouterr().err == f"error: {message}\n"
             assert not (tmp_path / "m.kge").exists()
 
+    def test_rejected_configs_are_one_line(self, graph_file, tmp_path, capsys):
+        arc, report = tmp_path / "m.kge", tmp_path / "r.txt"
+        assert run_cli("train", graph_file, "transe_l2", arc, "--dim", "4", "--epochs", "1") == 0
+        cases = {
+            ("train", graph_file, "transe_l2", tmp_path / "bad.kge", "--seed", "-1"):
+                "seed must be >= 0, got -1",
+            ("train", graph_file, "transe_l2", tmp_path / "bad.kge", "--split-seed", "-1"):
+                "split seed must be >= 0, got -1",
+            ("eval", arc, graph_file, report, "--split-seed", "-1"): "split seed must be >= 0, got -1",
+            ("train", graph_file, "distmult", tmp_path / "bad.kge", "--normalize", "--report", report):
+                "normalize_entities applies only to translational models, not distmult",
+        }
+        for argv, message in cases.items():
+            assert run_cli(*argv) == 1
+            assert capsys.readouterr().err == f"error: InvalidConfig: {message}\n"
+            assert not (tmp_path / "bad.kge").exists() and not report.exists()
+        # eval's own --seed only keys the corruption draws: -1 stays valid
+        assert run_cli("eval", arc, graph_file, report, "-K", "5", "--seed", "-1") == 0
+
 
 # Runs `patkg train` with glibc's default malloc thresholds: the oracle for
 # the pinned ones, which change where memory comes from but no arithmetic.

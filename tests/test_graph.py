@@ -1,16 +1,18 @@
 """Triple store, splitting, corruption sampling and the synthetic generator."""
 
+from array import array
 from contextlib import nullcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from patkg.errors import (
     DuplicateTriple,
     EmptyStore,
     InvalidConfig,
     ParseError,
+    PatkgError,
     PoolTooSmall,
     SchemaViolation,
     UnknownEntity,
@@ -21,6 +23,7 @@ from patkg.graph import (
     RELATIONS,
     CandidatePool,
     EntityKind,
+    EntityRef,
     RelationKind,
     Side,
     SplitSpec,
@@ -279,6 +282,122 @@ class TestVocabulary:
             assert np.array_equal(clone.ordinals_of_kind(kind), vocab.ordinals_of_kind(kind))
 
 
+class VocabularyOracle:
+    """The vocabulary `Vocabulary` replaced: a stored EntityRef per entity, and sidecar
+    labels split on ':' and rebuilt from an `EntityKind` lookup."""
+
+    def __init__(self):
+        self.refs = []
+        self.ordinals = {}
+        self.kinds = array("b")
+        self._by_kind = {}
+
+    def __len__(self):
+        return len(self.refs)
+
+    def add(self, kind, source_id):
+        label = f"{kind.value}:{source_id}"
+        ordinal = self.ordinals.get(label)
+        if ordinal is None:
+            ordinal = self.ordinals[label] = len(self.refs)
+            self.refs.append(EntityRef(kind, source_id, ordinal))
+            self.kinds.append(list(EntityKind).index(kind))
+            self._by_kind.pop(kind, None)
+        return self.refs[ordinal]
+
+    def ordinals_of_kind(self, kind):
+        ordinals = self._by_kind.get(kind)
+        if ordinals is None:
+            ordinals = np.flatnonzero(np.array(self.kinds, dtype=np.int8) == list(EntityKind).index(kind))
+            ordinals.flags.writeable = False
+            self._by_kind[kind] = ordinals
+        return ordinals
+
+    def export_lines(self):
+        return [f"{ordinal}\t{label}" for label, ordinal in self.ordinals.items()]
+
+    @classmethod
+    def from_lines(cls, lines):
+        vocab = cls()
+        for i, line in enumerate(lines):
+            if not line.strip():
+                continue
+            ordinal_text, _, label = line.rstrip("\n").partition("\t")
+            try:
+                ordinal = int(ordinal_text)
+                kind_text, source_id = label.split(":", 1)
+                ref = vocab.add(EntityKind(kind_text), source_id)
+            except ValueError:
+                raise ParseError(f"vocabulary line {i}: {line!r} is not <ordinal>\\t<kind>:<id>") from None
+            if ref.ordinal != ordinal:
+                raise UnknownEntity(f"vocabulary line {i}: non-contiguous ordinal {ordinal_text}")
+        return vocab
+
+    def fingerprint(self):
+        return Vocabulary.fingerprint(self)
+
+
+# labels of every kind, with empty, colon-bearing and non-ASCII ids
+VOCAB_IDS = st.sampled_from(["", "1", "2", "x", "a:b", " 7", "H01L", "\u00e9"]) | st.text(max_size=3)
+VOCAB_LABELS = st.tuples(st.sampled_from([k.value for k in EntityKind]), VOCAB_IDS).map(":".join)
+# blank, unnumbered, mis-numbered and malformed lines
+ODD_LINES = st.one_of(
+    st.sampled_from(["", "  ", "x\tpatent:1", "no-tab-here", "+0\tpatent:0", "9\tpatent:9", "0\tpatent",
+                     "0\tbogus:1", "0\tPatent:1", "0\t:", "0\t", "0\tgroup\t:x"]),
+    st.text(max_size=8),
+)
+
+
+@st.composite
+def vocab_inputs(draw):
+    """Sidecar lines (contiguous, plus up to two odd lines anywhere) or None for an empty
+    vocabulary, then a sequence of adds and reads (None)."""
+    lines = None
+    if draw(st.booleans()):
+        lines = [f"{i}\t{label}" for i, label in enumerate(draw(st.lists(VOCAB_LABELS, max_size=10)))]
+        for _ in range(draw(st.integers(0, 2))):
+            lines.insert(draw(st.integers(0, len(lines))), draw(ODD_LINES))
+    ops = draw(st.lists(st.none() | st.tuples(st.sampled_from(list(EntityKind)), VOCAB_IDS), max_size=8))
+    return lines, ops
+
+
+def vocab_run(cls, lines, ops):
+    """Everything a caller can read of the vocabulary after each add and each read, or the
+    error's type and message."""
+    try:
+        vocab = cls() if lines is None else cls.from_lines(lines)
+    except PatkgError as exc:
+        return type(exc), str(exc)
+    seen = []
+    for op in ops + [None]:
+        if op is not None:
+            seen.append(vocab.add(*op))
+            continue
+        by_kind = {kind: vocab.ordinals_of_kind(kind) for kind in EntityKind}
+        assert all(o.dtype == np.int64 and not o.flags.writeable for o in by_kind.values())
+        seen.append((vocab.export_lines(), vocab.fingerprint(), vocab.kinds.tolist(), list(vocab.refs),
+                     len(vocab), {kind: o.tolist() for kind, o in by_kind.items()}))
+    return seen
+
+
+@given(case=vocab_inputs())
+@example(case=(["0\tpatent:", "1\tinventor:x"], [(EntityKind.PATENT, ""), None, (EntityKind.GROUP, "g")]))
+@example(case=(["0\tpatent:1", "1\tpatent:1"], []))
+@example(case=(["0\tgroup:a:b", "1\tbogus:2"], []))
+def test_vocabulary_matches_stored_refs_oracle(case):
+    lines, ops = case
+    assert vocab_run(Vocabulary, lines, ops) == vocab_run(VocabularyOracle, lines, ops)
+
+
+def test_refs_are_rebuilt_after_add():
+    vocab = Vocabulary.from_lines(["0\tpatent:1", "1\tinventor:x"])
+    first = [EntityRef(EntityKind.PATENT, "1", 0), EntityRef(EntityKind.INVENTOR, "x", 1)]
+    assert vocab.refs == first
+    late = vocab.add(EntityKind.GROUP, "H01L")
+    assert late == EntityRef(EntityKind.GROUP, "H01L", 2)
+    assert vocab.refs == first + [late]
+
+
 class TestSplit:
     def test_sizes(self):
         store = generate_synthetic(2, 25, 5, 2, 0.1, 0.01, seed=1)
@@ -326,6 +445,11 @@ class TestSplit:
     def test_bad_fraction(self):
         with pytest.raises(InvalidConfig):
             SplitSpec(1.5, seed=0)
+
+    def test_negative_seed(self):
+        # np.random.default_rng rejects it with a ValueError at split time
+        with pytest.raises(InvalidConfig, match="split seed must be >= 0, got -1"):
+            SplitSpec(0.10, seed=-1)
 
 
 class TestSampleCorrupt:

@@ -142,6 +142,13 @@ class TestTrain:
                     TrainConfig(**{name: bad}).validate()
         with pytest.raises(InvalidConfig):
             init_params(ModelKind.TRANSE_L2, 0, 4)
+        # np.random.default_rng rejects a negative seed with a ValueError
+        with pytest.raises(InvalidConfig, match="seed must be >= 0, got -1"):
+            train(small_store, ModelKind.TRANSE_L2, small_config(seed=-1))
+        # _sgd_batch normalizes translational models only
+        for kind in (ModelKind.RESCAL, ModelKind.DISTMULT, ModelKind.COMPLEX):
+            with pytest.raises(InvalidConfig, match=f"translational models, not {kind.value}"):
+                train(small_store, kind, small_config(loss=LossKind.LOGISTIC, normalize_entities=True))
 
     def test_hinge_inactive_no_update(self):
         # a pair already separated by the margin contributes zero loss and
