@@ -199,10 +199,8 @@ def _cmd_neighbors(args) -> int:
 
 def _cmd_proximity(args) -> int:
     params, vocab = _load_archive_with_vocab(args.archive_path)
-    labels = [
-        line.strip() for line in Path(args.entities_path).read_text(encoding="utf-8").splitlines()
-        if line.strip() and not line.startswith("#")
-    ]
+    with open(args.entities_path, encoding="utf-8") as fh:  # not splitlines(): it also breaks inside ids
+        labels = [label for label in map(str.strip, fh) if label and not label.startswith("#")]
     refs = [vocab.refs[vocab.ordinal_of_label(label)] for label in labels]
     matrix = proximity.pairwise_matrix(
         params, vocab, refs, EntityKind(args.common_kind), proximity.TransformMode(args.mode)
@@ -214,7 +212,7 @@ def _cmd_proximity(args) -> int:
 
 def _cmd_expansion(args) -> int:
     agent_kind = EntityKind(args.agent_kind)
-    portfolios = ingestion.load_portfolios(args.portfolios_path, agent_kind, min_patents=1)
+    portfolios = ingestion.load_portfolios(args.portfolios_path, agent_kind)
     universe = ingestion.load_universe(args.universe_path)
     models = {}
     vocab = None

@@ -59,6 +59,8 @@ class EvalConfig:
     def __post_init__(self) -> None:
         if self.corruptions_per_side < 1:
             raise InvalidConfig("corruptions_per_side must be >= 1")
+        if not -2**63 <= self.seed < 2**63:  # packed as a signed 64-bit key part
+            raise InvalidConfig(f"seed {self.seed} outside [-2**63, 2**63)")
 
 
 @dataclass(frozen=True, slots=True)
@@ -130,6 +132,16 @@ def _record_seed(seed: int, triple: Triple, side: Side) -> int:
     return int.from_bytes(hashlib.blake2b(payload, digest_size=8).digest(), "little")
 
 
+def _metrics(sorted_ranks: np.ndarray) -> RelationMetrics:
+    """MR, MRR and Hits@k of ranks sorted ascending, which makes the sums independent of processing order."""
+    return RelationMetrics(
+        queries=int(sorted_ranks.size),
+        mr=float(sorted_ranks.mean()),
+        mrr=float((1.0 / sorted_ranks).mean()),
+        hits={k: float((sorted_ranks <= k).mean()) for k in HITS_CUTOFFS},
+    )
+
+
 def evaluate(
     params: ModelParams,
     test: list[Triple],
@@ -183,18 +195,12 @@ def evaluate(
     for rel in RelationKind:
         rel_ranks = np.sort([r.rank for r in records if r.triple.relation is rel])
         if rel_ranks.size:
-            per_relation[rel] = RelationMetrics(
-                queries=int(rel_ranks.size),
-                mr=float(rel_ranks.mean()),
-                mrr=float((1.0 / rel_ranks).mean()),
-                hits={k: float((rel_ranks <= k).mean()) for k in HITS_CUTOFFS},
-            )
-    # sorting makes the sums independent of processing order
-    ranks = np.sort([r.rank for r in records])
+            per_relation[rel] = _metrics(rel_ranks)
+    overall = _metrics(np.sort([r.rank for r in records]))
     return EvalReport(
-        mr=float(ranks.mean()),
-        mrr=float((1.0 / ranks).mean()),
-        hits={k: float((ranks <= k).mean()) for k in HITS_CUTOFFS},
+        mr=overall.mr,
+        mrr=overall.mrr,
+        hits=overall.hits,
         n_queries=len(records),
         per_relation=per_relation,
         config=config,

@@ -13,6 +13,7 @@ import hashlib
 import logging
 import math
 from array import array
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 
@@ -172,12 +173,14 @@ class Vocabulary:
         return [f"{ordinal}\t{label}" for label, ordinal in self.ordinals.items()]
 
     @classmethod
-    def from_lines(cls, lines: list[str]) -> Vocabulary:
+    def from_lines(cls, lines: Iterable[str]) -> Vocabulary:
+        """Inverse of `export_lines`; lines may keep their trailing newline, as an open file yields them."""
         vocab = cls()
         for i, line in enumerate(lines):
+            line = line.rstrip("\n")
             if not line.strip():
                 continue
-            ordinal_text, _, label = line.rstrip("\n").partition("\t")
+            ordinal_text, _, label = line.partition("\t")
             try:
                 contiguous = int(ordinal_text) == vocab.add_label(label)
             except (ValueError, ParseError):

@@ -189,8 +189,8 @@ def parse_patent_records(path) -> list[PatentRecord]:
     return records
 
 
-def load_portfolios(path, agent_kind: EntityKind, min_patents: int = 1) -> list[AgentPortfolio]:
-    """One portfolio per agent holding >= min_patents records.
+def load_portfolios(path, agent_kind: EntityKind) -> list[AgentPortfolio]:
+    """One portfolio per agent named in any record; `expansion.run_study` applies `min_patents`.
 
     Events are sorted by application date, ties broken by patent id, so
     the ordering is a total order and re-sorting is a no-op. Portfolios
@@ -207,8 +207,7 @@ def load_portfolios(path, agent_kind: EntityKind, min_patents: int = 1) -> list[
     portfolios = []
     for agent_id in sorted(by_agent):
         events = sorted(by_agent[agent_id], key=lambda r: (r.application_date, r.patent_id))
-        if len(events) >= min_patents:
-            portfolios.append(AgentPortfolio(agent_id, agent_kind, events))
+        portfolios.append(AgentPortfolio(agent_id, agent_kind, events))
     return portfolios
 
 
@@ -241,5 +240,8 @@ def write_triples_file(store: TripleStore, path) -> None:
 def load_store(path) -> TripleStore:
     """Read a triple file, honouring a `.vocab` sidecar when present."""
     sidecar = Path(f"{path}.vocab")
-    vocab = Vocabulary.from_lines(sidecar.read_text(encoding="utf-8").splitlines()) if sidecar.exists() else None
+    vocab = None
+    if sidecar.exists():
+        with open(sidecar, encoding="utf-8") as fh:  # not splitlines(): it also breaks inside ids
+            vocab = Vocabulary.from_lines(fh)
     return parse_triples_file(path, vocab)

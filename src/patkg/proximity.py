@@ -55,29 +55,16 @@ _TO_PATENT: dict[EntityKind, tuple[tuple[RelationKind, int], ...]] = {
 }
 
 
-def _rule_table(mode: TransformMode) -> dict[tuple[EntityKind, EntityKind], TransformRule]:
-    table: dict[tuple[EntityKind, EntityKind], TransformRule] = {}
-    for focal in EntityKind:
-        from_patent = tuple((rel, -sign) for rel, sign in reversed(_TO_PATENT[focal]))
-        for target in EntityKind:
-            if focal is target:
-                steps: tuple[tuple[RelationKind, int], ...] = ()
-            else:
-                steps = _TO_PATENT[target] + from_patent
-            if mode is TransformMode.GUIDE_LITERAL:
-                steps = tuple((rel, -sign) for rel, sign in steps)
-            table[(focal, target)] = TransformRule(focal, target, steps)
-    return table
-
-
-RULES: dict[TransformMode, dict[tuple[EntityKind, EntityKind], TransformRule]] = {
-    mode: _rule_table(mode) for mode in TransformMode
-}
-
-
 def transform_rule(focal_kind: EntityKind, target_kind: EntityKind,
                    mode: TransformMode = TransformMode.TRANSLATION_ALGEBRA) -> TransformRule:
-    return RULES[mode][(focal_kind, target_kind)]
+    """Signed steps taking a `target_kind` row to its patent-equivalent, then on to `focal_kind`."""
+    steps: tuple[tuple[RelationKind, int], ...] = ()
+    if focal_kind is not target_kind:
+        from_patent = tuple((rel, -sign) for rel, sign in reversed(_TO_PATENT[focal_kind]))
+        steps = _TO_PATENT[target_kind] + from_patent
+    if mode is TransformMode.GUIDE_LITERAL:
+        steps = tuple((rel, -sign) for rel, sign in steps)
+    return TransformRule(focal_kind, target_kind, steps)
 
 
 def cosine(u: np.ndarray, v: np.ndarray) -> float:
@@ -91,8 +78,13 @@ def cosine(u: np.ndarray, v: np.ndarray) -> float:
     return float(np.clip(np.dot(u, v) / (nu * nv), -1.0, 1.0))
 
 
-def _relation_offset(params: ModelParams, steps: tuple[tuple[RelationKind, int], ...]) -> np.ndarray:
-    if steps and not params.spec.vector_relations:
+def _moved(params: ModelParams, rows: np.ndarray, kind: EntityKind, focal_kind: EntityKind,
+           mode: TransformMode) -> np.ndarray:
+    """`rows` of `kind` entities moved into `focal_kind`'s kind by their rule's relation vectors."""
+    steps = transform_rule(focal_kind, kind, mode).steps
+    if not steps:
+        return rows
+    if not params.spec.vector_relations:
         raise UnsupportedModel(
             f"{params.kind.value} relations cannot be added as vectors; "
             "cross-kind transformation is undefined"
@@ -100,7 +92,7 @@ def _relation_offset(params: ModelParams, steps: tuple[tuple[RelationKind, int],
     offset = np.zeros(params.row_dim)
     for rel, sign in steps:
         offset += sign * params.relations[rel]["vec"]
-    return offset
+    return rows + offset
 
 
 def transform(
@@ -111,11 +103,7 @@ def transform(
     mode: TransformMode = TransformMode.TRANSLATION_ALGEBRA,
 ) -> np.ndarray:
     """Target embedding converted into `focal_kind`'s kind."""
-    rule = transform_rule(focal_kind, target.kind, mode)
-    row = params.entity_row(target.ordinal)
-    if not rule.steps:
-        return row.copy()
-    return row + _relation_offset(params, rule.steps)
+    return _moved(params, params.entity_row(target.ordinal).copy(), target.kind, focal_kind, mode)
 
 
 def knowledge_proximity(
@@ -167,10 +155,7 @@ def nearest_neighbors(
         members = members[members != focal.ordinal]
         if members.size == 0:
             continue
-        rows = params.entities[members]
-        rule = transform_rule(focal.kind, kind, mode)
-        if rule.steps:
-            rows = rows + _relation_offset(params, rule.steps)
+        rows = _moved(params, params.entities[members], kind, focal.kind, mode)
         norms = np.linalg.norm(rows, axis=1)
         if np.any(norms == 0.0):
             raise ZeroVector("transformed embedding has zero norm")

@@ -63,6 +63,21 @@ class TestIngest:
             main(["ingest"])  # missing positionals
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("mark", ["\u2028", "\x0c", "\x0b", "\x1c", "\x85"],
+                             ids=["u2028", "x0c", "x0b", "x1c", "x85"])
+    def test_ids_holding_other_line_breaks(self, mark, tmp_path):
+        # str.splitlines() also breaks at these; sidecar and entity-list lines end at "\n" only
+        label = f"inventor:a{mark}b"
+        src, store_path, arc = tmp_path / "in.tsv", tmp_path / "store.tsv", tmp_path / "m.kge"
+        src.write_text(f"{label}\twrite\tpatent:5252504\n{MINIMAL_GRAPH}", encoding="utf-8")
+        assert run_cli("ingest", src, store_path) == 0
+        assert run_cli("train", store_path, "transe_l2", arc, "--dim", "4", "--epochs", "1",
+                       "--train-on-all") == 0
+        listing, out = tmp_path / "entities.txt", tmp_path / "matrix.tsv"
+        listing.write_text(f"{label}\n  # c\npatent:5252504\n", encoding="utf-8")
+        assert run_cli("proximity", arc, listing, "inventor", out) == 0
+        assert out.read_text(encoding="utf-8").split("\n")[0] == f"entity\t{label}\tpatent:5252504"
+
 
 class TestTrainEval:
     def test_minimal_manifest(self, tmp_path):
@@ -164,13 +179,18 @@ class TestTrainEval:
             ("eval", arc, graph_file, report, "--split-seed", "-1"): "split seed must be >= 0, got -1",
             ("train", graph_file, "distmult", tmp_path / "bad.kge", "--normalize", "--report", report):
                 "normalize_entities applies only to translational models, not distmult",
+            ("eval", arc, graph_file, report, "--seed", str(2**63)):
+                "seed 9223372036854775808 outside [-2**63, 2**63)",
+            ("eval", arc, graph_file, report, "--seed", str(-2**63 - 1)):
+                "seed -9223372036854775809 outside [-2**63, 2**63)",
         }
         for argv, message in cases.items():
             assert run_cli(*argv) == 1
             assert capsys.readouterr().err == f"error: InvalidConfig: {message}\n"
             assert not (tmp_path / "bad.kge").exists() and not report.exists()
-        # eval's own --seed only keys the corruption draws: -1 stays valid
-        assert run_cli("eval", arc, graph_file, report, "-K", "5", "--seed", "-1") == 0
+        # eval's own --seed only keys the corruption draws: any signed 64-bit value is valid
+        for seed in (-1, 2**63 - 1):
+            assert run_cli("eval", arc, graph_file, report, "-K", "5", "--seed", seed) == 0
 
 
 # Runs `patkg train` with glibc's default malloc thresholds: the oracle for

@@ -546,6 +546,18 @@ class TestRunStudy:
             {EntityKind.INVENTOR: 2, EntityKind.ASSIGNEE: 0}, {EntityKind.INVENTOR: 1, EntityKind.ASSIGNEE: 0})
         assert result.combined_profiles["m"].skipped == 1
 
+    def test_min_patents_boundary(self):
+        # an agent holding exactly min_patents patents is kept, one fewer is excluded
+        store, _ = self.build_world(n_agents=0)
+        codes = UNIVERSE * 5
+        agent = make_portfolio("big", [(f"p{i}", f"{1950 + i}-01-01", [codes[i]]) for i in range(29)])
+        report = run_study(store, [agent], UNIVERSE, {"m": self.model(store, 1)}, min_patents=29)
+        assert report.classes[EntityKind.INVENTOR].agent_ids == ["big"]
+        assert report.below_min_patents[EntityKind.INVENTOR] == 0
+        report = run_study(store, [agent], UNIVERSE, {"m": self.model(store, 1)}, min_patents=30)
+        assert report.classes == {}
+        assert report.below_min_patents[EntityKind.INVENTOR] == 1
+
     def test_explainability_sums_to_one(self):
         store, portfolios = self.build_world()
         models = {"m1": self.model(store, 1), "m2": self.model(store, 2)}

@@ -320,9 +320,10 @@ class VocabularyOracle:
     def from_lines(cls, lines):
         vocab = cls()
         for i, line in enumerate(lines):
+            line = line.rstrip("\n")  # as an open file yields it; the message names the line without it
             if not line.strip():
                 continue
-            ordinal_text, _, label = line.rstrip("\n").partition("\t")
+            ordinal_text, _, label = line.partition("\t")
             try:
                 ordinal = int(ordinal_text)
                 kind_text, source_id = label.split(":", 1)

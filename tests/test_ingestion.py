@@ -192,13 +192,6 @@ class TestPortfolios:
         (portfolio,) = load_portfolios(path, EntityKind.INVENTOR)
         assert [r.patent_id for r in portfolio.records] == ["100", "200"]
 
-    def test_min_patents_filter(self, tmp_path):
-        path = tmp_path / "r.tsv"
-        lines = [f"p{i}\t19{90 + i % 10}-01-0{1 + i % 9}\tH04L\tbig\tasg" for i in range(29)]
-        path.write_text("\n".join(lines) + "\n")
-        assert load_portfolios(path, EntityKind.INVENTOR, min_patents=30) == []
-        assert len(load_portfolios(path, EntityKind.INVENTOR, min_patents=29)) == 1
-
     def test_agent_kind_selects_column(self, tmp_path):
         path = tmp_path / "r.tsv"
         path.write_text(RECORDS)

@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from patkg.errors import UnsupportedModel, ZeroVector
-from patkg.graph import EntityKind, RelationKind, TripleStore
+from patkg.errors import InvalidConfig, PatkgError, UnsupportedModel, ZeroVector
+from patkg.graph import EntityKind, EntityRef, RelationKind, TripleStore
 from patkg.models import ModelKind, init_params
 from patkg.proximity import (
+    _TO_PATENT,
     TransformMode,
+    TransformRule,
     cosine,
     knowledge_proximity,
     nearest_neighbors,
@@ -231,3 +234,141 @@ class TestPairwiseMatrix:
         np.testing.assert_array_equal(m, m.T)
         np.testing.assert_allclose(np.diag(m), 1.0, atol=1e-9)
         assert np.all(m >= -1.0) and np.all(m <= 1.0)
+
+
+# The precomputed rule table and the two-copy transform that `_moved` replaced, kept as the oracle.
+def oracle_rule_table(mode):
+    table = {}
+    for focal in E:
+        from_patent = tuple((rel, -sign) for rel, sign in reversed(_TO_PATENT[focal]))
+        for target in E:
+            if focal is target:
+                steps = ()
+            else:
+                steps = _TO_PATENT[target] + from_patent
+            if mode is TransformMode.GUIDE_LITERAL:
+                steps = tuple((rel, -sign) for rel, sign in steps)
+            table[(focal, target)] = TransformRule(focal, target, steps)
+    return table
+
+
+ORACLE_RULES = {mode: oracle_rule_table(mode) for mode in TransformMode}
+
+
+def oracle_relation_offset(params, steps):
+    if steps and not params.spec.vector_relations:
+        raise UnsupportedModel(
+            f"{params.kind.value} relations cannot be added as vectors; "
+            "cross-kind transformation is undefined"
+        )
+    offset = np.zeros(params.row_dim)
+    for rel, sign in steps:
+        offset += sign * params.relations[rel]["vec"]
+    return offset
+
+
+def oracle_transform(params, vocab, target, focal_kind, mode):
+    rule = ORACLE_RULES[mode][(focal_kind, target.kind)]
+    row = params.entity_row(target.ordinal)
+    if not rule.steps:
+        return row.copy()
+    return row + oracle_relation_offset(params, rule.steps)
+
+
+def oracle_nearest_neighbors(params, vocab, focal, k, kind_filter, mode):
+    if k < 1:
+        raise InvalidConfig("k must be >= 1")
+    focal_row = params.entity_row(focal.ordinal)
+    focal_norm = np.linalg.norm(focal_row)
+    if focal_norm == 0.0:
+        raise ZeroVector("focal embedding has zero norm")
+    ordinals, proximities = [], []
+    for kind in sorted(kind_filter or set(E), key=lambda e: e.value):
+        members = vocab.ordinals_of_kind(kind)
+        members = members[members != focal.ordinal]
+        if members.size == 0:
+            continue
+        rows = params.entities[members]
+        rule = ORACLE_RULES[mode][(focal.kind, kind)]
+        if rule.steps:
+            rows = rows + oracle_relation_offset(params, rule.steps)
+        norms = np.linalg.norm(rows, axis=1)
+        if np.any(norms == 0.0):
+            raise ZeroVector("transformed embedding has zero norm")
+        proximities.append(np.clip(rows @ focal_row / (norms * focal_norm), -1.0, 1.0))
+        ordinals.append(members)
+    if not ordinals:
+        return np.array([], dtype=np.int64), np.array([])
+    all_ordinals = np.concatenate(ordinals)
+    all_prox = np.concatenate(proximities)
+    order = np.lexsort((all_ordinals, -all_prox))[:k]
+    return all_ordinals[order], all_prox[order]
+
+
+def oracle_pairwise_matrix(params, vocab, entities, common_kind, mode):
+    rows = np.stack([oracle_transform(params, vocab, e, common_kind, mode) for e in entities])
+    norms = np.linalg.norm(rows, axis=1, keepdims=True)
+    if np.any(norms == 0.0):
+        raise ZeroVector("transformed embedding has zero norm")
+    unit = rows / norms
+    matrix = np.clip(unit @ unit.T, -1.0, 1.0)
+    matrix = (matrix + matrix.T) / 2.0
+    np.fill_diagonal(matrix, 1.0)
+    return matrix
+
+
+def outcome(call, *args):
+    """`call(*args)` as bytes-comparable values, or the error's type and message."""
+    try:
+        result = call(*args)
+    except PatkgError as exc:
+        return type(exc), str(exc)
+    if isinstance(result, list):  # NeighborHits
+        return (np.array([h.entity.ordinal for h in result], dtype=np.int64).tobytes(),
+                np.array([h.proximity for h in result]).tobytes())
+    if isinstance(result, tuple):
+        return tuple(a.tobytes() for a in result)
+    return result.tobytes()
+
+
+def test_rules_match_table_oracle():
+    keys = [(mode, f, t) for mode in TransformMode for f in E for t in E]
+    assert len(keys) == 50
+    for mode, f, t in keys:
+        assert transform_rule(f, t, mode) == ORACLE_RULES[mode][(f, t)]
+
+
+@st.composite
+def moved_cases(draw):
+    """A model of any kind over a vocabulary holding 0-3 entities of each kind (at least one
+    of the focal kind), a focal entity, a common kind, a mode and a kind filter."""
+    focal_kind = draw(st.sampled_from(list(E)))
+    store = TripleStore()
+    for kind in E:
+        for i in range(draw(st.integers(int(kind is focal_kind), 3))):
+            store.add_entity(kind, f"{kind.value[0]}{i}")
+    vocab = store.vocab
+    params = init_params(draw(st.sampled_from(list(ModelKind))), len(vocab), draw(st.integers(1, 6)),
+                         draw(st.integers(0, 2**16)), vocab.fingerprint())
+    focal = draw(st.sampled_from([r for r in vocab.refs if r.kind is focal_kind]))
+    kind_filter = draw(st.none() | st.sets(st.sampled_from(list(E))))
+    return (params, vocab, focal, draw(st.sampled_from(list(E))), draw(st.sampled_from(list(TransformMode))),
+            kind_filter, draw(st.integers(1, 16)))
+
+
+@given(case=moved_cases())
+def test_moved_rows_match_oracle(case):
+    params, vocab, focal, common_kind, mode, kind_filter, k = case
+    # an ordinal outside the table fails on the row read before any model check
+    targets = list(vocab.refs) + [EntityRef(E.INVENTOR, "ghost", len(vocab))]
+    for target in targets:
+        assert outcome(transform, params, vocab, target, focal.kind, mode) == outcome(
+            oracle_transform, params, vocab, target, focal.kind, mode)
+    assert outcome(nearest_neighbors, params, vocab, focal, k, kind_filter, mode) == outcome(
+        oracle_nearest_neighbors, params, vocab, focal, k, kind_filter, mode)
+    entities = list(vocab.refs)
+    assert outcome(pairwise_matrix, params, vocab, entities, common_kind, mode) == outcome(
+        oracle_pairwise_matrix, params, vocab, entities, common_kind, mode)
+    if not params.spec.vector_relations and any(t.kind is not focal.kind for t in entities):
+        with pytest.raises(UnsupportedModel):
+            transform(params, vocab, next(t for t in entities if t.kind is not focal.kind), focal.kind, mode)
