@@ -34,7 +34,7 @@ from .ingestion import (
     write_triples_file,
 )
 from .models import ModelKind, ModelParams, grad, init_params, score, scores
-from .trainer import LossKind, TrainConfig, TrainReport, checkpoint, default_config, restore, train
+from .trainer import LossKind, TrainConfig, TrainReport, default_config, train
 from .evaluator import EvalConfig, EvalReport, RankRecord, Sides, TieRule, evaluate, rank_target
 from .proximity import (
     NeighborHit,

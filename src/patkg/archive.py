@@ -9,14 +9,15 @@ Layout of the single file:
 
 The payload holds the entity table first, then each relation's blocks in
 relation order (block names sorted within a relation), every matrix
-row-major. Complex-valued rows are interleaved (real, imaginary) on disk
-and converted back to the in-memory parallel-halves layout on load. The
-manifest pins every shape, so the payload byte length is checked exactly.
+row-major. Complex-valued rows are interleaved (real, imaginary) on disk,
+the layout they have in memory, so nothing is converted on save or load.
+The manifest pins every shape, so the payload byte length is checked
+exactly.
 
 Encoding is float32 by default to halve archive size; float64 is the
-bit-exact mode used by training checkpoints. A creation timestamp is
-recorded only when SOURCE_DATE_EPOCH is set, so that equal inputs always
-produce byte-identical archives.
+bit-exact mode. A creation timestamp is recorded only when
+SOURCE_DATE_EPOCH is set, so that equal inputs always produce
+byte-identical archives.
 """
 
 from __future__ import annotations
@@ -37,31 +38,13 @@ MAGIC = "patkg-archive 1"
 _ENCODINGS = {"float32": np.float32, "float64": np.float64}
 
 
-def _interleave(rows: np.ndarray, dim: int) -> np.ndarray:
-    """[re | im] halves -> (re0, im0, re1, im1, ...) along the last axis."""
-    shape = rows.shape[:-1] + (2 * dim,)
-    out = np.empty(shape, dtype=rows.dtype)
-    out[..., 0::2] = rows[..., :dim]
-    out[..., 1::2] = rows[..., dim:]
-    return out
-
-
-def _deinterleave(rows: np.ndarray, dim: int) -> np.ndarray:
-    out = np.empty_like(rows)
-    out[..., :dim] = rows[..., 0::2]
-    out[..., dim:] = rows[..., 1::2]
-    return out
-
-
 def _payload_layout(kind: ModelKind, n_entities: int, dim: int):
-    """Payload blocks in disk order: (relation or None, name, shape, complex)."""
+    """Payload blocks in disk order: (relation or None, name, shape)."""
     spec = SPECS[kind]
-    layout = [(None, "entities", (n_entities, spec.row_dim(dim)), spec.complex_rows)]
     shapes = spec.relation_blocks(dim)
-    for rel in RelationKind:
-        for name in sorted(shapes):
-            layout.append((rel, name, shapes[name], name in spec.complex_blocks))
-    return layout
+    return [(None, "entities", (n_entities, spec.row_dim(dim)))] + [
+        (rel, name, shapes[name]) for rel in RelationKind for name in sorted(shapes)
+    ]
 
 
 def _relation_shapes(kind: ModelKind, dim: int) -> dict[str, dict[str, list[int]]]:
@@ -96,10 +79,8 @@ def save_archive(path, params: ModelParams, vocab: Vocabulary | None = None,
         fh.write((json.dumps(manifest, sort_keys=True, separators=(",", ":")) + "\n").encode("utf-8"))
         if vocab is not None:
             fh.write(("\n".join(vocab.export_lines()) + "\n").encode("utf-8"))
-        for rel, name, _, is_complex in _payload_layout(params.kind, params.n_entities, params.dim):
+        for rel, name, _ in _payload_layout(params.kind, params.n_entities, params.dim):
             block = params.entities if rel is None else params.relations[rel][name]
-            if is_complex:
-                block = _interleave(block, params.dim)
             fh.write(np.ascontiguousarray(block, dtype=dtype).tobytes())
 
 
@@ -171,7 +152,7 @@ def load_archive(path) -> tuple[ModelParams, Vocabulary | None]:
             raise ArchiveError(f"vocabulary size does not match entity table at byte {pos}")
 
     layout = _payload_layout(kind, n_entities, dim)
-    need = sum(math.prod(shape) for _, _, shape, _ in layout) * dtype.itemsize
+    need = sum(math.prod(shape) for _, _, shape in layout) * dtype.itemsize
     if len(raw) - pos != need:
         raise ArchiveError(
             f"payload length {len(raw) - pos} != expected {need} at byte {pos}"
@@ -179,13 +160,11 @@ def load_archive(path) -> tuple[ModelParams, Vocabulary | None]:
 
     entities = None
     relations: dict[RelationKind, dict[str, np.ndarray]] = {rel: {} for rel in RelationKind}
-    for rel, name, shape, is_complex in layout:
+    for rel, name, shape in layout:
         count = math.prod(shape)
         arr = np.frombuffer(raw, dtype=dtype, count=count, offset=pos).reshape(shape)
         arr = arr.astype(np.float64)
         pos += count * dtype.itemsize
-        if is_complex:
-            arr = _deinterleave(arr, dim)
         if rel is None:
             entities = arr
         else:

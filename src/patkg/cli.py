@@ -199,8 +199,10 @@ def _cmd_neighbors(args) -> int:
 
 def _cmd_proximity(args) -> int:
     params, vocab = _load_archive_with_vocab(args.archive_path)
-    with open(args.entities_path, encoding="utf-8") as fh:  # not splitlines(): it also breaks inside ids
-        labels = [label for label in map(str.strip, fh) if label and not label.startswith("#")]
+    # Lines as parse_triples_file reads them: not splitlines(), which also breaks
+    # inside ids, and only the newline stripped, since an id may end in whitespace.
+    with open(args.entities_path, encoding="utf-8") as fh:
+        labels = [line.rstrip("\n") for line in fh if line.strip() and not line.lstrip().startswith("#")]
     refs = [vocab.refs[vocab.ordinal_of_label(label)] for label in labels]
     matrix = proximity.pairwise_matrix(
         params, vocab, refs, EntityKind(args.common_kind), proximity.TransformMode(args.mode)
@@ -262,7 +264,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (PatkgError, OSError, UnicodeDecodeError) as exc:
+    except (PatkgError, OSError, UnicodeDecodeError, MemoryError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

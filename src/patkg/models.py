@@ -13,8 +13,9 @@ fact:
 
 Each model is one `ModelSpec` row in `SPECS`: its parameter layout,
 training defaults and kernels. Complex-valued tables (ComplEx, RotatE)
-are stored as 2d-real rows with the real parts in the first d columns
-and the imaginary parts in the last d. All score/gradient kernels accept
+are stored as 2d-real rows interleaved (re0, im0, re1, im1, ...), the
+archive's disk layout, so `rows.view(np.complex128)` is the (n, d)
+complex table without a copy. All score/gradient kernels accept
 index arrays so callers can batch; the scalar `score` and `grad` entry
 points are the single-triple contract on top of them.
 """
@@ -47,8 +48,8 @@ class ModelKind(Enum):
 class ModelSpec:
     """Every per-model fact: parameter layout, training defaults, kernels.
 
-    Kernels take the gathered head rows H, tail rows T, one relation's
-    blocks and the dimension d. `score` returns one score per row;
+    Kernels take the gathered head rows H, tail rows T and one
+    relation's blocks. `score` returns one score per row;
     `gradients` also takes column weights w and returns (dH, dT, dRel)
     as `weighted_gradients` documents; `at_kink` tells whether a single
     triple sits where its score is not differentiable.
@@ -59,10 +60,9 @@ class ModelSpec:
     learning_rate: float  # default SGD step
     score: Callable[..., np.ndarray]
     gradients: Callable[..., tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]]
-    at_kink: Callable[..., bool] = lambda H, T, blocks, d: False
+    at_kink: Callable[..., bool] = lambda H, T, blocks: False
     normalize_entities: bool = False  # default for TrainConfig.normalize_entities
-    complex_rows: bool = False  # entity rows hold the [re | im] halves of d complex values
-    complex_blocks: frozenset[str] = frozenset()  # relation blocks in that same halves layout
+    complex_rows: bool = False  # entity rows hold d complex values, (re, im) interleaved
 
     def row_dim(self, dim: int) -> int:
         return 2 * dim if self.complex_rows else dim
@@ -70,7 +70,7 @@ class ModelSpec:
     @property
     def vector_relations(self) -> bool:
         """Every parameter is a real vector, so h + r is defined across kinds."""
-        return not (self.complex_rows or self.complex_blocks) and all(
+        return not self.complex_rows and all(
             len(shape) == 1 for shape in self.relation_blocks(1).values()
         )
 
@@ -81,7 +81,7 @@ class ModelParams:
 
     kind: ModelKind
     dim: int
-    entities: np.ndarray  # (n, dim) real models, (n, 2*dim) complex models
+    entities: np.ndarray  # (n, dim) real models, (n, 2*dim) interleaved complex models
     relations: dict[RelationKind, dict[str, np.ndarray]]
     vocab_fingerprint: str
 
@@ -122,7 +122,8 @@ def init_params(
 
     Entity rows of translational models are then L2-normalized; RotatE
     relation phases are uniform in [-pi, pi) so every implied rotation
-    component has unit modulus by construction.
+    component has unit modulus by construction. Complex rows and the
+    ComplEx `vec` are drawn as [re | im] halves, then interleaved.
     """
     if n_entities < 1 or dim < 1:
         raise InvalidConfig("n_entities and dim must be >= 1")
@@ -132,6 +133,8 @@ def init_params(
     entities = rng.uniform(-bound, bound, size=(n_entities, spec.row_dim(dim)))
     if spec.translational:
         entities /= np.linalg.norm(entities, axis=1, keepdims=True)
+    if spec.complex_rows:
+        entities = _interleaved(entities, dim)
     relations: dict[RelationKind, dict[str, np.ndarray]] = {}
     for rel in RelationKind:
         blocks: dict[str, np.ndarray] = {}
@@ -140,28 +143,29 @@ def init_params(
                 blocks[name] = rng.uniform(-np.pi, np.pi, size=shape)
             else:
                 blocks[name] = rng.uniform(-bound, bound, size=shape)
+                if spec.complex_rows:
+                    blocks[name] = _interleaved(blocks[name], dim)
         relations[rel] = blocks
     return ModelParams(kind, dim, entities, relations, vocab_fingerprint)
 
 
-def _split_complex(rows: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    return rows[..., :dim], rows[..., dim:]
+def _interleaved(halves: np.ndarray, dim: int) -> np.ndarray:
+    """[re | im] halves of `dim` complex values -> (re0, im0, re1, im1, ...), C-contiguous."""
+    return halves.reshape(*halves.shape[:-1], 2, dim).swapaxes(-1, -2).reshape(halves.shape)
 
 
-def _check_ordinals(params: ModelParams, idx: np.ndarray) -> None:
-    if idx.size and (idx.min() < 0 or idx.max() >= params.n_entities):
-        raise UnknownOrdinal("ordinal outside entity table")
+def _rows(params: ModelParams, *ordinals: np.ndarray) -> list[np.ndarray]:
+    """The entity rows of each ordinal array, every ordinal checked first."""
+    idx = [np.asarray(o, dtype=np.int64) for o in ordinals]
+    for i in idx:
+        if i.size and (i.min() < 0 or i.max() >= params.n_entities):
+            raise UnknownOrdinal("ordinal outside entity table")
+    return [params.entities[i] for i in idx]
 
 
 def scores(params: ModelParams, heads: np.ndarray, relation: RelationKind, tails: np.ndarray) -> np.ndarray:
     """Vectorized scores for triples sharing one relation."""
-    heads = np.asarray(heads, dtype=np.int64)
-    tails = np.asarray(tails, dtype=np.int64)
-    _check_ordinals(params, heads)
-    _check_ordinals(params, tails)
-    return params.spec.score(
-        params.entities[heads], params.entities[tails], params.relations[relation], params.dim
-    )
+    return params.spec.score(*_rows(params, heads, tails), params.relations[relation])
 
 
 def score(params: ModelParams, h: int, r: RelationKind, t: int) -> float:
@@ -198,14 +202,8 @@ def weighted_gradients(
     (same for tails) and dRel[name] = sum_i weights[i] * d score_i / d block.
     Kink points contribute zero subgradients.
     """
-    heads = np.asarray(heads, dtype=np.int64)
-    tails = np.asarray(tails, dtype=np.int64)
-    _check_ordinals(params, heads)
-    _check_ordinals(params, tails)
     w = np.asarray(weights, dtype=np.float64)[:, None]
-    return params.spec.gradients(
-        params.entities[heads], params.entities[tails], params.relations[relation], params.dim, w
-    )
+    return params.spec.gradients(*_rows(params, heads, tails), params.relations[relation], w)
 
 
 def grad(params: ModelParams, h: int, r: RelationKind, t: int) -> ScoreGradient:
@@ -215,51 +213,47 @@ def grad(params: ModelParams, h: int, r: RelationKind, t: int) -> ScoreGradient:
     from kink points; at kinks the zero subgradient is returned and
     `nondifferentiable` is set.
     """
-    heads = np.array([h], dtype=np.int64)
-    tails = np.array([t], dtype=np.int64)
-    dH, dT, dRel = weighted_gradients(params, heads, r, tails, np.ones(1))
-    flag = params.spec.at_kink(
-        params.entities[heads], params.entities[tails], params.relations[r], params.dim
-    )
+    dH, dT, dRel = weighted_gradients(params, [h], r, [t], np.ones(1))
+    flag = params.spec.at_kink(*_rows(params, [h], [t]), params.relations[r])
     return ScoreGradient(head=dH[0], tail=dT[0], relation=dRel, nondifferentiable=flag)
 
 
 # -- kernels, one group per model ------------------------------------------
 
-def _transe_l1_score(H, T, b, d):
+def _transe_l1_score(H, T, b):
     return -np.abs(H + b["vec"] - T).sum(axis=1)
 
 
-def _transe_l1_gradients(H, T, b, d, w):
+def _transe_l1_gradients(H, T, b, w):
     dH = -w * np.sign(H + b["vec"] - T)
     return dH, -dH, {"vec": dH.sum(axis=0)}
 
 
-def _transe_l1_at_kink(H, T, b, d):
+def _transe_l1_at_kink(H, T, b):
     return bool(np.any(H + b["vec"] - T == 0.0))
 
 
-def _transe_l2_score(H, T, b, d):
+def _transe_l2_score(H, T, b):
     return -np.linalg.norm(H + b["vec"] - T, axis=1)
 
 
-def _transe_l2_gradients(H, T, b, d, w):
+def _transe_l2_gradients(H, T, b, w):
     D = H + b["vec"] - T
     n = np.linalg.norm(D, axis=1, keepdims=True)
     dH = -w * np.divide(D, n, out=np.zeros_like(D), where=n > 0)
     return dH, -dH, {"vec": dH.sum(axis=0)}
 
 
-def _transe_l2_at_kink(H, T, b, d):
+def _transe_l2_at_kink(H, T, b):
     return bool(np.all(H + b["vec"] - T == 0.0))
 
 
-def _transr_score(H, T, b, d):
+def _transr_score(H, T, b):
     U = (H - T) @ b["mat"].T + b["vec"]
     return -(U * U).sum(axis=1)
 
 
-def _transr_gradients(H, T, b, d, w):
+def _transr_gradients(H, T, b, w):
     M = b["mat"]
     diff = H - T
     WU = w * (diff @ M.T + b["vec"])
@@ -267,75 +261,63 @@ def _transr_gradients(H, T, b, d, w):
     return dH, -dH, {"mat": -2.0 * WU.T @ diff, "vec": -2.0 * WU.sum(axis=0)}
 
 
-def _rescal_score(H, T, b, d):
+def _rescal_score(H, T, b):
     return ((H @ b["mat"]) * T).sum(axis=1)
 
 
-def _rescal_gradients(H, T, b, d, w):
+def _rescal_gradients(H, T, b, w):
     M = b["mat"]
     return w * (T @ M.T), w * (H @ M), {"mat": (w * H).T @ T}
 
 
-def _distmult_score(H, T, b, d):
+def _distmult_score(H, T, b):
     # (H*T)*r keeps score(h,r,t) == score(t,r,h) bit-exact.
     return ((H * T) * b["vec"]).sum(axis=1)
 
 
-def _distmult_gradients(H, T, b, d, w):
+def _distmult_gradients(H, T, b, w):
     r = b["vec"]
     return w * (T * r), w * (H * r), {"vec": (w * (H * T)).sum(axis=0)}
 
 
-def _complex_score(H, T, b, d):
-    h_re, h_im = _split_complex(H, d)
-    t_re, t_im = _split_complex(T, d)
-    r_re, r_im = _split_complex(b["vec"], d)
-    return (
-        r_re * (h_re * t_re + h_im * t_im) + r_im * (h_re * t_im - h_im * t_re)
-    ).sum(axis=1)
+def _complex_score(H, T, b):
+    # Re(r h conj(t)) = Re(h conj(t)) Re(r) + Im(h conj(t)) Im(conj(r)), summed
+    # elementwise per row so a batch scores exactly as its single triples.
+    hct = H.view(np.complex128) * T.view(np.complex128).conj()
+    return (hct.view(np.float64) * b["vec"].view(np.complex128).conj().view(np.float64)).sum(axis=1)
 
 
-def _complex_gradients(H, T, b, d, w):
-    h_re, h_im = _split_complex(H, d)
-    t_re, t_im = _split_complex(T, d)
-    r_re, r_im = _split_complex(b["vec"], d)
-    dH = w * np.concatenate([r_re * t_re + r_im * t_im, r_re * t_im - r_im * t_re], axis=1)
-    dT = w * np.concatenate([r_re * h_re - r_im * h_im, r_re * h_im + r_im * h_re], axis=1)
-    d_vec = (
-        w * np.concatenate([h_re * t_re + h_im * t_im, h_re * t_im - h_im * t_re], axis=1)
-    ).sum(axis=0)
-    return dH, dT, {"vec": d_vec}
+def _complex_gradients(H, T, b, w):
+    h, t, r = H.view(np.complex128), T.view(np.complex128), b["vec"].view(np.complex128)
+    dH = w * (t * r.conj()).view(np.float64)
+    dT = w * (h * r).view(np.float64)
+    return dH, dT, {"vec": (w * (h.conj() * t).view(np.float64)).sum(axis=0)}
 
 
-def _rotate_parts(H, T, b, d):
-    """(hr_re, hr_im, u_re, u_im, cos, sin): rotated head hr = h o r, residual u = hr - t."""
-    h_re, h_im = _split_complex(H, d)
-    t_re, t_im = _split_complex(T, d)
-    c, s = np.cos(b["phase"]), np.sin(b["phase"])
-    hr_re = h_re * c - h_im * s
-    hr_im = h_re * s + h_im * c
-    return hr_re, hr_im, hr_re - t_re, hr_im - t_im, c, s
+def _rotate_parts(H, T, b):
+    """(r, h o r, u): the unit rotation, the rotated head and the residual u = h o r - t."""
+    r = np.exp(1j * b["phase"])
+    hr = H.view(np.complex128) * r
+    return r, hr, hr - T.view(np.complex128)
 
 
-def _rotate_score(H, T, b, d):
-    _, _, u_re, u_im, _, _ = _rotate_parts(H, T, b, d)
-    return -np.sqrt((u_re * u_re + u_im * u_im).sum(axis=1))
+def _rotate_score(H, T, b):
+    u = _rotate_parts(H, T, b)[2].view(np.float64)
+    return -np.sqrt((u * u).sum(axis=1))
 
 
-def _rotate_gradients(H, T, b, d, w):
-    hr_re, hr_im, u_re, u_im, c, s = _rotate_parts(H, T, b, d)
-    n = np.sqrt((u_re * u_re + u_im * u_im).sum(axis=1, keepdims=True))
-    inv = np.divide(1.0, n, out=np.zeros_like(n), where=n > 0)
-    g_re, g_im = u_re * inv, u_im * inv  # d(-score)/d u
-    dH = -w * np.concatenate([g_re * c + g_im * s, -g_re * s + g_im * c], axis=1)
-    dT = w * np.concatenate([g_re, g_im], axis=1)
-    d_phase = (w * (g_re * hr_im - g_im * hr_re)).sum(axis=0)
-    return dH, dT, {"phase": d_phase}
+def _rotate_gradients(H, T, b, w):
+    r, hr, u = _rotate_parts(H, T, b)
+    u = u.view(np.float64)
+    n = np.sqrt((u * u).sum(axis=1, keepdims=True))
+    dT = u * np.divide(w, n, out=np.zeros_like(n), where=n > 0)  # w g, g = d(-score)/d u
+    wg = dT.view(np.complex128)
+    dH = -(wg * r.conj()).view(np.float64)
+    return dH, dT, {"phase": (wg.conj() * hr).imag.sum(axis=0)}
 
 
-def _rotate_at_kink(H, T, b, d):
-    _, _, u_re, u_im, _, _ = _rotate_parts(H, T, b, d)
-    return bool(np.all(u_re == 0.0) and np.all(u_im == 0.0))
+def _rotate_at_kink(H, T, b):
+    return bool(np.all(_rotate_parts(H, T, b)[2] == 0.0))
 
 
 SPECS: dict[ModelKind, ModelSpec] = {
@@ -361,7 +343,7 @@ SPECS: dict[ModelKind, ModelSpec] = {
     ),
     ModelKind.COMPLEX: ModelSpec(
         lambda d: {"vec": (2 * d,)}, translational=False, learning_rate=8.0,
-        complex_rows=True, complex_blocks=frozenset({"vec"}),
+        complex_rows=True,
         score=_complex_score, gradients=_complex_gradients,
     ),
     ModelKind.ROTATE: ModelSpec(

@@ -11,7 +11,6 @@ from enum import Enum
 
 import numpy as np
 
-from . import archive as _archive
 from .errors import EmptyStore, InvalidConfig, NumericalDivergence
 from .graph import RELATION_SCHEMA, RELATIONS, RelationKind, TripleStore
 from .models import SPECS, ModelKind, ModelParams, init_params, scores, weighted_gradients
@@ -271,16 +270,3 @@ def train(
 
     report.wall_time_s = time.perf_counter() - t0
     return params, report
-
-
-def checkpoint(params: ModelParams, path) -> None:
-    """Write params so that `restore` reproduces them bit-exactly."""
-    _archive.save_archive(path, params, vocab=None, encoding="float64")
-
-
-def restore(path, store: TripleStore | None = None) -> ModelParams:
-    """Load checkpointed params; verify against `store`'s vocabulary if given."""
-    params, _ = _archive.load_archive(path)
-    if store is not None:
-        _archive.check_fingerprint(params, store.vocab)
-    return params

@@ -94,15 +94,48 @@ def test_created_stamp_from_source_date_epoch(store, tmp_path, monkeypatch):
 
 
 def test_complex_interleaving_on_disk(store, tmp_path):
-    # one complex row (re0, im0) must appear interleaved in the payload
+    # the complex row (1+3j, 2+4j) appears as (re0, im0, re1, im1) in the payload
     params = params_for(store, ModelKind.COMPLEX, dim=2)
-    params.entities[0] = [1.0, 2.0, 3.0, 4.0]  # re=(1,2) im=(3,4)
+    params.entities.view(np.complex128)[0] = [1 + 3j, 2 + 4j]
     path = tmp_path / "a.kge"
     save_archive(path, params, encoding="float64")
     raw = path.read_bytes()
     header_end = raw.index(b"\n", raw.index(b"\n") + 1) + 1
     row0 = np.frombuffer(raw, dtype="<f8", count=4, offset=header_end)
     np.testing.assert_array_equal(row0, [1.0, 3.0, 2.0, 4.0])
+
+
+def test_hand_built_complex_archive_loads_and_saves_back_unchanged(store, tmp_path, monkeypatch):
+    # Built byte by byte in the format archives have always had: each
+    # complex value's (re, im) pair adjacent in a float64 payload.
+    monkeypatch.delenv("SOURCE_DATE_EPOCH", raising=False)
+    dim, n = 3, len(store.vocab)
+    rng = np.random.default_rng(3)
+    values = rng.normal(size=(n, dim)) + 1j * rng.normal(size=(n, dim))
+    vecs = {rel: rng.normal(size=dim) + 1j * rng.normal(size=dim) for rel in RelationKind}
+    manifest = {"kind": "complex", "dim": dim, "entities": n,
+                "relations": {rel.value: {"vec": [2 * dim]} for rel in RelationKind},
+                "encoding": "float64", "vocab_sha256": store.vocab.fingerprint(), "vocab_entities": n}
+
+    def pairs(z):
+        return np.stack([z.real, z.imag], axis=-1).astype("<f8").tobytes()
+
+    raw = b"".join([
+        b"patkg-archive 1\n",
+        json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode() + b"\n",
+        "".join(line + "\n" for line in store.vocab.export_lines()).encode(),
+        pairs(values),
+        *(pairs(vecs[rel]) for rel in RelationKind),
+    ])
+    path = tmp_path / "hand.kge"
+    path.write_bytes(raw)
+    params, vocab = load_archive(path)
+    np.testing.assert_array_equal(params.entities.view(np.complex128), values)
+    for rel in RelationKind:
+        np.testing.assert_array_equal(params.relations[rel]["vec"].view(np.complex128), vecs[rel])
+    again = tmp_path / "again.kge"
+    save_archive(again, params, vocab=vocab, encoding="float64")
+    assert again.read_bytes() == raw
 
 
 JSON_VALUES = st.recursive(

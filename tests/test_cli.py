@@ -78,6 +78,19 @@ class TestIngest:
         assert run_cli("proximity", arc, listing, "inventor", out) == 0
         assert out.read_text(encoding="utf-8").split("\n")[0] == f"entity\t{label}\tpatent:5252504"
 
+    def test_proximity_lists_ids_ending_in_whitespace(self, tmp_path):
+        # an entity-list line loses only its newline; blank and comment lines are skipped
+        label = "inventor:a\x0c"
+        src, store_path, arc = tmp_path / "in.tsv", tmp_path / "store.tsv", tmp_path / "m.kge"
+        src.write_text(f"{label}\twrite\tpatent:5252504\n{MINIMAL_GRAPH}", encoding="utf-8")
+        assert run_cli("ingest", src, store_path) == 0
+        assert run_cli("train", store_path, "transe_l2", arc, "--dim", "4", "--epochs", "1",
+                       "--train-on-all") == 0
+        listing, out = tmp_path / "entities.txt", tmp_path / "matrix.tsv"
+        listing.write_text(f"{label}\n \t\n  # c\npatent:5252504\n", encoding="utf-8")
+        assert run_cli("proximity", arc, listing, "inventor", out) == 0
+        assert out.read_text(encoding="utf-8").split("\n")[0] == f"entity\t{label}\tpatent:5252504"
+
 
 class TestTrainEval:
     def test_minimal_manifest(self, tmp_path):
@@ -167,6 +180,20 @@ class TestTrainEval:
             assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
             assert capsys.readouterr().err == f"error: {message}\n"
             assert not (tmp_path / "m.kge").exists()
+
+    def test_unallocatable_negatives_are_one_line(self, tmp_path, capsys):
+        # 6 triples x 10**14 negatives asks numpy for 4.26 PiB, which it
+        # refuses before allocating anything
+        src, store_path = tmp_path / "in.tsv", tmp_path / "store.tsv"
+        src.write_text(MINIMAL_GRAPH + "inventor:4074775\twrite\tpatent:5252505\n"
+                       "patent:5252505\tcite\tpatent:5252504\n")
+        assert run_cli("ingest", src, store_path) == 0
+        capsys.readouterr()
+        assert run_cli("train", store_path, "transe_l2", tmp_path / "m.kge", "--train-on-all",
+                       "--negatives", "100000000000000") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: MemoryError: ") and err.count("\n") == 1
+        assert not (tmp_path / "m.kge").exists()
 
     def test_rejected_configs_are_one_line(self, graph_file, tmp_path, capsys):
         arc, report = tmp_path / "m.kge", tmp_path / "r.txt"

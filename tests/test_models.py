@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from patkg.errors import UnknownOrdinal
 from patkg.graph import RelationKind
@@ -229,3 +230,126 @@ class TestGradients:
                 numeric = finite_difference(p, h, rel, t, p.relations[rel][name])
                 worst = max(worst, max_relative_error(analytic, numeric))
         assert worst < 1e-4
+
+
+# -- the halves-layout kernels as a tolerance oracle -------------------------
+# Complex rows used to be held as [re | im] halves, with the complex
+# arithmetic written out in real pairs. Those kernels stay here, fed the
+# same numbers in that layout, as the oracle for the complex128 kernels.
+
+def _halves(rows):
+    """(re0, im0, re1, im1, ...) -> [re | im] halves along the last axis."""
+    return np.concatenate([rows[..., 0::2], rows[..., 1::2]], axis=-1)
+
+
+def _re_im(rows, dim):
+    return rows[..., :dim], rows[..., dim:]
+
+
+def _complex_score(H, T, b, d):
+    h_re, h_im = _re_im(H, d)
+    t_re, t_im = _re_im(T, d)
+    r_re, r_im = _re_im(b["vec"], d)
+    return (
+        r_re * (h_re * t_re + h_im * t_im) + r_im * (h_re * t_im - h_im * t_re)
+    ).sum(axis=1)
+
+
+def _complex_gradients(H, T, b, d, w):
+    h_re, h_im = _re_im(H, d)
+    t_re, t_im = _re_im(T, d)
+    r_re, r_im = _re_im(b["vec"], d)
+    dH = w * np.concatenate([r_re * t_re + r_im * t_im, r_re * t_im - r_im * t_re], axis=1)
+    dT = w * np.concatenate([r_re * h_re - r_im * h_im, r_re * h_im + r_im * h_re], axis=1)
+    d_vec = (
+        w * np.concatenate([h_re * t_re + h_im * t_im, h_re * t_im - h_im * t_re], axis=1)
+    ).sum(axis=0)
+    return dH, dT, {"vec": d_vec}
+
+
+def _rotate_parts(H, T, b, d):
+    h_re, h_im = _re_im(H, d)
+    t_re, t_im = _re_im(T, d)
+    c, s = np.cos(b["phase"]), np.sin(b["phase"])
+    hr_re = h_re * c - h_im * s
+    hr_im = h_re * s + h_im * c
+    return hr_re, hr_im, hr_re - t_re, hr_im - t_im, c, s
+
+
+def _rotate_score(H, T, b, d):
+    _, _, u_re, u_im, _, _ = _rotate_parts(H, T, b, d)
+    return -np.sqrt((u_re * u_re + u_im * u_im).sum(axis=1))
+
+
+def _rotate_gradients(H, T, b, d, w):
+    hr_re, hr_im, u_re, u_im, c, s = _rotate_parts(H, T, b, d)
+    n = np.sqrt((u_re * u_re + u_im * u_im).sum(axis=1, keepdims=True))
+    inv = np.divide(1.0, n, out=np.zeros_like(n), where=n > 0)
+    g_re, g_im = u_re * inv, u_im * inv
+    dH = -w * np.concatenate([g_re * c + g_im * s, -g_re * s + g_im * c], axis=1)
+    dT = w * np.concatenate([g_re, g_im], axis=1)
+    d_phase = (w * (g_re * hr_im - g_im * hr_re)).sum(axis=0)
+    return dH, dT, {"phase": d_phase}
+
+
+def _rotate_at_kink(H, T, b, d):
+    _, _, u_re, u_im, _, _ = _rotate_parts(H, T, b, d)
+    return bool(np.all(u_re == 0.0) and np.all(u_im == 0.0))
+
+
+HALVES_ORACLE = {
+    ModelKind.COMPLEX: (_complex_score, _complex_gradients, lambda H, T, b, d: False),
+    ModelKind.ROTATE: (_rotate_score, _rotate_gradients, _rotate_at_kink),
+}
+
+# Zero or far from underflow, so no squared residual loses precision.
+ORACLE_FLOATS = st.floats(-1.0, 1.0, allow_subnormal=False).filter(lambda x: x == 0.0 or abs(x) > 1e-60)
+
+
+@st.composite
+def complex_kernel_cases(draw):
+    """Hypothesis draws a few values and the layout; a seeded generator
+    spreads them over the arrays, which keeps each example cheap."""
+    kind = draw(st.sampled_from(list(HALVES_ORACLE)))
+    d, m = draw(st.integers(1, 8)), draw(st.integers(1, 64))
+    values = draw(st.lists(ORACLE_FLOATS, min_size=1, max_size=8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    H, T = rng.choice(values, size=(m, 2 * d)), rng.choice(values, size=(m, 2 * d))
+    w = rng.choice(values + [0.0], size=(m, 1))
+    if kind is ModelKind.COMPLEX:
+        return kind, d, H, T, {"vec": rng.choice(values, size=2 * d)}, w
+    # Rows at the kink have a residual of exactly zero under both kernels:
+    # t = h under the identity rotation, else h = t = 0.
+    identity = draw(st.booleans())
+    phases = [0.0] if identity else draw(st.lists(st.floats(-np.pi, np.pi), min_size=1, max_size=4))
+    phase = rng.choice(phases, size=d)
+    kink = rng.random(m) < draw(st.sampled_from([0.0, 0.25, 1.0]))
+    if identity:
+        T[kink] = H[kink]
+    else:
+        H[kink] = T[kink] = 0.0
+    return kind, d, H, T, {"phase": phase}, w
+
+
+@given(complex_kernel_cases())
+def test_complex_kernels_match_halves_oracle(case):
+    kind, d, H, T, b, w = case
+    spec = SPECS[kind]
+    old_score, old_gradients, old_at_kink = HALVES_ORACLE[kind]
+    Hh, Th = _halves(H), _halves(T)
+    bh = {name: _halves(block) if name == "vec" else block for name, block in b.items()}
+
+    def close(new, old):
+        np.testing.assert_allclose(new, old, rtol=1e-12, atol=1e-12)
+
+    close(spec.score(H, T, b), old_score(Hh, Th, bh, d))
+    dH, dT, dRel = spec.gradients(H, T, b, w)
+    oH, oT, oRel = old_gradients(Hh, Th, bh, d, w)
+    close(_halves(dH), oH)
+    close(_halves(dT), oT)
+    assert dRel.keys() == oRel.keys()
+    for name, g in dRel.items():
+        close(_halves(g) if name == "vec" else g, oRel[name])
+    for i in range(len(H)):
+        assert spec.at_kink(H[i : i + 1], T[i : i + 1], b) == old_at_kink(Hh[i : i + 1], Th[i : i + 1], bh, d)
+    assert spec.at_kink(H, T, b) == old_at_kink(Hh, Th, bh, d)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from patkg.archive import check_fingerprint, load_archive, save_archive
 from patkg.errors import EmptyStore, FingerprintMismatch, InvalidConfig, ArchiveError, NumericalDivergence
 from patkg.graph import RELATIONS, TripleStore, generate_synthetic
 from patkg.models import ModelKind, init_params, scores, weighted_gradients
@@ -17,9 +18,7 @@ from patkg.trainer import (
     _scatter_rows,
     _sgd_batch,
     _sigmoid,
-    checkpoint,
     default_config,
-    restore,
     train,
 )
 
@@ -185,8 +184,9 @@ class TestCheckpoint:
         params, _ = train(small_store, ModelKind.COMPLEX,
                           small_config(loss=LossKind.LOGISTIC, normalize_entities=False))
         path = tmp_path / "model.ckpt"
-        checkpoint(params, path)
-        loaded = restore(path)
+        save_archive(path, params, encoding="float64")
+        loaded, vocab = load_archive(path)
+        assert vocab is None
         assert np.array_equal(loaded.entities, params.entities)
         for rel in params.relations:
             for name in params.relations[rel]:
@@ -196,19 +196,21 @@ class TestCheckpoint:
     def test_restore_against_wrong_vocabulary(self, small_store, tmp_path):
         params, _ = train(small_store, ModelKind.TRANSE_L2, small_config(epochs=1))
         path = tmp_path / "model.ckpt"
-        checkpoint(params, path)
+        save_archive(path, params, encoding="float64")
+        loaded, _ = load_archive(path)
+        check_fingerprint(loaded, small_store.vocab)
         other = generate_synthetic(1, 4, 2, 1, 0.0, 0.0, seed=9)
         with pytest.raises(FingerprintMismatch):
-            restore(path, store=other)
+            check_fingerprint(loaded, other.vocab)
 
     def test_truncated_file(self, small_store, tmp_path):
         params, _ = train(small_store, ModelKind.TRANSE_L2, small_config(epochs=1))
         path = tmp_path / "model.ckpt"
-        checkpoint(params, path)
+        save_archive(path, params, encoding="float64")
         data = path.read_bytes()
         path.write_bytes(data[: len(data) - 100])
         with pytest.raises(ArchiveError) as err:
-            restore(path)
+            load_archive(path)
         assert "byte" in str(err.value)
 
 
