@@ -297,7 +297,13 @@ def _complex_gradients(H, T, b, w):
 def _rotate_parts(H, T, b):
     """(r, h o r, u): the unit rotation, the rotated head and the residual u = h o r - t."""
     r = np.exp(1j * b["phase"])
-    hr = H.view(np.complex128) * r
+    h = H.view(np.complex128)
+    # h o r as h Re(r) + h i Im(r): each product has one exactly zero term, so
+    # h o r rounds as h.re*cos - h.im*sin, h.re*sin + h.im*cos on any CPU. One
+    # complex multiply may fuse a term into an FMA instead, and u cancels near
+    # the kink, where g = u/|u| magnifies that last bit by |h|/|u|.
+    hr = h * (r.real + 0j)
+    hr += h * (1j * r.imag)
     return r, hr, hr - T.view(np.complex128)
 
 
