@@ -1,6 +1,6 @@
 """Mini-batch SGD with negative sampling over a training triple store.
 
-Training is single-threaded and bit-deterministic per seed.
+Training is single-threaded and bit-deterministic per seed on one machine.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import EmptyStore, InvalidConfig, NumericalDivergence
 from .graph import RELATION_SCHEMA, RELATIONS, RelationKind, TripleStore
-from .models import SPECS, ModelKind, ModelParams, init_params, scores, weighted_gradients
+from .models import SPECS, ModelKind, ModelParams, init_params
 
 
 class LossKind(Enum):
@@ -148,11 +148,13 @@ def _sgd_batch(params: ModelParams, cfg: TrainConfig,
             else:
                 ends[sel] = _draw_replacements(rng, pool, ends[sel])
 
+    spec, table = params.spec, params.entities  # store and pool ordinals: no range check
     pos_scores = np.empty(m)
     neg_scores = np.empty(m * npp)
     for rel, pos, neg in present:
-        pos_scores[pos] = scores(params, heads[pos], rel, tails[pos])
-        neg_scores[neg] = scores(params, neg_heads[neg], rel, neg_tails[neg])
+        blocks = params.relations[rel]
+        pos_scores[pos] = spec.score(table[heads[pos]], table[tails[pos]], blocks)
+        neg_scores[neg] = spec.score(table[neg_heads[neg]], table[neg_tails[neg]], blocks)
 
     # Batch gradient is the mean over the batch's positives, so step
     # sizes do not scale with batch_size.
@@ -180,14 +182,15 @@ def _sgd_batch(params: ModelParams, cfg: TrainConfig,
     touched_rels = [rel for rel, _, _ in present]
     loss = data_loss
     if cfg.l2_coefficient > 0.0:
-        rows = params.entities[touched]
+        rows = table[touched]
         sq = float((rows**2).sum())
         for rel in touched_rels:
             for block in params.relations[rel].values():
                 sq += float((block**2).sum())
         loss += cfg.l2_coefficient * sq
         decay = cfg.learning_rate * 2.0 * cfg.l2_coefficient
-        params.entities[touched] = rows - decay * rows
+        rows -= decay * rows
+        table[touched] = rows
         for rel in touched_rels:
             for block in params.relations[rel].values():
                 block -= decay * block
@@ -198,20 +201,20 @@ def _sgd_batch(params: ModelParams, cfg: TrainConfig,
         sel = sel[nonzero[sel]]
         if sel.size == 0:
             continue
-        dH, dT, dRel = weighted_gradients(
-            params, all_heads[sel], rel, all_tails[sel], all_w[sel]
-        )
+        hs, ts = all_heads[sel], all_tails[sel]
+        dH, dT, dRel = spec.gradients(table[hs], table[ts], params.relations[rel], all_w[sel, None])
         # Heads before tails, each in batch order: the add order of np.add.at
         # over heads and then over tails.
-        _scatter_rows(params.entities, np.concatenate([all_heads[sel], all_tails[sel]]),
-                      -lr * np.concatenate([dH, dT]))
+        steps = np.concatenate([dH, dT])
+        steps *= -lr
+        _scatter_rows(table, np.concatenate([hs, ts]), steps)
         for name, g in dRel.items():
             params.relations[rel][name] -= lr * g
 
-    rows = params.entities[touched]
-    if cfg.normalize_entities and params.spec.translational and lr > 0.0:
-        rows = rows / np.linalg.norm(rows, axis=1, keepdims=True)
-        params.entities[touched] = rows
+    rows = table[touched]
+    if cfg.normalize_entities and spec.translational and lr > 0.0:
+        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+        table[touched] = rows
 
     finite = np.isfinite(loss) and np.isfinite(rows).all()
     finite = finite and all(

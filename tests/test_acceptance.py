@@ -197,13 +197,14 @@ def test_criterion_05_score_identities():
         assert score(p, 0, rel, 1) == 1.0
         assert score(p, 1, rel, 0) == -1.0
 
+        # RotatE preserves norms: with an all-zero tail, -score = |h o r| = |h|.
         for _ in range(1000):
             d = int(rng.integers(1, 16))
-            h = rng.normal(size=2 * d)
-            theta = rng.uniform(-np.pi, np.pi, size=d)
-            c, s = np.cos(theta), np.sin(theta)
-            hr = np.concatenate([h[:d] * c - h[d:] * s, h[:d] * s + h[d:] * c])
-            assert abs(np.linalg.norm(hr) - np.linalg.norm(h)) < 1e-9
+            p = init_params(ModelKind.ROTATE, 2, d, seed=5)
+            p.entities[0] = rng.normal(size=2 * d)
+            p.entities[1] = 0.0
+            p.relations[rel]["phase"][:] = rng.uniform(-np.pi, np.pi, size=d)
+            assert abs(-score(p, 0, rel, 1) - np.linalg.norm(p.entities[0])) < 1e-9
 
 
 # -----------------------------------------------------------------------

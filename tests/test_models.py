@@ -122,14 +122,15 @@ class TestScoreProperties:
         assert max(diffs) > 1e-6
 
     def test_rotate_norm_preservation(self):
+        # With an all-zero tail row the score is -|h o r|, which must be -|h|.
         rng = np.random.default_rng(11)
         for trial in range(1000):
             d = int(rng.integers(1, 12))
-            h = rng.normal(size=2 * d)
-            theta = rng.uniform(-np.pi, np.pi, size=d)
-            c, s = np.cos(theta), np.sin(theta)
-            hr = np.concatenate([h[:d] * c - h[d:] * s, h[:d] * s + h[d:] * c])
-            assert abs(np.linalg.norm(hr) - np.linalg.norm(h)) < 1e-9
+            p = make_params(ModelKind.ROTATE, n=2, dim=d, seed=trial)
+            p.entities[0] = rng.normal(size=2 * d)
+            p.entities[1] = 0.0
+            p.relations[REL]["phase"][:] = rng.uniform(-np.pi, np.pi, size=d)
+            assert abs(-score(p, 0, REL, 1) - np.linalg.norm(p.entities[0])) < 1e-9
 
     def test_transe_translation_invariance(self):
         rng = np.random.default_rng(13)
@@ -152,17 +153,20 @@ class TestScoreProperties:
 
     @pytest.mark.parametrize("kind", list(ModelKind))
     def test_batch_matches_scalar(self, kind):
-        p = make_params(kind, n=15, dim=5, seed=19)
-        rng = np.random.default_rng(19)
-        h = rng.integers(0, 15, size=30)
-        t = rng.integers(0, 15, size=30)
-        batch = scores(p, h, REL, t)
-        singles = [score(p, int(a), REL, int(b)) for a, b in zip(h, t)]
-        if kind in (ModelKind.TRANSR, ModelKind.RESCAL):
-            # BLAS matmul may reassociate differently per batch shape
-            np.testing.assert_allclose(batch, singles, rtol=1e-12, atol=1e-12)
-        else:
-            np.testing.assert_array_equal(batch, singles)
+        # 400 rows at dim 50 put a complex batch's temporaries over numpy's
+        # 256 KiB threshold for reusing a temporary as the output.
+        for rows, dim in [(30, 5), (400, 50)]:
+            p = make_params(kind, n=15, dim=dim, seed=19)
+            rng = np.random.default_rng(19)
+            h = rng.integers(0, 15, size=rows)
+            t = rng.integers(0, 15, size=rows)
+            batch = scores(p, h, REL, t)
+            singles = [score(p, int(a), REL, int(b)) for a, b in zip(h, t)]
+            if kind in (ModelKind.TRANSR, ModelKind.RESCAL):
+                # BLAS matmul may reassociate differently per batch shape
+                np.testing.assert_allclose(batch, singles, rtol=1e-12, atol=1e-12)
+            else:
+                np.testing.assert_array_equal(batch, singles)
 
 
 def finite_difference(p, h, rel, t, arr, step=1e-5):
@@ -342,8 +346,8 @@ def test_complex_kernels_match_halves_oracle(case):
     def close(new, old):
         np.testing.assert_allclose(new, old, rtol=1e-12, atol=1e-12)
 
-    close(spec.score(H, T, b), old_score(Hh, Th, bh, d))
-    dH, dT, dRel = spec.gradients(H, T, b, w)
+    close(spec.score(H.copy(), T.copy(), b), old_score(Hh, Th, bh, d))
+    dH, dT, dRel = spec.gradients(H.copy(), T.copy(), b, w)
     oH, oT, oRel = old_gradients(Hh, Th, bh, d, w)
     close(_halves(dH), oH)
     close(_halves(dT), oT)
@@ -351,5 +355,171 @@ def test_complex_kernels_match_halves_oracle(case):
     for name, g in dRel.items():
         close(_halves(g) if name == "vec" else g, oRel[name])
     for i in range(len(H)):
-        assert spec.at_kink(H[i : i + 1], T[i : i + 1], b) == old_at_kink(Hh[i : i + 1], Th[i : i + 1], bh, d)
-    assert spec.at_kink(H, T, b) == old_at_kink(Hh, Th, bh, d)
+        assert spec.at_kink(H[i : i + 1].copy(), T[i : i + 1].copy(), b) == old_at_kink(
+            Hh[i : i + 1], Th[i : i + 1], bh, d
+        )
+    assert spec.at_kink(H.copy(), T.copy(), b) == old_at_kink(Hh, Th, bh, d)
+
+
+# -- the allocating kernels as the byte-for-byte oracle ----------------------
+# The kernels used to form every step in a fresh array. Those forms stay
+# here as the oracle for the in-place kernels, which must give the same
+# bytes. ComplEx's conjugate is named so numpy cannot reuse a large one as
+# the output of h * conj(t) with the operands swapped.
+
+def _alloc_transe_l1_score(H, T, b):
+    return -np.abs(H + b["vec"] - T).sum(axis=1)
+
+
+def _alloc_transe_l1_gradients(H, T, b, w):
+    dH = -w * np.sign(H + b["vec"] - T)
+    return dH, -dH, {"vec": dH.sum(axis=0)}
+
+
+def _alloc_transe_l2_score(H, T, b):
+    return -np.linalg.norm(H + b["vec"] - T, axis=1)
+
+
+def _alloc_transe_l2_gradients(H, T, b, w):
+    D = H + b["vec"] - T
+    n = np.linalg.norm(D, axis=1, keepdims=True)
+    dH = -w * np.divide(D, n, out=np.zeros_like(D), where=n > 0)
+    return dH, -dH, {"vec": dH.sum(axis=0)}
+
+
+def _alloc_transr_score(H, T, b):
+    U = (H - T) @ b["mat"].T + b["vec"]
+    return -(U * U).sum(axis=1)
+
+
+def _alloc_transr_gradients(H, T, b, w):
+    M = b["mat"]
+    diff = H - T
+    WU = w * (diff @ M.T + b["vec"])
+    dH = -2.0 * (WU @ M)
+    return dH, -dH, {"mat": -2.0 * WU.T @ diff, "vec": -2.0 * WU.sum(axis=0)}
+
+
+def _alloc_rescal_score(H, T, b):
+    return ((H @ b["mat"]) * T).sum(axis=1)
+
+
+def _alloc_rescal_gradients(H, T, b, w):
+    M = b["mat"]
+    return w * (T @ M.T), w * (H @ M), {"mat": (w * H).T @ T}
+
+
+def _alloc_distmult_score(H, T, b):
+    return ((H * T) * b["vec"]).sum(axis=1)
+
+
+def _alloc_distmult_gradients(H, T, b, w):
+    r = b["vec"]
+    return w * (T * r), w * (H * r), {"vec": (w * (H * T)).sum(axis=0)}
+
+
+def _alloc_complex_score(H, T, b):
+    t_conj = T.view(np.complex128).conj()
+    hct = H.view(np.complex128) * t_conj
+    return (hct.view(np.float64) * b["vec"].view(np.complex128).conj().view(np.float64)).sum(axis=1)
+
+
+def _alloc_complex_gradients(H, T, b, w):
+    h, t, r = H.view(np.complex128), T.view(np.complex128), b["vec"].view(np.complex128)
+    dH = w * (t * r.conj()).view(np.float64)
+    dT = w * (h * r).view(np.float64)
+    return dH, dT, {"vec": (w * (h.conj() * t).view(np.float64)).sum(axis=0)}
+
+
+def _alloc_rotate_parts(H, T, b):
+    r = np.exp(1j * b["phase"])
+    h = H.view(np.complex128)
+    hr = h * (r.real + 0j)
+    hr += h * (1j * r.imag)
+    return r, hr, hr - T.view(np.complex128)
+
+
+def _alloc_rotate_score(H, T, b):
+    u = _alloc_rotate_parts(H, T, b)[2].view(np.float64)
+    return -np.sqrt((u * u).sum(axis=1))
+
+
+def _alloc_rotate_gradients(H, T, b, w):
+    r, hr, u = _alloc_rotate_parts(H, T, b)
+    u = u.view(np.float64)
+    n = np.sqrt((u * u).sum(axis=1, keepdims=True))
+    dT = u * np.divide(w, n, out=np.zeros_like(n), where=n > 0)
+    wg = dT.view(np.complex128)
+    dH = -(wg * r.conj()).view(np.float64)
+    return dH, dT, {"phase": (wg.conj() * hr).imag.sum(axis=0)}
+
+
+ALLOCATING_ORACLE = {
+    ModelKind.TRANSE_L1: (_alloc_transe_l1_score, _alloc_transe_l1_gradients),
+    ModelKind.TRANSE_L2: (_alloc_transe_l2_score, _alloc_transe_l2_gradients),
+    ModelKind.TRANSR: (_alloc_transr_score, _alloc_transr_gradients),
+    ModelKind.RESCAL: (_alloc_rescal_score, _alloc_rescal_gradients),
+    ModelKind.DISTMULT: (_alloc_distmult_score, _alloc_distmult_gradients),
+    ModelKind.COMPLEX: (_alloc_complex_score, _alloc_complex_gradients),
+    ModelKind.ROTATE: (_alloc_rotate_score, _alloc_rotate_gradients),
+}
+
+ELISION_BYTES = 256 * 1024  # numpy reuses temporaries at least this large as outputs
+
+# -0.0, values whose squares underflow, and ordinary magnitudes of either sign
+KERNEL_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-170, -1e-170, 5e-324]),
+    st.floats(-2.0, 2.0),
+)
+
+
+@st.composite
+def kernel_cases(draw):
+    """Hypothesis draws a few values and the shape; a seeded generator
+    spreads them over the arrays, which keeps the large examples cheap."""
+    kind = draw(st.sampled_from(list(ModelKind)))
+    spec = SPECS[kind]
+    d = draw(st.integers(1, 8))
+    width = spec.row_dim(d)
+    threshold_rows = ELISION_BYTES // (8 * width)
+    m = draw(st.one_of(st.integers(1, 64), st.integers(threshold_rows - 2, threshold_rows + 40)))
+    values = draw(st.lists(KERNEL_FLOATS, min_size=1, max_size=8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    H, T = rng.choice(values, size=(m, width)), rng.choice(values, size=(m, width))
+    w = rng.choice(values + [0.0], size=(m, 1))
+    b = {name: rng.choice(values, size=shape) for name, shape in spec.relation_blocks(d).items()}
+    if "phase" in b:
+        b["phase"] = rng.uniform(-np.pi, np.pi, size=d) * draw(st.sampled_from([0.0, 1.0]))
+    # Rows whose residual is exactly zero: t = h + r, or t = h under the
+    # identity rotation, else h = t = 0.
+    kink = rng.random(m) < draw(st.sampled_from([0.0, 0.25, 1.0]))
+    if kind is ModelKind.TRANSE_L2:
+        T[kink] = H[kink] + b["vec"]
+    elif kind is ModelKind.ROTATE:
+        if b["phase"].any():
+            H[kink] = T[kink] = 0.0
+        else:
+            T[kink] = H[kink]
+    return kind, H, T, b, w
+
+
+@given(kernel_cases())
+def test_kernels_match_allocating_oracle_bytewise(case):
+    kind, H, T, b, w = case
+    spec = SPECS[kind]
+    old_score, old_gradients = ALLOCATING_ORACLE[kind]
+    blocks = {name: block.copy() for name, block in b.items()}
+
+    def same(new, old):
+        assert new.dtype == old.dtype and new.shape == old.shape
+        assert new.tobytes() == old.tobytes()
+
+    same(spec.score(H.copy(), T.copy(), b), old_score(H, T, b))
+    new, old = spec.gradients(H.copy(), T.copy(), b, w), old_gradients(H, T, b, w)
+    same(new[0], old[0])
+    same(new[1], old[1])
+    assert new[2].keys() == old[2].keys()
+    for name in new[2]:
+        same(new[2][name], old[2][name])
+    for name, block in b.items():
+        same(block, blocks[name])
