@@ -59,8 +59,8 @@ from patkg.graph import RELATION_INDEX
 heads, rels, tails = store.triple_arrays()
 written = tails[(heads == inventor.ordinal) & (rels == RELATION_INDEX[RelationKind.WRITE])]
 patent = vocab.refs[int(written[0])]
-ab = knowledge_proximity(params, vocab, inventor, patent)
-ba = knowledge_proximity(params, vocab, patent, inventor)
+ab = knowledge_proximity(params, inventor, patent)
+ba = knowledge_proximity(params, patent, inventor)
 print(f"\nproximity(inventor, patent) = {ab:.4f}")
 print(f"proximity(patent, inventor) = {ba:.4f}  (differs: transformation swapped)")
 

@@ -84,7 +84,7 @@ for a in range(25):
     ]
     portfolios.append(AgentPortfolio(f"agent{a}", EntityKind.INVENTOR, records))
 
-report = run_study(store, portfolios, universe,
+report = run_study(store.vocab, portfolios, universe,
                    {"informed": informed, "uninformed": uninformed}, min_patents=10)
 result = report.classes[EntityKind.INVENTOR]
 print(f"\nstudy over {len(result.agent_ids)} agents:")

@@ -4,7 +4,7 @@ Layout of the single file:
 
     line 1   magic `patkg-archive 1`
     line 2   manifest, one compact JSON object with sorted keys
-    then     `vocab_entities` vocabulary lines (absent when 0)
+    then     `vocab_entities` vocabulary lines, one per entity
     then     the parameter payload, little-endian floats
 
 The payload holds the entity table first, then each relation's blocks in
@@ -12,20 +12,18 @@ relation order (block names sorted within a relation), every matrix
 row-major. Complex-valued rows are interleaved (real, imaginary) on disk,
 the layout they have in memory, so nothing is converted on save or load.
 The manifest pins every shape, so the payload byte length is checked
-exactly.
+exactly, and its `vocab_sha256` pins the vocabulary lines: a load reads
+every embedding row under the label it was trained with, or raises.
 
 Encoding is float32 by default to halve archive size; float64 is the
-bit-exact mode. A creation timestamp is recorded only when
-SOURCE_DATE_EPOCH is set, so that equal inputs always produce
-byte-identical archives.
+bit-exact mode. The manifest holds no timestamp, so equal inputs always
+produce byte-identical archives.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
-from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
@@ -53,13 +51,13 @@ def _relation_shapes(kind: ModelKind, dim: int) -> dict[str, dict[str, list[int]
     return {rel.value: {name: list(shapes[name]) for name in sorted(shapes)} for rel in RelationKind}
 
 
-def save_archive(path, params: ModelParams, vocab: Vocabulary | None = None,
-                 encoding: str = "float32") -> None:
+def save_archive(path, params: ModelParams, vocab: Vocabulary, encoding: str = "float32") -> None:
+    """Write `params` with the vocabulary it was trained against, which must match its fingerprint."""
     if encoding not in _ENCODINGS:
         raise ArchiveError(f"unknown encoding {encoding!r}")
     dtype = np.dtype(_ENCODINGS[encoding]).newbyteorder("<")
-    if vocab is not None and len(vocab) != params.n_entities:
-        raise ArchiveError("vocabulary size does not match entity table")
+    if len(vocab) != params.n_entities or vocab.fingerprint() != params.vocab_fingerprint:
+        raise ArchiveError("vocabulary does not match the entity table and vocab_sha256")
 
     manifest = {
         "kind": params.kind.value,
@@ -68,17 +66,13 @@ def save_archive(path, params: ModelParams, vocab: Vocabulary | None = None,
         "relations": _relation_shapes(params.kind, params.dim),
         "encoding": encoding,
         "vocab_sha256": params.vocab_fingerprint,
-        "vocab_entities": len(vocab) if vocab is not None else 0,
+        "vocab_entities": len(vocab),
     }
-    epoch = os.environ.get("SOURCE_DATE_EPOCH")
-    if epoch is not None:
-        manifest["created"] = datetime.fromtimestamp(int(epoch), tz=timezone.utc).isoformat()
 
     with open(path, "wb") as fh:
         fh.write((MAGIC + "\n").encode("utf-8"))
         fh.write((json.dumps(manifest, sort_keys=True, separators=(",", ":")) + "\n").encode("utf-8"))
-        if vocab is not None:
-            fh.write(("\n".join(vocab.export_lines()) + "\n").encode("utf-8"))
+        fh.write(("\n".join(vocab.export_lines()) + "\n").encode("utf-8"))
         for rel, name, _ in _payload_layout(params.kind, params.n_entities, params.dim):
             block = params.entities if rel is None else params.relations[rel][name]
             fh.write(np.ascontiguousarray(block, dtype=dtype).tobytes())
@@ -89,7 +83,7 @@ def _is_count(value, least: int) -> bool:
 
 
 def _parse_manifest(text: bytes, offset: int):
-    """(kind, dim, n_entities, dtype, n_vocab, fingerprint) from the manifest line."""
+    """(kind, dim, n_entities, dtype, fingerprint) from the manifest line."""
     def bad(reason: str) -> ArchiveError:
         return ArchiveError(f"bad manifest at byte {offset}: {reason}")
 
@@ -104,9 +98,10 @@ def _parse_manifest(text: bytes, offset: int):
     except ValueError:
         raise bad(f"unknown model kind {manifest.get('kind')!r}") from None
     dim, n_entities = manifest.get("dim"), manifest.get("entities")
-    n_vocab = manifest.get("vocab_entities", 0)
-    if not (_is_count(dim, 1) and _is_count(n_entities, 1) and _is_count(n_vocab, 0)):
-        raise bad("dim and entities must be integers >= 1, vocab_entities >= 0")
+    if not (_is_count(dim, 1) and _is_count(n_entities, 1)):
+        raise bad("dim and entities must be integers >= 1")
+    if manifest.get("vocab_entities") != n_entities:
+        raise bad("vocab_entities must equal entities")
     encoding = manifest.get("encoding")
     if not isinstance(encoding, str) or encoding not in _ENCODINGS:
         raise bad(f"unknown encoding {encoding!r}")
@@ -116,14 +111,15 @@ def _parse_manifest(text: bytes, offset: int):
     if manifest.get("relations") != _relation_shapes(kind, dim):
         raise bad("relation block shapes do not match the model kind and dim")
     dtype = np.dtype(_ENCODINGS[encoding]).newbyteorder("<")
-    return kind, dim, n_entities, dtype, n_vocab, fingerprint
+    return kind, dim, n_entities, dtype, fingerprint
 
 
-def load_archive(path) -> tuple[ModelParams, Vocabulary | None]:
-    """Read an archive back into (params, vocab-or-None).
+def load_archive(path) -> tuple[ModelParams, Vocabulary]:
+    """Read an archive back into (params, vocab).
 
     Raises ArchiveError with the offending byte offset when the manifest
-    is malformed or the payload does not match it exactly.
+    is malformed, the vocabulary lines do not hash to its `vocab_sha256`,
+    or the payload does not match it exactly.
     """
     raw = Path(path).read_bytes()
     nl1 = raw.find(b"\n")
@@ -132,24 +128,22 @@ def load_archive(path) -> tuple[ModelParams, Vocabulary | None]:
     nl2 = raw.find(b"\n", nl1 + 1)
     if nl2 < 0:
         raise ArchiveError(f"truncated manifest at byte {len(raw)}")
-    kind, dim, n_entities, dtype, n_vocab, fingerprint = _parse_manifest(raw[nl1 + 1 : nl2], nl1 + 1)
+    kind, dim, n_entities, dtype, fingerprint = _parse_manifest(raw[nl1 + 1 : nl2], nl1 + 1)
 
     pos = nl2 + 1
-    vocab: Vocabulary | None = None
-    if n_vocab:
-        lines = []
-        for _ in range(n_vocab):
-            nl = raw.find(b"\n", pos)
-            if nl < 0:
-                raise ArchiveError(f"truncated vocabulary at byte {pos}")
-            lines.append(raw[pos:nl])
-            pos = nl + 1
-        try:
-            vocab = Vocabulary.from_lines([line.decode("utf-8") for line in lines])
-        except (PatkgError, UnicodeDecodeError) as exc:
-            raise ArchiveError(f"bad vocabulary before byte {pos}: {exc}") from None
-        if len(vocab) != n_entities:
-            raise ArchiveError(f"vocabulary size does not match entity table at byte {pos}")
+    lines = []
+    for _ in range(n_entities):
+        nl = raw.find(b"\n", pos)
+        if nl < 0:
+            raise ArchiveError(f"truncated vocabulary at byte {pos}")
+        lines.append(raw[pos:nl])
+        pos = nl + 1
+    try:
+        vocab = Vocabulary.from_lines([line.decode("utf-8") for line in lines])
+    except (PatkgError, UnicodeDecodeError) as exc:
+        raise ArchiveError(f"bad vocabulary before byte {pos}: {exc}") from None
+    if len(vocab) != n_entities or vocab.fingerprint() != fingerprint:
+        raise ArchiveError(f"vocabulary before byte {pos} does not match vocab_sha256")
 
     layout = _payload_layout(kind, n_entities, dim)
     need = sum(math.prod(shape) for _, _, shape in layout) * dtype.itemsize

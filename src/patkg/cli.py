@@ -135,13 +135,6 @@ def _train_config(args: argparse.Namespace) -> TrainConfig:
     )
 
 
-def _load_archive_with_vocab(path):
-    params, vocab = archive.load_archive(path)
-    if vocab is None:
-        raise PatkgError(f"archive {path} carries no vocabulary")
-    return params, vocab
-
-
 def _cmd_ingest(args) -> int:
     store = ingestion.parse_triples_file(args.triples_path)
     ingestion.write_triples_file(store, args.out_store_path)
@@ -186,7 +179,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_neighbors(args) -> int:
-    params, vocab = _load_archive_with_vocab(args.archive_path)
+    params, vocab = archive.load_archive(args.archive_path)
     focal = vocab.refs[vocab.ordinal_of_label(args.focal)]
     kind_filter = {EntityKind(k) for k in args.kind_filter} if args.kind_filter else None
     hits = proximity.nearest_neighbors(
@@ -198,7 +191,7 @@ def _cmd_neighbors(args) -> int:
 
 
 def _cmd_proximity(args) -> int:
-    params, vocab = _load_archive_with_vocab(args.archive_path)
+    params, vocab = archive.load_archive(args.archive_path)
     # Lines as parse_triples_file reads them: not splitlines(), which also breaks
     # inside ids, and only the newline stripped, since an id may end in whitespace.
     with open(args.entities_path, encoding="utf-8") as fh:
@@ -219,7 +212,7 @@ def _cmd_expansion(args) -> int:
     models = {}
     vocab = None
     for path in args.archive_paths:
-        params, arc_vocab = _load_archive_with_vocab(path)
+        params, arc_vocab = archive.load_archive(path)
         vocab = vocab or arc_vocab
         name = params.kind.value
         if name in models:
@@ -241,7 +234,7 @@ def _cmd_expansion(args) -> int:
 
 
 def _cmd_export_embeddings(args) -> int:
-    params, vocab = _load_archive_with_vocab(args.archive_path)
+    params, vocab = archive.load_archive(args.archive_path)
     kind_filter = {EntityKind(k) for k in args.kind_filter} if args.kind_filter else None
     reports.write_text(args.out_tsv_path, reports.embeddings_tsv(params, vocab, kind_filter))
     print(f"exported embeddings -> {args.out_tsv_path}")

@@ -32,7 +32,7 @@ from .errors import (
     TooFewTargets,
     UnknownGroup,
 )
-from .graph import EntityKind, EntityRef, TripleStore, Vocabulary
+from .graph import EntityKind, EntityRef, Vocabulary
 from .ingestion import AgentPortfolio
 from .models import ModelParams
 from .proximity import pairwise_matrix
@@ -184,9 +184,10 @@ def cumulative_distribution(profile: ExpansionProfile) -> list[tuple[float, floa
     """Step samples of F(x) = |{pp >= x}| / n at 0, every distinct value, and 1."""
     if len(profile) == 0:
         raise EmptyProfile("profile has no entries")
-    entries = np.asarray(profile.entries)
+    n = len(profile)
     xs = sorted({0.0, 1.0} | set(profile.entries))
-    return [(float(x), float((entries >= x).mean())) for x in xs]
+    at_least = n - np.searchsorted(np.sort(profile.entries), xs, "left")
+    return [(float(x), count / n) for x, count in zip(xs, at_least.tolist())]
 
 
 def auc(profile: ExpansionProfile) -> float:
@@ -243,7 +244,7 @@ class ExpansionReport:
 
 
 def run_study(
-    store_or_vocab: TripleStore | Vocabulary,
+    vocab: Vocabulary,
     portfolios: list[AgentPortfolio],
     universe: list[str],
     models: dict[str, ModelParams],
@@ -257,7 +258,6 @@ def run_study(
     remain has no entry in `classes`. All model fingerprints must match
     the one vocabulary.
     """
-    vocab = store_or_vocab.vocab if isinstance(store_or_vocab, TripleStore) else store_or_vocab
     if not models:
         raise InconsistentModelSets("no models given")
     for params in models.values():

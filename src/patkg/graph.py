@@ -124,7 +124,7 @@ class Vocabulary:
     def __init__(self) -> None:
         self.ordinals: dict[str, int] = {}  # label -> ordinal, in ordinal order; read-only to callers
         self.kinds = array("b")  # KIND_INDEX code per ordinal; read-only to callers
-        self._derived: dict = {}  # "refs" and per-EntityKind ordinals, dropped by every new entity
+        self._derived: dict = {}  # "refs", "fingerprint", per-EntityKind ordinals; dropped by every new entity
 
     def __len__(self) -> int:
         return len(self.kinds)
@@ -190,11 +190,14 @@ class Vocabulary:
         return vocab
 
     def fingerprint(self) -> str:
-        digest = hashlib.sha256()
-        for line in self.export_lines():
-            digest.update(line.encode("utf-8"))
-            digest.update(b"\n")
-        return digest.hexdigest()
+        """SHA-256 of the export lines, each ended by a newline."""
+        if "fingerprint" not in self._derived:
+            digest = hashlib.sha256()
+            for line in self.export_lines():
+                digest.update(line.encode("utf-8"))
+                digest.update(b"\n")
+            self._derived["fingerprint"] = digest.hexdigest()
+        return self._derived["fingerprint"]
 
 
 def pack_keys(heads, rels, tails) -> np.ndarray:
@@ -433,12 +436,13 @@ def generate_synthetic(
     ordinals = np.array(patents, dtype=np.int64).ravel()
     community_of = np.repeat(np.arange(communities), patents_per_community)
     n_pat = len(ordinals)
-    draws = rng.random((n_pat, n_pat))
-    prob = np.where(
-        community_of[:, None] == community_of[None, :], intra_cite_prob, inter_cite_prob
-    )
-    np.fill_diagonal(prob, 0.0)
-    i, j = np.nonzero(draws < prob)
-    cites = np.stack([ordinals[i], np.full(len(i), code[RelationKind.CITE]), ordinals[j]], axis=1)
-    store.add_triples(*np.concatenate([np.array(rows, dtype=np.int64), cites]).T)
+    parts = [np.array(rows, dtype=np.int64)]
+    # blocks of citing rows take the stream in the order one n_pat x n_pat draw would
+    for start in range(0, n_pat, 256):
+        block = np.arange(start, min(start + 256, n_pat))
+        prob = np.where(community_of[block, None] == community_of, intra_cite_prob, inter_cite_prob)
+        prob[block - start, block] = 0.0
+        i, j = np.nonzero(rng.random(prob.shape) < prob)
+        parts.append(np.stack([ordinals[i + start], np.full(len(i), code[RelationKind.CITE]), ordinals[j]], axis=1))
+    store.add_triples(*np.concatenate(parts).T)
     return store

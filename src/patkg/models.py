@@ -303,23 +303,25 @@ def _distmult_gradients(H, T, b, w):
 # numpy's complex multiply may fuse a real product into an FMA, so a*b and b*a
 # can round apart: each product here keeps one operand order. a * b.conj() would
 # reuse a b.conj() over 256 KiB as its output, operands swapped, so none is written.
+# A one-element product written over an operand rounds without that FMA, so each
+# product whose terms are both nonzero gets an output of its own.
 
 def _complex_score(H, T, b):
     # Re(r h conj(t)) = Re(h conj(t)) Re(r) + Im(h conj(t)) Im(conj(r)), summed
     # elementwise per row so a batch scores exactly as its single triples.
     h, t = H.view(np.complex128), T.view(np.complex128)
-    np.multiply(h, np.conjugate(t, out=t), out=h)
-    return np.multiply(H, b["vec"].view(np.complex128).conj().view(np.float64), out=H).sum(axis=1)
+    hct = (h * np.conjugate(t, out=t)).view(np.float64)
+    return np.multiply(hct, b["vec"].view(np.complex128).conj().view(np.float64), out=hct).sum(axis=1)
 
 
 def _complex_gradients(H, T, b, w):
     h, t, r = H.view(np.complex128), T.view(np.complex128), b["vec"].view(np.complex128)
     hc = np.conjugate(h)
-    d_vec = np.multiply(hc, t, out=hc).view(np.float64)
+    d_vec = (hc * t).view(np.float64)
     d_vec *= w
-    t *= r.conj()
-    h *= r
-    return np.multiply(T, w, out=T), np.multiply(H, w, out=H), {"vec": d_vec.sum(axis=0)}
+    dT = np.multiply(h, r, out=hc).view(np.float64)
+    np.multiply(t, r.conj(), out=h)
+    return np.multiply(H, w, out=H), np.multiply(dT, w, out=dT), {"vec": d_vec.sum(axis=0)}
 
 
 def _rotate_parts(H, T, b):
@@ -344,7 +346,7 @@ def _rotate_gradients(H, T, b, w):
     n = np.sqrt(np.square(T, out=H).sum(axis=1, keepdims=True))
     T *= np.divide(w, n, out=np.zeros_like(n), where=n > 0)  # w g, g = d(-score)/d u
     h = H.view(np.complex128)
-    d_phase = np.multiply(np.conjugate(wg, out=h), hr, out=hr).imag.sum(axis=0)
+    d_phase = (np.conjugate(wg, out=h) * hr).imag.sum(axis=0)
     np.multiply(wg, r.conj(), out=h)
     return np.negative(H, out=H), T, {"phase": d_phase}
 

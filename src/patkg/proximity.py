@@ -97,7 +97,6 @@ def _moved(params: ModelParams, rows: np.ndarray, kind: EntityKind, focal_kind: 
 
 def transform(
     params: ModelParams,
-    vocab: Vocabulary,
     target: EntityRef,
     focal_kind: EntityKind,
     mode: TransformMode = TransformMode.TRANSLATION_ALGEBRA,
@@ -108,14 +107,13 @@ def transform(
 
 def knowledge_proximity(
     params: ModelParams,
-    vocab: Vocabulary,
     focal: EntityRef,
     target: EntityRef,
     mode: TransformMode = TransformMode.TRANSLATION_ALGEBRA,
 ) -> float:
     """Cosine between the focal row and the kind-transformed target row."""
     return cosine(
-        params.entity_row(focal.ordinal), transform(params, vocab, target, focal_kind=focal.kind, mode=mode)
+        params.entity_row(focal.ordinal), transform(params, target, focal_kind=focal.kind, mode=mode)
     )
 
 
@@ -179,11 +177,11 @@ def pairwise_matrix(
 ) -> np.ndarray:
     """Cosine matrix after transforming every entity to `common_kind`.
 
-    Exactly symmetric with a unit diagonal.
+    Exactly symmetric with a unit diagonal. `vocab` is unused; callers pass it positionally.
     """
     if not entities:
         raise InvalidConfig("entities must be non-empty")
-    rows = np.stack([transform(params, vocab, e, common_kind, mode) for e in entities])
+    rows = np.stack([transform(params, e, common_kind, mode) for e in entities])
     norms = np.linalg.norm(rows, axis=1, keepdims=True)
     if np.any(norms == 0.0):
         raise ZeroVector("transformed embedding has zero norm")

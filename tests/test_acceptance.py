@@ -335,7 +335,7 @@ def test_criterion_09_expansion_discrimination():
         phi = group_proximity_matrix(oracle, store.vocab, universe)
         portfolios = _simulated_agents(universe, phi, n_agents=60, entries_per_agent=30, seed=93)
 
-        report = run_study(store, portfolios, universe,
+        report = run_study(store.vocab, portfolios, universe,
                            {"oracle": oracle, "random": random_model}, min_patents=30)
         result = report.classes[EntityKind.INVENTOR]
         assert len(result.agent_ids) == 60
@@ -374,8 +374,8 @@ def test_criterion_10_transformation_consistency(accept_store, trained_models):
 
         inventor = inventors[0]
         patent = vocab.refs[patents_of(inventor)[0]]
-        ab = knowledge_proximity(params, vocab, inventor, patent)
-        ba = knowledge_proximity(params, vocab, patent, inventor)
+        ab = knowledge_proximity(params, inventor, patent)
+        ba = knowledge_proximity(params, patent, inventor)
         assert abs(ab - ba) > 1e-6
 
 

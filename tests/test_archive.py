@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from patkg.archive import load_archive, save_archive
 from patkg.errors import ArchiveError
-from patkg.graph import RelationKind, generate_synthetic
+from patkg.graph import RelationKind, Vocabulary, generate_synthetic
 from patkg.models import ModelKind, init_params
 
 
@@ -38,9 +38,9 @@ def test_float64_round_trip_bit_exact(store, kind, tmp_path):
 def test_float32_round_trip_within_precision(store, tmp_path):
     params = params_for(store, ModelKind.TRANSE_L2)
     path = tmp_path / "a.kge"
-    save_archive(path, params, encoding="float32")
+    save_archive(path, params, vocab=store.vocab, encoding="float32")
     loaded, vocab = load_archive(path)
-    assert vocab is None
+    assert vocab.export_lines() == store.vocab.export_lines()
     np.testing.assert_allclose(loaded.entities, params.entities, rtol=1e-6, atol=1e-7)
 
 
@@ -60,7 +60,7 @@ def test_manifest_first_two_lines(store, tmp_path):
 def test_payload_length_checked(store, tmp_path):
     params = params_for(store, ModelKind.TRANSE_L2)
     path = tmp_path / "a.kge"
-    save_archive(path, params)
+    save_archive(path, params, vocab=store.vocab)
     raw = path.read_bytes()
     path.write_bytes(raw[:-8])
     with pytest.raises(ArchiveError) as err:
@@ -84,13 +84,27 @@ def test_byte_identical_without_source_date_epoch(store, tmp_path, monkeypatch):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_created_stamp_from_source_date_epoch(store, tmp_path, monkeypatch):
-    monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+def test_save_rejects_a_vocabulary_of_another_fingerprint(store, tmp_path):
     params = params_for(store, ModelKind.TRANSE_L2)
+    lines = store.vocab.export_lines()
+    lines[-1] += "x"  # one label renamed: same size, other fingerprint
+    other = Vocabulary.from_lines(lines)
+    assert len(other) == len(store.vocab)
+    with pytest.raises(ArchiveError):
+        save_archive(tmp_path / "a.kge", params, vocab=other)
+    assert not (tmp_path / "a.kge").exists()
+
+
+def test_vocab_entities_must_equal_entities(store, tmp_path):
     path = tmp_path / "a.kge"
-    save_archive(path, params)
-    manifest = json.loads(path.read_bytes().split(b"\n", 2)[1])
-    assert manifest["created"].startswith("2023-11-14")
+    save_archive(path, params_for(store, ModelKind.TRANSE_L2), vocab=store.vocab)
+    magic, manifest_line, rest = path.read_bytes().split(b"\n", 2)
+    manifest = json.loads(manifest_line)
+    for n_vocab in (0, manifest["entities"] - 1, manifest["entities"] + 1):
+        manifest["vocab_entities"] = n_vocab
+        path.write_bytes(b"\n".join([magic, json.dumps(manifest).encode(), rest]))
+        with pytest.raises(ArchiveError, match="byte 16: vocab_entities must equal entities"):
+            load_archive(path)
 
 
 def test_complex_interleaving_on_disk(store, tmp_path):
@@ -98,10 +112,11 @@ def test_complex_interleaving_on_disk(store, tmp_path):
     params = params_for(store, ModelKind.COMPLEX, dim=2)
     params.entities.view(np.complex128)[0] = [1 + 3j, 2 + 4j]
     path = tmp_path / "a.kge"
-    save_archive(path, params, encoding="float64")
+    save_archive(path, params, vocab=store.vocab, encoding="float64")
     raw = path.read_bytes()
-    header_end = raw.index(b"\n", raw.index(b"\n") + 1) + 1
-    row0 = np.frombuffer(raw, dtype="<f8", count=4, offset=header_end)
+    vocab_lines = "".join(line + "\n" for line in store.vocab.export_lines()).encode()
+    payload_start = raw.index(vocab_lines) + len(vocab_lines)
+    row0 = np.frombuffer(raw, dtype="<f8", count=4, offset=payload_start)
     np.testing.assert_array_equal(row0, [1.0, 3.0, 2.0, 4.0])
 
 

@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, outputs, end-to-end determinism."""
 
 import json
+import re
 import subprocess
 import sys
 import types
@@ -299,12 +300,27 @@ class TestProximityCommands:
     def test_unknown_entity_exit_1(self, archive, tmp_path, capsys):
         no_labels = tmp_path / "none.txt"
         no_labels.write_text("# no entities\n")
-        magic, _, rest = archive.read_bytes().split(b"\n", 2)
+        raw = archive.read_bytes()
+        magic, manifest_line, rest = raw.split(b"\n", 2)
         bad_archives = {}
         for name, manifest in (("kind", '{"kind":"transx"}'), ("keys", '{"kind":"transe_l2"}'),
                                ("list", "[1, 2]")):
             bad_archives[name] = tmp_path / f"{name}.kge"
             bad_archives[name].write_bytes(b"\n".join([magic, manifest.encode(), rest]))
+        # vocabulary lines that disagree with vocab_sha256: every row would be read under a wrong label
+        first, second = b"\tpatent:p000_00000\n", b"\tpatent:p000_00001\n"
+        i, j = raw.index(first), raw.index(second)
+        sha = json.loads(manifest_line)["vocab_sha256"].encode()
+        edited = {
+            "swapped": raw[:i] + second + raw[i + len(first):j] + first + raw[j + len(second):],
+            "renamed": raw.replace(first, b"\tpatent:p999_00000\n", 1),
+            "sha": raw.replace(sha, sha[::-1], 1),
+        }
+        for name, data in edited.items():
+            bad_archives[name] = tmp_path / f"{name}.kge"
+            bad_archives[name].write_bytes(data)
+        known = tmp_path / "known.txt"
+        known.write_text("patent:p000_00000\ninventor:i000_0000\n")
         # a label the vocabulary lacks, malformed or not, is an unknown entity
         for label in ("patent:missing", "foo:bar", "patent", "patent:"):
             listing = tmp_path / "labels.txt"
@@ -320,11 +336,17 @@ class TestProximityCommands:
         ] + [
             (["neighbors", path, "patent:p000_00000", tmp_path / "o.tsv"], "ArchiveError")
             for path in bad_archives.values()
+        ] + [
+            (argv, "ArchiveError") for name in ("swapped", "renamed", "sha") for argv in (
+                ["proximity", bad_archives[name], known, "patent", tmp_path / "m.tsv"],
+                ["export-embeddings", bad_archives[name], tmp_path / "e.tsv"])
         ]
         for argv, kind in cases:
             assert run_cli(*argv) == 1
             err = capsys.readouterr().err
             assert err.startswith(f"error: {kind}:") and err.count("\n") == 1, err
+            if kind == "ArchiveError":
+                assert re.search(r"\bbyte \d+\b", err), err
 
 
 def portfolio_lines():

@@ -374,6 +374,20 @@ class TestCumulativeDistribution:
             cumulative_distribution(profile())
 
 
+def cumulative_distribution_oracle(entries):
+    """One scan of the profile per distinct value, as the CDF was first computed."""
+    array = np.asarray(entries)
+    return [(float(x), float((array >= x).mean())) for x in sorted({0.0, 1.0} | set(entries))]
+
+
+@given(st.lists(st.sampled_from([0.0, 1.0, 0.5, 1 / 3]) | st.floats(0.0, 1.0), min_size=1, max_size=60))
+@example([0.0])
+@example([1.0, 1.0, 0.0])
+@example([1 / 3] * 7 + [0.0] * 3)
+def test_cumulative_distribution_matches_scan_oracle(entries):
+    assert cumulative_distribution(profile(*entries)) == cumulative_distribution_oracle(entries)
+
+
 class TestAuc:
     def test_ideal_profile(self):
         assert auc(profile(1.0, 1.0, 1.0)) == 1.0
@@ -437,7 +451,7 @@ class TestGroupProximity:
 
     def proximity(self, params, vocab, g1, g2):
         ref = lambda code: vocab.refs[vocab.ordinal_of(EntityKind.GROUP, code)]
-        return knowledge_proximity(params, vocab, ref(g1), ref(g2))
+        return knowledge_proximity(params, ref(g1), ref(g2))
 
     def test_self_proximity(self):
         store = self.build()
@@ -519,14 +533,14 @@ class TestRunStudy:
 
     def test_single_model_explainability_one(self):
         store, portfolios = self.build_world()
-        report = run_study(store, portfolios, UNIVERSE, {"only": self.model(store, 1)},
+        report = run_study(store.vocab, portfolios, UNIVERSE, {"only": self.model(store, 1)},
                            min_patents=1)
         result = report.classes[EntityKind.INVENTOR]
         assert result.explainability == {"only": 1.0}
 
     def test_min_patents_excludes(self):
         store, portfolios = self.build_world(n_agents=3, patents_per_agent=4)
-        report = run_study(store, portfolios, UNIVERSE, {"m": self.model(store, 1)},
+        report = run_study(store.vocab, portfolios, UNIVERSE, {"m": self.model(store, 1)},
                            min_patents=30)
         assert report.classes == {}
         assert report.below_min_patents == {EntityKind.INVENTOR: 3, EntityKind.ASSIGNEE: 0}
@@ -538,7 +552,7 @@ class TestRunStudy:
         filler = make_portfolio("filler", [("f0", "1980-01-01", UNIVERSE[:4]),
                                            ("f1", "1981-01-01", ["E01E"]),
                                            ("f2", "1982-01-01", ["F01F"])])
-        report = run_study(store, short + portfolios[2:] + [stayer, filler], UNIVERSE,
+        report = run_study(store.vocab, short + portfolios[2:] + [stayer, filler], UNIVERSE,
                            {"m": self.model(store, 1)}, min_patents=3)
         result = report.classes[EntityKind.INVENTOR]
         assert result.agent_ids == ["agent2", "filler"]
@@ -551,17 +565,17 @@ class TestRunStudy:
         store, _ = self.build_world(n_agents=0)
         codes = UNIVERSE * 5
         agent = make_portfolio("big", [(f"p{i}", f"{1950 + i}-01-01", [codes[i]]) for i in range(29)])
-        report = run_study(store, [agent], UNIVERSE, {"m": self.model(store, 1)}, min_patents=29)
+        report = run_study(store.vocab, [agent], UNIVERSE, {"m": self.model(store, 1)}, min_patents=29)
         assert report.classes[EntityKind.INVENTOR].agent_ids == ["big"]
         assert report.below_min_patents[EntityKind.INVENTOR] == 0
-        report = run_study(store, [agent], UNIVERSE, {"m": self.model(store, 1)}, min_patents=30)
+        report = run_study(store.vocab, [agent], UNIVERSE, {"m": self.model(store, 1)}, min_patents=30)
         assert report.classes == {}
         assert report.below_min_patents[EntityKind.INVENTOR] == 1
 
     def test_explainability_sums_to_one(self):
         store, portfolios = self.build_world()
         models = {"m1": self.model(store, 1), "m2": self.model(store, 2)}
-        report = run_study(store, portfolios, UNIVERSE, models, min_patents=1)
+        report = run_study(store.vocab, portfolios, UNIVERSE, models, min_patents=1)
         result = report.classes[EntityKind.INVENTOR]
         assert abs(sum(result.explainability.values()) - 1.0) < 1e-12
         assert set(result.combined_auc) == {"m1", "m2"}

@@ -1,5 +1,6 @@
 """Triple store, splitting, corruption sampling and the synthetic generator."""
 
+import hashlib
 from array import array
 from contextlib import nullcontext
 
@@ -335,7 +336,7 @@ class VocabularyOracle:
         return vocab
 
     def fingerprint(self):
-        return Vocabulary.fingerprint(self)
+        return hashlib.sha256("".join(line + "\n" for line in self.export_lines()).encode()).hexdigest()
 
 
 # labels of every kind, with empty, colon-bearing and non-ASCII ids
@@ -611,3 +612,59 @@ class TestGenerateSynthetic:
             generate_synthetic(1, 1, 1, 1, 0.1, 0.2, seed=0)
         with pytest.raises(InvalidConfig):
             generate_synthetic(1, 1, 1, 1, 1.5, 0.0, seed=0)
+
+
+def synthetic_full_matrix_oracle(communities, patents_per_community, inventors_per_community,
+                                 assignees_per_community, intra_cite_prob, inter_cite_prob, seed=0):
+    """`generate_synthetic` as it drew citations before row blocks: one n_pat x n_pat draw."""
+    rng = np.random.default_rng(seed)
+    store = TripleStore()
+    add = store.vocab.add_label
+    n_sub = -(-communities // 4)
+    sub_codes = [f"{chr(65 + j % 26)}{j // 26:02d}" for j in range(n_sub)]
+    subsections = [add(f"subsection:{code}") for code in sub_codes]
+    groups = [add(f"group:{sub_codes[c % n_sub]}{chr(65 + c // n_sub)}") for c in range(communities)]
+    patents, inventors, assignees = [], [], []
+    for c in range(communities):
+        patents.append([add(f"patent:p{c:03d}_{i:05d}") for i in range(patents_per_community)])
+        inventors.append([add(f"inventor:i{c:03d}_{i:04d}") for i in range(inventors_per_community)])
+        assignees.append([add(f"assignee:a{c:03d}_{i:03d}") for i in range(assignees_per_community)])
+    code = RELATION_INDEX
+    rows = [(subsections[c % n_sub], code[RelationKind.COMPRISE], g) for c, g in enumerate(groups)]
+    for c in range(communities):
+        n_inv = inventors_per_community
+        inv_pick = rng.integers(0, n_inv, size=patents_per_community)
+        inv_pick2 = (inv_pick + rng.integers(1, n_inv, size=patents_per_community)) % n_inv if n_inv > 1 else None
+        own_pick = rng.integers(0, assignees_per_community, size=patents_per_community)
+        for i, patent in enumerate(patents[c]):
+            rows.append((groups[c], code[RelationKind.CONTAIN], patent))
+            rows.append((inventors[c][int(inv_pick[i])], code[RelationKind.WRITE], patent))
+            if inv_pick2 is not None:
+                rows.append((inventors[c][int(inv_pick2[i])], code[RelationKind.WRITE], patent))
+            rows.append((assignees[c][int(own_pick[i])], code[RelationKind.OWN], patent))
+    ordinals = np.array(patents, dtype=np.int64).ravel()
+    community_of = np.repeat(np.arange(communities), patents_per_community)
+    n_pat = len(ordinals)
+    draws = rng.random((n_pat, n_pat))
+    prob = np.where(community_of[:, None] == community_of[None, :], intra_cite_prob, inter_cite_prob)
+    np.fill_diagonal(prob, 0.0)
+    i, j = np.nonzero(draws < prob)
+    cites = np.stack([ordinals[i], np.full(len(i), code[RelationKind.CITE]), ordinals[j]], axis=1)
+    store.add_triples(*np.concatenate([np.array(rows, dtype=np.int64), cites]).T)
+    return store
+
+
+ACCEPT_ARGS = (5, 330, 60, 12, 0.023, 0.0004)  # 1,650 patents: the last 256-row block is partial
+
+
+@given(counts=st.tuples(st.integers(1, 4), st.integers(1, 90), st.integers(1, 4), st.integers(1, 3)),
+       probs=st.sampled_from([(0.0, 0.0), (0.1, 0.0), (0.3, 0.05), (1.0, 0.001), (0.05, 0.01)]),
+       seed=st.integers(0, 2**32))
+@example(counts=ACCEPT_ARGS[:4], probs=ACCEPT_ARGS[4:], seed=7)
+@example(counts=(1, 1, 1, 1), probs=(0.0, 0.0), seed=0)
+def test_synthetic_row_blocks_match_full_matrix_oracle(counts, probs, seed):
+    store = generate_synthetic(*counts, *probs, seed=seed)
+    oracle = synthetic_full_matrix_oracle(*counts, *probs, seed=seed)
+    assert store.vocab.export_lines() == oracle.vocab.export_lines()
+    for column, want in zip(store.triple_arrays(), oracle.triple_arrays()):
+        assert np.array_equal(column, want)

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from patkg.errors import UnknownOrdinal
 from patkg.graph import RelationKind
@@ -503,6 +503,11 @@ def kernel_cases(draw):
     return kind, H, T, b, w
 
 
+# One-element complex products: numpy rounds one written over its operand without FMA
+@example((ModelKind.COMPLEX, np.array([[1.90575051, 1.90575051]]), np.array([[1.90575051, 1.90575051]]),
+          {"vec": np.array([1.90575051, 1.90575051])}, np.array([[1.90575051]])))
+@example((ModelKind.ROTATE, np.array([[0.5, 0.5]]), np.array([[0.75, 1.1]]), {"phase": np.array([-2.1])},
+          np.array([[0.3]])))
 @given(kernel_cases())
 def test_kernels_match_allocating_oracle_bytewise(case):
     kind, H, T, b, w = case

@@ -128,21 +128,21 @@ class TestTransformRules:
 class TestTransform:
     def test_same_kind_unchanged(self):
         params, vocab, refs = vec_params()
-        out = transform(params, vocab, refs["pat"], E.PATENT)
+        out = transform(params, refs["pat"], E.PATENT)
         np.testing.assert_array_equal(out, params.entities[refs["pat"].ordinal])
 
     def test_algebra_worked_example(self):
         params, vocab, refs = vec_params()
         params.entities[refs["inv"].ordinal] = [1.0, 0.0]
         params.relations[R.WRITE]["vec"][:] = [0.0, 1.0]
-        out = transform(params, vocab, refs["inv"], E.PATENT, TransformMode.TRANSLATION_ALGEBRA)
+        out = transform(params, refs["inv"], E.PATENT, TransformMode.TRANSLATION_ALGEBRA)
         np.testing.assert_array_equal(out, [1.0, 1.0])
 
     def test_guide_literal_worked_example(self):
         params, vocab, refs = vec_params()
         params.entities[refs["inv"].ordinal] = [1.0, 0.0]
         params.relations[R.WRITE]["vec"][:] = [0.0, 1.0]
-        out = transform(params, vocab, refs["inv"], E.PATENT, TransformMode.GUIDE_LITERAL)
+        out = transform(params, refs["inv"], E.PATENT, TransformMode.GUIDE_LITERAL)
         np.testing.assert_array_equal(out, [1.0, -1.0])
 
     @pytest.mark.parametrize("kind", [ModelKind.TRANSR, ModelKind.RESCAL,
@@ -151,34 +151,34 @@ class TestTransform:
         vocab, refs = build_vocab()
         params = init_params(kind, len(vocab), 4, 0, vocab.fingerprint())
         with pytest.raises(UnsupportedModel):
-            transform(params, vocab, refs["inv"], E.PATENT)
+            transform(params, refs["inv"], E.PATENT)
 
     @pytest.mark.parametrize("kind", [ModelKind.TRANSR, ModelKind.RESCAL,
                                       ModelKind.COMPLEX, ModelKind.ROTATE])
     def test_same_kind_proximity_still_allowed(self, kind):
         vocab, refs = build_vocab()
         params = init_params(kind, len(vocab), 4, 0, vocab.fingerprint())
-        value = knowledge_proximity(params, vocab, refs["pat"], refs["pat2"])
+        value = knowledge_proximity(params, refs["pat"], refs["pat2"])
         assert -1.0 <= value <= 1.0
 
 
 class TestKnowledgeProximity:
     def test_self_proximity_one(self):
         params, vocab, refs = vec_params()
-        assert knowledge_proximity(params, vocab, refs["pat"], refs["pat"]) == 1.0
+        assert knowledge_proximity(params, refs["pat"], refs["pat"]) == 1.0
 
     def test_same_kind_is_plain_cosine_and_symmetric(self):
         params, vocab, refs = vec_params()
         a, b = refs["pat"], refs["pat2"]
-        ab = knowledge_proximity(params, vocab, a, b)
-        ba = knowledge_proximity(params, vocab, b, a)
+        ab = knowledge_proximity(params, a, b)
+        ba = knowledge_proximity(params, b, a)
         assert ab == ba
         assert ab == cosine(params.entities[a.ordinal], params.entities[b.ordinal])
 
     def test_cross_kind_asymmetry_witness(self):
         params, vocab, refs = vec_params(dim=4)
-        ab = knowledge_proximity(params, vocab, refs["inv"], refs["pat"])
-        ba = knowledge_proximity(params, vocab, refs["pat"], refs["inv"])
+        ab = knowledge_proximity(params, refs["inv"], refs["pat"])
+        ba = knowledge_proximity(params, refs["pat"], refs["inv"])
         assert abs(ab - ba) > 1e-6
 
 
@@ -211,7 +211,7 @@ class TestNearestNeighbors:
         params, vocab, refs = vec_params(dim=5)
         hits = nearest_neighbors(params, vocab, refs["inv"], k=4)
         for h in hits:
-            want = knowledge_proximity(params, vocab, refs["inv"], h.entity)
+            want = knowledge_proximity(params, refs["inv"], h.entity)
             assert abs(h.proximity - want) < 1e-12
 
 
@@ -362,7 +362,7 @@ def test_moved_rows_match_oracle(case):
     # an ordinal outside the table fails on the row read before any model check
     targets = list(vocab.refs) + [EntityRef(E.INVENTOR, "ghost", len(vocab))]
     for target in targets:
-        assert outcome(transform, params, vocab, target, focal.kind, mode) == outcome(
+        assert outcome(transform, params, target, focal.kind, mode) == outcome(
             oracle_transform, params, vocab, target, focal.kind, mode)
     assert outcome(nearest_neighbors, params, vocab, focal, k, kind_filter, mode) == outcome(
         oracle_nearest_neighbors, params, vocab, focal, k, kind_filter, mode)
@@ -371,4 +371,4 @@ def test_moved_rows_match_oracle(case):
         oracle_pairwise_matrix, params, vocab, entities, common_kind, mode)
     if not params.spec.vector_relations and any(t.kind is not focal.kind for t in entities):
         with pytest.raises(UnsupportedModel):
-            transform(params, vocab, next(t for t in entities if t.kind is not focal.kind), focal.kind, mode)
+            transform(params, next(t for t in entities if t.kind is not focal.kind), focal.kind, mode)

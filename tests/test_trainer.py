@@ -184,9 +184,9 @@ class TestCheckpoint:
         params, _ = train(small_store, ModelKind.COMPLEX,
                           small_config(loss=LossKind.LOGISTIC, normalize_entities=False))
         path = tmp_path / "model.ckpt"
-        save_archive(path, params, encoding="float64")
+        save_archive(path, params, vocab=small_store.vocab, encoding="float64")
         loaded, vocab = load_archive(path)
-        assert vocab is None
+        assert vocab.export_lines() == small_store.vocab.export_lines()
         assert np.array_equal(loaded.entities, params.entities)
         for rel in params.relations:
             for name in params.relations[rel]:
@@ -196,7 +196,7 @@ class TestCheckpoint:
     def test_restore_against_wrong_vocabulary(self, small_store, tmp_path):
         params, _ = train(small_store, ModelKind.TRANSE_L2, small_config(epochs=1))
         path = tmp_path / "model.ckpt"
-        save_archive(path, params, encoding="float64")
+        save_archive(path, params, vocab=small_store.vocab, encoding="float64")
         loaded, _ = load_archive(path)
         check_fingerprint(loaded, small_store.vocab)
         other = generate_synthetic(1, 4, 2, 1, 0.0, 0.0, seed=9)
@@ -206,7 +206,7 @@ class TestCheckpoint:
     def test_truncated_file(self, small_store, tmp_path):
         params, _ = train(small_store, ModelKind.TRANSE_L2, small_config(epochs=1))
         path = tmp_path / "model.ckpt"
-        save_archive(path, params, encoding="float64")
+        save_archive(path, params, vocab=small_store.vocab, encoding="float64")
         data = path.read_bytes()
         path.write_bytes(data[: len(data) - 100])
         with pytest.raises(ArchiveError) as err:
