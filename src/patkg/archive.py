@@ -11,9 +11,12 @@ The payload holds the entity table first, then each relation's blocks in
 relation order (block names sorted within a relation), every matrix
 row-major. Complex-valued rows are interleaved (real, imaginary) on disk,
 the layout they have in memory, so nothing is converted on save or load.
-The manifest pins every shape, so the payload byte length is checked
-exactly, and its `vocab_sha256` pins the vocabulary lines: a load reads
-every embedding row under the label it was trained with, or raises.
+The manifest pins every shape, so the payload is the file's last bytes
+and its length is checked exactly, and its `vocab_sha256` pins the
+vocabulary lines: they are read as a `.vocab` sidecar is, with universal
+newlines, and the export text of what they read as must hash to it. So a
+load reads every embedding row under the label it was trained with, or
+raises.
 
 Encoding is float32 by default to halve archive size; float64 is the
 bit-exact mode. The manifest holds no timestamp, so equal inputs always
@@ -72,7 +75,7 @@ def save_archive(path, params: ModelParams, vocab: Vocabulary, encoding: str = "
     with open(path, "wb") as fh:
         fh.write((MAGIC + "\n").encode("utf-8"))
         fh.write((json.dumps(manifest, sort_keys=True, separators=(",", ":")) + "\n").encode("utf-8"))
-        fh.write(("\n".join(vocab.export_lines()) + "\n").encode("utf-8"))
+        fh.write(vocab.export_text().encode("utf-8"))
         for rel, name, _ in _payload_layout(params.kind, params.n_entities, params.dim):
             block = params.entities if rel is None else params.relations[rel][name]
             fh.write(np.ascontiguousarray(block, dtype=dtype).tobytes())
@@ -131,27 +134,25 @@ def load_archive(path) -> tuple[ModelParams, Vocabulary]:
     kind, dim, n_entities, dtype, fingerprint = _parse_manifest(raw[nl1 + 1 : nl2], nl1 + 1)
 
     pos = nl2 + 1
-    lines = []
-    for _ in range(n_entities):
-        nl = raw.find(b"\n", pos)
-        if nl < 0:
-            raise ArchiveError(f"truncated vocabulary at byte {pos}")
-        lines.append(raw[pos:nl])
-        pos = nl + 1
-    try:
-        vocab = Vocabulary.from_lines([line.decode("utf-8") for line in lines])
-    except (PatkgError, UnicodeDecodeError) as exc:
-        raise ArchiveError(f"bad vocabulary before byte {pos}: {exc}") from None
-    if len(vocab) != n_entities or vocab.fingerprint() != fingerprint:
-        raise ArchiveError(f"vocabulary before byte {pos} does not match vocab_sha256")
-
     layout = _payload_layout(kind, n_entities, dim)
     need = sum(math.prod(shape) for _, _, shape in layout) * dtype.itemsize
-    if len(raw) - pos != need:
-        raise ArchiveError(
-            f"payload length {len(raw) - pos} != expected {need} at byte {pos}"
-        )
+    end = len(raw) - need  # the payload is the file's last `need` bytes
+    if raw.count(b"\n", pos, max(pos, end)) != n_entities or raw[end - 1 : end] != b"\n":
+        if raw.count(b"\n", pos) < n_entities:
+            incomplete = raw.rfind(b"\n", nl2) + 1  # where the first incomplete line starts
+            raise ArchiveError(f"truncated vocabulary at byte {incomplete}")
+        raise ArchiveError(f"{n_entities} vocabulary lines from byte {pos} do not end where "
+                           f"the {need}-byte payload starts, at byte {end}")
+    try:
+        text = raw[pos:end].decode("utf-8")
+        # lines as the `.vocab` sidecar's are read, with universal newlines
+        vocab = Vocabulary.from_lines(text.replace("\r\n", "\n").replace("\r", "\n").split("\n")[:-1])
+    except (PatkgError, UnicodeDecodeError) as exc:
+        raise ArchiveError(f"bad vocabulary before byte {end}: {exc}") from None
+    if len(vocab) != n_entities or vocab.fingerprint() != fingerprint:
+        raise ArchiveError(f"vocabulary before byte {end} does not match vocab_sha256")
 
+    pos = end
     entities = None
     relations: dict[RelationKind, dict[str, np.ndarray]] = {rel: {} for rel in RelationKind}
     for rel, name, shape in layout:

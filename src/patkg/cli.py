@@ -180,7 +180,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_neighbors(args) -> int:
     params, vocab = archive.load_archive(args.archive_path)
-    focal = vocab.refs[vocab.ordinal_of_label(args.focal)]
+    focal = vocab.ref(vocab.ordinal_of_label(args.focal))
     kind_filter = {EntityKind(k) for k in args.kind_filter} if args.kind_filter else None
     hits = proximity.nearest_neighbors(
         params, vocab, focal, args.k, kind_filter, proximity.TransformMode(args.mode)
@@ -196,7 +196,7 @@ def _cmd_proximity(args) -> int:
     # inside ids, and only the newline stripped, since an id may end in whitespace.
     with open(args.entities_path, encoding="utf-8") as fh:
         labels = [line.rstrip("\n") for line in fh if line.strip() and not line.lstrip().startswith("#")]
-    refs = [vocab.refs[vocab.ordinal_of_label(label)] for label in labels]
+    refs = [vocab.ref(vocab.ordinal_of_label(label)) for label in labels]
     matrix = proximity.pairwise_matrix(
         params, vocab, refs, EntityKind(args.common_kind), proximity.TransformMode(args.mode)
     )

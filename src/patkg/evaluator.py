@@ -18,7 +18,7 @@ from enum import Enum
 import numpy as np
 
 from .archive import check_fingerprint
-from .errors import EmptyTestSet, InvalidConfig, PoolTooSmall
+from .errors import EmptyTestSet, InvalidConfig, PoolTooSmall, UnknownOrdinal
 from .graph import (
     CandidatePool,
     RELATION_INDEX,
@@ -28,7 +28,7 @@ from .graph import (
     TripleStore,
     sample_corrupt,
 )
-from .models import ModelParams, scores
+from .models import ModelParams
 
 log = logging.getLogger(__name__)
 
@@ -109,14 +109,22 @@ def rank_target(
     corrupts: np.ndarray,
     tie_rule: TieRule = TieRule.MIDPOINT,
 ) -> float:
-    """Rank of the true entity among the replacement ordinals `corrupts` for `side` (1 is best)."""
-    if side is Side.HEAD:
-        heads = np.concatenate(([triple.head], corrupts))
-        tails = np.full_like(heads, triple.tail)
-    else:
-        tails = np.concatenate(([triple.tail], corrupts))
-        heads = np.full_like(tails, triple.head)
-    s = scores(params, heads, triple.relation, tails)
+    """Rank of the true entity among the replacement ordinals `corrupts` for `side` (1 is best).
+
+    Gathers the rows and calls the model's score kernel itself, as the trainer does;
+    UnknownOrdinal if `triple` or `corrupts` names a row outside the entity table.
+    """
+    n, table = params.n_entities, params.entities
+    corrupts = np.asarray(corrupts, dtype=np.int64)
+    # viewed as unsigned, a negative ordinal is larger than any row count
+    if not (0 <= triple.head < n and 0 <= triple.tail < n) or (
+            corrupts.size and corrupts.view(np.uint64).max() >= n):
+        raise UnknownOrdinal("ordinal outside entity table")
+    original, fixed = (triple.head, triple.tail) if side is Side.HEAD else (triple.tail, triple.head)
+    varied = table[np.concatenate(([original], corrupts))]
+    repeated = np.repeat(table[fixed : fixed + 1], len(varied), axis=0)
+    H, T = (varied, repeated) if side is Side.HEAD else (repeated, varied)
+    s = params.spec.score(H, T, params.relations[triple.relation])
     return _rank_from_scores(float(s[0]), s[1:], tie_rule)
 
 

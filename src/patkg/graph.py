@@ -12,10 +12,12 @@ from __future__ import annotations
 import hashlib
 import logging
 import math
+import operator
 from array import array
 from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 
 import numpy as np
 
@@ -113,6 +115,11 @@ def parse_label(label: str, where: str = "") -> tuple[int, str]:
     return code, source_id
 
 
+def label_kinds(labels: Iterable[str]) -> list[int | None]:
+    """`parse_label`'s KIND_INDEX code of each label, None for a label it rejects."""
+    return [_KIND_CODES.get(kind) if sep else None for kind, sep, _ in map(str.partition, labels, repeat(":"))]
+
+
 class Vocabulary:
     """Dense ordinal-indexed registry of entities, keyed by their `kind:source_id` label.
 
@@ -124,7 +131,7 @@ class Vocabulary:
     def __init__(self) -> None:
         self.ordinals: dict[str, int] = {}  # label -> ordinal, in ordinal order; read-only to callers
         self.kinds = array("b")  # KIND_INDEX code per ordinal; read-only to callers
-        self._derived: dict = {}  # "refs", "fingerprint", per-EntityKind ordinals; dropped by every new entity
+        self._derived: dict = {}  # "labels", "refs", "fingerprint", per-EntityKind ordinals; dropped by every new entity
 
     def __len__(self) -> int:
         return len(self.kinds)
@@ -143,12 +150,20 @@ class Vocabulary:
         """Register (kind, source_id) if new; return its EntityRef either way."""
         return EntityRef(kind, source_id, self.add_label(f"{kind.value}:{source_id}"))
 
+    def ref(self, ordinal: int) -> EntityRef:
+        """The EntityRef of one ordinal, built on each call; UnknownEntity outside the vocabulary."""
+        ordinal = operator.index(ordinal)
+        if not 0 <= ordinal < len(self.kinds):
+            raise UnknownEntity(f"ordinal {ordinal} not in vocabulary")
+        if "labels" not in self._derived:
+            self._derived["labels"] = list(self.ordinals)
+        return EntityRef(KINDS[self.kinds[ordinal]], self._derived["labels"][ordinal].partition(":")[2], ordinal)
+
     @property
     def refs(self) -> list[EntityRef]:
-        """One EntityRef per ordinal, derived on read: a snapshot, so re-read it after `add`."""
+        """`ref` of every ordinal, derived on read: a snapshot, so re-read it after `add`."""
         if "refs" not in self._derived:
-            self._derived["refs"] = [EntityRef(KINDS[code], label.partition(":")[2], ordinal)
-                                     for ordinal, (label, code) in enumerate(zip(self.ordinals, self.kinds))]
+            self._derived["refs"] = [self.ref(ordinal) for ordinal in range(len(self))]
         return self._derived["refs"]
 
     def ordinal_of(self, kind: EntityKind, source_id: str) -> int:
@@ -172,31 +187,48 @@ class Vocabulary:
         """One `<ordinal>\\t<kind>:<source_id>` line per entity, ordinal order."""
         return [f"{ordinal}\t{label}" for label, ordinal in self.ordinals.items()]
 
+    def export_text(self) -> str:
+        """The export lines, each ended by a newline: a `.vocab` sidecar, an archive's vocabulary block."""
+        return "".join([f"{ordinal}\t{label}\n" for label, ordinal in self.ordinals.items()])
+
     @classmethod
     def from_lines(cls, lines: Iterable[str]) -> Vocabulary:
-        """Inverse of `export_lines`; lines may keep their trailing newline, as an open file yields them."""
+        """Inverse of `export_lines`; lines may keep their trailing newline, as an open file yields them.
+
+        Blank lines are skipped. Every other line is `<ordinal>\\t<label>`, with a label
+        `parse_label` accepts and the ordinal the label was first given. The dict and kind
+        codes are built for all lines at once; only if some ordinal is not written as
+        `export_lines` writes it, or a label is rejected, are the lines checked one by one,
+        and the first line that breaks a rule raises.
+        """
+        lines = [line.rstrip("\n") for line in lines]
+        kept = [line for line in lines if line.strip()]
+        labels = [line.partition("\t")[2] for line in kept]
         vocab = cls()
-        for i, line in enumerate(lines):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            ordinal_text, _, label = line.partition("\t")
-            try:
-                contiguous = int(ordinal_text) == vocab.add_label(label)
-            except (ValueError, ParseError):
-                raise ParseError(f"vocabulary line {i}: {line!r} is not <ordinal>\\t<kind>:<id>") from None
-            if not contiguous:
-                raise UnknownEntity(f"vocabulary line {i}: non-contiguous ordinal {ordinal_text}")
+        vocab.ordinals = dict(zip(labels, range(len(labels))))
+        if len(vocab.ordinals) < len(labels):  # a repeated label keeps its first ordinal
+            vocab.ordinals = dict(zip(dict.fromkeys(labels), range(len(labels))))
+        codes = label_kinds(vocab.ordinals)
+        named = map(vocab.ordinals.__getitem__, labels)  # the ordinal each line must carry
+        if None in codes or not all(map(str.startswith, kept, map("{}\t".format, named))):
+            numbers = (i for i, line in enumerate(lines) if line.strip())
+            for i, line, label in zip(numbers, kept, labels):
+                ordinal, ordinal_text = vocab.ordinals[label], line.partition("\t")[0]
+                try:
+                    number = int(ordinal_text)
+                except ValueError:
+                    number = None
+                if number is None or codes[ordinal] is None:  # a label's first line is the first to hold it
+                    raise ParseError(f"vocabulary line {i}: {line!r} is not <ordinal>\\t<kind>:<id>")
+                if number != ordinal:
+                    raise UnknownEntity(f"vocabulary line {i}: non-contiguous ordinal {ordinal_text}")
+        vocab.kinds = array("b", codes)
         return vocab
 
     def fingerprint(self) -> str:
-        """SHA-256 of the export lines, each ended by a newline."""
+        """SHA-256 of `export_text`."""
         if "fingerprint" not in self._derived:
-            digest = hashlib.sha256()
-            for line in self.export_lines():
-                digest.update(line.encode("utf-8"))
-                digest.update(b"\n")
-            self._derived["fingerprint"] = digest.hexdigest()
+            self._derived["fingerprint"] = hashlib.sha256(self.export_text().encode("utf-8")).hexdigest()
         return self._derived["fingerprint"]
 
 
@@ -215,6 +247,8 @@ class TripleStore:
     (`RELATION_INDEX` codes) and `tails` in insertion order, plus the sorted
     `pack_keys` of every triple for membership by binary search. Entity
     ordinals must stay below 2**29 (about 537M entities) for keys to be unique.
+    The keys in (relation, tail, head) order, which `known_ends` needs for
+    heads, are sorted on its first call for them and dropped by `add_triples`.
 
     Construction is single-writer; afterwards the store is treated as
     immutable and is safe for parallel readers. Sampling takes explicit
@@ -224,6 +258,7 @@ class TripleStore:
     def __init__(self, vocab: Vocabulary | None = None) -> None:
         self.vocab = vocab if vocab is not None else Vocabulary()
         self.heads = self.rels = self.tails = self._keys = np.zeros(0, dtype=np.int64)
+        self._keys_by_tail: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.heads)
@@ -290,8 +325,22 @@ class TripleStore:
         self.rels = np.concatenate([self.rels, rels])
         self.tails = np.concatenate([self.tails, tails])
         self._keys = np.sort(np.concatenate([self._keys, keys]))
+        self._keys_by_tail = None
         for column in (self.heads, self.rels, self.tails, self._keys):
             column.flags.writeable = False
+
+    def known_ends(self, side: Side, rel: int, fixed: int) -> np.ndarray:
+        """Ascending ordinals x such that (x, rel, fixed) is stored, for `side` HEAD, or
+        (fixed, rel, x), for TAIL: the low bits of one slice of keys sorted with `fixed`
+        in their middle field."""
+        if side is Side.TAIL:
+            keys = self._keys
+        else:
+            if self._keys_by_tail is None:
+                self._keys_by_tail = np.sort(pack_keys(self.tails, self.rels, self.heads))
+            keys = self._keys_by_tail
+        start = (rel << 58) + (fixed << 29)
+        return keys[keys.searchsorted(start):keys.searchsorted(start + (1 << 29))] & ((1 << 29) - 1)
 
     def triple_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(heads, relation indexes, tails): the store's read-only columns."""
@@ -339,17 +388,22 @@ def corruption_candidates(
     store: TripleStore, t: Triple, side: Side, pool: CandidatePool, filtered: bool
 ) -> np.ndarray:
     """Ascending ordinals that may replace `side` of `t`: the pool minus the original
-    entity and, if `filtered`, minus every entity that would rebuild a stored triple."""
-    original = t.head if side is Side.HEAD else t.tail
+    entity and, if `filtered`, minus every entity that would rebuild a stored triple.
+    UnknownEntity if `t` names an ordinal outside the vocabulary."""
+    vocab, n = store.vocab, len(store.vocab)
+    if not (0 <= t.head < n and 0 <= t.tail < n):
+        raise UnknownEntity(f"{t}: ordinal outside the vocabulary")
+    original, fixed = (t.head, t.tail) if side is Side.HEAD else (t.tail, t.head)
     if pool is CandidatePool.SAME_KIND:
-        candidates = store.vocab.ordinals_of_kind(KINDS[store.vocab.kinds[original]])
+        candidates = vocab.ordinals_of_kind(KINDS[vocab.kinds[original]])
     else:
-        candidates = np.arange(len(store.vocab), dtype=np.int64)
-    candidates = candidates[candidates != original]
+        candidates = np.arange(n, dtype=np.int64)
+    keep = candidates != original
     if filtered:
-        heads, tails = (candidates, t.tail) if side is Side.HEAD else (t.head, candidates)
-        candidates = candidates[~store.contains(heads, RELATION_INDEX[t.relation], tails)]
-    return candidates
+        known = store.known_ends(side, RELATION_INDEX[t.relation], fixed)
+        at = np.minimum(candidates.searchsorted(known), len(candidates) - 1)
+        keep[at[candidates[at] == known]] = False
+    return candidates[keep]
 
 
 def sample_corrupt(

@@ -164,8 +164,8 @@ def nearest_neighbors(
     all_ordinals = np.concatenate(ordinals)
     all_prox = np.concatenate(proximities)
     order = np.lexsort((all_ordinals, -all_prox))[:k]
-    refs = vocab.refs
-    return [NeighborHit(refs[all_ordinals[i]], refs[all_ordinals[i]].kind, float(all_prox[i])) for i in order]
+    refs = [vocab.ref(all_ordinals[i]) for i in order]
+    return [NeighborHit(ref, ref.kind, float(all_prox[i])) for ref, i in zip(refs, order)]
 
 
 def pairwise_matrix(

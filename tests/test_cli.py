@@ -1,16 +1,25 @@
 """Command-line surface: exit codes, outputs, end-to-end determinism."""
 
+import hashlib
+import io
 import json
 import re
 import subprocess
 import sys
+import tempfile
 import types
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from patkg import cli
+from patkg.archive import load_archive
 from patkg.cli import main
+from patkg.errors import ArchiveError
 from patkg.graph import generate_synthetic
 from patkg.ingestion import write_triples_file
 from patkg.models import ModelKind
@@ -347,6 +356,209 @@ class TestProximityCommands:
             assert err.startswith(f"error: {kind}:") and err.count("\n") == 1, err
             if kind == "ArchiveError":
                 assert re.search(r"\bbyte \d+\b", err), err
+
+
+def edited_vocabulary(raw, edit):
+    """`raw` with its vocabulary lines passed through `edit` and `vocab_sha256` recomputed
+    over the edited block, so only the loader's reading of the lines can refuse it."""
+    magic, manifest_line, rest = raw.split(b"\n", 2)
+    manifest = json.loads(manifest_line)
+    end = 0
+    for _ in range(manifest["vocab_entities"]):
+        end = rest.index(b"\n", end) + 1
+    lines = rest[:end].split(b"\n")[:-1]
+    block = b"".join(line + b"\n" for line in edit(lines))
+    manifest["vocab_sha256"] = hashlib.sha256(block).hexdigest()
+    return b"\n".join([magic, json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode(),
+                       block + rest[end:]])
+
+
+def _set(lines, i, line):
+    return lines[:i] + [line] + lines[i + 1:]
+
+
+VOCABULARY_EDITS = {
+    "duplicated label": lambda ls: _set(ls, 5, b"5\t" + ls[4].split(b"\t", 1)[1]),
+    "unknown kind": lambda ls: _set(ls, 5, b"5\tbogus:" + ls[5].split(b":", 1)[1]),
+    "no tab": lambda ls: _set(ls, 5, ls[5].replace(b"\t", b" ", 1)),
+    "01 ordinal": lambda ls: _set(ls, 5, b"0" + ls[5]),
+    "blank line inserted": lambda ls: ls[:5] + [b""] + ls[5:],
+    "blank line for a label": lambda ls: _set(ls, 5, b""),
+    "crlf endings": lambda ls: [line + b"\r" for line in ls],
+    "one crlf ending": lambda ls: _set(ls, 5, ls[5] + b"\r"),
+    "non-utf-8 id": lambda ls: _set(ls, 5, ls[5] + b"\xff"),
+}
+
+
+@pytest.mark.parametrize("name", list(VOCABULARY_EDITS))
+def test_edited_vocabulary_blocks_are_refused(archive, tmp_path, capsys, name):
+    edited = tmp_path / "edited.kge"
+    edited.write_bytes(edited_vocabulary(archive.read_bytes(), VOCABULARY_EDITS[name]))
+    with pytest.raises(ArchiveError):
+        load_archive(edited)
+    assert run_cli("neighbors", edited, "patent:p000_00000", tmp_path / "o.tsv") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ArchiveError: ") and err.count("\n") == 1, err
+    assert not (tmp_path / "o.tsv").exists()
+
+
+def test_recomputed_vocabulary_checksum_reads_the_edited_labels(archive, tmp_path):
+    # the edits above are refused for what they do to the lines, not for the recomputed checksum
+    params, vocab = load_archive(archive)
+    same = tmp_path / "same.kge"
+    same.write_bytes(edited_vocabulary(archive.read_bytes(), lambda ls: ls))
+    assert same.read_bytes() == archive.read_bytes()
+    renamed = tmp_path / "renamed.kge"
+    renamed.write_bytes(edited_vocabulary(archive.read_bytes(), lambda ls: _set(ls, 5, ls[5] + b"x")))
+    loaded, edited_vocab = load_archive(renamed)
+    label = vocab.export_lines()[5].split("\t", 1)[1]
+    assert edited_vocab.ordinal_of_label(label + "x") == 5 and label not in edited_vocab.ordinals
+    assert np.array_equal(loaded.entities, params.entities)
+
+
+# -- the CLI contract over drawn inputs -----------------------------------------------------
+
+CONTRACT_GRAPH = MINIMAL_GRAPH + "inventor:a\x0c\twrite\tpatent:5252504\n"
+
+
+@pytest.fixture(scope="module")
+def contract_files(tmp_path_factory):
+    """Valid bytes of each file a read command takes, by role."""
+    d = tmp_path_factory.mktemp("contract")
+    write_triples_file(generate_synthetic(2, 6, 3, 2, 0.3, 0.05, seed=4), d / "g.tsv")
+    (d / "in.tsv").write_text((d / "g.tsv").read_text() + CONTRACT_GRAPH, encoding="utf-8")
+    (d / "small.tsv").write_text(MINIMAL_GRAPH + "inventor:4074775\twrite\tpatent:5252505\n"
+                                 "patent:5252505\tcite\tpatent:5252504\n")
+    assert run_cli("ingest", d / "in.tsv", d / "store.tsv") == 0
+    assert run_cli("ingest", d / "small.tsv", d / "small_store.tsv") == 0
+    assert run_cli("train", d / "store.tsv", "transe_l2", d / "m.kge", "--dim", "4", "--epochs", "1",
+                   "--train-on-all") == 0
+    return {
+        "archive": (d / "m.kge").read_bytes(),
+        "store": (d / "store.tsv").read_bytes(),
+        "sidecar": (d / "store.tsv.vocab").read_bytes(),
+        "listing": "patent:5252504\ninventor:a\x0c\n# a comment\n\ngroup:H01L\n".encode(),
+        "small_store": (d / "small_store.tsv").read_bytes(),
+        "small_sidecar": (d / "small_store.tsv.vocab").read_bytes(),
+    }
+
+
+def materialize(dest, data, variant):
+    """Write `data` to `dest` as the drawn variant: valid, cut, byte-edited, with an invalid
+    UTF-8 byte, empty, missing, a directory, or (entity lists) naming an unknown label."""
+    kind, at = variant
+    if kind == "missing":
+        return
+    if kind == "directory":
+        dest.mkdir()
+        return
+    at %= len(data) + 1
+    data = {"valid": data, "empty": b"", "truncated": data[:at], "non-utf-8": data[:at] + b"\xff" + data[at:],
+            "edited": data[:at] + bytes([data[at] ^ 0x2A]) + data[at + 1:] if at < len(data) else data,
+            "unknown": data + b"patent:missing\n"}[kind]
+    dest.write_bytes(data)
+
+
+FILE_VARIANTS = st.sampled_from([("valid", 0)] * 3 + [("empty", 0), ("missing", 0), ("directory", 0)]) | st.tuples(
+    st.sampled_from(["truncated", "edited", "non-utf-8"]), st.integers(0, 2**20))
+GOOD, BAD = True, False
+
+
+def _flag(name, good, bad=()):
+    """Tokens of one optional flag, and whether its value is valid."""
+    return st.sampled_from([((), GOOD)] + [((name, str(v)), GOOD) for v in good]
+                           + [((name, str(v)), BAD) for v in bad])
+
+
+def _kind_filter():
+    kinds = ["patent", "inventor", "assignee", "group", "subsection"]
+    return st.lists(st.sampled_from(kinds), unique=True).map(
+        lambda ks: (("--kind-filter", *ks), GOOD)) | st.just(((), GOOD))
+
+
+def _mode():
+    return st.sampled_from([((), GOOD), (("--mode", "guide_literal"), GOOD),
+                            (("--mode", "translation_algebra"), GOOD), (("--mode", "bogus"), BAD)])
+
+
+SEEDS = [-2**63 - 1, -2**63, -1, 0, 1, 2, 2**63 - 1, 2**63]
+FLOATS = ["nan", "inf", "-inf", "-0.0", "1e308", "0", "1", "x"]
+
+
+@st.composite
+def read_commands(draw):
+    """(argv template with `{role}` file slots, variant per role, whether all of it is valid)."""
+    command = draw(st.sampled_from(["eval", "neighbors", "proximity", "export-embeddings"]))
+    if command == "eval":
+        roles = ("archive", "store", "sidecar")
+        argv = ["eval", "{archive}", "{store}", "{out}"]
+        flags = [_flag("-K", [1, 5, 1000], [0, -1, "x"]),
+                 st.sampled_from([((), GOOD), (("--filtered",), GOOD)]),
+                 _flag("--pool", ["same_kind", "all_entities"], ["bogus"]),
+                 _flag("--sides", ["head", "tail", "both"]),
+                 _flag("--tie-rule", ["midpoint", "optimistic", "pessimistic"]),
+                 _flag("--seed", SEEDS[1:-1], [SEEDS[0], SEEDS[-1], "x"]),
+                 _flag("--test-fraction", ["0.1", "0.5"], FLOATS),
+                 _flag("--split-seed", [0, 1, 2**63], [-1, -2**63 - 1])]
+    elif command == "neighbors":
+        roles = ("archive",)
+        focal, good = draw(st.sampled_from([("patent:5252504", GOOD), ("inventor:a\x0c", GOOD),
+                                            ("patent:missing", BAD), ("foo:bar", BAD), ("patent", BAD), ("", BAD)]))
+        argv = ["neighbors", "{archive}", focal, "{out}"]
+        flags = [st.just(((), good)), _flag("-k", [1, 3, 10**6], [0, -1]), _kind_filter(), _mode()]
+    elif command == "proximity":
+        roles = ("archive", "listing")
+        kind = draw(st.sampled_from(["patent", "inventor", "assignee", "group", "subsection", "bogus"]))
+        argv = ["proximity", "{archive}", "{listing}", kind, "{out}"]
+        flags = [st.just(((), kind != "bogus")), _mode()]
+    else:
+        roles = ("archive",)
+        argv = ["export-embeddings", "{archive}", "{out}"]
+        flags = [_kind_filter()]
+    # about half the cases keep every flag valid, and half every file, so valid runs are common
+    clean_flags, clean_files = draw(st.booleans()), draw(st.booleans())
+    good = True
+    for flag in flags:
+        tokens, ok = draw(flag.filter(lambda f: f[1]) if clean_flags else flag)
+        argv += tokens
+        good = good and ok
+    broken = FILE_VARIANTS | st.just(("unknown", 0))
+    variants = {role: ("valid", 0) if clean_files else draw(broken if role == "listing" else FILE_VARIANTS)
+                for role in roles}
+    return tuple(argv), variants, good and all(v == ("valid", 0) for v in variants.values())
+
+
+@given(case=read_commands())
+# 6 triples x 10**14 negatives: numpy refuses the 4.26 PiB before allocating anything
+@example(case=(("train", "{small_store}", "transe_l2", "{out}", "--train-on-all", "--negatives",
+                "100000000000000"), {"small_store": ("valid", 0), "small_sidecar": ("valid", 0)}, False))
+# an id ending in a character str.strip() removes can be listed
+@example(case=(("proximity", "{archive}", "{listing}", "inventor", "{out}"),
+               {"archive": ("valid", 0), "listing": ("valid", 0)}, True))
+@example(case=(("eval", "{archive}", "{store}", "{out}", "--filtered", "--pool", "all_entities"),
+               {"archive": ("valid", 0), "store": ("valid", 0), "sidecar": ("valid", 0)}, True))
+def test_read_commands_keep_the_cli_contract(contract_files, case):
+    argv, variants, valid = case
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {"out": Path(tmp, "out")}
+        for role, variant in variants.items():
+            # a sidecar sits at its store's path plus ".vocab"
+            paths[role] = Path(tmp, role.replace("sidecar", "store") + (".vocab" if "sidecar" in role else ""))
+            materialize(paths[role], contract_files[role], variant)
+        argv = [token.format(**{k: str(v) for k, v in paths.items()}) if "{" in token else token
+                for token in argv]
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = ("usage", exc.code)
+    err = err.getvalue()
+    assert code in (0, 1, ("usage", 2)), (code, err)
+    if code == 1:  # one line, ended by the only newline: messages may hold other line breaks
+        assert re.match(r"error: \w+: ", err) and err.count("\n") == 1 and err.endswith("\n"), err
+    if valid:
+        assert code == 0, err
 
 
 def portfolio_lines():

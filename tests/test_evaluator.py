@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from test_graph import micro_store, reference_candidates
 
-from patkg.errors import EmptyTestSet, FingerprintMismatch
+from patkg.errors import EmptyTestSet, FingerprintMismatch, UnknownOrdinal
 from patkg.evaluator import (
     EvalConfig,
     RankRecord,
@@ -28,7 +28,7 @@ from patkg.graph import (
     generate_synthetic,
     split,
 )
-from patkg.models import ModelKind, init_params, score
+from patkg.models import ModelKind, init_params, score, scores
 
 
 def fixed_params(store, kind=ModelKind.TRANSE_L2, dim=8, seed=21):
@@ -88,6 +88,53 @@ class TestRankTarget:
         corrupts = np.arange(2, 6, dtype=np.int64)  # replacement heads
         assert rank_target(self.params, triple, Side.HEAD, corrupts) == 3.0
         assert rank_target(self.params, triple, Side.HEAD, corrupts[[0, 3]]) == 2.0
+
+
+def rank_through_scores(params, triple, side, corrupts, tie_rule):
+    """`rank_target` as it scored before gathering its own rows: through the checked `scores`."""
+    if side is Side.HEAD:
+        heads = np.concatenate(([triple.head], corrupts))
+        tails = np.full_like(heads, triple.tail)
+    else:
+        tails = np.concatenate(([triple.tail], corrupts))
+        heads = np.full_like(tails, triple.head)
+    s = scores(params, heads, triple.relation, tails)
+    better, ties = int((s[1:] > s[0]).sum()), int((s[1:] == s[0]).sum())
+    return {TieRule.OPTIMISTIC: 1.0 + better, TieRule.PESSIMISTIC: 1.0 + better + ties,
+            TieRule.MIDPOINT: 1.0 + better + ties / 2.0}[tie_rule]
+
+
+@pytest.mark.parametrize("kind", list(ModelKind), ids=lambda k: k.value)
+def test_rank_target_equals_ranking_through_scores(kind):
+    store = generate_synthetic(2, 10, 3, 2, 0.3, 0.05, seed=4)
+    params = fixed_params(store, kind=kind, dim=6, seed=8)
+    before = [params.entities.copy()] + [b.copy() for blocks in params.relations.values() for b in blocks.values()]
+    rng = np.random.default_rng(1)
+    n = len(store.vocab)
+    for t in store.triples[::3]:
+        for side in Side:
+            corrupts = rng.integers(0, n, size=int(rng.integers(0, 12)))
+            corrupts[: len(corrupts) // 3] = t.head if side is Side.HEAD else t.tail  # exact ties
+            for tie in TieRule:
+                assert rank_target(params, t, side, corrupts, tie) == rank_through_scores(params, t, side, corrupts, tie)
+    after = [params.entities] + [b for blocks in params.relations.values() for b in blocks.values()]
+    assert all(np.array_equal(a, b) for a, b in zip(before, after))  # kernels ran on copies
+
+
+def test_rank_target_rejects_ordinals_outside_the_table():
+    store = micro_store()
+    params = fixed_params(store)
+    n = len(store.vocab)
+    ok = np.array([1, 2], dtype=np.int64)
+    for triple, corrupts in ((Triple(-1, RelationKind.CITE, 1), ok), (Triple(0, RelationKind.CITE, n), ok),
+                             (Triple(0, RelationKind.CITE, 1), np.array([1, -1])),
+                             (Triple(0, RelationKind.CITE, 1), np.array([n])),
+                             (Triple(0, RelationKind.CITE, 1), np.array([-2**63, 2]))):
+        for side in Side:
+            with pytest.raises(UnknownOrdinal):
+                rank_target(params, triple, side, corrupts)
+    assert rank_target(params, Triple(0, RelationKind.CITE, 1), Side.TAIL, np.zeros(0, dtype=np.int64)) == 1.0
+    assert rank_target(params, Triple(0, RelationKind.CITE, 1), Side.TAIL, [2, 1]) >= 1.0  # a list is taken too
 
 
 class TestAggregates:

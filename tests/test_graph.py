@@ -19,6 +19,7 @@ from patkg.errors import (
     UnknownEntity,
 )
 from patkg.graph import (
+    KINDS,
     RELATION_INDEX,
     RELATION_SCHEMA,
     RELATIONS,
@@ -33,6 +34,9 @@ from patkg.graph import (
     Vocabulary,
     corruption_candidates,
     generate_synthetic,
+    label_kinds,
+    pack_keys,
+    parse_label,
     sample_corrupt,
     split,
     stats,
@@ -162,6 +166,121 @@ def test_corruption_candidates_match_reference():
                     assert drawn.dtype == np.int64 and drawn.tolist() == expect.tolist()
                     checked += 1
     assert checked > 1000
+
+
+def contains_filter_candidates(store, t, side, pool, filtered):
+    """`corruption_candidates` as it filtered before key slices: the key of every pool
+    member tested with `store.contains`."""
+    original = t.head if side is Side.HEAD else t.tail
+    if pool is CandidatePool.SAME_KIND:
+        candidates = store.vocab.ordinals_of_kind(KINDS[store.vocab.kinds[original]])
+    else:
+        candidates = np.arange(len(store.vocab), dtype=np.int64)
+    candidates = candidates[candidates != original]
+    if filtered:
+        heads, tails = (candidates, t.tail) if side is Side.HEAD else (t.head, candidates)
+        candidates = candidates[~store.contains(heads, RELATION_INDEX[t.relation], tails)]
+    return candidates
+
+
+@st.composite
+def small_store_rows(draw):
+    """Entity kinds by ordinal, then two batches of schema-valid rows, the second added
+    after the first has been queried."""
+    kinds = draw(st.lists(st.sampled_from(list(EntityKind)), min_size=1, max_size=9))
+    valid = [(h, RELATION_INDEX[rel], t) for rel, (hk, tk) in RELATION_SCHEMA.items()
+             for h in range(len(kinds)) for t in range(len(kinds))
+             if (kinds[h], kinds[t]) == (hk, tk) and not (rel is RelationKind.CITE and h == t)]
+    if not valid:
+        return kinds, [], []
+    rows = draw(st.lists(st.sampled_from(valid), unique=True, max_size=20))
+    cut = draw(st.integers(0, len(rows)))
+    return kinds, rows[:cut], rows[cut:]
+
+
+def check_candidates_against_contains_filter(store, kinds):
+    """Every query a schema-valid triple can make, stored or not, against the oracle;
+    sampling follows the candidates and raises PoolTooSmall exactly when they are empty."""
+    for rel, (hk, tk) in RELATION_SCHEMA.items():
+        for h in (o for o, kind in enumerate(kinds) if kind is hk):
+            for t in (o for o, kind in enumerate(kinds) if kind is tk):
+                triple = Triple(h, rel, t)
+                for side in Side:
+                    for pool in CandidatePool:
+                        for filtered in (False, True):
+                            want = contains_filter_candidates(store, triple, side, pool, filtered)
+                            got = corruption_candidates(store, triple, side, pool, filtered)
+                            assert got.dtype == np.int64 and got.tolist() == want.tolist()
+                            if len(want):
+                                drawn = sample_corrupt(store, triple, 2, side, pool, filtered, rng_seed=h + t)
+                                assert set(drawn.tolist()) <= set(want.tolist())
+                            else:
+                                with pytest.raises(PoolTooSmall):
+                                    sample_corrupt(store, triple, 2, side, pool, filtered)
+
+
+CITE, COMPRISE = RELATION_INDEX[RelationKind.CITE], RELATION_INDEX[RelationKind.COMPRISE]
+P, G, S = EntityKind.PATENT, EntityKind.GROUP, EntityKind.SUBSECTION
+
+
+@given(case=small_store_rows())
+@example(case=([P, P], [(0, CITE, 1)], [(1, CITE, 0)]))  # each patent's only other patent is filtered away
+@example(case=([S, G, G, P], [(0, COMPRISE, 1)], [(0, COMPRISE, 2)]))  # relation code 4, ordinal 0 fixed
+@example(case=([P, G, S, G], [(2, COMPRISE, 3), (2, COMPRISE, 1)], []))  # largest ordinal in a slice
+@example(case=([P, P, P], [], []))  # every slice empty
+def test_slice_filtering_matches_contains_filter(case):
+    kinds, first, second = case
+    store = TripleStore()
+    for i, kind in enumerate(kinds):
+        store.add_entity(kind, str(i))
+    for rows in (first, second):  # the (rel, tail, head) keys are rebuilt after each batch
+        store.add_triples(*(np.array(rows, dtype=np.int64).reshape(-1, 3).T))
+        check_candidates_against_contains_filter(store, kinds)
+
+
+def test_known_ends_at_the_key_bit_edges():
+    # ordinals 0 and 2**29 - 1 and relation code 4 fill the packed key's fields to their ends
+    top = 2**29 - 1
+    heads, rels, tails = (np.array(c, dtype=np.int64) for c in
+                          ([top, 0, top, 0, 5], [3, 4, 4, 4, 4], [5, 0, top, top, 0]))
+    store = TripleStore()
+    store.heads, store.rels, store.tails = heads, rels, tails
+    store._keys = np.sort(pack_keys(heads, rels, tails))
+    assert store.known_ends(Side.TAIL, 3, top).tolist() == [5]
+    assert store.known_ends(Side.TAIL, 4, 0).tolist() == [0, top]
+    assert store.known_ends(Side.TAIL, 4, top).tolist() == [top]
+    assert store.known_ends(Side.TAIL, 3, 0).tolist() == []
+    assert store.known_ends(Side.HEAD, 4, top).tolist() == [0, top]
+    assert store.known_ends(Side.HEAD, 4, 0).tolist() == [0, 5]
+    assert store.known_ends(Side.HEAD, 3, 5).tolist() == [top]
+    assert store.known_ends(Side.HEAD, 0, 5).tolist() == []
+
+
+def test_head_side_keys_exist_only_while_needed():
+    store = micro_store()
+    t = store.triples[0]
+    corruption_candidates(store, t, Side.TAIL, CandidatePool.SAME_KIND, True)
+    corruption_candidates(store, t, Side.HEAD, CandidatePool.SAME_KIND, False)
+    assert store._keys_by_tail is None  # ingest, train and raw evaluation never sort them
+    corruption_candidates(store, t, Side.HEAD, CandidatePool.SAME_KIND, True)
+    assert store._keys_by_tail is not None
+    late = store.add_entity(EntityKind.INVENTOR, "late")
+    store.add_triple(Triple(late.ordinal, RelationKind.WRITE, t.tail))
+    assert store._keys_by_tail is None
+    assert store.known_ends(Side.HEAD, RELATION_INDEX[t.relation], t.tail).tolist() == [t.head, late.ordinal]
+
+
+@pytest.mark.parametrize("triple", [(-1, 3), (3, -1), (7, 0), (0, 10**6)], ids=str)
+def test_out_of_vocabulary_ordinals_raise_unknown_entity(triple):
+    store = micro_store()  # 7 entities; ordinals 0-2 are patents
+    t = Triple(triple[0], RelationKind.CITE, triple[1])
+    for side in Side:
+        for pool in CandidatePool:
+            for filtered in (False, True):
+                with pytest.raises(UnknownEntity):
+                    corruption_candidates(store, t, side, pool, filtered)
+                with pytest.raises(UnknownEntity):
+                    sample_corrupt(store, t, 3, side, pool, filtered)
 
 
 # Ordinals 0-3 patents, then one inventor, assignee, group and subsection.
@@ -398,6 +517,94 @@ def test_refs_are_rebuilt_after_add():
     late = vocab.add(EntityKind.GROUP, "H01L")
     assert late == EntityRef(EntityKind.GROUP, "H01L", 2)
     assert vocab.refs == first + [late]
+
+
+def from_lines_loop(lines):
+    """`Vocabulary.from_lines` as it read a sidecar before the bulk build: one `add_label`
+    per line."""
+    vocab = Vocabulary()
+    for i, line in enumerate(lines):
+        line = line.rstrip("\n")
+        if not line.strip():
+            continue
+        ordinal_text, _, label = line.partition("\t")
+        try:
+            contiguous = int(ordinal_text) == vocab.add_label(label)
+        except (ValueError, ParseError):
+            raise ParseError(f"vocabulary line {i}: {line!r} is not <ordinal>\\t<kind>:<id>") from None
+        if not contiguous:
+            raise UnknownEntity(f"vocabulary line {i}: non-contiguous ordinal {ordinal_text}")
+    return vocab
+
+
+def vocab_state(build, lines):
+    """What a caller can read of a built vocabulary, or the error's type and message."""
+    try:
+        vocab = build(lines)
+    except PatkgError as exc:
+        return type(exc), str(exc)
+    return (list(vocab.ordinals.items()), vocab.kinds.tolist(), vocab.export_text(), vocab.fingerprint(),
+            list(vocab.refs))
+
+
+# ordinals written as `int` reads them but `export_lines` does not, and broken lines
+ORDINAL_TEXTS = st.sampled_from(["01", " 1", "1 ", "+1", "1_0", "\u0661", "-0", "", "x", "1.0", "0x1"])
+SIDECAR_LINES = st.one_of(
+    ODD_LINES,
+    st.tuples(ORDINAL_TEXTS | st.integers(0, 6).map(str), VOCAB_LABELS).map("\t".join),
+    st.sampled_from(["\n", "\r", "0\tpatent:a\r", "0\tpatent:a\n\n", "\t", "\x0c", "\u2028"]),
+)
+
+
+@st.composite
+def sidecar_inputs(draw):
+    """Contiguous sidecar lines with up to three lines repeated, edited or inserted anywhere."""
+    lines = [f"{i}\t{label}" for i, label in enumerate(draw(st.lists(VOCAB_LABELS, max_size=8)))]
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(lines)))
+        if lines and draw(st.booleans()):
+            lines.insert(at, lines[draw(st.integers(0, len(lines) - 1))])  # a repeat, same or later ordinal
+        else:
+            lines.insert(at, draw(SIDECAR_LINES))
+    if draw(st.booleans()):
+        lines = [line + "\n" for line in lines]  # as an open file yields them
+    return lines
+
+
+@given(lines=sidecar_inputs())
+@example(lines=["0\tpatent:a", "0\tpatent:a"])  # a repeat naming its first ordinal is accepted
+@example(lines=["0\tpatent:a", "1\tpatent:b", "1\tpatent:b", "02\tpatent:c"])
+@example(lines=["0\tpatent:a", "2\tpatent:a"])
+@example(lines=["0\tpatent:a", "01\tbogus:b"])
+@example(lines=["0\tpatent:a", "  ", "1\tpatent:b", "1"])
+@example(lines=["\u0660\tpatent:a", "\t"])
+@example(lines=[])
+def test_from_lines_matches_per_line_loop(lines):
+    assert vocab_state(Vocabulary.from_lines, lines) == vocab_state(from_lines_loop, lines)
+
+
+@given(label=st.text(max_size=12) | VOCAB_LABELS | st.sampled_from(["patent", "patent:", ":x", "Patent:x"]))
+def test_label_kinds_follow_parse_label(label):
+    try:
+        want = parse_label(label)[0]
+    except ParseError:
+        want = None
+    assert label_kinds([label]) == [want]
+
+
+def test_ref_builds_one_entity_ref():
+    store = generate_synthetic(2, 4, 2, 2, 0.2, 0.01, seed=2)
+    vocab = store.vocab
+    refs = [vocab.ref(o) for o in range(len(vocab))]
+    assert "refs" not in vocab._derived  # no snapshot of every entity behind a lookup
+    assert refs == vocab.refs
+    ref = vocab.ref(np.int64(3))
+    assert type(ref.ordinal) is int and ref == vocab.refs[3]
+    for ordinal in (-1, len(vocab), 10**9):
+        with pytest.raises(UnknownEntity):
+            vocab.ref(ordinal)
+    late = vocab.add(EntityKind.PATENT, "late")
+    assert vocab.ref(late.ordinal) == late
 
 
 class TestSplit:

@@ -214,6 +214,13 @@ class TestNearestNeighbors:
             want = knowledge_proximity(params, refs["inv"], h.entity)
             assert abs(h.proximity - want) < 1e-12
 
+    def test_hits_carry_their_own_refs(self):
+        params, vocab, refs = vec_params(dim=5)
+        hits = nearest_neighbors(params, vocab, refs["inv"], k=3)
+        assert "refs" not in vocab._derived  # only the hits' EntityRefs are built
+        assert [h.entity for h in hits] == [vocab.refs[h.entity.ordinal] for h in hits]
+        assert all(type(h.entity.ordinal) is int and h.kind is h.entity.kind for h in hits)
+
 
 class TestPairwiseMatrix:
     def test_single_entity(self):
