@@ -55,7 +55,8 @@ def _relation_shapes(kind: ModelKind, dim: int) -> dict[str, dict[str, list[int]
 
 
 def save_archive(path, params: ModelParams, vocab: Vocabulary, encoding: str = "float32") -> None:
-    """Write `params` with the vocabulary it was trained against, which must match its fingerprint."""
+    """Write `params` with the vocabulary it was trained against, which must match its fingerprint,
+    in an encoding whose range (float32: about +-3.4e38) holds every value."""
     if encoding not in _ENCODINGS:
         raise ArchiveError(f"unknown encoding {encoding!r}")
     dtype = np.dtype(_ENCODINGS[encoding]).newbyteorder("<")
@@ -72,12 +73,16 @@ def save_archive(path, params: ModelParams, vocab: Vocabulary, encoding: str = "
         "vocab_entities": len(vocab),
     }
 
+    blocks = [params.entities if rel is None else params.relations[rel][name]
+              for rel, name, _ in _payload_layout(params.kind, params.n_entities, params.dim)]
+    if any(max(block.max(), -block.min()) > np.finfo(dtype).max for block in blocks):
+        raise ArchiveError(f"a parameter value is outside the {encoding} range")
+
     with open(path, "wb") as fh:
         fh.write((MAGIC + "\n").encode("utf-8"))
         fh.write((json.dumps(manifest, sort_keys=True, separators=(",", ":")) + "\n").encode("utf-8"))
         fh.write(vocab.export_text().encode("utf-8"))
-        for rel, name, _ in _payload_layout(params.kind, params.n_entities, params.dim):
-            block = params.entities if rel is None else params.relations[rel][name]
+        for block in blocks:
             fh.write(np.ascontiguousarray(block, dtype=dtype).tobytes())
 
 

@@ -189,10 +189,10 @@ def evaluate(
             clamped += len(corrupts) < config.corruptions_per_side
             rank = rank_target(params, triple, side, corrupts, config.tie_rule)
             records.append(RankRecord(triple, side, rank, len(corrupts)))
-    if skipped:
-        log.warning("skipped %d queries with an empty corruption pool", skipped)
     if not records:
         raise PoolTooSmall("every query had an empty corruption pool")
+    if skipped:
+        log.warning("skipped %d queries with an empty corruption pool", skipped)
     if clamped:
         log.warning(
             "K=%d exceeded the candidate pool for %d of %d queries; clamped to exhaustive ranking",

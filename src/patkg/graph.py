@@ -10,7 +10,6 @@ synthetic generator for desk-scale experiments.
 from __future__ import annotations
 
 import hashlib
-import logging
 import math
 import operator
 from array import array
@@ -30,8 +29,6 @@ from .errors import (
     SchemaViolation,
     UnknownEntity,
 )
-
-log = logging.getLogger(__name__)
 
 
 class EntityKind(Enum):
@@ -183,22 +180,18 @@ class Vocabulary:
             self._derived[kind].flags.writeable = False
         return self._derived[kind]
 
-    def export_lines(self) -> list[str]:
-        """One `<ordinal>\\t<kind>:<source_id>` line per entity, ordinal order."""
-        return [f"{ordinal}\t{label}" for label, ordinal in self.ordinals.items()]
-
     def export_text(self) -> str:
-        """The export lines, each ended by a newline: a `.vocab` sidecar, an archive's vocabulary block."""
+        """`<ordinal>\\t<kind>:<source_id>\\n` per entity, ordinal order: a sidecar or archive block."""
         return "".join([f"{ordinal}\t{label}\n" for label, ordinal in self.ordinals.items()])
 
     @classmethod
     def from_lines(cls, lines: Iterable[str]) -> Vocabulary:
-        """Inverse of `export_lines`; lines may keep their trailing newline, as an open file yields them.
+        """Inverse of `export_text`; lines may keep their trailing newline, as an open file yields them.
 
         Blank lines are skipped. Every other line is `<ordinal>\\t<label>`, with a label
         `parse_label` accepts and the ordinal the label was first given. The dict and kind
         codes are built for all lines at once; only if some ordinal is not written as
-        `export_lines` writes it, or a label is rejected, are the lines checked one by one,
+        `export_text` writes it, or a label is rejected, are the lines checked one by one,
         and the first line that breaks a rule raises.
         """
         lines = [line.rstrip("\n") for line in lines]

@@ -232,9 +232,9 @@ def write_triples_file(store: TripleStore, path) -> None:
     """Canonical TSV export in stored order plus a `.vocab` sidecar."""
     label = list(store.vocab.ordinals)
     columns = zip(store.heads.tolist(), store.rels.tolist(), store.tails.tolist())
-    lines = [f"{label[h]}\t{RELATIONS[r].value}\t{label[t]}" for h, r, t in columns]
-    for out, text in ((path, lines), (f"{path}.vocab", store.vocab.export_lines())):
-        Path(out).write_text("\n".join(text) + ("\n" if text else ""), encoding="utf-8")
+    lines = [f"{label[h]}\t{RELATIONS[r].value}\t{label[t]}\n" for h, r, t in columns]
+    Path(path).write_text("".join(lines), encoding="utf-8")
+    Path(f"{path}.vocab").write_text(store.vocab.export_text(), encoding="utf-8")
 
 
 def load_store(path) -> TripleStore:

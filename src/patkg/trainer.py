@@ -115,94 +115,85 @@ def _sgd_batch(params: ModelParams, cfg: TrainConfig,
                offset: int, rng: np.random.Generator) -> float:
     """One gradient step over a batch of positives; returns summed loss.
 
-    `offset` is the epoch position of the first positive, used by the
-    alternating corruption rule: the global negative-sample index
-    (position * negatives_per_positive + slot) corrupts the head when
-    even and the tail when odd.
+    The samples are the m positives, then negatives_per_positive (npp)
+    negatives per positive: negative j of positive i sits at m + i*npp + j.
+    Its global index (offset + i) * npp + j, where `offset` is the epoch
+    position of the first positive, picks the side the alternating
+    corruption rule replaces: the head when even, the tail when odd.
+    Each relation in turn draws its negatives and scores its samples;
+    every score is taken before any parameter is updated.
     """
     m = len(heads)
     npp = cfg.negatives_per_positive
 
-    neg_heads = np.repeat(heads, npp)
-    neg_tails = np.repeat(tails, npp)
-    neg_rels = np.repeat(rels, npp)
-    sample_index = (offset + np.arange(m)).repeat(npp) * npp + np.tile(np.arange(npp), m)
-    corrupt_head = sample_index % 2 == 0
-    neg_valid = np.ones(m * npp, dtype=bool)
+    sample_heads = np.concatenate([heads, np.repeat(heads, npp)])
+    sample_tails = np.concatenate([tails, np.repeat(tails, npp)])
+    valid = np.ones(len(sample_heads), dtype=bool)
+    sample_scores = np.empty(len(sample_heads))
+    slots = m + np.arange(npp)
 
-    # Ascending batch positions of each present relation's positives and
-    # negatives, so every loop below visits samples in batch order.
+    # Per relation, the ascending sample positions of its positives and
+    # then of their negatives, so every pass visits samples in batch order.
     present = []
+    spec, table = params.spec, params.entities  # store and pool ordinals: no range check
     for r_i, rel in enumerate(RELATIONS):
         pos = np.flatnonzero(rels == r_i)
-        if pos.size:
-            present.append((rel, pos, np.flatnonzero(neg_rels == r_i)))
-
-    for rel, _, neg in present:
-        at_head = corrupt_head[neg]
-        for pool, ends, sel in zip(pools[rel], (neg_heads, neg_tails), (neg[at_head], neg[~at_head])):
+        if pos.size == 0:
+            continue
+        neg = (pos[:, None] * npp + slots).ravel()
+        at_head = (neg + (offset * npp - m)) % 2 == 0
+        for pool, ends, sel in zip(pools[rel], (sample_heads, sample_tails), (neg[at_head], neg[~at_head])):
             if sel.size == 0:
                 continue
             if len(pool) < 2:
-                neg_valid[sel] = False  # no alternative entity to swap in
+                valid[sel] = False  # no alternative entity to swap in
             else:
                 ends[sel] = _draw_replacements(rng, pool, ends[sel])
-
-    spec, table = params.spec, params.entities  # store and pool ordinals: no range check
-    pos_scores = np.empty(m)
-    neg_scores = np.empty(m * npp)
-    for rel, pos, neg in present:
         blocks = params.relations[rel]
-        pos_scores[pos] = spec.score(table[heads[pos]], table[tails[pos]], blocks)
-        neg_scores[neg] = spec.score(table[neg_heads[neg]], table[neg_tails[neg]], blocks)
+        sample_scores[pos] = spec.score(table[heads[pos]], table[tails[pos]], blocks)
+        sample_scores[neg] = spec.score(table[sample_heads[neg]], table[sample_tails[neg]], blocks)
+        present.append((rel, np.concatenate([pos, neg])))
 
     # Batch gradient is the mean over the batch's positives, so step
     # sizes do not scale with batch_size.
+    pos_scores, neg_scores, neg_valid = sample_scores[:m], sample_scores[m:], valid[m:]
+    weights = np.empty(len(sample_heads))
     if cfg.loss is LossKind.MARGIN_RANK:
         hinge = cfg.margin - np.repeat(pos_scores, npp) + neg_scores
         active = (hinge > 0.0) & neg_valid
-        data_loss = float(hinge[active].sum())
-        w_neg = active.astype(np.float64) / m
-        w_pos = -active.reshape(m, npp).sum(axis=1).astype(np.float64) / m
+        loss = float(hinge[active].sum())
+        weights[m:] = active.astype(np.float64) / m
+        weights[:m] = -active.reshape(m, npp).sum(axis=1).astype(np.float64) / m
     else:
         neg_ll = np.where(neg_valid, _log_sigmoid(-neg_scores), 0.0)
-        data_loss = float(-_log_sigmoid(pos_scores).sum() - neg_ll.sum())
-        w_pos = -_sigmoid(-pos_scores) / m
-        w_neg = np.where(neg_valid, _sigmoid(neg_scores), 0.0) / m
-
-    all_heads = np.concatenate([heads, neg_heads])
-    all_tails = np.concatenate([tails, neg_tails])
-    all_w = np.concatenate([w_pos, w_neg])
-    nonzero = all_w != 0.0
+        loss = float(-_log_sigmoid(pos_scores).sum() - neg_ll.sum())
+        weights[:m] = -_sigmoid(-pos_scores) / m
+        weights[m:] = np.where(neg_valid, _sigmoid(neg_scores), 0.0) / m
 
     mask = np.zeros(params.n_entities, dtype=bool)
-    mask[all_heads] = True
-    mask[all_tails] = True
+    mask[sample_heads] = True
+    mask[sample_tails] = True
     touched = np.flatnonzero(mask)
-    touched_rels = [rel for rel, _, _ in present]
-    loss = data_loss
+    touched_blocks = [block for rel, _ in present for block in params.relations[rel].values()]
     if cfg.l2_coefficient > 0.0:
         rows = table[touched]
         sq = float((rows**2).sum())
-        for rel in touched_rels:
-            for block in params.relations[rel].values():
-                sq += float((block**2).sum())
+        for block in touched_blocks:
+            sq += float((block**2).sum())
         loss += cfg.l2_coefficient * sq
         decay = cfg.learning_rate * 2.0 * cfg.l2_coefficient
         rows -= decay * rows
         table[touched] = rows
-        for rel in touched_rels:
-            for block in params.relations[rel].values():
-                block -= decay * block
+        for block in touched_blocks:
+            block -= decay * block
 
     lr = cfg.learning_rate
-    for rel, pos, neg in present:
-        sel = np.concatenate([pos, m + neg])
-        sel = sel[nonzero[sel]]
+    for rel, sel in present:
+        sel = sel[weights[sel] != 0.0]
         if sel.size == 0:
             continue
-        hs, ts = all_heads[sel], all_tails[sel]
-        dH, dT, dRel = spec.gradients(table[hs], table[ts], params.relations[rel], all_w[sel, None])
+        hs, ts = sample_heads[sel], sample_tails[sel]
+        dH, dT, dRel = spec.gradients(table[hs], table[ts], params.relations[rel], weights[sel, None])
         # Heads before tails, each in batch order: the add order of np.add.at
         # over heads and then over tails.
         steps = np.concatenate([dH, dT])
@@ -216,13 +207,8 @@ def _sgd_batch(params: ModelParams, cfg: TrainConfig,
         rows /= np.linalg.norm(rows, axis=1, keepdims=True)
         table[touched] = rows
 
-    finite = np.isfinite(loss) and np.isfinite(rows).all()
-    finite = finite and all(
-        np.isfinite(block).all()
-        for rel in touched_rels
-        for block in params.relations[rel].values()
-    )
-    if not finite:
+    if not (np.isfinite(loss) and np.isfinite(rows).all()
+            and all(np.isfinite(block).all() for block in touched_blocks)):
         raise NumericalDivergence("non-finite loss or parameter")
     return loss
 

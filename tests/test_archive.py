@@ -32,7 +32,7 @@ def test_float64_round_trip_bit_exact(store, kind, tmp_path):
     for rel in RelationKind:
         for name in params.relations[rel]:
             assert np.array_equal(loaded.relations[rel][name], params.relations[rel][name])
-    assert vocab.export_lines() == store.vocab.export_lines()
+    assert vocab.export_text() == store.vocab.export_text()
 
 
 def test_float32_round_trip_within_precision(store, tmp_path):
@@ -40,7 +40,7 @@ def test_float32_round_trip_within_precision(store, tmp_path):
     path = tmp_path / "a.kge"
     save_archive(path, params, vocab=store.vocab, encoding="float32")
     loaded, vocab = load_archive(path)
-    assert vocab.export_lines() == store.vocab.export_lines()
+    assert vocab.export_text() == store.vocab.export_text()
     np.testing.assert_allclose(loaded.entities, params.entities, rtol=1e-6, atol=1e-7)
 
 
@@ -86,9 +86,8 @@ def test_byte_identical_without_source_date_epoch(store, tmp_path, monkeypatch):
 
 def test_save_rejects_a_vocabulary_of_another_fingerprint(store, tmp_path):
     params = params_for(store, ModelKind.TRANSE_L2)
-    lines = store.vocab.export_lines()
-    lines[-1] += "x"  # one label renamed: same size, other fingerprint
-    other = Vocabulary.from_lines(lines)
+    # one label renamed: same size, other fingerprint
+    other = Vocabulary.from_lines((store.vocab.export_text()[:-1] + "x").split("\n"))
     assert len(other) == len(store.vocab)
     with pytest.raises(ArchiveError):
         save_archive(tmp_path / "a.kge", params, vocab=other)
@@ -114,7 +113,7 @@ def test_complex_interleaving_on_disk(store, tmp_path):
     path = tmp_path / "a.kge"
     save_archive(path, params, vocab=store.vocab, encoding="float64")
     raw = path.read_bytes()
-    vocab_lines = "".join(line + "\n" for line in store.vocab.export_lines()).encode()
+    vocab_lines = store.vocab.export_text().encode()
     payload_start = raw.index(vocab_lines) + len(vocab_lines)
     row0 = np.frombuffer(raw, dtype="<f8", count=4, offset=payload_start)
     np.testing.assert_array_equal(row0, [1.0, 3.0, 2.0, 4.0])
@@ -138,7 +137,7 @@ def test_hand_built_complex_archive_loads_and_saves_back_unchanged(store, tmp_pa
     raw = b"".join([
         b"patkg-archive 1\n",
         json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode() + b"\n",
-        "".join(line + "\n" for line in store.vocab.export_lines()).encode(),
+        store.vocab.export_text().encode(),
         pairs(values),
         *(pairs(vecs[rel]) for rel in RelationKind),
     ])
@@ -222,3 +221,39 @@ def test_every_truncation_raises_archive_error(archive_bytes, tmp_path, kind):
             # the offset where the first incomplete vocabulary line starts
             line_start = raw.rfind(b"\n", 0, cut) + 1
             assert str(err.value) == f"truncated vocabulary at byte {line_start}"
+
+
+@pytest.mark.parametrize("value", [3.5e38, -3.5e38, 1e308])
+def test_values_outside_float32_are_refused(store, tmp_path, value):
+    # a cast would write them as inf, with a RuntimeWarning on stderr
+    params = params_for(store, ModelKind.TRANSR)
+    params.relations[RelationKind.OWN]["mat"][1, 2] = value
+    with pytest.raises(ArchiveError, match="outside the float32 range"):
+        save_archive(tmp_path / "a.kge", params, vocab=store.vocab)
+    assert not (tmp_path / "a.kge").exists()
+    save_archive(tmp_path / "b.kge", params, vocab=store.vocab, encoding="float64")
+    assert load_archive(tmp_path / "b.kge")[0].relations[RelationKind.OWN]["mat"][1, 2] == value
+    params.relations[RelationKind.OWN]["mat"][1, 2] = np.finfo(np.float32).max
+    save_archive(tmp_path / "c.kge", params, vocab=store.vocab)
+
+
+VOCABULARY_REWRITES = {
+    "crlf endings": lambda lines: [line + b"\r" for line in lines],
+    "ordinal 01": lambda lines: lines[:1] + [b"0" + lines[1]] + lines[2:],
+    "ordinal +2": lambda lines: lines[:2] + [b"+" + lines[2]] + lines[3:],
+}
+
+
+@pytest.mark.parametrize("name", list(VOCABULARY_REWRITES))
+def test_vocabulary_block_is_checked_by_what_it_reads_as(store, tmp_path, name):
+    # the manifest keeps its vocab_sha256, which the rewritten block's export text still hashes to
+    path = tmp_path / "a.kge"
+    params = params_for(store, ModelKind.TRANSE_L2)
+    save_archive(path, params, vocab=store.vocab, encoding="float64")
+    magic, manifest, rest = path.read_bytes().split(b"\n", 2)
+    lines = rest.split(b"\n", len(store.vocab))  # the vocabulary lines, then the payload
+    block = b"".join(line + b"\n" for line in VOCABULARY_REWRITES[name](lines[:-1]))
+    path.write_bytes(b"\n".join([magic, manifest, block + lines[-1]]))
+    loaded, vocab = load_archive(path)
+    assert vocab.export_text() == store.vocab.export_text()
+    assert loaded.entities.tobytes() == params.entities.tobytes()

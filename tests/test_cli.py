@@ -3,6 +3,7 @@
 import hashlib
 import io
 import json
+import logging
 import re
 import subprocess
 import sys
@@ -22,7 +23,7 @@ from patkg.cli import main
 from patkg.errors import ArchiveError
 from patkg.graph import generate_synthetic
 from patkg.ingestion import write_triples_file
-from patkg.models import ModelKind
+from patkg.models import SPECS, ModelKind
 from patkg.reports import fnum
 from patkg.trainer import default_config
 
@@ -114,6 +115,19 @@ class TestTrainEval:
         manifest = json.loads(arc.read_bytes().split(b"\n", 2)[1])
         assert manifest["dim"] == 4
         assert manifest["entities"] == 5
+
+    def test_empty_pools_are_one_stderr_line(self, tmp_path):
+        # pytest captures log records in process, so only a child process shows a
+        # warning that is logged before the error line
+        src, store_path, arc = tmp_path / "in.tsv", tmp_path / "s.tsv", tmp_path / "m.kge"
+        src.write_text(MINIMAL_GRAPH)  # one entity of each kind: every corruption pool is empty
+        assert run_cli("ingest", src, store_path) == 0
+        assert run_cli("train", store_path, "transe_l2", arc, "--train-on-all", "--epochs", "1",
+                       "--dim", "4") == 0
+        out = subprocess.run([sys.executable, "-m", "patkg.cli", "eval", arc, store_path,
+                              tmp_path / "r.txt", "--test-fraction", "0.5"], capture_output=True, text=True)
+        assert out.returncode == 1
+        assert re.fullmatch(r"error: PoolTooSmall: [^\n]*\n", out.stderr), out.stderr
 
     def test_train_then_eval(self, graph_file, tmp_path):
         arc = tmp_path / "m.kge"
@@ -411,7 +425,7 @@ def test_recomputed_vocabulary_checksum_reads_the_edited_labels(archive, tmp_pat
     renamed = tmp_path / "renamed.kge"
     renamed.write_bytes(edited_vocabulary(archive.read_bytes(), lambda ls: _set(ls, 5, ls[5] + b"x")))
     loaded, edited_vocab = load_archive(renamed)
-    label = vocab.export_lines()[5].split("\t", 1)[1]
+    label = list(vocab.ordinals)[5]
     assert edited_vocab.ordinal_of_label(label + "x") == 5 and label not in edited_vocab.ordinals
     assert np.array_equal(loaded.entities, params.entities)
 
@@ -419,6 +433,10 @@ def test_recomputed_vocabulary_checksum_reads_the_edited_labels(archive, tmp_pat
 # -- the CLI contract over drawn inputs -----------------------------------------------------
 
 CONTRACT_GRAPH = MINIMAL_GRAPH + "inventor:a\x0c\twrite\tpatent:5252504\n"
+# two inventors and one assignee entering the contract store's groups A00A, A00B and H01L
+CONTRACT_PORTFOLIOS = "".join(
+    f"{agent}p{i}\t199{i}-01-0{n}\t{group}\t{agent}\tasg\n"
+    for n, agent in enumerate(("x", "y"), start=1) for i, group in enumerate(("A00A", "A00B", "H01L")))
 
 
 @pytest.fixture(scope="module")
@@ -434,6 +452,9 @@ def contract_files(tmp_path_factory):
     assert run_cli("train", d / "store.tsv", "transe_l2", d / "m.kge", "--dim", "4", "--epochs", "1",
                    "--train-on-all") == 0
     return {
+        "triples": (d / "in.tsv").read_bytes(),
+        "portfolios": CONTRACT_PORTFOLIOS.encode(),
+        "universe": b"A00A\nA00B\nH01L\n",
         "archive": (d / "m.kge").read_bytes(),
         "store": (d / "store.tsv").read_bytes(),
         "sidecar": (d / "store.tsv.vocab").read_bytes(),
@@ -470,6 +491,11 @@ def _flag(name, good, bad=()):
                            + [((name, str(v)), BAD) for v in bad])
 
 
+def _given(name, good, bad):
+    """As `_flag`, for a flag that is always given."""
+    return st.sampled_from([((name, str(v)), GOOD) for v in good] + [((name, str(v)), BAD) for v in bad])
+
+
 def _kind_filter():
     kinds = ["patent", "inventor", "assignee", "group", "subsection"]
     return st.lists(st.sampled_from(kinds), unique=True).map(
@@ -482,12 +508,29 @@ def _mode():
 
 
 SEEDS = [-2**63 - 1, -2**63, -1, 0, 1, 2, 2**63 - 1, 2**63]
-FLOATS = ["nan", "inf", "-inf", "-0.0", "1e308", "0", "1", "x"]
+# nan fails every comparison, -0.0 passes `>= 0`, 1e308 overflows in use
+EDGE_FLOATS = ["nan", "inf", "-inf", "-0.0", "1e308"]
+FLOATS = EDGE_FLOATS + ["0", "1", "x"]
+
+
+def _drawn_case(draw, argv, roles, flags):
+    """(argv template with `{role}` file slots, variant per role, whether all of it is valid)."""
+    # about half the cases keep every flag valid, and half every file, so valid runs are common
+    clean_flags, clean_files = draw(st.booleans()), draw(st.booleans())
+    good = True
+    for flag in flags:
+        tokens, ok = draw(flag.filter(lambda f: f[1]) if clean_flags else flag)
+        argv += tokens
+        good = good and ok
+    broken = FILE_VARIANTS | st.just(("unknown", 0))
+    variants = {role: ("valid", 0) if clean_files else draw(broken if role == "listing" else FILE_VARIANTS)
+                for role in roles}
+    return tuple(argv), variants, good and all(v == ("valid", 0) for v in variants.values())
 
 
 @st.composite
 def read_commands(draw):
-    """(argv template with `{role}` file slots, variant per role, whether all of it is valid)."""
+    """A drawn case of eval, neighbors, proximity or export-embeddings."""
     command = draw(st.sampled_from(["eval", "neighbors", "proximity", "export-embeddings"]))
     if command == "eval":
         roles = ("archive", "store", "sidecar")
@@ -515,17 +558,46 @@ def read_commands(draw):
         roles = ("archive",)
         argv = ["export-embeddings", "{archive}", "{out}"]
         flags = [_kind_filter()]
-    # about half the cases keep every flag valid, and half every file, so valid runs are common
-    clean_flags, clean_files = draw(st.booleans()), draw(st.booleans())
-    good = True
-    for flag in flags:
-        tokens, ok = draw(flag.filter(lambda f: f[1]) if clean_flags else flag)
-        argv += tokens
-        good = good and ok
-    broken = FILE_VARIANTS | st.just(("unknown", 0))
-    variants = {role: ("valid", 0) if clean_files else draw(broken if role == "listing" else FILE_VARIANTS)
-                for role in roles}
-    return tuple(argv), variants, good and all(v == ("valid", 0) for v in variants.values())
+    return _drawn_case(draw, argv, roles, flags)
+
+
+class _Records(logging.Handler):
+    def __init__(self):
+        super().__init__(logging.WARNING)
+        self.records = []
+
+    def emit(self, record):
+        self.records.append(record)
+
+
+def assert_cli_contract(contract_files, case):
+    """Run one drawn command: it exits 2 on usage, returns 0, or returns 1 with one
+    `error: <Kind>: ` line and no warning logged, which would reach stderr too."""
+    argv, variants, valid = case
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {"out": Path(tmp, "out"), "report": Path(tmp, "report")}
+        for role, variant in variants.items():
+            # a sidecar sits at its store's path plus ".vocab"
+            paths[role] = Path(tmp, role.replace("sidecar", "store") + (".vocab" if "sidecar" in role else ""))
+            materialize(paths[role], contract_files[role], variant)
+        argv = [token.format(**{k: str(v) for k, v in paths.items()}) if "{" in token else token
+                for token in argv]
+        err, logged = io.StringIO(), _Records()
+        logging.getLogger("patkg").addHandler(logged)
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = ("usage", exc.code)
+            finally:
+                logging.getLogger("patkg").removeHandler(logged)
+    err = err.getvalue()
+    assert code in (0, 1, ("usage", 2)), (code, err)
+    if code == 1:  # one line, ended by the only newline: messages may hold other line breaks
+        assert re.match(r"error: \w+: ", err) and err.count("\n") == 1 and err.endswith("\n"), err
+        assert logged.records == [], [r.getMessage() for r in logged.records]
+    if valid:
+        assert code == 0, err
 
 
 @given(case=read_commands())
@@ -538,27 +610,57 @@ def read_commands(draw):
 @example(case=(("eval", "{archive}", "{store}", "{out}", "--filtered", "--pool", "all_entities"),
                {"archive": ("valid", 0), "store": ("valid", 0), "sidecar": ("valid", 0)}, True))
 def test_read_commands_keep_the_cli_contract(contract_files, case):
-    argv, variants, valid = case
-    with tempfile.TemporaryDirectory() as tmp:
-        paths = {"out": Path(tmp, "out")}
-        for role, variant in variants.items():
-            # a sidecar sits at its store's path plus ".vocab"
-            paths[role] = Path(tmp, role.replace("sidecar", "store") + (".vocab" if "sidecar" in role else ""))
-            materialize(paths[role], contract_files[role], variant)
-        argv = [token.format(**{k: str(v) for k, v in paths.items()}) if "{" in token else token
-                for token in argv]
-        err = io.StringIO()
-        with redirect_stdout(io.StringIO()), redirect_stderr(err):
-            try:
-                code = main(argv)
-            except SystemExit as exc:
-                code = ("usage", exc.code)
-    err = err.getvalue()
-    assert code in (0, 1, ("usage", 2)), (code, err)
-    if code == 1:  # one line, ended by the only newline: messages may hold other line breaks
-        assert re.match(r"error: \w+: ", err) and err.count("\n") == 1 and err.endswith("\n"), err
-    if valid:
-        assert code == 0, err
+    assert_cli_contract(contract_files, case)
+
+
+@st.composite
+def write_commands(draw):
+    """A drawn case of ingest, train or expansion. Sizes are small or rejected before any
+    work starts, so no draw allocates much."""
+    command = draw(st.sampled_from(["ingest", "train", "expansion"]))
+    if command == "ingest":
+        roles = ("triples",)
+        argv = ["ingest", "{triples}", "{out}"]
+        flags = []
+    elif command == "train":
+        roles = ("store", "sidecar")
+        kind = draw(st.sampled_from(list(ModelKind)))
+        argv = ["train", "{store}", kind.value, "{out}"]
+        # --dim, --epochs and --lr are always given: the defaults train 50 dimensions for 50
+        # epochs, and a model's default step may diverge on so small a store. Every value but
+        # one --loss parses, so a run with several bad flags usually reaches the data checks.
+        flags = [_given("--dim", [1, 4], [0, -1]),
+                 _given("--epochs", [1, 2], [0, -1]),
+                 _given("--lr", [0.01], EDGE_FLOATS + ["50"]),
+                 _flag("--negatives", [1, 3], [0, -1]),
+                 _flag("--batch-size", [1, 7, 256], [0, -1]),
+                 _flag("--margin", [1.0], EDGE_FLOATS),
+                 _flag("--l2", [0.0], EDGE_FLOATS),
+                 _flag("--loss", ["margin_rank", "logistic"], ["bogus"]),
+                 st.sampled_from([((), GOOD), (("--no-normalize",), GOOD),
+                                  (("--normalize",), SPECS[kind].translational)]),
+                 _flag("--seed", [s for s in SEEDS if s >= 0], [s for s in SEEDS if s < 0]),
+                 _flag("--split-seed", [s for s in SEEDS if s >= 0], [s for s in SEEDS if s < 0]),
+                 _flag("--test-fraction", ["0.1"], EDGE_FLOATS),
+                 st.sampled_from([((), GOOD), (("--train-on-all",), GOOD)]),
+                 _flag("--encoding", ["float32", "float64"]),
+                 st.sampled_from([((), GOOD), (("--report", "{report}"), GOOD)])]
+    else:
+        roles = ("archive", "portfolios", "universe")
+        argv = ["expansion", "{archive}", *draw(st.sampled_from([(), ("{archive}",)])),
+                "{portfolios}", "{universe}", "{out}"]
+        flags = [_given("--agent-kind", ["inventor", "assignee"], ["bogus"]),
+                 _flag("--min-patents", SEEDS, ["x"]),
+                 st.sampled_from([((), GOOD), (("--raw-cosine",), GOOD)])]
+    return _drawn_case(draw, argv, roles, flags)
+
+
+@given(case=write_commands())
+# the step overflows float32 without reaching inf in float64: refused, not saved as inf
+@example(case=(("train", "{store}", "transr", "{out}", "--dim", "4", "--epochs", "2", "--lr", "50",
+                "--train-on-all"), {"store": ("valid", 0), "sidecar": ("valid", 0)}, False))
+def test_write_commands_keep_the_cli_contract(contract_files, case):
+    assert_cli_contract(contract_files, case)
 
 
 def portfolio_lines():

@@ -368,14 +368,14 @@ class TestVocabulary:
 
     def test_export_round_trip(self):
         store = micro_store()
-        clone = Vocabulary.from_lines(store.vocab.export_lines())
-        assert clone.export_lines() == store.vocab.export_lines()
+        clone = Vocabulary.from_lines(store.vocab.export_text().split("\n"))
+        assert clone.export_text() == store.vocab.export_text()
         assert clone.fingerprint() == store.vocab.fingerprint()
 
     def test_from_lines_needs_a_colon(self):
         # `kind:` (empty id) is a label; a bare kind is not
         vocab = Vocabulary.from_lines(["0\tpatent:", "1\tinventor:x"])
-        assert vocab.export_lines() == ["0\tpatent:", "1\tinventor:x"]
+        assert vocab.export_text() == "0\tpatent:\n1\tinventor:x\n"
         with pytest.raises(ParseError, match=r"vocabulary line 0: '0\\tpatent' is not <ordinal>"):
             Vocabulary.from_lines(["0\tpatent", "1\tinventor:x"])
 
@@ -397,7 +397,7 @@ class TestVocabulary:
         before = vocab.ordinals_of_kind(EntityKind.INVENTOR).tolist()
         late = vocab.add(EntityKind.INVENTOR, "late")
         assert vocab.ordinals_of_kind(EntityKind.INVENTOR).tolist() == before + [late.ordinal]
-        clone = Vocabulary.from_lines(vocab.export_lines())
+        clone = Vocabulary.from_lines(vocab.export_text().split("\n"))
         for kind in EntityKind:
             assert np.array_equal(clone.ordinals_of_kind(kind), vocab.ordinals_of_kind(kind))
 
@@ -433,8 +433,8 @@ class VocabularyOracle:
             self._by_kind[kind] = ordinals
         return ordinals
 
-    def export_lines(self):
-        return [f"{ordinal}\t{label}" for label, ordinal in self.ordinals.items()]
+    def export_text(self):
+        return "".join(f"{ordinal}\t{label}\n" for label, ordinal in self.ordinals.items())
 
     @classmethod
     def from_lines(cls, lines):
@@ -455,7 +455,7 @@ class VocabularyOracle:
         return vocab
 
     def fingerprint(self):
-        return hashlib.sha256("".join(line + "\n" for line in self.export_lines()).encode()).hexdigest()
+        return hashlib.sha256(self.export_text().encode()).hexdigest()
 
 
 # labels of every kind, with empty, colon-bearing and non-ASCII ids
@@ -496,7 +496,7 @@ def vocab_run(cls, lines, ops):
             continue
         by_kind = {kind: vocab.ordinals_of_kind(kind) for kind in EntityKind}
         assert all(o.dtype == np.int64 and not o.flags.writeable for o in by_kind.values())
-        seen.append((vocab.export_lines(), vocab.fingerprint(), vocab.kinds.tolist(), list(vocab.refs),
+        seen.append((vocab.export_text(), vocab.fingerprint(), vocab.kinds.tolist(), list(vocab.refs),
                      len(vocab), {kind: o.tolist() for kind, o in by_kind.items()}))
     return seen
 
@@ -547,7 +547,7 @@ def vocab_state(build, lines):
             list(vocab.refs))
 
 
-# ordinals written as `int` reads them but `export_lines` does not, and broken lines
+# ordinals written as `int` reads them but `export_text` does not, and broken lines
 ORDINAL_TEXTS = st.sampled_from(["01", " 1", "1 ", "+1", "1_0", "\u0661", "-0", "", "x", "1.0", "0x1"])
 SIDECAR_LINES = st.one_of(
     ODD_LINES,
@@ -872,6 +872,6 @@ ACCEPT_ARGS = (5, 330, 60, 12, 0.023, 0.0004)  # 1,650 patents: the last 256-row
 def test_synthetic_row_blocks_match_full_matrix_oracle(counts, probs, seed):
     store = generate_synthetic(*counts, *probs, seed=seed)
     oracle = synthetic_full_matrix_oracle(*counts, *probs, seed=seed)
-    assert store.vocab.export_lines() == oracle.vocab.export_lines()
+    assert store.vocab.export_text() == oracle.vocab.export_text()
     for column, want in zip(store.triple_arrays(), oracle.triple_arrays()):
         assert np.array_equal(column, want)

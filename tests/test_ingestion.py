@@ -107,6 +107,21 @@ class TestParseTriples:
         assert clone.triples == store.triples
         assert clone.vocab.fingerprint() == store.vocab.fingerprint()
 
+    @pytest.mark.parametrize("text", ["", FIGURE_GRAPH + "inventor:a\x0c \twrite\tpatent:b\x85\n"])
+    def test_files_are_their_lines_each_ended_by_a_newline(self, tmp_path, text):
+        # the bytes the line-list writer gave: lines joined by "\n" plus a last "\n", or nothing
+        src, out = tmp_path / "src.tsv", tmp_path / "out.tsv"
+        src.write_text(text, encoding="utf-8")
+        store = parse_triples_file(src)
+        write_triples_file(store, out)
+        labels = list(store.vocab.ordinals)
+        triple_lines = [f"{labels[t.head]}\t{t.relation.value}\t{labels[t.tail]}" for t in store.triples]
+        vocab_lines = [f"{ordinal}\t{label}" for ordinal, label in enumerate(labels)]
+        assert out.read_bytes() == "".join(line + "\n" for line in triple_lines).encode()
+        sidecar = (tmp_path / "out.tsv.vocab").read_bytes()
+        assert sidecar == "".join(line + "\n" for line in vocab_lines).encode()
+        assert sidecar == store.vocab.export_text().encode()
+
 
 class TestDeriveComprise:
     def test_single_code(self):
@@ -328,7 +343,7 @@ def run_parser(parser, path, vocab_lines):
     finally:
         logger.removeHandler(handler)
         logger.setLevel(level)
-    return [c.tolist() for c in store.triple_arrays()], store.vocab.export_lines(), [r.getMessage() for r in records]
+    return [c.tolist() for c in store.triple_arrays()], store.vocab.export_text(), [r.getMessage() for r in records]
 
 
 # labels of every kind, empty ids (`patent:`) and malformed tokens

@@ -7,7 +7,7 @@ from hypothesis.extra.numpy import arrays
 
 from patkg.archive import check_fingerprint, load_archive, save_archive
 from patkg.errors import EmptyStore, FingerprintMismatch, InvalidConfig, ArchiveError, NumericalDivergence
-from patkg.graph import RELATIONS, TripleStore, generate_synthetic
+from patkg.graph import RELATIONS, EntityKind, RelationKind, Triple, TripleStore, generate_synthetic
 from patkg.models import ModelKind, init_params, scores, weighted_gradients
 from patkg.trainer import (
     LossKind,
@@ -186,7 +186,7 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         save_archive(path, params, vocab=small_store.vocab, encoding="float64")
         loaded, vocab = load_archive(path)
-        assert vocab.export_lines() == small_store.vocab.export_lines()
+        assert vocab.export_text() == small_store.vocab.export_text()
         assert np.array_equal(loaded.entities, params.entities)
         for rel in params.relations:
             for name in params.relations[rel]:
@@ -369,3 +369,64 @@ def test_sgd_batch_matches_oracle_bitwise(small_store, kind, l2, normalize):
         for rel in params.relations:
             for name, block in params.relations[rel].items():
                 assert block.tobytes() == expected.relations[rel][name].tobytes()
+
+
+def _one_assignee_store():
+    """Five patents, three inventors, two groups, one assignee and one subsection:
+    the own and comprise head pools hold a single entity, so no head negative of
+    theirs can be drawn."""
+    store = TripleStore()
+    p = [store.add_entity(EntityKind.PATENT, f"p{i}").ordinal for i in range(5)]
+    inv = [store.add_entity(EntityKind.INVENTOR, f"i{i}").ordinal for i in range(3)]
+    a = store.add_entity(EntityKind.ASSIGNEE, "a0").ordinal
+    g = [store.add_entity(EntityKind.GROUP, code).ordinal for code in ("H01L", "H01M")]
+    s = store.add_entity(EntityKind.SUBSECTION, "H01").ordinal
+    facts = ([(p[i], RelationKind.CITE, p[j]) for i, j in ((0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2))]
+             + [(inv[i], RelationKind.WRITE, p[j]) for i, j in ((0, 0), (1, 1), (2, 2), (0, 3))]
+             + [(a, RelationKind.OWN, p[j]) for j in (0, 4)]
+             + [(g[i], RelationKind.CONTAIN, p[j]) for i, j in ((0, 0), (1, 1), (0, 2))]
+             + [(s, RelationKind.COMPRISE, g[i]) for i in (0, 1)])
+    for h, rel, t in facts:
+        store.add_triple(Triple(h, rel, t))
+    return store
+
+
+ONE_ASSIGNEE_STORE = _one_assignee_store()
+
+
+@st.composite
+def sgd_steps(draw):
+    """(kind, config, batch of triple indices, offset, seed) for one training step."""
+    kind = draw(st.sampled_from(list(ModelKind)))
+    lr, _, margin, _, _ = DEFAULTS[kind]
+    cfg = small_config(learning_rate=lr / 10, margin=margin, dim=4,
+                       loss=draw(st.sampled_from(list(LossKind))),
+                       l2_coefficient=draw(st.sampled_from([0.0, 1e-3])),
+                       normalize_entities=draw(st.booleans()),
+                       batch_size=draw(st.integers(1, 40)),
+                       negatives_per_positive=draw(st.integers(1, 5)))
+    # drawn with repeats, so a batch may miss relations or hold one triple twice
+    batch = draw(st.lists(st.integers(0, len(ONE_ASSIGNEE_STORE) - 1),
+                          min_size=cfg.batch_size, max_size=cfg.batch_size))
+    return kind, cfg, np.array(batch), draw(st.integers(0, 999)), draw(st.integers(0, 2**32))
+
+
+@given(case=sgd_steps())
+def test_sgd_batch_matches_oracle_on_drawn_batches(case):
+    kind, cfg, batch, offset, seed = case
+    params = init_params(kind, len(ONE_ASSIGNEE_STORE.vocab), cfg.dim, seed)
+    expected = params.copy()
+    pools = _kind_pools(ONE_ASSIGNEE_STORE)
+    heads, rels, tails = (column[batch] for column in ONE_ASSIGNEE_STORE.triple_arrays())
+    results = []
+    for step, p in ((_sgd_batch, params), (_sgd_batch_oracle, expected)):
+        try:
+            loss = step(p, cfg, pools, heads, rels, tails, offset, np.random.default_rng(seed))
+        except NumericalDivergence as exc:
+            loss = str(exc)
+        results.append(np.float64(loss).tobytes() if isinstance(loss, float) else loss)
+    assert results[0] == results[1]
+    assert params.entities.tobytes() == expected.entities.tobytes()
+    for rel in params.relations:
+        for name, block in params.relations[rel].items():
+            assert block.tobytes() == expected.relations[rel][name].tobytes()
