@@ -16,7 +16,7 @@ from array import array
 from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
-from itertools import repeat
+from itertools import filterfalse, repeat
 
 import numpy as np
 
@@ -135,13 +135,21 @@ class Vocabulary:
 
     def add_label(self, label: str) -> int:
         """Register the `kind:source_id` label if new; return its ordinal either way."""
-        ordinal = self.ordinals.get(label)
-        if ordinal is None:
-            code, _ = parse_label(label)
-            ordinal = self.ordinals[label] = len(self.kinds)
-            self.kinds.append(code)
-            self._derived.clear()
-        return ordinal
+        if label not in self.ordinals:
+            parse_label(label)  # raises ParseError for a label `add_labels` would refuse
+            self.add_labels([label])
+        return self.ordinals[label]
+
+    def add_labels(self, labels: Iterable[str]) -> bool:
+        """Register unknown labels in first-seen order, all or none: False if `parse_label` rejects one."""
+        new = [*filterfalse(self.ordinals.__contains__, dict.fromkeys(labels))]
+        codes = label_kinds(new)
+        if None in codes:
+            return False
+        self.ordinals.update(zip(new, range(len(self.kinds), len(self.kinds) + len(new))))
+        self.kinds.extend(codes)
+        self._derived.clear()
+        return True
 
     def add(self, kind: EntityKind, source_id: str) -> EntityRef:
         """Register (kind, source_id) if new; return its EntityRef either way."""
@@ -152,9 +160,14 @@ class Vocabulary:
         ordinal = operator.index(ordinal)
         if not 0 <= ordinal < len(self.kinds):
             raise UnknownEntity(f"ordinal {ordinal} not in vocabulary")
+        return EntityRef(KINDS[self.kinds[ordinal]], self.labels[ordinal].partition(":")[2], ordinal)
+
+    @property
+    def labels(self) -> list[str]:
+        """Every label in ordinal order, derived on read: a snapshot, so re-read it after `add`."""
         if "labels" not in self._derived:
             self._derived["labels"] = list(self.ordinals)
-        return EntityRef(KINDS[self.kinds[ordinal]], self._derived["labels"][ordinal].partition(":")[2], ordinal)
+        return self._derived["labels"]
 
     @property
     def refs(self) -> list[EntityRef]:
@@ -180,42 +193,38 @@ class Vocabulary:
             self._derived[kind].flags.writeable = False
         return self._derived[kind]
 
-    def export_text(self) -> str:
-        """`<ordinal>\\t<kind>:<source_id>\\n` per entity, ordinal order: a sidecar or archive block."""
-        return "".join([f"{ordinal}\t{label}\n" for label, ordinal in self.ordinals.items()])
+    def export_text(self, start: int = 0, stop: int | None = None) -> str:
+        """`<ordinal>\\t<kind>:<source_id>\\n` per ordinal in [start, stop): a sidecar or archive block."""
+        return "".join([f"{ordinal}\t{label}\n" for ordinal, label in enumerate(self.labels[start:stop], start)])
 
     @classmethod
     def from_lines(cls, lines: Iterable[str]) -> Vocabulary:
         """Inverse of `export_text`; lines may keep their trailing newline, as an open file yields them.
 
         Blank lines are skipped. Every other line is `<ordinal>\\t<label>`, with a label
-        `parse_label` accepts and the ordinal the label was first given. The dict and kind
-        codes are built for all lines at once; only if some ordinal is not written as
-        `export_text` writes it, or a label is rejected, are the lines checked one by one,
-        and the first line that breaks a rule raises.
+        `parse_label` accepts and the ordinal the label was first given. The labels are
+        registered all at once; only if some ordinal is not written as `export_text` writes
+        it, or a label is rejected, are the lines checked one by one, and the first line that
+        breaks a rule raises.
         """
         lines = [line.rstrip("\n") for line in lines]
         kept = [line for line in lines if line.strip()]
         labels = [line.partition("\t")[2] for line in kept]
         vocab = cls()
-        vocab.ordinals = dict(zip(labels, range(len(labels))))
-        if len(vocab.ordinals) < len(labels):  # a repeated label keeps its first ordinal
-            vocab.ordinals = dict(zip(dict.fromkeys(labels), range(len(labels))))
-        codes = label_kinds(vocab.ordinals)
-        named = map(vocab.ordinals.__getitem__, labels)  # the ordinal each line must carry
-        if None in codes or not all(map(str.startswith, kept, map("{}\t".format, named))):
+        named = map(vocab.ordinals.get, labels)  # the ordinal each line must carry, once registered
+        if not vocab.add_labels(labels) or not all(map(str.startswith, kept, map("{}\t".format, named))):
+            first = dict(zip(dict.fromkeys(labels), range(len(labels))))
             numbers = (i for i, line in enumerate(lines) if line.strip())
             for i, line, label in zip(numbers, kept, labels):
-                ordinal, ordinal_text = vocab.ordinals[label], line.partition("\t")[0]
+                ordinal_text = line.partition("\t")[0]
                 try:
                     number = int(ordinal_text)
                 except ValueError:
                     number = None
-                if number is None or codes[ordinal] is None:  # a label's first line is the first to hold it
+                if number is None or label_kinds([label]) == [None]:  # a label's first line is the first to hold it
                     raise ParseError(f"vocabulary line {i}: {line!r} is not <ordinal>\\t<kind>:<id>")
-                if number != ordinal:
+                if number != first[label]:
                     raise UnknownEntity(f"vocabulary line {i}: non-contiguous ordinal {ordinal_text}")
-        vocab.kinds = array("b", codes)
         return vocab
 
     def fingerprint(self) -> str:

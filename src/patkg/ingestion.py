@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import logging
 import re
-from array import array
+from itertools import compress, repeat
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
@@ -31,11 +31,14 @@ import numpy as np
 
 from .errors import MalformedCode, ParseError, SchemaViolation
 from .graph import RELATION_INDEX, RELATIONS, EntityKind, RelationKind, Triple, TripleStore, Vocabulary
-from .graph import pack_keys, parse_label
+from .graph import label_kinds, pack_keys, parse_label
 
 log = logging.getLogger(__name__)
 
 _RELATION_CODES = {r.value: i for i, r in enumerate(RELATIONS)}
+_BLOCK = 1 << 16  # characters read at a time, which bounds the strings a parse holds at once
+_BLOCK_ROWS = 1 << 11  # lines written at a time
+_EMPTY_IDS = {f"{kind.value}:" for kind in EntityKind}  # the labels `parse_label` accepts with an empty id
 _GROUP_PREFIX = re.compile(r"^[A-Za-z][0-9][0-9][A-Za-z]")
 
 
@@ -47,38 +50,19 @@ def parse_triples_file(path, vocab: Vocabulary | None = None) -> TripleStore:
     line raises: a schema error wins over a ParseError on a later line.
     """
     store = TripleStore(vocab)
-    known, add = store.vocab.ordinals, store.vocab.add_label
-    rows = array("q")  # head, relation code, tail, line number per fact line
-    missing = 0
-    error = None
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
-                if not line or line.startswith("#"):
-                    continue
-                fields = line.split("\t")
-                if len(fields) != 3:
-                    raise ParseError(f"line {line_no}: expected 3 tab-separated fields, got {len(fields)}")
-                head, rel, tail = known.get(fields[0]), _RELATION_CODES.get(fields[1]), known.get(fields[2])
-                if head is None or rel is None or tail is None:  # unseen: the token checks, in order
-                    _, head_id = parse_label(fields[0], f"line {line_no}: ")
-                    if rel is None:
-                        raise ParseError(f"line {line_no}: unknown relation {fields[1]!r}")
-                    _, tail_id = parse_label(fields[2], f"line {line_no}: ")
-                    if not head_id or not tail_id:
-                        missing += 1
-                        continue
-                    head, tail = add(fields[0]), add(fields[2])
-                rows.extend((head, rel, tail, line_no))
-    except ParseError as exc:
-        error = exc  # raised once the lines before it are checked
-    heads, rels, tails, line_nos = np.frombuffer(rows, dtype=np.int64).reshape(-1, 4).T
-    # a pinned vocabulary may hold `kind:` labels, whose empty ids count as missing endpoints
-    blanks = [known[f"{k.value}:"] for k in EntityKind if f"{k.value}:" in known]
-    blank = np.isin(heads, blanks) | np.isin(tails, blanks)
-    self_cite = ~blank & (rels == RELATION_INDEX[RelationKind.CITE]) & (heads == tails)
-    kept = np.flatnonzero(~(blank | self_cite))
+    blocks, error, line_no = [(np.zeros((4, 0), dtype=np.int64), 0)], None, 0
+    with open(path, encoding="utf-8") as fh:
+        while error is None and (lines := fh.readlines(_BLOCK)):
+            block = _read_lines(lines, line_no, store.vocab)
+            if block is None:  # the lines before the first bad one are read; it raises once they are checked
+                end, error = _first_error(lines, line_no)
+                block = _read_lines(lines[:end], line_no, store.vocab)
+            blocks.append(block)
+            line_no += len(lines)
+    rows, missing = zip(*blocks)
+    heads, rels, tails, line_nos = np.concatenate(rows, axis=1)
+    self_cite = (rels == RELATION_INDEX[RelationKind.CITE]) & (heads == tails)
+    kept = np.flatnonzero(~self_cite)
     first = kept[np.sort(np.unique(pack_keys(heads[kept], rels[kept], tails[kept]), return_index=True)[1])]
     try:
         store.add_triples(heads[first], rels[first], tails[first])
@@ -86,10 +70,51 @@ def parse_triples_file(path, vocab: Vocabulary | None = None) -> TripleStore:
         raise SchemaViolation(f"line {line_nos[first[exc.row]]}: {exc}") from None
     if error is not None:
         raise error
-    dropped = (int(self_cite.sum()), missing + int(blank.sum()), len(kept) - len(first))
+    dropped = (int(self_cite.sum()), sum(missing), len(kept) - len(first))
     if any(dropped):
         log.info("%s: dropped %d self-citations, %d missing-endpoint lines, %d duplicates", path, *dropped)
     return store
+
+
+def _read_lines(lines: list[str], line_no: int, vocab: Vocabulary) -> tuple[np.ndarray, int] | None:
+    """(head, relation code, tail, line number) rows of the fact lines among `lines`, the lines
+    after line `line_no`, less those with an empty id, which are counted; their new labels are
+    registered, head then tail, in line order. None, with nothing registered, if a line is bad."""
+    text, fact = "".join(lines), np.ones(len(lines), dtype=bool)
+    if text.startswith(("#", "\n")) or "\n#" in text or "\n\n" in text:  # a comment or blank line
+        fact = ~np.fromiter(map(str.startswith, lines, repeat(("#", "\n"))), bool, len(lines))
+        text = "".join(compress(lines, fact))
+    if (np.fromiter(map(str.count, lines, repeat("\t")), np.int64, len(lines))[fact] != 2).any():
+        return None
+    fields, known = text.replace("\n", "\t").split("\t")[:3 * int(fact.sum())], vocab.ordinals
+    rels = np.fromiter(map(_RELATION_CODES.get, fields[1::3], repeat(-1)), np.int64, len(fields) // 3)
+    del fields[1::3]  # head and tail labels, interleaved
+    ends = np.fromiter(map(known.get, fields, repeat(-1)), np.int64, len(fields))
+    unseen = ends < 0
+    # lines with an empty id: their unseen labels are checked, but neither label is registered
+    empty = np.fromiter(map(_EMPTY_IDS.__contains__, fields), bool, len(fields)).reshape(-1, 2).any(axis=1)
+    if ((rels < 0).any() or None in label_kinds(compress(fields, (unseen & np.repeat(empty, 2)).tolist()))
+            or not vocab.add_labels(compress(fields, (unseen & np.repeat(~empty, 2)).tolist()))):
+        return None
+    ends[unseen] = list(map(known.get, compress(fields, unseen.tolist()), repeat(-1)))
+    return np.stack([ends[0::2], rels, ends[1::2], np.flatnonzero(fact) + line_no + 1])[:, ~empty], int(empty.sum())
+
+
+def _first_error(lines: list[str], line_no: int) -> tuple[int, ParseError]:
+    """Index among `lines`, the lines after line `line_no`, of the first bad line, and its error."""
+    for i, line in enumerate(lines):
+        if line.startswith(("#", "\n")):  # a comment or blank line; no line is ""
+            continue
+        where, fields = f"line {line_no + i + 1}: ", line.rstrip("\n").split("\t")
+        try:
+            if len(fields) != 3:
+                raise ParseError(f"{where}expected 3 tab-separated fields, got {len(fields)}")
+            parse_label(fields[0], where)
+            if fields[1] not in _RELATION_CODES:
+                raise ParseError(f"{where}unknown relation {fields[1]!r}")
+            parse_label(fields[2], where)
+        except ParseError as exc:
+            return i, exc
 
 
 def subsection_of(group_code: str) -> str:
@@ -229,12 +254,18 @@ def load_universe(path) -> list[str]:
 
 
 def write_triples_file(store: TripleStore, path) -> None:
-    """Canonical TSV export in stored order plus a `.vocab` sidecar."""
-    label = list(store.vocab.ordinals)
-    columns = zip(store.heads.tolist(), store.rels.tolist(), store.tails.tolist())
-    lines = [f"{label[h]}\t{RELATIONS[r].value}\t{label[t]}\n" for h, r, t in columns]
-    Path(path).write_text("".join(lines), encoding="utf-8")
-    Path(f"{path}.vocab").write_text(store.vocab.export_text(), encoding="utf-8")
+    """Canonical TSV export in stored order plus a `.vocab` sidecar, each written `_BLOCK_ROWS` lines at a time."""
+    label, middle = store.vocab.labels, [f"\t{r.value}\t" for r in RELATIONS]
+    with open(path, "w", encoding="utf-8") as fh:
+        for start in range(0, len(store), _BLOCK_ROWS):
+            heads, rels, tails = (column[start:start + _BLOCK_ROWS].tolist() for column in store.triple_arrays())
+            pieces = ["\n"] * (4 * len(heads))  # head, "\t<relation>\t", tail, "\n" per line
+            pieces[0::4], pieces[1::4] = map(label.__getitem__, heads), map(middle.__getitem__, rels)
+            pieces[2::4] = map(label.__getitem__, tails)
+            fh.write("".join(pieces))
+    with open(f"{path}.vocab", "w", encoding="utf-8") as fh:
+        for start in range(0, len(label), _BLOCK_ROWS):
+            fh.write(store.vocab.export_text(start, start + _BLOCK_ROWS))
 
 
 def load_store(path) -> TripleStore:

@@ -1,13 +1,25 @@
 """Triple-file parsing, comprise derivation, portfolios and universes."""
 
 import logging
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
 from patkg.errors import MalformedCode, ParseError, PatkgError, SchemaViolation
-from patkg.graph import RELATION_INDEX, RELATION_SCHEMA, EntityKind, RelationKind, TripleStore, Vocabulary, pack_keys
+from patkg import ingestion
+from patkg.graph import (
+    RELATION_INDEX,
+    RELATION_SCHEMA,
+    EntityKind,
+    RelationKind,
+    TripleStore,
+    Vocabulary,
+    generate_synthetic,
+    pack_keys,
+)
 from patkg.ingestion import (
     derive_comprise,
     load_portfolios,
@@ -108,19 +120,36 @@ class TestParseTriples:
         assert clone.vocab.fingerprint() == store.vocab.fingerprint()
 
     @pytest.mark.parametrize("text", ["", FIGURE_GRAPH + "inventor:a\x0c \twrite\tpatent:b\x85\n"])
-    def test_files_are_their_lines_each_ended_by_a_newline(self, tmp_path, text):
+    def test_files_are_their_lines_each_ended_by_a_newline(self, tmp_path, monkeypatch, text):
         # the bytes the line-list writer gave: lines joined by "\n" plus a last "\n", or nothing
         src, out = tmp_path / "src.tsv", tmp_path / "out.tsv"
         src.write_text(text, encoding="utf-8")
         store = parse_triples_file(src)
-        write_triples_file(store, out)
         labels = list(store.vocab.ordinals)
         triple_lines = [f"{labels[t.head]}\t{t.relation.value}\t{labels[t.tail]}" for t in store.triples]
         vocab_lines = [f"{ordinal}\t{label}" for ordinal, label in enumerate(labels)]
-        assert out.read_bytes() == "".join(line + "\n" for line in triple_lines).encode()
-        sidecar = (tmp_path / "out.tsv.vocab").read_bytes()
-        assert sidecar == "".join(line + "\n" for line in vocab_lines).encode()
-        assert sidecar == store.vocab.export_text().encode()
+        for rows in (ingestion._BLOCK_ROWS, 3):  # one write block, then several
+            monkeypatch.setattr(ingestion, "_BLOCK_ROWS", rows)
+            write_triples_file(store, out)
+            assert out.read_bytes() == "".join(line + "\n" for line in triple_lines).encode()
+            sidecar = (tmp_path / "out.tsv.vocab").read_bytes()
+            assert sidecar == "".join(line + "\n" for line in vocab_lines).encode()
+            assert sidecar == store.vocab.export_text().encode()
+
+    def test_writer_transient_does_not_grow_with_the_store(self, tmp_path):
+        def transient(communities):
+            # about 2.3k triples a community: the smaller store already spans several write blocks
+            store = generate_synthetic(communities, 250, 40, 8, 0.02, 0.0004, seed=3)
+            assert len(store) > 4 * ingestion._BLOCK_ROWS
+            tracemalloc.start()
+            try:
+                write_triples_file(store, tmp_path / "t.tsv")
+                current, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            return peak - current  # what the write allocated and gave back before it returned
+
+        assert transient(16) < 1.5 * transient(4)
 
 
 class TestDeriveComprise:
@@ -346,9 +375,11 @@ def run_parser(parser, path, vocab_lines):
     return [c.tolist() for c in store.triple_arrays()], store.vocab.export_text(), [r.getMessage() for r in records]
 
 
-# labels of every kind, empty ids (`patent:`) and malformed tokens
+# labels of every kind, empty ids (`patent:`), ids holding characters `str.splitlines` breaks on
+# but a text-mode file does not, and malformed tokens
 LABELS = ["patent:1", "patent:2", "patent:3", "inventor:x", "inventor:y", "assignee:a", "group:H01L",
-          "group:G06F", "subsection:H01", "patent:", "inventor:", "group:"]
+          "group:G06F", "subsection:H01", "patent:", "inventor:", "group:", "assignee:", "patent:4\x0c",
+          "inventor:\x85z", "assignee:b\u2028c"]
 BAD_LABELS = ["bogus:2", "patent", ":", "Patent:1", ""]
 RELATION_TOKENS = [r.value for r in RelationKind]
 SCHEMA_LINES = [
@@ -357,22 +388,29 @@ SCHEMA_LINES = [
     for h in LABELS if h.startswith(hk.value + ":")
     for t in LABELS if t.startswith(tk.value + ":")
 ]
+# a 5-field line then a 1-field line: as many tabs as two good lines, and good fields in between
+SHIFTED_LINES = ["patent:1\tcite\tpatent:2\tpatent:3\tcite", "patent:1"]
 OTHER_LINES = st.one_of(
     st.tuples(st.sampled_from(LABELS), st.sampled_from(RELATION_TOKENS), st.sampled_from(LABELS)).map("\t".join),
     st.tuples(st.sampled_from(LABELS + BAD_LABELS), st.sampled_from(RELATION_TOKENS + ["CITE", ""]),
               st.sampled_from(LABELS + BAD_LABELS)).map("\t".join),
     st.sampled_from(["", "# comment", "patent:1\tcite", "patent:1\tcite\tpatent:2\tx"]),
-)
+).map(lambda line: [line]) | st.just(SHIFTED_LINES)
 
 
 @st.composite
 def triple_texts(draw):
     """Lines that fit the schema (or are self-citations or have an empty id), plus up to two
-    others anywhere: schema violations, malformed lines, comments and blanks."""
+    others anywhere: schema violations, malformed lines, comments and blanks. Each line ends
+    with `\\n`, `\\r\\n` or a lone `\\r`; the last may end with none."""
     lines = draw(st.lists(st.sampled_from(SCHEMA_LINES), max_size=16))
     for _ in range(draw(st.integers(0, 2))):
-        lines.insert(draw(st.integers(0, len(lines))), draw(OTHER_LINES))
-    return "\n".join(lines)
+        at = draw(st.integers(0, len(lines)))
+        lines[at:at] = draw(OTHER_LINES)
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(lines), max_size=len(lines)))
+    if lines and draw(st.booleans()):
+        ends[-1] = ""
+    return "".join(map(str.__add__, lines, ends))
 
 
 PINNED = st.none() | st.lists(st.sampled_from(LABELS), unique=True).map(
@@ -383,7 +421,20 @@ PINNED = st.none() | st.lists(st.sampled_from(LABELS), unique=True).map(
 @example(text="group:H01L\tcite\tpatent:1\nbogus:1\tcite\tpatent:2\n", vocab_lines=None)
 @example(text="patent:1\tcite\tpatent:2\ninventor:x\twrite\tpatent:\npatent:\tcite\tpatent:1\n",
          vocab_lines=["0\tpatent:", "1\tinventor:", "2\tpatent:1"])
+@example(text="\n".join(SHIFTED_LINES), vocab_lines=None)
+@example(text="patent:1\x0c\tcite\tpatent:\u2028\r\n:\tcite\tpatent:2\rpatent:\x85\tcite\tpatent:",
+         vocab_lines=None)
 def test_parse_triples_file_matches_line_by_line_oracle(fuzz_file, text, vocab_lines):
-    fuzz_file.write_text(text, encoding="utf-8")
+    fuzz_file.write_bytes(text.encode("utf-8"))
     assert run_parser(parse_triples_file, fuzz_file, vocab_lines) == run_parser(
         parse_triples_file_oracle, fuzz_file, vocab_lines)
+
+
+@given(text=triple_texts(), vocab_lines=PINNED, block=st.integers(1, 48))
+@example(text="patent:1\twrite\tpatent:2\nbogus\n", vocab_lines=None, block=1)  # schema error, then ParseError
+def test_parse_triples_file_matches_oracle_across_blocks(fuzz_file, text, vocab_lines, block):
+    # blocks of a few characters: a file spans many, and its first bad line can sit in a later one
+    fuzz_file.write_bytes(text.encode("utf-8"))
+    with mock.patch.object(ingestion, "_BLOCK", block):
+        got = run_parser(parse_triples_file, fuzz_file, vocab_lines)
+    assert got == run_parser(parse_triples_file_oracle, fuzz_file, vocab_lines)
