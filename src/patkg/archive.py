@@ -127,7 +127,7 @@ def load_archive(path) -> tuple[ModelParams, Vocabulary]:
 
     Raises ArchiveError with the offending byte offset when the manifest
     is malformed, the vocabulary lines do not hash to its `vocab_sha256`,
-    or the payload does not match it exactly.
+    or the payload does not match it exactly or holds a NaN or infinity.
     """
     raw = Path(path).read_bytes()
     nl1 = raw.find(b"\n")
@@ -157,13 +157,14 @@ def load_archive(path) -> tuple[ModelParams, Vocabulary]:
     if len(vocab) != n_entities or vocab.fingerprint() != fingerprint:
         raise ArchiveError(f"vocabulary before byte {end} does not match vocab_sha256")
 
-    pos = end
-    entities = None
+    pos, entities = end, None
     relations: dict[RelationKind, dict[str, np.ndarray]] = {rel: {} for rel in RelationKind}
     for rel, name, shape in layout:
         count = math.prod(shape)
-        arr = np.frombuffer(raw, dtype=dtype, count=count, offset=pos).reshape(shape)
-        arr = arr.astype(np.float64)
+        arr = np.frombuffer(raw, dtype=dtype, count=count, offset=pos).reshape(shape).astype(np.float64)
+        if not (finite := np.isfinite(arr)).all():
+            block, at = name if rel is None else f"{rel.value}/{name}", pos + int(finite.argmin()) * dtype.itemsize
+            raise ArchiveError(f"non-finite value in block {block} at byte {at}")
         pos += count * dtype.itemsize
         if rel is None:
             entities = arr

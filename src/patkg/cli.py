@@ -144,10 +144,7 @@ def _cmd_ingest(args) -> int:
 
 def _cmd_train(args) -> int:
     store = ingestion.load_store(args.store_path)
-    if args.train_on_all:
-        train_store = store
-    else:
-        train_store, _ = split(store, SplitSpec(args.test_fraction, args.split_seed))
+    train_store = store if args.train_on_all else split(store, SplitSpec(args.test_fraction, args.split_seed))[0]
     config = _train_config(args)
     params, report = trainer.train(train_store, ModelKind(args.model_kind), config)
     archive.save_archive(args.out_archive_path, params, vocab=store.vocab, encoding=args.encoding)
@@ -209,8 +206,7 @@ def _cmd_expansion(args) -> int:
     agent_kind = EntityKind(args.agent_kind)
     portfolios = ingestion.load_portfolios(args.portfolios_path, agent_kind)
     universe = ingestion.load_universe(args.universe_path)
-    models = {}
-    vocab = None
+    models, vocab = {}, None
     for path in args.archive_paths:
         params, arc_vocab = archive.load_archive(path)
         vocab = vocab or arc_vocab

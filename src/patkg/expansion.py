@@ -163,7 +163,8 @@ def profile_from_phi(
                 profile.skipped += 1
             else:
                 weights = counts[home_mask]
-                prox = phi[np.ix_(home_mask, ~home_mask)].T @ weights / weights.sum()
+                # the home x target block, gathered C-ordered as `np.ix_` does, so the GEMV rounds alike
+                prox = np.take(phi[home_mask], target_idx, axis=1).T @ weights / weights.sum()
                 at = np.searchsorted(target_idx, [index[g] for g in new_groups])
                 profile.entries.extend(_rank_percentiles(prox, at).tolist())
         for code in record.groups:

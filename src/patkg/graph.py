@@ -16,7 +16,7 @@ from array import array
 from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
-from itertools import filterfalse, repeat
+from itertools import count, filterfalse, repeat
 
 import numpy as np
 
@@ -195,25 +195,26 @@ class Vocabulary:
 
     def export_text(self, start: int = 0, stop: int | None = None) -> str:
         """`<ordinal>\\t<kind>:<source_id>\\n` per ordinal in [start, stop): a sidecar or archive block."""
-        return "".join([f"{ordinal}\t{label}\n" for ordinal, label in enumerate(self.labels[start:stop], start)])
+        return "".join([_export_line(i, label) + "\n" for i, label in enumerate(self.labels[start:stop], start)])
 
     @classmethod
     def from_lines(cls, lines: Iterable[str]) -> Vocabulary:
         """Inverse of `export_text`; lines may keep their trailing newline, as an open file yields them.
 
         Blank lines are skipped. Every other line is `<ordinal>\\t<label>`, with a label
-        `parse_label` accepts and the ordinal the label was first given. The labels are
-        registered all at once; only if some ordinal is not written as `export_text` writes
-        it, or a label is rejected, are the lines checked one by one, and the first line that
-        breaks a rule raises.
+        `parse_label` accepts and the ordinal the label was first given. Lines that are all as
+        `export_text` writes them give the vocabulary and its fingerprint at once; otherwise the
+        lines are checked one by one, and the first line that breaks a rule raises.
         """
         lines = [line.rstrip("\n") for line in lines]
         kept = [line for line in lines if line.strip()]
         labels = [line.partition("\t")[2] for line in kept]
         vocab = cls()
-        named = map(vocab.ordinals.get, labels)  # the ordinal each line must carry, once registered
-        if not vocab.add_labels(labels) or not all(map(str.startswith, kept, map("{}\t".format, named))):
-            first = dict(zip(dict.fromkeys(labels), range(len(labels))))
+        vocab.ordinals.update(zip(labels, count()))
+        if repeated := len(vocab.ordinals) < len(labels):  # number the labels first-seen
+            vocab.ordinals = dict(zip(vocab.ordinals, count()))
+        codes, exported = label_kinds(vocab.ordinals), map(_export_line, count(), labels)
+        if None in codes or repeated or not all(map(str.__eq__, kept, exported)):
             numbers = (i for i, line in enumerate(lines) if line.strip())
             for i, line, label in zip(numbers, kept, labels):
                 ordinal_text = line.partition("\t")[0]
@@ -223,20 +224,40 @@ class Vocabulary:
                     number = None
                 if number is None or label_kinds([label]) == [None]:  # a label's first line is the first to hold it
                     raise ParseError(f"vocabulary line {i}: {line!r} is not <ordinal>\\t<kind>:<id>")
-                if number != first[label]:
+                if number != vocab.ordinals[label]:
                     raise UnknownEntity(f"vocabulary line {i}: non-contiguous ordinal {ordinal_text}")
+        else:  # the lines are the export text, which `fingerprint` hashes
+            vocab._derived["fingerprint"] = _sha256("\n".join(kept + [""]))
+        vocab.kinds.extend(codes)
         return vocab
 
     def fingerprint(self) -> str:
         """SHA-256 of `export_text`."""
         if "fingerprint" not in self._derived:
-            self._derived["fingerprint"] = hashlib.sha256(self.export_text().encode("utf-8")).hexdigest()
+            self._derived["fingerprint"] = _sha256(self.export_text())
         return self._derived["fingerprint"]
+
+
+def _export_line(ordinal: int, label: str) -> str:
+    """One vocabulary line as `export_text` writes it, less its newline."""
+    return f"{ordinal}\t{label}"
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def pack_keys(heads, rels, tails) -> np.ndarray:
     """One int64 key per triple, ordered as (relation, head, tail): rel << 58 | head << 29 | tail."""
     return (rels << 58) | (heads << 29) | tails
+
+
+def first_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(mask of the first row holding each key, the keys sorted), from one stable argsort."""
+    order = np.argsort(keys, kind="stable")  # a key's first row comes first among its equals
+    ordered, first = keys[order], np.empty(len(keys), dtype=bool)
+    first[order] = np.r_[True, ordered[1:] != ordered[:-1]][:len(keys)]
+    return first, ordered
 
 
 def _as_triples(heads: np.ndarray, rels: np.ndarray, tails: np.ndarray) -> list[Triple]:
@@ -304,9 +325,8 @@ class TripleStore:
         kinds = np.append(np.array(self.vocab.kinds, dtype=np.int8), -1)[np.where(in_range, [heads, tails], -1)]
         off_schema = (kinds != _SCHEMA_CODES[np.where(in_range, rels, 0)].T).any(axis=0)
         self_cite = (rels == RELATION_INDEX[RelationKind.CITE]) & (heads == tails)
-        duplicate = np.ones(len(keys), dtype=bool)  # repeats an earlier row or a stored triple
-        duplicate[np.unique(keys, return_index=True)[1]] = False
-        duplicate |= self.contains(heads, rels, tails)
+        first, ordered = first_rows(keys)
+        duplicate = ~first | self.contains(heads, rels, tails)  # repeats an earlier row or a stored triple
         rule = np.select([~in_range, off_schema, self_cite, duplicate], [1, 2, 3, 4])
         if rule.any():
             i = int(np.argmax(rule > 0))
@@ -326,7 +346,9 @@ class TripleStore:
         self.heads = np.concatenate([self.heads, heads])
         self.rels = np.concatenate([self.rels, rels])
         self.tails = np.concatenate([self.tails, tails])
-        self._keys = np.sort(np.concatenate([self._keys, keys]))
+        if len(self._keys):  # merge the new keys into the stored ones
+            ordered = np.insert(self._keys, self._keys.searchsorted(ordered), ordered)
+        self._keys = ordered
         self._keys_by_tail = None
         for column in (self.heads, self.rels, self.tails, self._keys):
             column.flags.writeable = False

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import MalformedCode, ParseError, SchemaViolation
 from .graph import RELATION_INDEX, RELATIONS, EntityKind, RelationKind, Triple, TripleStore, Vocabulary
-from .graph import label_kinds, pack_keys, parse_label
+from .graph import first_rows, label_kinds, pack_keys, parse_label
 
 log = logging.getLogger(__name__)
 
@@ -63,7 +63,7 @@ def parse_triples_file(path, vocab: Vocabulary | None = None) -> TripleStore:
     heads, rels, tails, line_nos = np.concatenate(rows, axis=1)
     self_cite = (rels == RELATION_INDEX[RelationKind.CITE]) & (heads == tails)
     kept = np.flatnonzero(~self_cite)
-    first = kept[np.sort(np.unique(pack_keys(heads[kept], rels[kept], tails[kept]), return_index=True)[1])]
+    first = kept[first_rows(pack_keys(heads[kept], rels[kept], tails[kept]))[0]]
     try:
         store.add_triples(heads[first], rels[first], tails[first])
     except SchemaViolation as exc:
@@ -81,11 +81,12 @@ def _read_lines(lines: list[str], line_no: int, vocab: Vocabulary) -> tuple[np.n
     after line `line_no`, less those with an empty id, which are counted; their new labels are
     registered, head then tail, in line order. None, with nothing registered, if a line is bad."""
     text, fact = "".join(lines), np.ones(len(lines), dtype=bool)
-    if text.startswith(("#", "\n")) or "\n#" in text or "\n\n" in text:  # a comment or blank line
+    tabs = np.fromiter(map(str.count, lines, repeat("\t")), np.int64, len(lines))
+    if "#" in text or (tabs != 2).any():  # maybe a comment or blank line, which holds no tab
         fact = ~np.fromiter(map(str.startswith, lines, repeat(("#", "\n"))), bool, len(lines))
+        if (tabs[fact] != 2).any():
+            return None
         text = "".join(compress(lines, fact))
-    if (np.fromiter(map(str.count, lines, repeat("\t")), np.int64, len(lines))[fact] != 2).any():
-        return None
     fields, known = text.replace("\n", "\t").split("\t")[:3 * int(fact.sum())], vocab.ordinals
     rels = np.fromiter(map(_RELATION_CODES.get, fields[1::3], repeat(-1)), np.int64, len(fields) // 3)
     del fields[1::3]  # head and tail labels, interleaved
@@ -93,10 +94,13 @@ def _read_lines(lines: list[str], line_no: int, vocab: Vocabulary) -> tuple[np.n
     unseen = ends < 0
     # lines with an empty id: their unseen labels are checked, but neither label is registered
     empty = np.fromiter(map(_EMPTY_IDS.__contains__, fields), bool, len(fields)).reshape(-1, 2).any(axis=1)
-    if ((rels < 0).any() or None in label_kinds(compress(fields, (unseen & np.repeat(empty, 2)).tolist()))
-            or not vocab.add_labels(compress(fields, (unseen & np.repeat(~empty, 2)).tolist()))):
+    if (rels < 0).any():
         return None
-    ends[unseen] = list(map(known.get, compress(fields, unseen.tolist()), repeat(-1)))
+    if unseen.any():  # a `.vocab` sidecar written with the store leaves no label unseen
+        if (None in label_kinds(compress(fields, (unseen & np.repeat(empty, 2)).tolist()))
+                or not vocab.add_labels(compress(fields, (unseen & np.repeat(~empty, 2)).tolist()))):
+            return None
+        ends[unseen] = list(map(known.get, compress(fields, unseen.tolist()), repeat(-1)))
     return np.stack([ends[0::2], rels, ends[1::2], np.flatnonzero(fact) + line_no + 1])[:, ~empty], int(empty.sum())
 
 

@@ -122,8 +122,10 @@ def init_params(
 
     Entity rows of translational models are then L2-normalized; RotatE
     relation phases are uniform in [-pi, pi) so every implied rotation
-    component has unit modulus by construction. Complex rows and the
-    ComplEx `vec` are drawn as [re | im] halves, then interleaved.
+    component has unit modulus by construction. TransR projections start as
+    the identity, as in the TransR paper: a uniform draw at this bound can
+    diverge under steps of 0.01. Complex rows and the ComplEx `vec` are
+    drawn as [re | im] halves, then interleaved.
     """
     if n_entities < 1 or dim < 1:
         raise InvalidConfig("n_entities and dim must be >= 1")
@@ -141,6 +143,8 @@ def init_params(
         for name, shape in sorted(spec.relation_blocks(dim).items()):
             if name == "phase":
                 blocks[name] = rng.uniform(-np.pi, np.pi, size=shape)
+            elif name == "mat" and spec.translational:
+                blocks[name] = np.eye(dim)
             else:
                 blocks[name] = rng.uniform(-bound, bound, size=shape)
                 if spec.complex_rows:

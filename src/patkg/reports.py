@@ -7,6 +7,7 @@ byte-identical files and diffs stay meaningful.
 
 from __future__ import annotations
 
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -19,8 +20,16 @@ from .proximity import NeighborHit
 from .trainer import TrainReport
 
 
+_FLOAT = ".12g"  # the format of every number a report writes
+
+
 def fnum(x: float) -> str:
-    return format(float(x), ".12g")
+    return format(float(x), _FLOAT)
+
+
+def _fnums(values: list[float]) -> str:
+    """`fnum` of each Python float, tab-joined."""
+    return "\t".join(map(format, values, repeat(_FLOAT)))
 
 
 def eval_report_text(report: EvalReport, model_name: str) -> str:
@@ -45,12 +54,8 @@ def eval_report_text(report: EvalReport, model_name: str) -> str:
         metrics = report.per_relation.get(rel)
         if metrics is None:
             continue
-        lines.append(
-            "\t".join(
-                [rel.value, str(metrics.queries), fnum(metrics.mr), fnum(metrics.mrr)]
-                + [fnum(metrics.hits[k]) for k in HITS_CUTOFFS]
-            )
-        )
+        lines.append("\t".join([rel.value, str(metrics.queries), fnum(metrics.mr), fnum(metrics.mrr)]
+                               + [fnum(metrics.hits[k]) for k in HITS_CUTOFFS]))
     return "\n".join(lines) + "\n"
 
 
@@ -85,15 +90,15 @@ def neighbors_tsv(hits: list[NeighborHit]) -> str:
 
 def matrix_tsv(labels: list[str], matrix: np.ndarray) -> str:
     lines = ["entity\t" + "\t".join(labels)]
-    for label, row in zip(labels, matrix):
-        lines.append(label + "\t" + "\t".join(fnum(v) for v in row))
+    for label, row in zip(labels, matrix.tolist()):
+        lines.append(label + "\t" + _fnums(row))
     return "\n".join(lines) + "\n"
 
 
 def embeddings_tsv(params: ModelParams, vocab: Vocabulary,
                    kind_filter: set[EntityKind] | None = None) -> str:
     lines = [
-        f"{label}\t" + "\t".join(fnum(v) for v in params.entities[ordinal])
+        f"{label}\t" + _fnums(params.entities[ordinal].tolist())
         for label, ordinal in vocab.ordinals.items() if not kind_filter or KINDS[vocab.kinds[ordinal]] in kind_filter
     ]
     return "\n".join(lines) + ("\n" if lines else "")
@@ -109,16 +114,8 @@ def expansion_report_text(report: ExpansionReport) -> str:
         lines.append(f"agents: {len(result.agent_ids)}")
         lines.append("model\tcombined_auc\texplainability\tprofile_entries")
         for name in sorted(result.combined_auc):
-            lines.append(
-                "\t".join(
-                    [
-                        name,
-                        fnum(result.combined_auc[name]),
-                        fnum(result.explainability[name]),
-                        str(len(result.combined_profiles[name])),
-                    ]
-                )
-            )
+            lines.append(f"{name}\t{fnum(result.combined_auc[name])}\t{fnum(result.explainability[name])}\t"
+                         f"{len(result.combined_profiles[name])}")
     return "\n".join(lines) + "\n"
 
 

@@ -21,7 +21,7 @@ from patkg import cli
 from patkg.archive import load_archive
 from patkg.cli import main
 from patkg.errors import ArchiveError
-from patkg.graph import generate_synthetic
+from patkg.graph import RelationKind, generate_synthetic
 from patkg.ingestion import write_triples_file
 from patkg.models import SPECS, ModelKind
 from patkg.reports import fnum
@@ -193,6 +193,9 @@ class TestTrainEval:
             # diverges: numpy's overflow warnings must not reach stderr
             ("--epochs", "3", "--lr", "50", "--batch-size", "32", "--no-normalize"):
                 "NumericalDivergence: epoch 0: batch 3: non-finite loss or parameter",
+            # overflows float32 without reaching inf in float64: refused, not saved as inf
+            ("--epochs", "1", "--lr", "100", "--batch-size", "256", "--no-normalize"):
+                "ArchiveError: a parameter value is outside the float32 range",
             # nan fails every hinge comparison: trains nothing unless rejected
             ("--margin", "nan"): "InvalidConfig: learning_rate, margin and l2_coefficient must be finite",
         }
@@ -430,6 +433,31 @@ def test_recomputed_vocabulary_checksum_reads_the_edited_labels(archive, tmp_pat
     assert np.array_equal(loaded.entities, params.entities)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["first entity row", "last relation block"])
+@pytest.mark.parametrize("command", ["neighbors", "export-embeddings", "eval"])
+def test_non_finite_payload_values_are_refused(archive, graph_file, tmp_path, capsys, value, where, command):
+    params, _ = load_archive(archive)
+    raw = bytearray(archive.read_bytes())  # a float32 payload: the entity table, then the relation blocks
+    if where == "first entity row":
+        at = len(raw) - 4 * sum(block.size for blocks in params.relations.values() for block in blocks.values())
+        at -= 4 * params.entities.size
+        block = "entities"
+    else:
+        at, block = len(raw) - 4, f"comprise/{sorted(params.relations[RelationKind.COMPRISE])[-1]}"
+    raw[at:at + 4] = np.float32(value).tobytes()
+    edited = tmp_path / "edited.kge"
+    edited.write_bytes(bytes(raw))
+    out = tmp_path / "out.tsv"
+    argv = {"neighbors": ["neighbors", edited, "patent:p000_00000", out, "-k", "5"],
+            "export-embeddings": ["export-embeddings", edited, out],
+            "eval": ["eval", edited, graph_file, out]}[command]
+    assert run_cli(*argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: ArchiveError: non-finite value in block {block} at byte {at}\n"
+    assert not out.exists()
+
+
 # -- the CLI contract over drawn inputs -----------------------------------------------------
 
 CONTRACT_GRAPH = MINIMAL_GRAPH + "inventor:a\x0c\twrite\tpatent:5252504\n"
@@ -659,6 +687,9 @@ def write_commands(draw):
 # the step overflows float32 without reaching inf in float64: refused, not saved as inf
 @example(case=(("train", "{store}", "transr", "{out}", "--dim", "4", "--epochs", "2", "--lr", "50",
                 "--train-on-all"), {"store": ("valid", 0), "sidecar": ("valid", 0)}, False))
+# one positive per TransR step at a small rate: a random projection diverged here
+@example(case=(("train", "{store}", "transr", "{out}", "--dim", "4", "--epochs", "1", "--lr", "0.01",
+                "--batch-size", "1"), {"store": ("valid", 0), "sidecar": ("valid", 0)}, True))
 def test_write_commands_keep_the_cli_contract(contract_files, case):
     assert_cli_contract(contract_files, case)
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+from patkg import expansion
 from patkg.errors import (
     EmptyHome,
     EmptyPortfolio,
@@ -278,8 +279,9 @@ class TestBuildProfile:
             assert abs(value - domain_agent_proximity(state, j, phi_fn)) < 1e-12
 
 
-def profile_oracle(phi, portfolio, universe) -> tuple[list[float], int]:
-    """(entries, skipped) built per record from a code-keyed list and `percentiles_oracle`."""
+def profile_oracle(phi, portfolio, universe, proximities=None) -> tuple[list[float], int]:
+    """(entries, skipped) built per record from a code-keyed list and `percentiles_oracle`;
+    the bytes of each emission's proximity vector are appended to `proximities` if given."""
     index = {code: i for i, code in enumerate(universe)}
     counts = np.zeros(len(universe), dtype=np.int64)
     entries: list[float] = []
@@ -295,6 +297,8 @@ def profile_oracle(phi, portfolio, universe) -> tuple[list[float], int]:
         elif new_groups:
             weights = counts[home_mask]
             prox = phi[np.ix_(home_mask, ~home_mask)].T @ weights / weights.sum()
+            if proximities is not None:
+                proximities.append(prox.tobytes())
             pp = percentiles_oracle([(universe[i], float(p)) for i, p in zip(target_idx, prox)])
             entries.extend(pp[g] for g in new_groups)
         for code in record.groups:
@@ -333,6 +337,38 @@ def test_profile_matches_sort_and_walk_oracle(case):
     entries, skipped = profile_oracle(phi, portfolio, universe)
     assert bits(prof.entries) == bits(entries)
     assert prof.skipped == skipped
+
+
+def benchmark_scale_case(order):
+    """A study-5x-sized universe (650 groups) with cosine-like phi floored at 0, in `order`, and
+    one agent whose home passes 64 groups: 200 patents of 1-3 groups, a third of them repeats."""
+    rng = np.random.default_rng(23)
+    universe = [f"{chr(65 + i // 250)}{i // 5 % 50:02d}{chr(65 + i % 5)}" for i in range(650)]
+    upper = np.triu(rng.normal(0.1, 0.3, (650, 650)), 1)
+    phi = np.maximum(upper + upper.T, 0.0)
+    np.fill_diagonal(phi, 1.0)
+    held: list[str] = []
+    patents = []
+    for i in range(200):
+        groups = {held[int(rng.integers(len(held)))] if held and rng.random() < 0.35
+                  else universe[int(rng.integers(650))] for _ in range(int(rng.integers(1, 4)))}
+        held.extend(groups)
+        patents.append((f"p{i:03d}", date.fromordinal(722000 + 30 * i).isoformat(), sorted(groups)))
+    return np.asarray(phi, order=order), make_portfolio("x", patents), universe
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_profile_blocks_match_ix_oracle_at_benchmark_scale(order, monkeypatch):
+    # every emission's proximity vector, not only the percentiles it ranks to, is the `np.ix_` one
+    phi, portfolio, universe = benchmark_scale_case(order)
+    seen, rank = [], expansion._rank_percentiles
+    monkeypatch.setattr(expansion, "_rank_percentiles", lambda values, at: seen.append(values.tobytes())
+                        or rank(values, at))
+    prof = profile_from_phi(phi, portfolio, universe)
+    proximities = []
+    entries, skipped = profile_oracle(phi, portfolio, universe, proximities)
+    assert seen == proximities and bits(prof.entries) == bits(entries) and prof.skipped == skipped
+    assert len(universe) - len(proximities[-1]) // 8 > 64 and len(entries) > 100
 
 
 class TestCombine:

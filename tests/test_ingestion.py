@@ -424,6 +424,10 @@ PINNED = st.none() | st.lists(st.sampled_from(LABELS), unique=True).map(
 @example(text="\n".join(SHIFTED_LINES), vocab_lines=None)
 @example(text="patent:1\x0c\tcite\tpatent:\u2028\r\n:\tcite\tpatent:2\rpatent:\x85\tcite\tpatent:",
          vocab_lines=None)
+@example(text="patent:1#2\tcite\tpatent:3\n", vocab_lines=None)  # a `#` inside an id
+@example(text="patent:1\tcite\tpatent:2\n# a\tcomment\tline\npatent:2\tcite\tpatent:3\n", vocab_lines=None)
+@example(text="patent:1\tcite\tpatent:2\n\npatent:2\tcite\tpatent:3\n",  # a blank line; no label unseen
+         vocab_lines=["0\tpatent:1", "1\tpatent:2", "2\tpatent:3"])
 def test_parse_triples_file_matches_line_by_line_oracle(fuzz_file, text, vocab_lines):
     fuzz_file.write_bytes(text.encode("utf-8"))
     assert run_parser(parse_triples_file, fuzz_file, vocab_lines) == run_parser(

@@ -51,6 +51,12 @@ class TestInit:
             else:
                 assert not np.allclose(norms, 1.0)
 
+    def test_transr_projections_start_as_identity(self):
+        p = init_params(ModelKind.TRANSR, 10, 6, seed=3)
+        for rel in RelationKind:
+            assert np.array_equal(p.relations[rel]["mat"], np.eye(6))
+        assert not np.array_equal(init_params(ModelKind.RESCAL, 10, 6, seed=3).relations[REL]["mat"], np.eye(6))
+
     def test_rotate_unit_modulus(self):
         p = init_params(ModelKind.ROTATE, 5, 16, seed=9)
         for rel in RelationKind:
