@@ -124,15 +124,20 @@ def _pin_malloc_thresholds() -> None:
     mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
 
 
-def _train_config(args: argparse.Namespace) -> TrainConfig:
+def _train_config(args: argparse.Namespace, kind: ModelKind) -> TrainConfig:
     """The model's default config with the flags given on the command line."""
     given = {"learning_rate": args.lr, "margin": args.margin, "l2_coefficient": args.l2,
              "normalize_entities": args.normalize, "loss": None if args.loss is None else LossKind(args.loss)}
     return dataclasses.replace(
-        trainer.default_config(ModelKind(args.model_kind)),
+        trainer.default_config(kind),
         epochs=args.epochs, batch_size=args.batch_size, negatives_per_positive=args.negatives,
         seed=args.seed, dim=args.dim, **{name: value for name, value in given.items() if value is not None},
     )
+
+
+def _kind_filter(args: argparse.Namespace) -> set[EntityKind] | None:
+    """The `--kind-filter` kinds, or None when the flag names none."""
+    return {EntityKind(k) for k in args.kind_filter} if args.kind_filter else None
 
 
 def _cmd_ingest(args) -> int:
@@ -145,8 +150,8 @@ def _cmd_ingest(args) -> int:
 def _cmd_train(args) -> int:
     store = ingestion.load_store(args.store_path)
     train_store = store if args.train_on_all else split(store, SplitSpec(args.test_fraction, args.split_seed))[0]
-    config = _train_config(args)
-    params, report = trainer.train(train_store, ModelKind(args.model_kind), config)
+    kind = ModelKind(args.model_kind)
+    params, report = trainer.train(train_store, kind, _train_config(args, kind))
     archive.save_archive(args.out_archive_path, params, vocab=store.vocab, encoding=args.encoding)
     if args.report:
         reports.write_text(args.report, reports.train_report_text(report))
@@ -178,9 +183,8 @@ def _cmd_eval(args) -> int:
 def _cmd_neighbors(args) -> int:
     params, vocab = archive.load_archive(args.archive_path)
     focal = vocab.ref(vocab.ordinal_of_label(args.focal))
-    kind_filter = {EntityKind(k) for k in args.kind_filter} if args.kind_filter else None
     hits = proximity.nearest_neighbors(
-        params, vocab, focal, args.k, kind_filter, proximity.TransformMode(args.mode)
+        params, vocab, focal, args.k, _kind_filter(args), proximity.TransformMode(args.mode)
     )
     reports.write_text(args.out_path, reports.neighbors_tsv(hits))
     print(f"wrote {len(hits)} neighbors of {args.focal} -> {args.out_path}")
@@ -231,8 +235,7 @@ def _cmd_expansion(args) -> int:
 
 def _cmd_export_embeddings(args) -> int:
     params, vocab = archive.load_archive(args.archive_path)
-    kind_filter = {EntityKind(k) for k in args.kind_filter} if args.kind_filter else None
-    reports.write_text(args.out_tsv_path, reports.embeddings_tsv(params, vocab, kind_filter))
+    reports.write_text(args.out_tsv_path, reports.embeddings_tsv(params, vocab, _kind_filter(args)))
     print(f"exported embeddings -> {args.out_tsv_path}")
     return 0
 

@@ -22,6 +22,7 @@ from .errors import EmptyTestSet, InvalidConfig, PoolTooSmall, UnknownOrdinal
 from .graph import (
     CandidatePool,
     RELATION_INDEX,
+    RELATIONS,
     RelationKind,
     Side,
     Triple,
@@ -45,6 +46,10 @@ class TieRule(Enum):
     MIDPOINT = "midpoint"
     OPTIMISTIC = "optimistic"
     PESSIMISTIC = "pessimistic"
+
+
+_SIDES = {Sides.HEAD_ONLY: (Side.HEAD,), Sides.TAIL_ONLY: (Side.TAIL,), Sides.BOTH: (Side.HEAD, Side.TAIL)}
+_TIE_SHARE = {TieRule.MIDPOINT: 0.5, TieRule.OPTIMISTIC: 0.0, TieRule.PESSIMISTIC: 1.0}  # of ties ranked above
 
 
 @dataclass(frozen=True, slots=True)
@@ -95,11 +100,7 @@ class EvalReport:
 def _rank_from_scores(true_score: float, corrupt_scores: np.ndarray, tie_rule: TieRule) -> float:
     better = int((corrupt_scores > true_score).sum())
     ties = int((corrupt_scores == true_score).sum())
-    if tie_rule is TieRule.OPTIMISTIC:
-        return 1.0 + better
-    if tie_rule is TieRule.PESSIMISTIC:
-        return 1.0 + better + ties
-    return 1.0 + better + ties / 2.0
+    return 1.0 + better + ties * _TIE_SHARE[tie_rule]
 
 
 def rank_target(
@@ -166,18 +167,10 @@ def evaluate(
         raise EmptyTestSet("no test triples")
     check_fingerprint(params, store.vocab)
 
-    if config.sides is Sides.HEAD_ONLY:
-        sides = (Side.HEAD,)
-    elif config.sides is Sides.TAIL_ONLY:
-        sides = (Side.TAIL,)
-    else:
-        sides = (Side.HEAD, Side.TAIL)
-
-    clamped = 0
     skipped = 0
     records: list[RankRecord] = []
     for triple in test:
-        for side in sides:
+        for side in _SIDES[config.sides]:
             try:
                 corrupts = sample_corrupt(
                     store, triple, config.corruptions_per_side, side, pool=config.pool,
@@ -186,11 +179,11 @@ def evaluate(
             except PoolTooSmall:
                 skipped += 1  # nothing to corrupt with; query is unrankable
                 continue
-            clamped += len(corrupts) < config.corruptions_per_side
             rank = rank_target(params, triple, side, corrupts, config.tie_rule)
             records.append(RankRecord(triple, side, rank, len(corrupts)))
     if not records:
         raise PoolTooSmall("every query had an empty corruption pool")
+    clamped = sum(r.n_corrupts < config.corruptions_per_side for r in records)
     if skipped:
         log.warning("skipped %d queries with an empty corruption pool", skipped)
     if clamped:
@@ -199,12 +192,13 @@ def evaluate(
             config.corruptions_per_side, clamped, len(records),
         )
 
-    per_relation: dict[RelationKind, RelationMetrics] = {}
-    for rel in RelationKind:
-        rel_ranks = np.sort([r.rank for r in records if r.triple.relation is rel])
-        if rel_ranks.size:
-            per_relation[rel] = _metrics(rel_ranks)
-    overall = _metrics(np.sort([r.rank for r in records]))
+    ranks = np.array([r.rank for r in records])
+    codes = np.array([RELATION_INDEX[r.triple.relation] for r in records])
+    order = np.lexsort((ranks, codes))  # by relation, then rank: one ascending slice per relation
+    ranks = ranks[order]
+    bounds = np.searchsorted(codes[order], np.arange(len(RELATIONS) + 1))
+    per_relation = {rel: _metrics(ranks[lo:hi]) for rel, lo, hi in zip(RELATIONS, bounds, bounds[1:]) if hi > lo}
+    overall = _metrics(np.sort(ranks))
     return EvalReport(
         mr=overall.mr,
         mrr=overall.mrr,

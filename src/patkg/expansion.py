@@ -10,9 +10,9 @@ proximities:
 Targets are ranked by this value, and the rank percentile
 (N - r) / (N - 1) of each group the agent actually enters next is
 appended to its expansion profile. The cumulative distribution
-F(x) = |{pp >= x}| / n of a profile integrates to the profile mean,
-which is the AUC used to compare embedding models; explainability is
-the fraction of agents for which a model attains the highest AUC.
+F(x) = |{pp >= x}| / n of a profile integrates to the profile mean up
+to rounding: the AUC used to compare embedding models. Explainability
+is the fraction of agents for which a model attains the highest AUC.
 """
 
 from __future__ import annotations
@@ -194,7 +194,7 @@ def cumulative_distribution(profile: ExpansionProfile) -> list[tuple[float, floa
 def auc(profile: ExpansionProfile) -> float:
     """Exact step integral of the cumulative distribution over [0, 1].
 
-    Identically equal to the profile mean, which the test suite checks.
+    Equal to the profile mean up to rounding, which the test suite checks.
     """
     samples = cumulative_distribution(profile)
     total = 0.0

@@ -39,7 +39,8 @@ _RELATION_CODES = {r.value: i for i, r in enumerate(RELATIONS)}
 _BLOCK = 1 << 16  # characters read at a time, which bounds the strings a parse holds at once
 _BLOCK_ROWS = 1 << 11  # lines written at a time
 _EMPTY_IDS = {f"{kind.value}:" for kind in EntityKind}  # the labels `parse_label` accepts with an empty id
-_GROUP_PREFIX = re.compile(r"^[A-Za-z][0-9][0-9][A-Za-z]")
+_GROUP_PREFIX = re.compile(r"^[A-Za-z][0-9][0-9][A-Za-z]")  # the rule for every group code
+_GROUP_RULE = "must be >=4 chars with a letter-digit-digit-letter prefix"
 
 
 def parse_triples_file(path, vocab: Vocabulary | None = None) -> TripleStore:
@@ -123,8 +124,8 @@ def _first_error(lines: list[str], line_no: int) -> tuple[int, ParseError]:
 
 def subsection_of(group_code: str) -> str:
     """Parent subsection code: the first 3 characters of the group code."""
-    if len(group_code) < 4:
-        raise MalformedCode(f"group code {group_code!r} shorter than 4 characters")
+    if not _GROUP_PREFIX.match(group_code):
+        raise MalformedCode(f"group code {group_code!r} {_GROUP_RULE}")
     return group_code[:3]
 
 
@@ -166,13 +167,9 @@ class AgentPortfolio:
         return len(self.records)
 
 
-def _validate_group_code(code: str, line_no: int) -> str:
-    if len(code) < 4 or not _GROUP_PREFIX.match(code):
-        raise ParseError(
-            f"line {line_no}: group code {code!r} must be >=4 chars "
-            "with a letter-digit-digit-letter prefix"
-        )
-    return code
+def _validate_group_code(code: str, line_no: int) -> None:
+    if not _GROUP_PREFIX.match(code):
+        raise ParseError(f"line {line_no}: group code {code!r} {_GROUP_RULE}")
 
 
 def parse_patent_records(path) -> list[PatentRecord]:
@@ -191,8 +188,10 @@ def parse_patent_records(path) -> list[PatentRecord]:
             patent_id, date_text, groups_text, inventors_text, assignees_text = parts
             if not patent_id:
                 raise ParseError(f"line {line_no}: empty patent id")
-            try:
+            try:  # fromisoformat also reads forms such as 20200101 and 2020-W01-1
                 application_date = date.fromisoformat(date_text)
+                if application_date.isoformat() != date_text:
+                    raise ValueError(date_text)
             except ValueError:
                 raise ParseError(f"line {line_no}: bad date {date_text!r}") from None
             groups = [g for g in groups_text.split(",") if g]

@@ -102,18 +102,6 @@ class ModelParams:
             raise UnknownOrdinal(f"ordinal {ordinal} outside entity table")
         return self.entities[ordinal]
 
-    def copy(self) -> ModelParams:
-        return ModelParams(
-            kind=self.kind,
-            dim=self.dim,
-            entities=self.entities.copy(),
-            relations={
-                r: {name: block.copy() for name, block in blocks.items()}
-                for r, blocks in self.relations.items()
-            },
-            vocab_fingerprint=self.vocab_fingerprint,
-        )
-
 
 def init_params(
     kind: ModelKind, n_entities: int, dim: int, seed: int = 0, vocab_fingerprint: str = ""

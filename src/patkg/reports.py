@@ -7,8 +7,10 @@ byte-identical files and diffs stay meaningful.
 
 from __future__ import annotations
 
+from dataclasses import fields
 from itertools import repeat
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -32,8 +34,18 @@ def _fnums(values: list[float]) -> str:
     return "\t".join(map(format, values, repeat(_FLOAT)))
 
 
+# How a config field is written, by its declared type; a field of any other type is an Enum.
+_CONFIG_FORMATS = {bool: lambda value: str(value).lower(), float: fnum, int: str}
+
+
+def _config_fields(config) -> list[tuple[str, str]]:
+    """(name, text) of each field of a config dataclass, in declaration order."""
+    types = get_type_hints(type(config))
+    return [(f.name, _CONFIG_FORMATS.get(types[f.name], lambda enum: enum.value)(getattr(config, f.name)))
+            for f in fields(config)]
+
+
 def eval_report_text(report: EvalReport, model_name: str) -> str:
-    cfg = report.config
     lines = [
         "patkg eval-report",
         f"model: {model_name}",
@@ -42,12 +54,9 @@ def eval_report_text(report: EvalReport, model_name: str) -> str:
         f"mrr: {fnum(report.mrr)}",
     ]
     lines += [f"hits@{k}: {fnum(report.hits[k])}" for k in HITS_CUTOFFS]
-    lines.append(
-        "config: K={} sides={} pool={} filtered={} seed={} tie={}".format(
-            cfg.corruptions_per_side, cfg.sides.value, cfg.pool.value,
-            str(cfg.filtered).lower(), cfg.seed, cfg.tie_rule.value,
-        )
-    )
+    short = {"corruptions_per_side": "K", "tie_rule": "tie"}  # the names on the `config:` line
+    config = " ".join(f"{short.get(name, name)}={text}" for name, text in _config_fields(report.config))
+    lines.append(f"config: {config}")
     lines.append("per-relation:")
     lines.append("relation\tqueries\tmr\tmrr\t" + "\t".join(f"hits@{k}" for k in HITS_CUTOFFS))
     for rel in RelationKind:
@@ -60,22 +69,9 @@ def eval_report_text(report: EvalReport, model_name: str) -> str:
 
 
 def train_report_text(report: TrainReport) -> str:
-    cfg = report.config
-    lines = [
-        "patkg train-report",
-        f"model: {report.kind.value}",
-        f"epochs: {cfg.epochs}",
-        f"batch_size: {cfg.batch_size}",
-        f"negatives_per_positive: {cfg.negatives_per_positive}",
-        f"learning_rate: {fnum(cfg.learning_rate)}",
-        f"margin: {fnum(cfg.margin)}",
-        f"loss: {cfg.loss.value}",
-        f"l2_coefficient: {fnum(cfg.l2_coefficient)}",
-        f"normalize_entities: {str(cfg.normalize_entities).lower()}",
-        f"seed: {cfg.seed}",
-        f"dim: {cfg.dim}",
-        "epoch_mean_loss:",
-    ]
+    lines = ["patkg train-report", f"model: {report.kind.value}"]
+    lines += [f"{name}: {text}" for name, text in _config_fields(report.config)]
+    lines.append("epoch_mean_loss:")
     lines += [f"{i + 1}\t{fnum(loss)}" for i, loss in enumerate(report.epoch_losses)]
     return "\n".join(lines) + "\n"
 

@@ -34,7 +34,7 @@ class TrainConfig:
     seed: int = 0
     dim: int = 500
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.epochs < 1 or self.batch_size < 1 or self.negatives_per_positive < 1:
             raise InvalidConfig("epochs, batch_size and negatives_per_positive must be >= 1")
         if not np.isfinite([self.learning_rate, self.margin, self.l2_coefficient]).all():
@@ -224,7 +224,6 @@ def train(
     alternating head/tail corruption by global sample index. With
     learning_rate 0 the parameters come back bit-identical to the init.
     """
-    config.validate()
     if config.normalize_entities and not SPECS[kind].translational:
         raise InvalidConfig(f"normalize_entities applies only to translational models, not {kind.value}")
     if len(train_store) == 0:

@@ -13,6 +13,7 @@ from patkg.evaluator import (
     RankRecord,
     Sides,
     TieRule,
+    _metrics,
     _record_seed,
     evaluate,
     rank_target,
@@ -286,6 +287,9 @@ class TestClampedAndSkipped:
         assert (raw.n_queries, raw.clamped, raw.skipped) == (9, 0, 5)
 
 
+ORACLE_SIDES = {Sides.HEAD_ONLY: (Side.HEAD,), Sides.TAIL_ONLY: (Side.TAIL,), Sides.BOTH: (Side.HEAD, Side.TAIL)}
+
+
 def sampled_oracle(params, test, store, config):
     """Records as the per-triple evaluator built them, for every TieRule at once.
 
@@ -296,7 +300,7 @@ def sampled_oracle(params, test, store, config):
     facts = {(t.head, t.relation, t.tail) for t in store.triples}
     records = {tie: [] for tie in TieRule}
     for triple in test:
-        for side in (Side.HEAD, Side.TAIL):
+        for side in ORACLE_SIDES[config.sides]:
             candidates = reference_candidates(store, facts, triple, side, config.pool, config.filtered)
             if not candidates:
                 continue
@@ -316,6 +320,21 @@ def sampled_oracle(params, test, store, config):
     return records
 
 
+def rescan_oracle(records, n_queries, k):
+    """The report's aggregates as the evaluator once took them: one rescan of the
+    records per relation, clamped counted per query, skipped as the queries left unranked."""
+    per_relation = {}
+    for rel in RelationKind:
+        rel_ranks = np.sort([r.rank for r in records if r.triple.relation is rel])
+        if rel_ranks.size:
+            per_relation[rel] = _metrics(rel_ranks)
+    overall = _metrics(np.sort([r.rank for r in records]))
+    clamped = 0
+    for r in records:
+        clamped += r.n_corrupts < k
+    return (overall.mr, overall.mrr, overall.hits, per_relation, clamped, n_queries - len(records))
+
+
 @pytest.mark.parametrize("pool", list(CandidatePool), ids=lambda p: p.value)
 @pytest.mark.parametrize("filtered", [False, True], ids=["raw", "filtered"])
 def test_records_equal_sampled_oracle(pool, filtered):
@@ -327,11 +346,14 @@ def test_records_equal_sampled_oracle(pool, filtered):
     rng = np.random.default_rng(5)
     for table in [params.entities] + [block["vec"] for block in params.relations.values()]:
         table[:] = rng.integers(-1, 2, size=table.shape)
-    config = EvalConfig(corruptions_per_side=20, pool=pool, filtered=filtered, seed=9)
-    want = sampled_oracle(params, test, store, config)
-    for tie in TieRule:
-        report = evaluate(params, test, store, replace(config, tie_rule=tie))
-        assert report.records == want[tie]
-    assert [r.rank for r in want[TieRule.OPTIMISTIC]] != [r.rank for r in want[TieRule.PESSIMISTIC]]
-    if pool is CandidatePool.SAME_KIND:  # the 57-entity pool never runs short of K=20
-        assert report.clamped > 0 and report.skipped > 0
+    for sides in Sides:
+        config = EvalConfig(corruptions_per_side=20, sides=sides, pool=pool, filtered=filtered, seed=9)
+        want = sampled_oracle(params, test, store, config)
+        for tie in TieRule:
+            report = evaluate(params, test, store, replace(config, tie_rule=tie))
+            assert report.records == want[tie]
+            got = (report.mr, report.mrr, report.hits, report.per_relation, report.clamped, report.skipped)
+            assert got == rescan_oracle(want[tie], len(test) * len(ORACLE_SIDES[sides]), 20)
+        assert [r.rank for r in want[TieRule.OPTIMISTIC]] != [r.rank for r in want[TieRule.PESSIMISTIC]]
+        if pool is CandidatePool.SAME_KIND and sides is Sides.BOTH:  # the 57-entity pool never runs short of K=20
+            assert report.clamped > 0 and report.skipped > 0

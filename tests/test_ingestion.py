@@ -170,11 +170,14 @@ class TestDeriveComprise:
         assert {store.vocab.refs[t.head].source_id for t in added} == {"H04"}
 
     def test_malformed_code(self):
-        with pytest.raises(MalformedCode):
-            subsection_of("X1")
-        store = TripleStore()
-        with pytest.raises(MalformedCode):
-            derive_comprise(store, {"X1"})
+        # the parsers' rule: "1234" is long enough but lacks the letter-digit-digit-letter prefix
+        for code in ("X1", "1234", "H0AL"):
+            with pytest.raises(MalformedCode, match="letter-digit-digit-letter prefix"):
+                subsection_of(code)
+            store = TripleStore()
+            with pytest.raises(MalformedCode):
+                derive_comprise(store, {code})
+            assert len(store.vocab) == 0
 
     def test_idempotent(self):
         store = TripleStore()
@@ -202,9 +205,11 @@ class TestPatentRecords:
 
     def test_bad_date(self, tmp_path):
         path = tmp_path / "r.tsv"
-        path.write_text("p1\t1999-13-01\tH04L\ti\ta\n")
-        with pytest.raises(ParseError):
-            parse_patent_records(path)
+        # date.fromisoformat also reads the basic and week forms; 2020-W01-1 is 2019-12-30
+        for text in ("1999-13-01", "20200101", "2020-W01-1", "2020-1-01", "２０２０-01-01"):
+            path.write_text(f"p0\t2020-01-01\tH04L\ti\ta\np1\t{text}\tH04L\ti\ta\n", encoding="utf-8")
+            with pytest.raises(ParseError, match=f"^line 2: bad date {text!r}$"):
+                parse_patent_records(path)
 
     def test_empty_groups(self, tmp_path):
         path = tmp_path / "r.tsv"

@@ -1,5 +1,7 @@
 """Training loop contracts: losses, determinism, normalization, checkpoints."""
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -133,12 +135,14 @@ class TestTrain:
         with pytest.raises(InvalidConfig):
             train(small_store, ModelKind.TRANSE_L2, small_config(epochs=0))
         with pytest.raises(InvalidConfig):
-            TrainConfig(learning_rate=-1.0).validate()
+            TrainConfig(epochs=0)
+        with pytest.raises(InvalidConfig):
+            TrainConfig(learning_rate=-1.0)
         # nan compares False against every bound, so each field is checked for finiteness
         for name in ("learning_rate", "margin", "l2_coefficient"):
             for bad in (float("nan"), float("inf"), float("-inf")):
                 with pytest.raises(InvalidConfig, match="finite"):
-                    TrainConfig(**{name: bad}).validate()
+                    TrainConfig(**{name: bad})
         with pytest.raises(InvalidConfig):
             init_params(ModelKind.TRANSE_L2, 0, 4)
         # np.random.default_rng rejects a negative seed with a ValueError
@@ -167,7 +171,7 @@ class TestTrain:
         # s_pos = 1, any corrupt tail scores -1: hinge 1 - 1 + (-1) < 0
         cfg = small_config(epochs=1, margin=1.0, learning_rate=0.5,
                            negatives_per_positive=2, normalize_entities=False)
-        before = params.copy()
+        before = copy.deepcopy(params)
         heads, rels, tails = store.triple_arrays()
         loss = _sgd_batch(params, cfg, _kind_pools(store), heads, rels, tails, 0,
                           np.random.default_rng(0))
@@ -353,7 +357,7 @@ def test_sgd_batch_matches_oracle_bitwise(small_store, kind, l2, normalize):
     cfg = small_config(learning_rate=lr / 10, loss=loss_kind, margin=margin, l2_coefficient=l2,
                        normalize_entities=normalize, batch_size=32, negatives_per_positive=3)
     params = init_params(kind, len(small_store.vocab), cfg.dim, cfg.seed)
-    expected = params.copy()
+    expected = copy.deepcopy(params)
     pools = _kind_pools(small_store)
     heads, rels, tails = small_store.triple_arrays()
     order = np.random.default_rng(0).permutation(len(heads))
@@ -415,7 +419,7 @@ def sgd_steps(draw):
 def test_sgd_batch_matches_oracle_on_drawn_batches(case):
     kind, cfg, batch, offset, seed = case
     params = init_params(kind, len(ONE_ASSIGNEE_STORE.vocab), cfg.dim, seed)
-    expected = params.copy()
+    expected = copy.deepcopy(params)
     pools = _kind_pools(ONE_ASSIGNEE_STORE)
     heads, rels, tails = (column[batch] for column in ONE_ASSIGNEE_STORE.triple_arrays())
     results = []
