@@ -193,10 +193,7 @@ def _cmd_neighbors(args) -> int:
 
 def _cmd_proximity(args) -> int:
     params, vocab = archive.load_archive(args.archive_path)
-    # Lines as parse_triples_file reads them: not splitlines(), which also breaks
-    # inside ids, and only the newline stripped, since an id may end in whitespace.
-    with open(args.entities_path, encoding="utf-8") as fh:
-        labels = [line.rstrip("\n") for line in fh if line.strip() and not line.lstrip().startswith("#")]
+    labels = list(ingestion.load_list(args.entities_path).values())
     refs = [vocab.ref(vocab.ordinal_of_label(label)) for label in labels]
     matrix = proximity.pairwise_matrix(
         params, vocab, refs, EntityKind(args.common_kind), proximity.TransformMode(args.mode)

@@ -18,7 +18,7 @@ from enum import Enum
 import numpy as np
 
 from .archive import check_fingerprint
-from .errors import EmptyTestSet, InvalidConfig, PoolTooSmall, UnknownOrdinal
+from .errors import EmptyTestSet, InvalidConfig, PoolTooSmall
 from .graph import (
     CandidatePool,
     RELATION_INDEX,
@@ -29,7 +29,7 @@ from .graph import (
     TripleStore,
     sample_corrupt,
 )
-from .models import ModelParams
+from .models import ModelParams, _rows
 
 log = logging.getLogger(__name__)
 
@@ -97,12 +97,6 @@ class EvalReport:
     skipped: int = 0  # queries with an empty pool, left unranked
 
 
-def _rank_from_scores(true_score: float, corrupt_scores: np.ndarray, tie_rule: TieRule) -> float:
-    better = int((corrupt_scores > true_score).sum())
-    ties = int((corrupt_scores == true_score).sum())
-    return 1.0 + better + ties * _TIE_SHARE[tie_rule]
-
-
 def rank_target(
     params: ModelParams,
     triple: Triple,
@@ -112,21 +106,18 @@ def rank_target(
 ) -> float:
     """Rank of the true entity among the replacement ordinals `corrupts` for `side` (1 is best).
 
-    Gathers the rows and calls the model's score kernel itself, as the trainer does;
+    Scores one `_rows` gather of the fixed, original and corrupt rows with the model's kernel;
     UnknownOrdinal if `triple` or `corrupts` names a row outside the entity table.
     """
-    n, table = params.n_entities, params.entities
-    corrupts = np.asarray(corrupts, dtype=np.int64)
-    # viewed as unsigned, a negative ordinal is larger than any row count
-    if not (0 <= triple.head < n and 0 <= triple.tail < n) or (
-            corrupts.size and corrupts.view(np.uint64).max() >= n):
-        raise UnknownOrdinal("ordinal outside entity table")
     original, fixed = (triple.head, triple.tail) if side is Side.HEAD else (triple.tail, triple.head)
-    varied = table[np.concatenate(([original], corrupts))]
-    repeated = np.repeat(table[fixed : fixed + 1], len(varied), axis=0)
-    H, T = (varied, repeated) if side is Side.HEAD else (repeated, varied)
+    # a list of Python ints converts to int64 in one C loop; numpy scalars would not
+    rows = _rows(params, [fixed, original, *np.asarray(corrupts).tolist()])[0]
+    repeated = np.repeat(rows[:1], len(rows) - 1, axis=0)
+    H, T = (rows[1:], repeated) if side is Side.HEAD else (repeated, rows[1:])
     s = params.spec.score(H, T, params.relations[triple.relation])
-    return _rank_from_scores(float(s[0]), s[1:], tie_rule)
+    better = int((s[1:] > s[0]).sum())
+    ties = int((s[1:] == s[0]).sum())
+    return 1.0 + better + ties * _TIE_SHARE[tie_rule]
 
 
 def _record_seed(seed: int, triple: Triple, side: Side) -> int:

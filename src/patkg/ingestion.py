@@ -1,4 +1,4 @@
-"""File parsers: triple files, patent-record files, group universes.
+"""File parsers: triple files, patent-record files, entity lists and group universes.
 
 Triple file, one fact per line, tab-separated:
 
@@ -239,21 +239,22 @@ def load_portfolios(path, agent_kind: EntityKind) -> list[AgentPortfolio]:
     return portfolios
 
 
-def load_universe(path) -> list[str]:
-    """Ordered, unique group codes admissible in the expansion study."""
-    codes: list[str] = []
-    seen: set[str] = set()
+def load_list(path) -> dict[int, str]:
+    """Line number -> line of an entity list or group universe, split as triple files are (not by splitlines()):
+    a line loses only its newline, as an id may end in whitespace; blank lines and `#` after blanks are skipped."""
     with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            code = line.strip()
-            if not code or code.startswith("#"):
-                continue
-            _validate_group_code(code, line_no)
-            if code in seen:
-                raise ParseError(f"line {line_no}: duplicate group code {code!r}")
-            seen.add(code)
-            codes.append(code)
-    return codes
+        return {line_no: line.rstrip("\n") for line_no, line in enumerate(fh, start=1)
+                if line.strip() and not line.lstrip().startswith("#")}
+
+
+def load_universe(path) -> list[str]:
+    """Ordered, unique group codes admissible in the expansion study, one per `load_list` line."""
+    codes: dict[str, int] = {}  # code -> line number, in file order
+    for line_no, code in load_list(path).items():
+        _validate_group_code(code, line_no)
+        if codes.setdefault(code, line_no) != line_no:
+            raise ParseError(f"line {line_no}: duplicate group code {code!r}")
+    return list(codes)
 
 
 def write_triples_file(store: TripleStore, path) -> None:

@@ -22,6 +22,7 @@ points are the single-triple contract on top of them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
@@ -98,9 +99,7 @@ class ModelParams:
         return self.entities.shape[1]
 
     def entity_row(self, ordinal: int) -> np.ndarray:
-        if not 0 <= ordinal < self.n_entities:
-            raise UnknownOrdinal(f"ordinal {ordinal} outside entity table")
-        return self.entities[ordinal]
+        return _rows(self, [ordinal])[0][0]
 
 
 def init_params(
@@ -118,6 +117,9 @@ def init_params(
     if n_entities < 1 or dim < 1:
         raise InvalidConfig("n_entities and dim must be >= 1")
     spec = SPECS[kind]
+    shapes = [(n_entities, spec.row_dim(dim)), *spec.relation_blocks(dim).values()]
+    if max(map(math.prod, shapes)) * 8 > np.iinfo(np.intp).max:  # the largest block's float64 bytes
+        raise InvalidConfig(f"dim {dim} makes a parameter table larger than numpy can address")
     rng = np.random.default_rng(seed)
     bound = WEIGHT_BOUND_NUMERATOR / np.sqrt(dim)
     entities = rng.uniform(-bound, bound, size=(n_entities, spec.row_dim(dim)))
@@ -147,11 +149,14 @@ def _interleaved(halves: np.ndarray, dim: int) -> np.ndarray:
 
 
 def _rows(params: ModelParams, *ordinals: np.ndarray) -> list[np.ndarray]:
-    """Fresh copies of the entity rows of each ordinal array, every ordinal checked first."""
-    idx = [np.asarray(o, dtype=np.int64) for o in ordinals]
-    for i in idx:
-        if i.size and (i.min() < 0 or i.max() >= params.n_entities):
-            raise UnknownOrdinal("ordinal outside entity table")
+    """Fresh copies of the entity rows of each ordinal array, after the package's one ordinal check:
+    viewed as unsigned, a negative ordinal exceeds any row count, and one beyond int64 fails too."""
+    try:
+        idx = [np.asarray(o, dtype=np.int64) for o in ordinals]
+    except OverflowError:
+        raise UnknownOrdinal("ordinal outside entity table") from None
+    if any(i.size and i.view(np.uint64).max() >= params.n_entities for i in idx):
+        raise UnknownOrdinal("ordinal outside entity table")
     return [params.entities[i] for i in idx]
 
 
@@ -162,7 +167,7 @@ def scores(params: ModelParams, heads: np.ndarray, relation: RelationKind, tails
 
 def score(params: ModelParams, h: int, r: RelationKind, t: int) -> float:
     """Plausibility of one triple; higher is more plausible."""
-    return float(scores(params, np.array([h]), r, np.array([t]))[0])
+    return float(scores(params, [h], r, [t])[0])
 
 
 @dataclass(slots=True)

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import InvalidConfig, UnsupportedModel, ZeroVector
 from .graph import EntityKind, EntityRef, RelationKind, Vocabulary
-from .models import ModelParams
+from .models import ModelParams, _rows
 
 
 class TransformMode(Enum):
@@ -102,7 +102,7 @@ def transform(
     mode: TransformMode = TransformMode.TRANSLATION_ALGEBRA,
 ) -> np.ndarray:
     """Target embedding converted into `focal_kind`'s kind."""
-    return _moved(params, params.entity_row(target.ordinal).copy(), target.kind, focal_kind, mode)
+    return _moved(params, params.entity_row(target.ordinal), target.kind, focal_kind, mode)
 
 
 def knowledge_proximity(
@@ -153,7 +153,7 @@ def nearest_neighbors(
         members = members[members != focal.ordinal]
         if members.size == 0:
             continue
-        rows = _moved(params, params.entities[members], kind, focal.kind, mode)
+        rows = _moved(params, _rows(params, members)[0], kind, focal.kind, mode)
         norms = np.linalg.norm(rows, axis=1)
         if np.any(norms == 0.0):
             raise ZeroVector("transformed embedding has zero norm")

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import EmptyStore, InvalidConfig, NumericalDivergence
 from .graph import RELATION_SCHEMA, RELATIONS, RelationKind, TripleStore
-from .models import SPECS, ModelKind, ModelParams, init_params
+from .models import SPECS, ModelKind, ModelParams, init_params, scores, weighted_gradients
 
 
 class LossKind(Enum):
@@ -135,7 +135,6 @@ def _sgd_batch(params: ModelParams, cfg: TrainConfig,
     # Per relation, the ascending sample positions of its positives and
     # then of their negatives, so every pass visits samples in batch order.
     present = []
-    spec, table = params.spec, params.entities  # store and pool ordinals: no range check
     for r_i, rel in enumerate(RELATIONS):
         pos = np.flatnonzero(rels == r_i)
         if pos.size == 0:
@@ -149,9 +148,8 @@ def _sgd_batch(params: ModelParams, cfg: TrainConfig,
                 valid[sel] = False  # no alternative entity to swap in
             else:
                 ends[sel] = _draw_replacements(rng, pool, ends[sel])
-        blocks = params.relations[rel]
-        sample_scores[pos] = spec.score(table[heads[pos]], table[tails[pos]], blocks)
-        sample_scores[neg] = spec.score(table[sample_heads[neg]], table[sample_tails[neg]], blocks)
+        sample_scores[pos] = scores(params, heads[pos], rel, tails[pos])
+        sample_scores[neg] = scores(params, sample_heads[neg], rel, sample_tails[neg])
         present.append((rel, np.concatenate([pos, neg])))
 
     # Batch gradient is the mean over the batch's positives, so step
@@ -176,14 +174,14 @@ def _sgd_batch(params: ModelParams, cfg: TrainConfig,
     touched = np.flatnonzero(mask)
     touched_blocks = [block for rel, _ in present for block in params.relations[rel].values()]
     if cfg.l2_coefficient > 0.0:
-        rows = table[touched]
+        rows = params.entities[touched]
         sq = float((rows**2).sum())
         for block in touched_blocks:
             sq += float((block**2).sum())
         loss += cfg.l2_coefficient * sq
         decay = cfg.learning_rate * 2.0 * cfg.l2_coefficient
         rows -= decay * rows
-        table[touched] = rows
+        params.entities[touched] = rows
         for block in touched_blocks:
             block -= decay * block
 
@@ -193,19 +191,19 @@ def _sgd_batch(params: ModelParams, cfg: TrainConfig,
         if sel.size == 0:
             continue
         hs, ts = sample_heads[sel], sample_tails[sel]
-        dH, dT, dRel = spec.gradients(table[hs], table[ts], params.relations[rel], weights[sel, None])
+        dH, dT, dRel = weighted_gradients(params, hs, rel, ts, weights[sel])
         # Heads before tails, each in batch order: the add order of np.add.at
         # over heads and then over tails.
         steps = np.concatenate([dH, dT])
         steps *= -lr
-        _scatter_rows(table, np.concatenate([hs, ts]), steps)
+        _scatter_rows(params.entities, np.concatenate([hs, ts]), steps)
         for name, g in dRel.items():
             params.relations[rel][name] -= lr * g
 
-    rows = table[touched]
-    if cfg.normalize_entities and spec.translational and lr > 0.0:
+    rows = params.entities[touched]
+    if cfg.normalize_entities and params.spec.translational and lr > 0.0:
         rows /= np.linalg.norm(rows, axis=1, keepdims=True)
-        table[touched] = rows
+        params.entities[touched] = rows
 
     if not (np.isfinite(loss) and np.isfinite(rows).all()
             and all(np.isfinite(block).all() for block in touched_blocks)):
@@ -228,6 +226,9 @@ def train(
         raise InvalidConfig(f"normalize_entities applies only to translational models, not {kind.value}")
     if len(train_store) == 0:
         raise EmptyStore("training store has no triples")
+    samples = min(config.batch_size, len(train_store)) * (config.negatives_per_positive + 1)
+    if samples * 8 > np.iinfo(np.intp).max:  # int64 and float64 bytes of a step's sample arrays
+        raise InvalidConfig(f"{samples} samples per batch make arrays larger than numpy can address")
     t0 = time.perf_counter()
     params = init_params(
         kind, len(train_store.vocab), config.dim, config.seed, train_store.vocab.fingerprint()

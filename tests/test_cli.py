@@ -690,6 +690,16 @@ def write_commands(draw):
 # one positive per TransR step at a small rate: a random projection diverged here
 @example(case=(("train", "{store}", "transr", "{out}", "--dim", "4", "--epochs", "1", "--lr", "0.01",
                 "--batch-size", "1"), {"store": ("valid", 0), "sidecar": ("valid", 0)}, True))
+# sizes whose bytes numpy cannot address are refused before numpy sees them: 2**62 negatives
+# crashed the process inside np.repeat, the others printed tracebacks
+@example(case=(("train", "{store}", "transe_l2", "{out}", "--dim", "4", "--epochs", "1", "--negatives",
+                str(2**62)), {"store": ("valid", 0), "sidecar": ("valid", 0)}, False))
+@example(case=(("train", "{store}", "transe_l2", "{out}", "--dim", "4", "--epochs", "1", "--negatives",
+                str(2**63)), {"store": ("valid", 0), "sidecar": ("valid", 0)}, False))
+@example(case=(("train", "{store}", "transe_l2", "{out}", "--dim", str(2**62), "--epochs", "1"),
+               {"store": ("valid", 0), "sidecar": ("valid", 0)}, False))
+@example(case=(("train", "{store}", "transe_l2", "{out}", "--dim", str(2**63), "--epochs", "1"),
+               {"store": ("valid", 0), "sidecar": ("valid", 0)}, False))
 def test_write_commands_keep_the_cli_contract(contract_files, case):
     assert_cli_contract(contract_files, case)
 
@@ -724,6 +734,25 @@ class TestExpansionCommand:
         text = report.read_text()
         assert "agent_class: inventor" in text
         assert (tmp_path / "exp_inventor_cdf.csv").exists()
+
+
+    def test_group_codes_keep_their_bytes(self, graph_file, tmp_path):
+        # a code ending in a form feed, which ingest and the records parser keep, is kept by the
+        # universe reader too; stripped, it named a group missing from the vocabulary
+        code = "Z99Z\x0c"
+        triples = tmp_path / "g.tsv"
+        triples.write_text(graph_file.read_text(encoding="utf-8") + f"group:{code}\tcontain\tpatent:z1\n",
+                           encoding="utf-8")
+        arc = tmp_path / "m.kge"
+        assert run_cli("train", triples, "transe_l2", arc, "--dim", "8", "--epochs", "1", "--train-on-all") == 0
+        portfolios = tmp_path / "p.tsv"
+        portfolios.write_text("".join(f"{agent}p{i}\t19{80 + i}-01-01\t{g}\t{agent}\tasg\n"
+                                      for agent in ("x", "y") for i, g in enumerate([code, "A00B", "A00C"])),
+                              encoding="utf-8")
+        universe = tmp_path / "u.txt"
+        universe.write_text(f"{code}\n  # c\nA00B\nA00C\n", encoding="utf-8")
+        assert run_cli("expansion", arc, portfolios, universe, tmp_path / "exp.txt",
+                       "--agent-kind", "inventor", "--min-patents", "2") == 0
 
 
 class TestDeterminism:

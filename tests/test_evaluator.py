@@ -127,10 +127,15 @@ def test_rank_target_rejects_ordinals_outside_the_table():
     params = fixed_params(store)
     n = len(store.vocab)
     ok = np.array([1, 2], dtype=np.int64)
-    for triple, corrupts in ((Triple(-1, RelationKind.CITE, 1), ok), (Triple(0, RelationKind.CITE, n), ok),
-                             (Triple(0, RelationKind.CITE, 1), np.array([1, -1])),
-                             (Triple(0, RelationKind.CITE, 1), np.array([n])),
-                             (Triple(0, RelationKind.CITE, 1), np.array([-2**63, 2]))):
+    bad = (-1, n, 2**63, -2**63 - 1)  # the last two do not fit int64
+    cases = [(Triple(-1, RelationKind.CITE, 1), ok), (Triple(0, RelationKind.CITE, n), ok),
+             (Triple(0, RelationKind.CITE, 1), np.array([1, -1])),
+             (Triple(0, RelationKind.CITE, 1), np.array([n])),
+             (Triple(0, RelationKind.CITE, 1), np.array([-2**63, 2]))]
+    cases += [(Triple(o, RelationKind.CITE, 1), ok) for o in bad] + [(Triple(0, RelationKind.CITE, o), ok) for o in bad]
+    cases += [(Triple(0, RelationKind.CITE, 1), corrupts) for o in bad for corrupts in ([2, o], np.array([2, o], dtype=object))]
+    cases.append((Triple(0, RelationKind.CITE, 1), np.array([2**63], dtype=np.uint64)))
+    for triple, corrupts in cases:
         for side in Side:
             with pytest.raises(UnknownOrdinal):
                 rank_target(params, triple, side, corrupts)

@@ -267,6 +267,16 @@ class TestUniverse:
         with pytest.raises(ParseError):
             load_universe(path)
 
+    def test_lines_lose_only_their_newline(self, tmp_path):
+        # read as entity lists are: a code may end in whitespace, `  # c` is a comment,
+        # and a leading blank is part of the code, which the group rule then refuses
+        path = tmp_path / "u.txt"
+        path.write_text("A00A\x0c\n  # c\n\nH04L \n", encoding="utf-8")
+        assert load_universe(path) == ["A00A\x0c", "H04L "]
+        path.write_text("H04L\n A00B\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=r"^line 2: group code ' A00B' "):
+            load_universe(path)
+
 
 # -- fuzzing: any text yields a result or a PatkgError -----------------------
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from patkg.errors import UnknownOrdinal
-from patkg.graph import RelationKind
+from patkg.graph import EntityKind, EntityRef, RelationKind
 from patkg.models import (
     SPECS,
     ModelKind,
@@ -13,7 +13,9 @@ from patkg.models import (
     init_params,
     score,
     scores,
+    weighted_gradients,
 )
+from patkg.proximity import knowledge_proximity, transform
 
 REL = RelationKind.CITE
 
@@ -111,6 +113,23 @@ class TestScoreExamples:
         p = make_params(ModelKind.TRANSE_L2)
         with pytest.raises(UnknownOrdinal):
             score(p, 0, REL, 99)
+
+    @pytest.mark.parametrize("ordinal", [-1, 12, 2**63, -2**63 - 1], ids=["-1", "n", "2**63", "-2**63-1"])
+    def test_every_reader_of_rows_applies_one_ordinal_rule(self, ordinal):
+        p = make_params(ModelKind.TRANSE_L2)  # 12 entities
+        bad, ok = EntityRef(EntityKind.PATENT, "x", ordinal), EntityRef(EntityKind.PATENT, "y", 0)
+        w = np.ones(1)
+        calls = [lambda: scores(p, [ordinal], REL, [0]), lambda: scores(p, [0], REL, [ordinal]),
+                 lambda: score(p, ordinal, REL, 0), lambda: score(p, 0, REL, ordinal),
+                 lambda: grad(p, ordinal, REL, 0), lambda: grad(p, 0, REL, ordinal),
+                 lambda: weighted_gradients(p, [ordinal], REL, [0], w),
+                 lambda: weighted_gradients(p, [0], REL, [ordinal], w),
+                 lambda: p.entity_row(ordinal),
+                 lambda: transform(p, bad, EntityKind.PATENT), lambda: transform(p, bad, EntityKind.INVENTOR),
+                 lambda: knowledge_proximity(p, bad, ok), lambda: knowledge_proximity(p, ok, bad)]
+        for call in calls:
+            with pytest.raises(UnknownOrdinal):
+                call()
 
 
 class TestScoreProperties:

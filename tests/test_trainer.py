@@ -1,6 +1,8 @@
 """Training loop contracts: losses, determinism, normalization, checkpoints."""
 
 import copy
+import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from hypothesis.extra.numpy import arrays
 from patkg.archive import check_fingerprint, load_archive, save_archive
 from patkg.errors import EmptyStore, FingerprintMismatch, InvalidConfig, ArchiveError, NumericalDivergence
 from patkg.graph import RELATIONS, EntityKind, RelationKind, Triple, TripleStore, generate_synthetic
-from patkg.models import ModelKind, init_params, scores, weighted_gradients
+from patkg.models import SPECS, ModelKind, init_params, scores, weighted_gradients
 from patkg.trainer import (
     LossKind,
     TrainConfig,
@@ -145,6 +147,12 @@ class TestTrain:
                     TrainConfig(**{name: bad})
         with pytest.raises(InvalidConfig):
             init_params(ModelKind.TRANSE_L2, 0, 4)
+        # sizes numpy cannot address are refused before it overflows or crashes on them
+        for dim in (2**62, 2**63):
+            with pytest.raises(InvalidConfig, match="larger than numpy can address"):
+                init_params(ModelKind.TRANSR, 3, dim)
+        with pytest.raises(InvalidConfig, match="larger than numpy can address"):
+            train(small_store, ModelKind.TRANSE_L2, small_config(negatives_per_positive=2**63))
         # np.random.default_rng rejects a negative seed with a ValueError
         with pytest.raises(InvalidConfig, match="seed must be >= 0, got -1"):
             train(small_store, ModelKind.TRANSE_L2, small_config(seed=-1))
@@ -152,6 +160,40 @@ class TestTrain:
         for kind in (ModelKind.RESCAL, ModelKind.DISTMULT, ModelKind.COMPLEX):
             with pytest.raises(InvalidConfig, match=f"translational models, not {kind.value}"):
                 train(small_store, kind, small_config(loss=LossKind.LOGISTIC, normalize_entities=True))
+
+    def test_kernels_are_reached_only_through_models(self, small_store, monkeypatch):
+        # The benchmark's tracer times the step's kernels as the `scores` and
+        # `weighted_gradients` the trainer names, reading each call's positional rows.
+        import patkg.trainer
+
+        kind, inside, calls = ModelKind.TRANSR, [False], Counter()
+
+        def route(name, fn):
+            def wrapper(*args, **kwargs):
+                assert not kwargs, f"{name} called with keywords"
+                calls[name] += 1
+                inside[0] = True
+                try:
+                    return fn(*args)
+                finally:
+                    inside[0] = False
+            return wrapper
+
+        def kernel(name, fn):
+            def wrapper(*args):
+                assert inside[0], f"the {name} kernel was called outside models"
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        spec = SPECS[kind]
+        monkeypatch.setitem(SPECS, kind, dataclasses.replace(
+            spec, score=kernel("score", spec.score), gradients=kernel("gradients", spec.gradients)))
+        for name in ("scores", "weighted_gradients"):
+            monkeypatch.setattr(patkg.trainer, name, route(name, getattr(patkg.trainer, name)))
+        train(small_store, kind, small_config(epochs=1, normalize_entities=False))
+        assert calls["score"] == calls["scores"] > 0
+        assert calls["gradients"] == calls["weighted_gradients"] > 0
 
     def test_hinge_inactive_no_update(self):
         # a pair already separated by the margin contributes zero loss and
