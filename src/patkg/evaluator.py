@@ -110,8 +110,7 @@ def rank_target(
     UnknownOrdinal if `triple` or `corrupts` names a row outside the entity table.
     """
     original, fixed = (triple.head, triple.tail) if side is Side.HEAD else (triple.tail, triple.head)
-    # a list of Python ints converts to int64 in one C loop; numpy scalars would not
-    rows = _rows(params, [fixed, original, *np.asarray(corrupts).tolist()])[0]
+    rows = _rows(params, [fixed, original], corrupts)
     repeated = np.repeat(rows[:1], len(rows) - 1, axis=0)
     H, T = (rows[1:], repeated) if side is Side.HEAD else (repeated, rows[1:])
     s = params.spec.score(H, T, params.relations[triple.relation])

@@ -52,15 +52,16 @@ class ModelSpec:
     Kernels take the gathered head rows H, tail rows T and one relation's
     blocks; they own H and T and may overwrite them, never the blocks.
     `score` returns one score per row; `gradients` also takes column weights
-    w and returns (dH, dT, dRel) as `weighted_gradients` documents; `at_kink`
-    tells whether a single triple sits where its score is not differentiable.
+    w, leaves dH in H and dT in T and returns dRel, as `weighted_gradients`
+    documents; `at_kink` tells whether a single triple sits where its score
+    is not differentiable.
     """
 
     relation_blocks: Callable[[int], dict[str, tuple[int, ...]]]  # dim -> {name: shape}
     translational: bool  # unit-norm init, margin-loss default, normalization applies
     learning_rate: float  # default SGD step
     score: Callable[..., np.ndarray]
-    gradients: Callable[..., tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]]
+    gradients: Callable[..., dict[str, np.ndarray]]
     at_kink: Callable[..., bool] = lambda H, T, blocks: False
     normalize_entities: bool = False  # default for TrainConfig.normalize_entities
     complex_rows: bool = False  # entity rows hold d complex values, (re, im) interleaved
@@ -99,7 +100,7 @@ class ModelParams:
         return self.entities.shape[1]
 
     def entity_row(self, ordinal: int) -> np.ndarray:
-        return _rows(self, [ordinal])[0][0]
+        return _rows(self, [ordinal])[0]
 
 
 def init_params(
@@ -148,21 +149,23 @@ def _interleaved(halves: np.ndarray, dim: int) -> np.ndarray:
     return halves.reshape(*halves.shape[:-1], 2, dim).swapaxes(-1, -2).reshape(halves.shape)
 
 
-def _rows(params: ModelParams, *ordinals: np.ndarray) -> list[np.ndarray]:
-    """Fresh copies of the entity rows of each ordinal array, after the package's one ordinal check:
-    viewed as unsigned, a negative ordinal exceeds any row count, and one beyond int64 fails too."""
+def _rows(params: ModelParams, *ordinals: np.ndarray) -> np.ndarray:
+    """One fresh buffer of each ordinal array's entity rows in turn, for callers to split into views,
+    after the package's one ordinal check: viewed as unsigned, a negative ordinal exceeds any row
+    count, and one beyond int64 fails too."""
     try:
-        idx = [np.asarray(o, dtype=np.int64) for o in ordinals]
+        idx = np.concatenate([np.asarray(o, dtype=np.int64) for o in ordinals])
     except OverflowError:
         raise UnknownOrdinal("ordinal outside entity table") from None
-    if any(i.size and i.view(np.uint64).max() >= params.n_entities for i in idx):
+    if idx.size and idx.view(np.uint64).max() >= params.n_entities:
         raise UnknownOrdinal("ordinal outside entity table")
-    return [params.entities[i] for i in idx]
+    return np.take(params.entities, idx, axis=0)
 
 
 def scores(params: ModelParams, heads: np.ndarray, relation: RelationKind, tails: np.ndarray) -> np.ndarray:
     """Vectorized scores for triples sharing one relation."""
-    return params.spec.score(*_rows(params, heads, tails), params.relations[relation])
+    rows = _rows(params, heads, tails)
+    return params.spec.score(rows[: len(heads)], rows[len(heads) :], params.relations[relation])
 
 
 def score(params: ModelParams, h: int, r: RelationKind, t: int) -> float:
@@ -192,15 +195,16 @@ def weighted_gradients(
     relation: RelationKind,
     tails: np.ndarray,
     weights: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]:
+) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """Per-sample entity gradients and weight-summed relation gradients.
 
-    Returns (dH, dT, dRel) where dH[i] = weights[i] * d score_i / d head_i
-    (same for tails) and dRel[name] = sum_i weights[i] * d score_i / d block.
-    Kink points contribute zero subgradients.
+    Returns (dE, dRel): the k heads' dH[i] = weights[i] * d score_i / d head_i
+    in dE[:k], then the tails' dT in dE[k:], and dRel[name] =
+    sum_i weights[i] * d score_i / d block. Kink points contribute zero subgradients.
     """
     w = np.asarray(weights, dtype=np.float64)[:, None]
-    return params.spec.gradients(*_rows(params, heads, tails), params.relations[relation], w)
+    rows = _rows(params, heads, tails)
+    return rows, params.spec.gradients(rows[: len(heads)], rows[len(heads) :], params.relations[relation], w)
 
 
 def grad(params: ModelParams, h: int, r: RelationKind, t: int) -> ScoreGradient:
@@ -210,9 +214,10 @@ def grad(params: ModelParams, h: int, r: RelationKind, t: int) -> ScoreGradient:
     from kink points; at kinks the zero subgradient is returned and
     `nondifferentiable` is set.
     """
-    dH, dT, dRel = weighted_gradients(params, [h], r, [t], np.ones(1))
-    flag = params.spec.at_kink(*_rows(params, [h], [t]), params.relations[r])
-    return ScoreGradient(head=dH[0], tail=dT[0], relation=dRel, nondifferentiable=flag)
+    dE, dRel = weighted_gradients(params, [h], r, [t], np.ones(1))
+    rows = _rows(params, [h], [t])
+    flag = params.spec.at_kink(rows[:1], rows[1:], params.relations[r])
+    return ScoreGradient(head=dE[0], tail=dE[1], relation=dRel, nondifferentiable=flag)
 
 
 # -- kernels, one group per model ------------------------------------------
@@ -230,9 +235,9 @@ def _transe_l1_score(H, T, b):
 
 
 def _transe_l1_gradients(H, T, b, w):
-    dH = np.sign(_residual(H, T, b), out=T)  # np.sign into its own input runs ~8x slower
-    dH *= -w
-    return dH, np.negative(dH, out=H), {"vec": dH.sum(axis=0)}
+    dT = np.sign(_residual(H, T, b), out=T)  # np.sign into its own input runs ~8x slower
+    dT *= w  # -(w s) is (-w) s bit for bit
+    return {"vec": np.negative(dT, out=H).sum(axis=0)}
 
 
 def _transe_l1_at_kink(H, T, b):
@@ -250,7 +255,8 @@ def _transe_l2_gradients(H, T, b, w):
     np.divide(D, np.where(unit, n, 1.0), out=D)
     D[~unit[:, 0]] = 0.0  # the zero subgradient, also where |D| underflowed
     D *= -w
-    return D, np.negative(D, out=T), {"vec": D.sum(axis=0)}
+    np.negative(D, out=T)
+    return {"vec": D.sum(axis=0)}
 
 
 def _transe_l2_at_kink(H, T, b):
@@ -268,10 +274,11 @@ def _transr_gradients(H, T, b, w):
     WU = diff @ M.T
     WU += b["vec"]
     WU *= w
-    dH = np.multiply(WU @ M, -2.0, out=T)
+    np.multiply(WU @ M, 2.0, out=T)  # dT; dH = -dT is -2 (WU M) bit for bit
     d_vec = -2.0 * WU.sum(axis=0)
     d_mat = np.multiply(WU, -2.0, out=WU).T @ diff
-    return dH, np.negative(dH, out=diff), {"mat": d_mat, "vec": d_vec}
+    np.negative(T, out=H)
+    return {"mat": d_mat, "vec": d_vec}
 
 
 def _rescal_score(H, T, b):
@@ -281,7 +288,9 @@ def _rescal_score(H, T, b):
 def _rescal_gradients(H, T, b, w):
     dH, dT = T @ b["mat"].T, H @ b["mat"]
     d_mat = np.multiply(H, w, out=H).T @ T
-    return np.multiply(dH, w, out=dH), np.multiply(dT, w, out=dT), {"mat": d_mat}
+    np.multiply(dH, w, out=H)
+    np.multiply(dT, w, out=T)
+    return {"mat": d_mat}
 
 
 def _distmult_score(H, T, b):
@@ -290,11 +299,14 @@ def _distmult_score(H, T, b):
 
 
 def _distmult_gradients(H, T, b, w):
-    r, d_vec = b["vec"], H * T
-    d_vec *= w
-    T *= r
-    H *= r
-    return np.multiply(T, w, out=T), np.multiply(H, w, out=H), {"vec": d_vec.sum(axis=0)}
+    r, P = b["vec"], H * T
+    P *= w
+    d_vec = P.sum(axis=0)
+    np.multiply(T, r, out=P)  # P is free again: it holds T r while T takes H r
+    np.multiply(H, r, out=T)
+    T *= w
+    np.multiply(P, w, out=H)
+    return {"vec": d_vec}
 
 
 # numpy's complex multiply may fuse a real product into an FMA, so a*b and b*a
@@ -318,7 +330,9 @@ def _complex_gradients(H, T, b, w):
     d_vec *= w
     dT = np.multiply(h, r, out=hc).view(np.float64)
     np.multiply(t, r.conj(), out=h)
-    return np.multiply(H, w, out=H), np.multiply(dT, w, out=dT), {"vec": d_vec.sum(axis=0)}
+    H *= w
+    np.multiply(dT, w, out=T)
+    return {"vec": d_vec.sum(axis=0)}
 
 
 def _rotate_parts(H, T, b):
@@ -345,7 +359,8 @@ def _rotate_gradients(H, T, b, w):
     h = H.view(np.complex128)
     d_phase = (np.conjugate(wg, out=h) * hr).imag.sum(axis=0)
     np.multiply(wg, r.conj(), out=h)
-    return np.negative(H, out=H), T, {"phase": d_phase}
+    np.negative(H, out=H)
+    return {"phase": d_phase}
 
 
 def _rotate_at_kink(H, T, b):

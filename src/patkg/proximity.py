@@ -153,7 +153,7 @@ def nearest_neighbors(
         members = members[members != focal.ordinal]
         if members.size == 0:
             continue
-        rows = _moved(params, _rows(params, members)[0], kind, focal.kind, mode)
+        rows = _moved(params, _rows(params, members), kind, focal.kind, mode)
         norms = np.linalg.norm(rows, axis=1)
         if np.any(norms == 0.0):
             raise ZeroVector("transformed embedding has zero norm")

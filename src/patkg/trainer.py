@@ -104,7 +104,11 @@ def _draw_replacements(rng: np.random.Generator, pool: np.ndarray, originals: np
 def _scatter_rows(table: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
     """`np.add.at(table, rows, values)` for a C-contiguous 2-D table, done on
     its flat view: numpy's 1-D `add.at` fast path gives every element the
-    same addends in the same order, so the result is bit-identical."""
+    same addends in the same order, so the result is bit-identical. An even
+    row width is viewed as complex128, whose add is two float64 adds in the
+    same operand order: half the index and half the elements."""
+    dtype = np.complex128 if table.shape[1] % 2 == 0 else np.float64
+    table, values = table.view(dtype), values.view(dtype)
     d = table.shape[1]
     np.add.at(table.reshape(-1), (rows[:, None] * d + np.arange(d)).ravel(), values.ravel())
 
@@ -191,10 +195,9 @@ def _sgd_batch(params: ModelParams, cfg: TrainConfig,
         if sel.size == 0:
             continue
         hs, ts = sample_heads[sel], sample_tails[sel]
-        dH, dT, dRel = weighted_gradients(params, hs, rel, ts, weights[sel])
+        steps, dRel = weighted_gradients(params, hs, rel, ts, weights[sel])
         # Heads before tails, each in batch order: the add order of np.add.at
         # over heads and then over tails.
-        steps = np.concatenate([dH, dT])
         steps *= -lr
         _scatter_rows(params.entities, np.concatenate([hs, ts]), steps)
         for name, g in dRel.items():
@@ -202,7 +205,7 @@ def _sgd_batch(params: ModelParams, cfg: TrainConfig,
 
     rows = params.entities[touched]
     if cfg.normalize_entities and params.spec.translational and lr > 0.0:
-        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+        rows /= np.sqrt(np.square(rows).sum(axis=1, keepdims=True))
         params.entities[touched] = rows
 
     if not (np.isfinite(loss) and np.isfinite(rows).all()

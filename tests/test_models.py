@@ -372,7 +372,8 @@ def test_complex_kernels_match_halves_oracle(case):
         np.testing.assert_allclose(new, old, rtol=1e-12, atol=1e-12)
 
     close(spec.score(H.copy(), T.copy(), b), old_score(Hh, Th, bh, d))
-    dH, dT, dRel = spec.gradients(H.copy(), T.copy(), b, w)
+    dH, dT = H.copy(), T.copy()
+    dRel = spec.gradients(dH, dT, b, w)
     oH, oT, oRel = old_gradients(Hh, Th, bh, d, w)
     close(_halves(dH), oH)
     close(_halves(dT), oT)
@@ -545,11 +546,23 @@ def test_kernels_match_allocating_oracle_bytewise(case):
         assert new.tobytes() == old.tobytes()
 
     same(spec.score(H.copy(), T.copy(), b), old_score(H, T, b))
-    new, old = spec.gradients(H.copy(), T.copy(), b, w), old_gradients(H, T, b, w)
-    same(new[0], old[0])
-    same(new[1], old[1])
-    assert new[2].keys() == old[2].keys()
-    for name in new[2]:
-        same(new[2][name], old[2][name])
+    # the kernel leaves dH in H and dT in T and returns dRel
+    dH, dT = H.copy(), T.copy()
+    dRel = spec.gradients(dH, dT, b, w)
+    oH, oT, oRel = old_gradients(H, T, b, w)
+    same(dH, oH)
+    same(dT, oT)
+    assert dRel.keys() == oRel.keys()
+    for name in dRel:
+        same(dRel[name], oRel[name])
     for name, block in b.items():
         same(block, blocks[name])
+    # weighted_gradients gathers H and T into one (2m, width) buffer and returns it as dE
+    m, d = len(H), H.shape[1] // (2 if spec.complex_rows else 1)
+    p = init_params(kind, 2 * m, d)
+    p.entities[:] = np.concatenate([H, T])
+    p.relations[REL] = b
+    dE, dRel = weighted_gradients(p, np.arange(m), REL, np.arange(m, 2 * m), w[:, 0])
+    same(dE, np.concatenate([oH, oT]))
+    for name in dRel:
+        same(dRel[name], oRel[name])

@@ -6,7 +6,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from patkg.archive import check_fingerprint, load_archive, save_archive
@@ -336,11 +336,11 @@ def _sgd_batch_oracle(params, cfg, pools, heads, rels, tails, offset, rng):
         sel = sel[nonzero[sel]]
         if sel.size == 0:
             continue
-        dH, dT, dRel = weighted_gradients(
+        dE, dRel = weighted_gradients(
             params, all_heads[sel], rel, all_tails[sel], all_w[sel]
         )
-        np.add.at(params.entities, all_heads[sel], -lr * dH)
-        np.add.at(params.entities, all_tails[sel], -lr * dT)
+        np.add.at(params.entities, all_heads[sel], -lr * dE[: sel.size])
+        np.add.at(params.entities, all_tails[sel], -lr * dE[sel.size :])
         for name, g in dRel.items():
             params.relations[rel][name] -= lr * g
 
@@ -359,9 +359,10 @@ def _sgd_batch_oracle(params, cfg, pools, heads, rels, tails, offset, rng):
     return loss
 
 
-# -0.0, subnormal, tiny, huge and ordinary magnitudes of either sign
+# -0.0, subnormal, tiny, huge, infinite and ordinary magnitudes of either sign
 EDGE_FLOATS = st.one_of(
-    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e300, -1e300, 1.0, -1.0]),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e300, -1e300, 1.0, -1.0,
+                     np.inf, -np.inf]),
     st.floats(-1e6, 1e6, allow_nan=False),
 )
 
@@ -380,13 +381,33 @@ def scatter_cases(draw):
     return table, heads, tails, dH, dT
 
 
+# An odd width scatters float64 elements, an even width complex128 pairs;
+# inf + -inf turns an element into NaN on both.
+@example((np.zeros((2, 1)), np.array([0, 1, 0]), np.array([0]),
+          np.array([[np.inf], [1.0], [-np.inf]]), np.array([[2.0]])))
+@example((np.zeros((2, 2)), np.array([0, 1, 0]), np.array([0]),
+          np.array([[np.inf, -0.0], [1.0, 1e300], [-np.inf, 1e300]]), np.array([[2.0, -np.inf]])))
 @given(scatter_cases())
 def test_scatter_rows_matches_heads_then_tails_add_at(case):
     table, heads, tails, dH, dT = case
     expected = table.copy()
-    np.add.at(expected, heads, dH)
-    np.add.at(expected, tails, dT)
-    _scatter_rows(table, np.concatenate([heads, tails]), np.concatenate([dH, dT]))
+    with np.errstate(invalid="ignore"):  # as in train: inf + -inf is for the finiteness check
+        np.add.at(expected, heads, dH)
+        np.add.at(expected, tails, dT)
+        _scatter_rows(table, np.concatenate([heads, tails]), np.concatenate([dH, dT]))
+    assert table.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("kind", [ModelKind.COMPLEX, ModelKind.ROTATE])
+def test_scatter_rows_updates_interleaved_tables_in_place(kind):
+    params = init_params(kind, 6, 3)  # rows of 3 (re, im) pairs, scattered as complex128
+    table = params.entities
+    rows = np.array([4, 1, 4, 0])
+    values = np.random.default_rng(0).normal(size=(len(rows), table.shape[1]))
+    expected = table.copy()
+    np.add.at(expected, rows, values)
+    _scatter_rows(params.entities, rows, values)
+    assert params.entities is table
     assert table.tobytes() == expected.tobytes()
 
 
