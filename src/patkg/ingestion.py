@@ -20,7 +20,10 @@ excluded from that agent kind's portfolios.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import logging
+import os
 import re
 from itertools import compress, repeat
 from dataclasses import dataclass
@@ -29,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import MalformedCode, ParseError, SchemaViolation
+from .errors import MalformedCode, ParseError, PatkgError, SchemaViolation
 from .graph import RELATION_INDEX, RELATIONS, EntityKind, RelationKind, Triple, TripleStore, Vocabulary
 from .graph import first_rows, label_kinds, pack_keys, parse_label
 
@@ -41,6 +44,8 @@ _BLOCK_ROWS = 1 << 11  # lines written at a time
 _EMPTY_IDS = {f"{kind.value}:" for kind in EntityKind}  # the labels `parse_label` accepts with an empty id
 _GROUP_PREFIX = re.compile(r"^[A-Za-z][0-9][0-9][A-Za-z]")  # the rule for every group code
 _GROUP_RULE = "must be >=4 chars with a letter-digit-digit-letter prefix"
+_COLUMNS_MAGIC = b"patkg-columns 1\n"
+_DIGESTS = ("store_sha256", "vocab_sha256", "columns_sha256")  # store, sidecar and payload, in manifest order
 
 
 def parse_triples_file(path, vocab: Vocabulary | None = None) -> TripleStore:
@@ -258,25 +263,80 @@ def load_universe(path) -> list[str]:
 
 
 def write_triples_file(store: TripleStore, path) -> None:
-    """Canonical TSV export in stored order plus a `.vocab` sidecar, each written `_BLOCK_ROWS` lines at a time."""
+    """Canonical TSV export in stored order plus a `.vocab` sidecar, each written `_BLOCK_ROWS` lines at a time
+    and hashed as written; then, if the two read back as the store (no label holds a tab, `\\n` or `\\r`, or
+    is an empty id `kind:`), a `.cols` column file, else a column file left at that path is deleted. It holds
+    a magic line, a sorted-keys JSON manifest (`rows`, and the SHA-256 of the store, the sidecar and the
+    payload), then heads, relation codes and tails as little-endian int64, each written through a memoryview.
+    """
     label, middle = store.vocab.labels, [f"\t{r.value}\t" for r in RELATIONS]
-    with open(path, "w", encoding="utf-8") as fh:
+    store_digest, vocab_digest, columns_digest = (hashlib.sha256() for _ in _DIGESTS)
+    with open(path, "wb") as fh:
         for start in range(0, len(store), _BLOCK_ROWS):
             heads, rels, tails = (column[start:start + _BLOCK_ROWS].tolist() for column in store.triple_arrays())
             pieces = ["\n"] * (4 * len(heads))  # head, "\t<relation>\t", tail, "\n" per line
             pieces[0::4], pieces[1::4] = map(label.__getitem__, heads), map(middle.__getitem__, rels)
             pieces[2::4] = map(label.__getitem__, tails)
-            fh.write("".join(pieces))
-    with open(f"{path}.vocab", "w", encoding="utf-8") as fh:
+            fh.write(block := "".join(pieces).encode("utf-8"))
+            store_digest.update(block)
+    readable = store.vocab.ordinals.keys().isdisjoint(_EMPTY_IDS)  # five lookups
+    with open(f"{path}.vocab", "wb") as fh:
         for start in range(0, len(label), _BLOCK_ROWS):
-            fh.write(store.vocab.export_text(start, start + _BLOCK_ROWS))
+            text = store.vocab.export_text(start, start + _BLOCK_ROWS)
+            lines = min(_BLOCK_ROWS, len(label) - start)
+            readable = readable and text.count("\t") == text.count("\n") == lines and "\r" not in text
+            fh.write(block := text.encode("utf-8"))
+            vocab_digest.update(block)
+    columns_path = Path(f"{path}.cols")
+    if not readable:
+        columns_path.unlink(missing_ok=True)
+        return
+    columns = [np.ascontiguousarray(c, dtype="<i8") for c in store.triple_arrays()]  # views on little-endian hosts
+    for column in columns:
+        columns_digest.update(column)
+    with open(columns_path, "wb") as fh:
+        fh.write(_columns_header(len(store), [d.hexdigest() for d in (store_digest, vocab_digest, columns_digest)]))
+        fh.writelines(map(memoryview, columns))
+
+
+def _columns_header(rows: int, digests: list[str]) -> bytes:
+    """The column file's magic line and manifest line, with the `_DIGESTS` hex digests in order."""
+    manifest = {"rows": rows} | dict(zip(_DIGESTS, digests))
+    return _COLUMNS_MAGIC + json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode() + b"\n"
 
 
 def load_store(path) -> TripleStore:
-    """Read a triple file, honouring a `.vocab` sidecar when present."""
+    """Read a triple file, honouring a `.vocab` sidecar when present, and then its `.cols` column file if the
+    file's length and manifest match its payload, the store's bytes and the vocabulary's fingerprint (the
+    SHA-256 of the sidecar as written); its rows still pass `add_triples`. On any mismatch or read error the
+    TSV is parsed: the store is the same either way, and deleting the column file only costs load time."""
     sidecar = Path(f"{path}.vocab")
-    vocab = None
-    if sidecar.exists():
-        with open(sidecar, encoding="utf-8") as fh:  # not splitlines(): it also breaks inside ids
-            vocab = Vocabulary.from_lines(fh)
-    return parse_triples_file(path, vocab)
+    if not sidecar.exists():
+        return parse_triples_file(path)
+    with open(sidecar, encoding="utf-8") as fh:  # not splitlines(): it also breaks inside ids
+        vocab = Vocabulary.from_lines(fh)
+    store = _read_columns(path, vocab)
+    return parse_triples_file(path, vocab) if store is None else store
+
+
+def _read_columns(path, vocab: Vocabulary) -> TripleStore | None:
+    """The store the column file beside `path` holds under `vocab`, or None if it cannot be used."""
+    try:
+        with open(f"{path}.cols", "rb") as fh:
+            header = fh.readline(len(_COLUMNS_MAGIC)) + fh.readline(1 << 10)
+            rows, odd = divmod(os.fstat(fh.fileno()).st_size - len(header), 24)
+            columns = np.empty((3, rows), dtype="<i8")
+            if odd or fh.readinto(columns) != columns.nbytes:
+                return None
+        store_digest = hashlib.sha256()
+        with open(path, "rb") as fh:
+            while block := fh.read(_BLOCK):
+                store_digest.update(block)
+        digests = [store_digest.hexdigest(), vocab.fingerprint(), hashlib.sha256(columns).hexdigest()]
+        if header != _columns_header(rows, digests):
+            return None
+        store = TripleStore(vocab)
+        store.add_triples(*columns)
+        return store
+    except (OSError, ValueError, PatkgError):  # unreadable, shorter than its header, or rows the store refuses
+        return None

@@ -69,20 +69,13 @@ def default_config(kind: ModelKind) -> TrainConfig:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(-np.abs(x))  # exp(-x) where x >= 0, exp(x) elsewhere: it never overflows
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def _log_sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = -np.log1p(np.exp(-x[pos]))
-    out[~pos] = x[~pos] - np.log1p(np.exp(x[~pos]))
-    return out
+    l = np.log1p(np.exp(-np.abs(x)))
+    return np.where(x >= 0, -l, x - l)  # not np.minimum(x, 0.0) - l, which turns -0.0 into +0.0
 
 
 def _kind_pools(store: TripleStore) -> dict[RelationKind, tuple[np.ndarray, np.ndarray]]:
@@ -94,10 +87,10 @@ def _kind_pools(store: TripleStore) -> dict[RelationKind, tuple[np.ndarray, np.n
 def _draw_replacements(rng: np.random.Generator, pool: np.ndarray, originals: np.ndarray) -> np.ndarray:
     """Uniform draws from pool, rejecting collisions with the original entity."""
     out = pool[rng.integers(0, len(pool), size=len(originals))]
-    bad = out == originals
-    while np.any(bad):
-        out[bad] = pool[rng.integers(0, len(pool), size=int(bad.sum()))]
-        bad = out == originals
+    bad = np.flatnonzero(out == originals)
+    while bad.size:  # only the positions just redrawn can still collide
+        out[bad] = pool[rng.integers(0, len(pool), size=bad.size)]
+        bad = bad[out[bad] == originals[bad]]
     return out
 
 

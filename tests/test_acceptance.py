@@ -418,6 +418,7 @@ def test_criterion_11_pipeline_determinism(tmp_path, monkeypatch):
                              str(exp_report), "--agent-kind", "inventor",
                              "--min-patents", "2"]) == 0
             return [
+                (base / "store.tsv.cols").read_bytes(),
                 arc.read_bytes(), eval_report.read_bytes(), exp_report.read_bytes(),
                 (base / "expansion_inventor_cdf.csv").read_bytes(),
                 (base / "expansion_inventor_profiles.csv").read_bytes(),

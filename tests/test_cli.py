@@ -489,6 +489,7 @@ def contract_files(tmp_path_factory):
         "listing": "patent:5252504\ninventor:a\x0c\n# a comment\n\ngroup:H01L\n".encode(),
         "small_store": (d / "small_store.tsv").read_bytes(),
         "small_sidecar": (d / "small_store.tsv.vocab").read_bytes(),
+        "columns": (d / "store.tsv.cols").read_bytes(),
     }
 
 
@@ -561,7 +562,7 @@ def read_commands(draw):
     """A drawn case of eval, neighbors, proximity or export-embeddings."""
     command = draw(st.sampled_from(["eval", "neighbors", "proximity", "export-embeddings"]))
     if command == "eval":
-        roles = ("archive", "store", "sidecar")
+        roles = ("archive", "store", "sidecar", "columns")
         argv = ["eval", "{archive}", "{store}", "{out}"]
         flags = [_flag("-K", [1, 5, 1000], [0, -1, "x"]),
                  st.sampled_from([((), GOOD), (("--filtered",), GOOD)]),
@@ -598,15 +599,16 @@ class _Records(logging.Handler):
         self.records.append(record)
 
 
-def assert_cli_contract(contract_files, case):
-    """Run one drawn command: it exits 2 on usage, returns 0, or returns 1 with one
-    `error: <Kind>: ` line and no warning logged, which would reach stderr too."""
-    argv, variants, valid = case
+def run_case(contract_files, argv, variants):
+    """Run one drawn command: its exit code (("usage", code) on a usage error), its stderr with
+    its directory written `<dir>`, the bytes of its `out` file (None if there is none) and the
+    warnings it logged."""
     with tempfile.TemporaryDirectory() as tmp:
         paths = {"out": Path(tmp, "out"), "report": Path(tmp, "report")}
         for role, variant in variants.items():
-            # a sidecar sits at its store's path plus ".vocab"
-            paths[role] = Path(tmp, role.replace("sidecar", "store") + (".vocab" if "sidecar" in role else ""))
+            # a sidecar or a column file sits at its store's path plus ".vocab" or ".cols"
+            suffix = ".vocab" if "sidecar" in role else ".cols" if "columns" in role else ""
+            paths[role] = Path(tmp, role.replace("sidecar", "store").replace("columns", "store") + suffix)
             materialize(paths[role], contract_files[role], variant)
         argv = [token.format(**{k: str(v) for k, v in paths.items()}) if "{" in token else token
                 for token in argv]
@@ -619,13 +621,24 @@ def assert_cli_contract(contract_files, case):
                 code = ("usage", exc.code)
             finally:
                 logging.getLogger("patkg").removeHandler(logged)
-    err = err.getvalue()
+        out = paths["out"].read_bytes() if paths["out"].is_file() else None
+    return code, err.getvalue().replace(tmp, "<dir>"), out, logged.records
+
+
+def assert_cli_contract(contract_files, case):
+    """Run one drawn command: it exits 2 on usage, returns 0, or returns 1 with one
+    `error: <Kind>: ` line and no warning logged, which would reach stderr too. A command
+    given a column file, valid or not, acts as it does without one."""
+    argv, variants, valid = case
+    code, err, out, logged = run_case(contract_files, argv, variants)
     assert code in (0, 1, ("usage", 2)), (code, err)
     if code == 1:  # one line, ended by the only newline: messages may hold other line breaks
         assert re.match(r"error: \w+: ", err) and err.count("\n") == 1 and err.endswith("\n"), err
-        assert logged.records == [], [r.getMessage() for r in logged.records]
+        assert logged == [], [r.getMessage() for r in logged]
     if valid:
         assert code == 0, err
+    if variants.get("columns", ("missing", 0)) != ("missing", 0):
+        assert run_case(contract_files, argv, {**variants, "columns": ("missing", 0)})[:3] == (code, err, out)
 
 
 @given(case=read_commands())
@@ -637,6 +650,11 @@ def assert_cli_contract(contract_files, case):
                {"archive": ("valid", 0), "listing": ("valid", 0)}, True))
 @example(case=(("eval", "{archive}", "{store}", "{out}", "--filtered", "--pool", "all_entities"),
                {"archive": ("valid", 0), "store": ("valid", 0), "sidecar": ("valid", 0)}, True))
+# a column file with one payload byte edited, and one cut inside its manifest, beside a valid store
+@example(case=(("eval", "{archive}", "{store}", "{out}"), {"archive": ("valid", 0), "store": ("valid", 0),
+                                                          "sidecar": ("valid", 0), "columns": ("edited", 400)}, False))
+@example(case=(("eval", "{archive}", "{store}", "{out}"), {"archive": ("valid", 0), "store": ("valid", 0),
+                                                          "sidecar": ("valid", 0), "columns": ("truncated", 200)}, False))
 def test_read_commands_keep_the_cli_contract(contract_files, case):
     assert_cli_contract(contract_files, case)
 
@@ -651,7 +669,7 @@ def write_commands(draw):
         argv = ["ingest", "{triples}", "{out}"]
         flags = []
     elif command == "train":
-        roles = ("store", "sidecar")
+        roles = ("store", "sidecar", "columns")
         kind = draw(st.sampled_from(list(ModelKind)))
         argv = ["train", "{store}", kind.value, "{out}"]
         # --dim, --epochs and --lr are always given: the defaults train 50 dimensions for 50

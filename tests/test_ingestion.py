@@ -1,7 +1,10 @@
 """Triple-file parsing, comprise derivation, portfolios and universes."""
 
+import hashlib
+import json
 import logging
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -109,12 +112,15 @@ class TestParseTriples:
         path.write_text("patent:\tcite\tpatent:2\n" + MINIMAL_GRAPH)
         assert len(parse_triples_file(path)) == 4
 
-    def test_round_trip(self, tmp_path):
+    @pytest.mark.parametrize("columns", [True, False], ids=["with-columns", "without-columns"])
+    def test_round_trip(self, tmp_path, columns):
         src = tmp_path / "src.tsv"
         src.write_text(FIGURE_GRAPH)
         store = parse_triples_file(src)
         out = tmp_path / "out.tsv"
         write_triples_file(store, out)
+        if not columns:
+            (tmp_path / "out.tsv.cols").unlink()
         clone = load_store(out)
         assert clone.triples == store.triples
         assert clone.vocab.fingerprint() == store.vocab.fingerprint()
@@ -457,3 +463,162 @@ def test_parse_triples_file_matches_oracle_across_blocks(fuzz_file, text, vocab_
     with mock.patch.object(ingestion, "_BLOCK", block):
         got = run_parser(parse_triples_file, fuzz_file, vocab_lines)
     assert got == run_parser(parse_triples_file_oracle, fuzz_file, vocab_lines)
+
+
+# -- the column file: a store loads from it exactly as from its TSV ----------
+
+def load_outcome(load, path):
+    """Columns, vocabulary text, fingerprint and sorted keys of the store one load gives, or the
+    error's type and message."""
+    try:
+        store = load(path)
+    except (PatkgError, OSError) as exc:
+        return type(exc), str(exc)
+    return ([c.tolist() for c in store.triple_arrays()], store.vocab.export_text(), store.vocab.fingerprint(),
+            store._keys.tolist())
+
+
+def parse_with_sidecar(path):
+    """The TSV parse under the sidecar's vocabulary: what `load_store` gives without a column file."""
+    with open(f"{path}.vocab", encoding="utf-8") as fh:
+        return parse_triples_file(path, Vocabulary.from_lines(fh))
+
+
+def load_counting_parses(path):
+    """`load_outcome(load_store, path)`, and whether the load parsed the TSV."""
+    with mock.patch.object(ingestion, "parse_triples_file", wraps=parse_triples_file) as parse:
+        outcome = load_outcome(load_store, path)
+    return outcome, parse.called
+
+
+@given(text=triple_texts(), vocab_lines=PINNED)
+@example(text="patent:1\tcite\tpatent:2\n", vocab_lines=["0\tpatent:", "1\tpatent:1", "2\tpatent:2"])
+def test_load_store_reads_the_column_file_as_the_tsv_parse(fuzz_file, text, vocab_lines):
+    fuzz_file.write_bytes(text.encode("utf-8"))
+    try:
+        store = parse_triples_file(fuzz_file, None if vocab_lines is None else Vocabulary.from_lines(vocab_lines))
+    except PatkgError:
+        return
+    out = fuzz_file.with_name("store.tsv")
+    write_triples_file(store, out)
+    # the drawn labels hold no tab or line break, so only an empty id (pinned) keeps the column file out
+    written = not any(f"{kind.value}:" in store.vocab.ordinals for kind in EntityKind)
+    assert Path(f"{out}.cols").exists() == written
+    outcome, parsed = load_counting_parses(out)
+    assert parsed != written
+    assert outcome == load_outcome(parse_with_sidecar, out)
+    if written:
+        assert outcome == load_outcome(lambda _: store, out)
+
+
+def _swap_first_two_patents(sidecar):
+    lines = sidecar.read_text(encoding="utf-8").splitlines(keepends=True)
+    i, j = [n for n, line in enumerate(lines) if "\tpatent:" in line][:2]
+    labels = [line.partition("\t")[2] for line in lines]
+    lines[i], lines[j] = f"{i}\t{labels[j]}", f"{j}\t{labels[i]}"
+    sidecar.write_text("".join(lines), encoding="utf-8")
+
+
+def damage_store_files(out, damage):
+    """Apply one of `DAMAGES` to the store `out`, its sidecar or its column file."""
+    sidecar, cols = Path(f"{out}.vocab"), Path(f"{out}.cols")
+    store_data, sidecar_data, cols_data = out.read_bytes(), sidecar.read_bytes(), cols.read_bytes()
+    payload = cols_data.index(b"\n", cols_data.index(b"\n") + 1) + 1  # where the payload starts
+    if damage == "store-line-dropped":
+        out.write_bytes(store_data[:store_data.rindex(b"\n", 0, -1) + 1])
+    elif damage == "store-bad-relation":
+        out.write_bytes(store_data.replace(b"\tcite\t", b"\tCITE\t", 1))
+    elif damage == "sidecar-labels-swapped":
+        _swap_first_two_patents(sidecar)
+    elif damage == "sidecar-label-added":
+        sidecar.write_bytes(sidecar_data + b"%d\tpatent:new\n" % sidecar_data.count(b"\n"))
+    elif damage == "sidecar-bad-line":
+        sidecar.write_bytes(b"x\n" + sidecar_data)
+    elif damage == "sidecar-crlf":
+        sidecar.write_bytes(sidecar_data.replace(b"\n", b"\r\n"))
+    elif damage == "payload-cut-by-a-byte":
+        cols.write_bytes(cols_data[:-1])
+    elif damage == "payload-cut-by-a-row":
+        cols.write_bytes(cols_data[:-24])
+    elif damage == "payload-byte-flipped":
+        cols.write_bytes(cols_data[:payload + 9] + bytes([cols_data[payload + 9] ^ 1]) + cols_data[payload + 10:])
+    elif damage == "payload-extended":
+        cols.write_bytes(cols_data + bytes(24))
+    elif damage == "magic":
+        cols.write_bytes(cols_data.replace(b"patkg-columns 1", b"patkg-columns 2", 1))
+    elif damage == "manifest-not-json":
+        cols.write_bytes(cols_data.replace(b'{"columns', b'["columns', 1))
+    elif damage == "manifest-digest":
+        at = cols_data.index(b"store_sha256") + 16
+        cols.write_bytes(cols_data[:at] + bytes([cols_data[at] ^ 1]) + cols_data[at + 1:])
+    elif damage == "manifest-rows":
+        cols.write_bytes(cols_data.replace(b'"rows":', b'"rows":1', 1))
+    elif damage == "manifest-line-unended":
+        cols.write_bytes(cols_data.replace(b'"}\n', b'"} ', 1))
+    elif damage == "empty":
+        cols.write_bytes(b"")
+    else:
+        cols.unlink()
+        if damage == "directory":
+            cols.mkdir()
+
+
+# damage -> (whether the load still reads the column file, None if the sidecar is refused before
+# either file is read; whether the load still gives the store that was written)
+DAMAGES = {
+    "store-line-dropped": (False, False), "store-bad-relation": (False, False),
+    "sidecar-labels-swapped": (False, False), "sidecar-label-added": (False, False),
+    "sidecar-bad-line": (None, False),
+    "sidecar-crlf": (True, True),  # CRLF endings read as the same vocabulary, whose fingerprint still matches
+    **{damage: (False, True) for damage in (
+        "payload-cut-by-a-byte", "payload-cut-by-a-row", "payload-byte-flipped", "payload-extended", "magic",
+        "manifest-not-json", "manifest-digest", "manifest-rows", "manifest-line-unended", "empty", "missing",
+        "directory")},
+}
+
+
+@pytest.mark.parametrize("damage", DAMAGES)
+def test_a_damaged_column_file_loads_as_the_tsv_parse(tmp_path, damage):
+    out = tmp_path / "s.tsv"
+    store = generate_synthetic(2, 8, 3, 2, 0.3, 0.05, seed=4)
+    write_triples_file(store, out)
+    before = [p.read_bytes() for p in (out, tmp_path / "s.tsv.vocab", tmp_path / "s.tsv.cols")]
+    damage_store_files(out, damage)
+    assert before != [p.read_bytes() if p.is_file() else None
+                      for p in (out, tmp_path / "s.tsv.vocab", tmp_path / "s.tsv.cols")]
+    reads_columns, same_store = DAMAGES[damage]
+    outcome, parsed = load_counting_parses(out)
+    if reads_columns is not None:
+        assert parsed != reads_columns
+    assert outcome == load_outcome(parse_with_sidecar, out)
+    assert (outcome == load_outcome(lambda _: store, out)) == same_store
+
+
+@pytest.mark.parametrize("label", ["patent:a\tb", "patent:a\rb", "patent:a\nb", "patent:a\r\nb", "patent:"],
+                         ids=["tab", "cr", "lf", "crlf", "empty-id"])
+def test_a_store_that_does_not_read_back_gets_no_column_file(tmp_path, label):
+    out, cols = tmp_path / "s.tsv", tmp_path / "s.tsv.cols"
+    write_triples_file(generate_synthetic(2, 8, 3, 2, 0.3, 0.05, seed=4), out)
+    assert cols.exists()  # a column file for the store this write replaces
+    store = TripleStore()
+    store.add_triples([store.vocab.add_label(label)], RELATION_INDEX[RelationKind.CITE],
+                      [store.vocab.add_label("patent:2")])
+    write_triples_file(store, out)
+    assert not cols.exists()
+
+
+def test_column_file_layout_and_bytes_are_a_function_of_the_store(tmp_path):
+    store = generate_synthetic(2, 8, 3, 2, 0.3, 0.05, seed=4)
+    write_triples_file(store, tmp_path / "a.tsv")
+    write_triples_file(load_store(tmp_path / "a.tsv"), tmp_path / "b.tsv")
+    data = (tmp_path / "a.tsv.cols").read_bytes()
+    assert (tmp_path / "b.tsv.cols").read_bytes() == data
+    magic, manifest, payload = data.split(b"\n", 2)
+    assert magic == b"patkg-columns 1"
+    fields = json.loads(manifest)
+    assert manifest.decode() == json.dumps(fields, sort_keys=True, separators=(",", ":"))
+    assert fields == {"rows": len(store),
+                      "store_sha256": hashlib.sha256((tmp_path / "a.tsv").read_bytes()).hexdigest(),
+                      "vocab_sha256": hashlib.sha256((tmp_path / "a.tsv.vocab").read_bytes()).hexdigest(),
+                      "columns_sha256": hashlib.sha256(payload).hexdigest()}
+    assert payload == np.stack(store.triple_arrays()).astype("<i8").tobytes()

@@ -497,3 +497,70 @@ def test_sgd_batch_matches_oracle_on_drawn_batches(case):
     for rel in params.relations:
         for name, block in params.relations[rel].items():
             assert block.tobytes() == expected.relations[rel][name].tobytes()
+
+
+# -- the masked sigmoids and the whole-array redraw loop as the oracles of their trims --------
+
+def _sigmoid_oracle(x):
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def _log_sigmoid_oracle(x):
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = -np.log1p(np.exp(-x[pos]))
+    out[~pos] = x[~pos] - np.log1p(np.exp(x[~pos]))
+    return out
+
+
+def _draw_replacements_oracle(rng, pool, originals):
+    out = pool[rng.integers(0, len(pool), size=len(originals))]
+    bad = out == originals
+    while np.any(bad):
+        out[bad] = pool[rng.integers(0, len(pool), size=int(bad.sum()))]
+        bad = out == originals
+    return out
+
+
+SIGMOID_EDGES = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 1e-300, -1e-300,
+                 1e300, -1e300, 1.0, -1.0, 36.7, -36.7, 709.8, -745.2]
+
+
+def assert_same_bytes_nan_for_nan(got, want, x):
+    nan = np.isnan(x)
+    assert np.isnan(got[nan]).all()  # NaN in gives NaN out, of either sign
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+@pytest.mark.parametrize("fn, oracle", [(_sigmoid, _sigmoid_oracle), (_log_sigmoid, _log_sigmoid_oracle)],
+                         ids=["sigmoid", "log_sigmoid"])
+@pytest.mark.parametrize("size", [1, 2, 19, 256, 2560, 10240])
+def test_sigmoids_match_masked_oracles_bytewise(fn, oracle, size):
+    rng = np.random.default_rng(size)
+    # every edge at the front, then normals at magnitudes 1e-300 to 1e300
+    x = rng.standard_normal(size) * 10.0 ** rng.integers(-300, 301, size=size)
+    x[:len(SIGMOID_EDGES)] = SIGMOID_EDGES[:size]
+    assert_same_bytes_nan_for_nan(fn(x), oracle(x), x)
+
+
+@given(arrays(np.float64, st.integers(1, 64), elements=st.floats(allow_subnormal=True)))
+def test_sigmoids_match_masked_oracles_on_drawn_arrays(x):
+    for fn, oracle in ((_sigmoid, _sigmoid_oracle), (_log_sigmoid, _log_sigmoid_oracle)):
+        assert_same_bytes_nan_for_nan(fn(x), oracle(x), x)
+
+
+@given(pool_size=st.integers(2, 5), n=st.integers(0, 300), seed=st.integers(0, 2**32))
+def test_draw_replacements_draws_what_the_oracle_draws(pool_size, n, seed):
+    # small pools collide often, so most draws redraw some positions several times
+    pool = np.arange(pool_size, dtype=np.int64) * 3
+    originals = pool[np.random.default_rng(seed + 1).integers(0, pool_size, size=n)]
+    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = _draw_replacements(rng, pool, originals)
+    assert got.tobytes() == _draw_replacements_oracle(oracle_rng, pool, originals).tobytes()
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+    assert not (got == originals).any()
