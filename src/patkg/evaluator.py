@@ -4,7 +4,10 @@ For each test triple and requested side the true entity is ranked among
 K sampled corruptions; MR, MRR and Hits@{1,3,10} aggregate the ranks.
 Ties on the exact score get the midpoint rank by default. Corruptions
 are seeded per (seed, triple, side), so processing order cannot change
-the report.
+the report. Each query draws as `np.random.default_rng` seeded with the
+query's 64-bit BLAKE2b key would: `evaluate` derives all its queries'
+PCG64 states in one vectorized pass (`_pcg64_states`) and sets each on
+one generator it owns.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from .graph import (
     Side,
     Triple,
     TripleStore,
+    check_ends,
     sample_corrupt,
 )
 from .models import ModelParams, _rows
@@ -106,16 +110,17 @@ def rank_target(
 ) -> float:
     """Rank of the true entity among the replacement ordinals `corrupts` for `side` (1 is best).
 
-    Scores one `_rows` gather of the fixed, original and corrupt rows with the model's kernel;
-    UnknownOrdinal if `triple` or `corrupts` names a row outside the entity table.
+    Scores one `_rows` gather of the original and corrupt rows and as many copies of the fixed
+    row with the model's kernel; UnknownOrdinal if `triple` or `corrupts` names a row outside
+    the entity table.
     """
     original, fixed = (triple.head, triple.tail) if side is Side.HEAD else (triple.tail, triple.head)
-    rows = _rows(params, [fixed, original], corrupts)
-    repeated = np.repeat(rows[:1], len(rows) - 1, axis=0)
-    H, T = (rows[1:], repeated) if side is Side.HEAD else (repeated, rows[1:])
+    k = len(corrupts) + 1
+    rows = _rows(params, [original], corrupts, np.full(k, fixed))
+    H, T = (rows[:k], rows[k:]) if side is Side.HEAD else (rows[k:], rows[:k])
     s = params.spec.score(H, T, params.relations[triple.relation])
-    better = int((s[1:] > s[0]).sum())
-    ties = int((s[1:] == s[0]).sum())
+    better = int(np.count_nonzero(s[1:] > s[0]))  # a numpy int would make the rank a numpy float
+    ties = int(np.count_nonzero(s[1:] == s[0]))
     return 1.0 + better + ties * _TIE_SHARE[tie_rule]
 
 
@@ -129,6 +134,59 @@ def _record_seed(seed: int, triple: Triple, side: Side) -> int:
         0 if side is Side.HEAD else 1,
     )
     return int.from_bytes(hashlib.blake2b(payload, digest_size=8).digest(), "little")
+
+
+# SeedSequence's and PCG64's seeding constants (numpy/random/bit_generator.pyx, pcg64.h).
+_XSHIFT = np.uint32(16)
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_U128 = (1 << 128) - 1
+
+
+def _hash_consts(init: int, mult: int, n: int) -> list[np.uint32]:
+    """The n + 1 values a SeedSequence hash constant steps through: init times mult**i mod 2**32."""
+    out = [init]
+    for _ in range(n):
+        out.append(out[-1] * mult & 0xFFFFFFFF)
+    return [np.uint32(h) for h in out]
+
+
+_POOL_HASH = _hash_consts(0x43B0D7E5, 0x931E8875, 16)  # 4 pool fills, then 12 cross mixes
+_STATE_HASH = _hash_consts(0x8B51F9DD, 0x58F38DED, 8)  # 8 output words
+
+
+def _hashmix(words: np.ndarray, consts: list[np.uint32], i: int) -> np.ndarray:
+    words = (words ^ consts[i]) * consts[i + 1]
+    return words ^ (words >> _XSHIFT)
+
+
+def _pcg64_states(seeds: list[int]) -> list[tuple[int, int]]:
+    """(state, inc) of `np.random.default_rng(seed).bit_generator` for each seed in [0, 2**64).
+
+    SeedSequence(seed) hashes the seed's two 32-bit words and two zero words into a four-word
+    pool (one word or two give the same pool), mixes every pool word into every other, and hashes
+    the pool into eight output words: PCG64's initial state and stream as two 128-bit ints. PCG64
+    then takes two LCG steps. The 32-bit steps run on all seeds at once as uint32 arrays, whose
+    products wrap as numpy's C code does; the two LCG steps run on Python ints.
+    """
+    s = np.array(seeds, dtype=np.uint64)
+    zeros = np.zeros(len(s), dtype=np.uint32)
+    words = (s.astype(np.uint32), (s >> np.uint64(32)).astype(np.uint32), zeros, zeros)
+    pool = [_hashmix(w, _POOL_HASH, i) for i, w in enumerate(words)]
+    i = 4
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                mixed = _MIX_L * pool[dst] - _MIX_R * _hashmix(pool[src], _POOL_HASH, i)
+                pool[dst] = mixed ^ (mixed >> _XSHIFT)
+                i += 1
+    out = [_hashmix(pool[j % 4], _STATE_HASH, j).astype(np.uint64) for j in range(8)]
+    hi_s, lo_s, hi_inc, lo_inc = ((out[2 * j] | out[2 * j + 1] << np.uint64(32)).tolist() for j in range(4))
+    states = []
+    for a, b, c, d in zip(hi_s, lo_s, hi_inc, lo_inc):
+        inc = ((c << 64 | d) << 1 | 1) & _U128
+        states.append((((inc + (a << 64 | b)) * _PCG_MULT + inc) & _U128, inc))
+    return states
 
 
 def _metrics(sorted_ranks: np.ndarray) -> RelationMetrics:
@@ -149,28 +207,36 @@ def evaluate(
 ) -> EvalReport:
     """Rank every test triple on the requested sides and aggregate.
 
-    When K exceeds a triple's candidate pool it is clamped to the pool
-    (with a warning), which makes the ranking exhaustive for that query; a
-    query with an empty pool is skipped. The report counts both.
+    Each query draws its corruptions with `sample_corrupt`, in the state
+    `np.random.default_rng(_record_seed(config.seed, triple, side))` would
+    start from. When K exceeds a triple's candidate pool it is clamped to
+    the pool (with a warning), which makes the ranking exhaustive for that
+    query; a query with an empty pool is skipped. The report counts both.
+    UnknownEntity names the first test triple, in test order, with an
+    ordinal outside the vocabulary.
     """
     if not test:
         raise EmptyTestSet("no test triples")
     check_fingerprint(params, store.vocab)
+    for triple in test:
+        check_ends(store, triple)  # before any key is packed: every ordinal fits int64
 
+    queries = [(triple, side) for triple in test for side in _SIDES[config.sides]]
+    states = _pcg64_states([_record_seed(config.seed, triple, side) for triple, side in queries])
+    bits = np.random.PCG64()
+    rng = np.random.Generator(bits)
     skipped = 0
     records: list[RankRecord] = []
-    for triple in test:
-        for side in _SIDES[config.sides]:
-            try:
-                corrupts = sample_corrupt(
-                    store, triple, config.corruptions_per_side, side, pool=config.pool,
-                    filtered=config.filtered, rng_seed=_record_seed(config.seed, triple, side),
-                )
-            except PoolTooSmall:
-                skipped += 1  # nothing to corrupt with; query is unrankable
-                continue
-            rank = rank_target(params, triple, side, corrupts, config.tie_rule)
-            records.append(RankRecord(triple, side, rank, len(corrupts)))
+    for (triple, side), (state, inc) in zip(queries, states):
+        bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
+        try:
+            corrupts = sample_corrupt(store, triple, config.corruptions_per_side, side, pool=config.pool,
+                                      filtered=config.filtered, rng=rng)
+        except PoolTooSmall:
+            skipped += 1  # nothing to corrupt with; query is unrankable
+            continue
+        rank = rank_target(params, triple, side, corrupts, config.tie_rule)
+        records.append(RankRecord(triple, side, rank, len(corrupts)))
     if not records:
         raise PoolTooSmall("every query had an empty corruption pool")
     clamped = sum(r.n_corrupts < config.corruptions_per_side for r in records)

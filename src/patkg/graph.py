@@ -188,10 +188,11 @@ class Vocabulary:
 
     def ordinals_of_kind(self, kind: EntityKind) -> np.ndarray:
         """Ascending ordinals of every `kind` entity, as a read-only int64 array."""
-        if kind not in self._derived:
-            self._derived[kind] = np.flatnonzero(np.array(self.kinds, dtype=np.int8) == KIND_INDEX[kind])
-            self._derived[kind].flags.writeable = False
-        return self._derived[kind]
+        ordinals = self._derived.get(kind)
+        if ordinals is None:
+            ordinals = self._derived[kind] = np.flatnonzero(np.array(self.kinds, dtype=np.int8) == KIND_INDEX[kind])
+            ordinals.flags.writeable = False
+        return ordinals
 
     def export_text(self, start: int = 0, stop: int | None = None) -> str:
         """`<ordinal>\\t<kind>:<source_id>\\n` per ordinal in [start, stop): a sidecar or archive block."""
@@ -408,25 +409,33 @@ def split(store: TripleStore, spec: SplitSpec) -> tuple[TripleStore, list[Triple
     return train, _as_triples(store.heads[held], store.rels[held], store.tails[held])
 
 
+def check_ends(store: TripleStore, t: Triple) -> None:
+    """UnknownEntity if `t` names an ordinal outside the store's vocabulary."""
+    n = len(store.vocab)
+    if not (0 <= t.head < n and 0 <= t.tail < n):
+        raise UnknownEntity(f"{t}: ordinal outside the vocabulary")
+
+
 def corruption_candidates(
     store: TripleStore, t: Triple, side: Side, pool: CandidatePool, filtered: bool
 ) -> np.ndarray:
     """Ascending ordinals that may replace `side` of `t`: the pool minus the original
     entity and, if `filtered`, minus every entity that would rebuild a stored triple.
     UnknownEntity if `t` names an ordinal outside the vocabulary."""
-    vocab, n = store.vocab, len(store.vocab)
-    if not (0 <= t.head < n and 0 <= t.tail < n):
-        raise UnknownEntity(f"{t}: ordinal outside the vocabulary")
+    check_ends(store, t)
+    vocab = store.vocab
     original, fixed = (t.head, t.tail) if side is Side.HEAD else (t.tail, t.head)
     if pool is CandidatePool.SAME_KIND:
         candidates = vocab.ordinals_of_kind(KINDS[vocab.kinds[original]])
     else:
-        candidates = np.arange(n, dtype=np.int64)
+        candidates = np.arange(len(vocab), dtype=np.int64)
+    if not filtered:  # every pool holds the original once
+        at = candidates.searchsorted(original)
+        return np.concatenate((candidates[:at], candidates[at + 1 :]))
     keep = candidates != original
-    if filtered:
-        known = store.known_ends(side, RELATION_INDEX[t.relation], fixed)
-        at = np.minimum(candidates.searchsorted(known), len(candidates) - 1)
-        keep[at[candidates[at] == known]] = False
+    known = store.known_ends(side, RELATION_INDEX[t.relation], fixed)
+    at = np.minimum(candidates.searchsorted(known), len(candidates) - 1)
+    keep[at[candidates[at] == known]] = False
     return candidates[keep]
 
 
@@ -438,20 +447,25 @@ def sample_corrupt(
     pool: CandidatePool = CandidatePool.SAME_KIND,
     filtered: bool = False,
     rng_seed: int = 0,
+    rng: np.random.Generator | None = None,
 ) -> np.ndarray:
     """Draw up to n replacement ordinals for `side` of `t`, as int64 in draw order.
 
     Candidates are drawn uniformly without replacement from
-    `corruption_candidates(store, t, side, pool, filtered)`. When the pool
-    holds fewer than n candidates, all of them are returned (in seeded
-    order); an empty pool raises PoolTooSmall.
+    `corruption_candidates(store, t, side, pool, filtered)`, by `rng` when
+    given and else by `np.random.default_rng(rng_seed)`, whose seeds are the
+    integers in [0, 2**64). When the pool holds fewer than n candidates, all
+    of them are returned (in seeded order); an empty pool raises PoolTooSmall.
     """
     if n < 1:
         raise InvalidConfig("n must be >= 1")
+    if rng is None and not 0 <= rng_seed < 2**64:
+        raise InvalidConfig(f"rng_seed {rng_seed} outside [0, 2**64)")
     candidates = corruption_candidates(store, t, side, pool, filtered)
     if len(candidates) == 0:
         raise PoolTooSmall(f"no candidates for {side.value} of {t.relation.value}")
-    rng = np.random.default_rng(rng_seed)
+    if rng is None:
+        rng = np.random.default_rng(rng_seed)
     return rng.choice(candidates, size=min(n, len(candidates)), replace=False)
 
 

@@ -1,19 +1,22 @@
 """Ranking metrics against a brute-force exhaustive-scoring oracle."""
 
 import logging
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 from test_graph import micro_store, reference_candidates
 
-from patkg.errors import EmptyTestSet, FingerprintMismatch, UnknownOrdinal
+from patkg.errors import EmptyTestSet, FingerprintMismatch, PoolTooSmall, UnknownEntity, UnknownOrdinal
 from patkg.evaluator import (
     EvalConfig,
     RankRecord,
     Sides,
     TieRule,
     _metrics,
+    _pcg64_states,
     _record_seed,
     evaluate,
     rank_target,
@@ -27,9 +30,10 @@ from patkg.graph import (
     Triple,
     TripleStore,
     generate_synthetic,
+    sample_corrupt,
     split,
 )
-from patkg.models import ModelKind, init_params, score, scores
+from patkg.models import ModelKind, _rows, init_params, score, scores
 
 
 def fixed_params(store, kind=ModelKind.TRANSE_L2, dim=8, seed=21):
@@ -105,6 +109,17 @@ def rank_through_scores(params, triple, side, corrupts, tie_rule):
             TieRule.MIDPOINT: 1.0 + better + ties / 2.0}[tie_rule]
 
 
+def rank_with_repeat(params, triple, side, corrupts, tie_rule):
+    """`rank_target` as it gathered one fixed row and repeated it K times, counting with `sum`."""
+    original, fixed = (triple.head, triple.tail) if side is Side.HEAD else (triple.tail, triple.head)
+    rows = _rows(params, [fixed, original], corrupts)
+    repeated = np.repeat(rows[:1], len(rows) - 1, axis=0)
+    H, T = (rows[1:], repeated) if side is Side.HEAD else (repeated, rows[1:])
+    s = params.spec.score(H, T, params.relations[triple.relation])
+    better, ties = int((s[1:] > s[0]).sum()), int((s[1:] == s[0]).sum())
+    return 1.0 + better + ties * {TieRule.OPTIMISTIC: 0.0, TieRule.MIDPOINT: 0.5, TieRule.PESSIMISTIC: 1.0}[tie_rule]
+
+
 @pytest.mark.parametrize("kind", list(ModelKind), ids=lambda k: k.value)
 def test_rank_target_equals_ranking_through_scores(kind):
     store = generate_synthetic(2, 10, 3, 2, 0.3, 0.05, seed=4)
@@ -117,7 +132,10 @@ def test_rank_target_equals_ranking_through_scores(kind):
             corrupts = rng.integers(0, n, size=int(rng.integers(0, 12)))
             corrupts[: len(corrupts) // 3] = t.head if side is Side.HEAD else t.tail  # exact ties
             for tie in TieRule:
-                assert rank_target(params, t, side, corrupts, tie) == rank_through_scores(params, t, side, corrupts, tie)
+                rank = rank_target(params, t, side, corrupts, tie)
+                assert type(rank) is float
+                assert rank == rank_through_scores(params, t, side, corrupts, tie)
+                assert rank == rank_with_repeat(params, t, side, corrupts, tie)
     after = [params.entities] + [b for blocks in params.relations.values() for b in blocks.values()]
     assert all(np.array_equal(a, b) for a, b in zip(before, after))  # kernels ran on copies
 
@@ -340,25 +358,90 @@ def rescan_oracle(records, n_queries, k):
     return (overall.mr, overall.mrr, overall.hits, per_relation, clamped, n_queries - len(records))
 
 
+def loop_oracle(params, test, store, config):
+    """Records as `evaluate` built them one query at a time: a fresh `default_rng` seeded with each
+    query's key, through `sample_corrupt(rng_seed=...)`, ranked with the repeated fixed row."""
+    records = []
+    for triple in test:
+        for side in ORACLE_SIDES[config.sides]:
+            try:
+                corrupts = sample_corrupt(store, triple, config.corruptions_per_side, side, pool=config.pool,
+                                          filtered=config.filtered, rng_seed=_record_seed(config.seed, triple, side))
+            except PoolTooSmall:
+                continue
+            rank = rank_with_repeat(params, triple, side, corrupts, config.tie_rule)
+            records.append(RankRecord(triple, side, rank, len(corrupts)))
+    return records
+
+
 @pytest.mark.parametrize("pool", list(CandidatePool), ids=lambda p: p.value)
 @pytest.mark.parametrize("filtered", [False, True], ids=["raw", "filtered"])
 def test_records_equal_sampled_oracle(pool, filtered):
     store = generate_synthetic(3, 12, 4, 2, 0.3, 0.05, seed=5)
     train_store, held_out = split(store, SplitSpec(0.2, seed=1))
     test = held_out + train_store.triples[::4]
-    params = fixed_params(store, kind=ModelKind.DISTMULT, dim=4, seed=5)
-    # entries in {-1, 0, 1}: exact scores, so many ties and no rounding-order effects
-    rng = np.random.default_rng(5)
-    for table in [params.entities] + [block["vec"] for block in params.relations.values()]:
-        table[:] = rng.integers(-1, 2, size=table.shape)
-    for sides in Sides:
-        config = EvalConfig(corruptions_per_side=20, sides=sides, pool=pool, filtered=filtered, seed=9)
-        want = sampled_oracle(params, test, store, config)
-        for tie in TieRule:
-            report = evaluate(params, test, store, replace(config, tie_rule=tie))
-            assert report.records == want[tie]
-            got = (report.mr, report.mrr, report.hits, report.per_relation, report.clamped, report.skipped)
-            assert got == rescan_oracle(want[tie], len(test) * len(ORACLE_SIDES[sides]), 20)
-        assert [r.rank for r in want[TieRule.OPTIMISTIC]] != [r.rank for r in want[TieRule.PESSIMISTIC]]
-        if pool is CandidatePool.SAME_KIND and sides is Sides.BOTH:  # the 57-entity pool never runs short of K=20
-            assert report.clamped > 0 and report.skipped > 0
+    for kind in ModelKind:
+        params = fixed_params(store, kind=kind, dim=4, seed=5)
+        # entries in {-1, 0, 1}: many exact ties, and DistMult's scores are exact, so its scalar scores agree
+        rng = np.random.default_rng(5)
+        for table in [params.entities] + [b for blocks in params.relations.values() for b in blocks.values()]:
+            table[:] = rng.integers(-1, 2, size=table.shape)
+        for sides in Sides:
+            for seed in (-2**63, 2**63 - 1):
+                config = EvalConfig(corruptions_per_side=20, sides=sides, pool=pool, filtered=filtered, seed=seed)
+                want = sampled_oracle(params, test, store, config) if kind is ModelKind.DISTMULT else None
+                for tie in TieRule:
+                    report = evaluate(params, test, store, replace(config, tie_rule=tie))
+                    records = loop_oracle(params, test, store, replace(config, tie_rule=tie))
+                    assert report.records == records
+                    if want is not None:
+                        assert records == want[tie]
+                    got = (report.mr, report.mrr, report.hits, report.per_relation, report.clamped, report.skipped)
+                    assert got == rescan_oracle(records, len(test) * len(ORACLE_SIDES[sides]), 20)
+                if want is not None:
+                    assert [r.rank for r in want[TieRule.OPTIMISTIC]] != [r.rank for r in want[TieRule.PESSIMISTIC]]
+                if pool is CandidatePool.SAME_KIND and sides is Sides.BOTH:
+                    assert report.clamped > 0 and report.skipped > 0  # the 57-entity pool never runs short of K=20
+
+
+@given(seed=st.integers(0, 2**64 - 1))
+@example(seed=0)
+@example(seed=2**32 - 1)
+@example(seed=2**32)
+@example(seed=2**63)
+@example(seed=2**64 - 1)
+def test_pcg64_states_equal_default_rng(seed):
+    want = np.random.default_rng(seed)
+    ((state, inc),) = _pcg64_states([seed])
+    bits = np.random.PCG64()
+    bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
+    assert bits.state == want.bit_generator.state
+    got = np.random.Generator(bits)
+    # numpy's choice tail-shuffles the whole pool when it holds over 10,000 and K exceeds a 50th of it
+    # (13,182 and 300), and otherwise draws with Floyd's algorithm into a hash set
+    for pool, k in ((2_000, 100), (13_182, 100), (13_182, 300), (3, 3)):
+        candidates = np.arange(pool, dtype=np.int64)
+        assert got.choice(candidates, size=k, replace=False).tolist() == \
+            want.choice(candidates, size=k, replace=False).tolist()
+
+
+def test_pcg64_states_of_many_seeds_at_once():
+    drawn = np.random.default_rng(22).integers(0, 2**64, size=6_000, dtype=np.uint64)
+    seeds = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**63, 2**64 - 1] + drawn.tolist()
+    states = _pcg64_states(seeds)
+    assert len(states) == len(seeds)
+    for seed, (state, inc) in zip(seeds, states):
+        assert np.random.default_rng(seed).bit_generator.state["state"] == {"state": state, "inc": inc}
+    assert _pcg64_states([]) == []
+
+
+def test_unknown_entity_names_the_first_bad_triple():
+    store = micro_store()
+    params = fixed_params(store)
+    n = len(store.vocab)
+    good = store.triples[0]
+    bad = [Triple(h, RelationKind.CITE, t) for h, t in ((2**63, 1), (1, 2**64), (-2**63 - 1, 1), (-1, 1), (0, n))]
+    for first in bad:
+        for later in bad:
+            with pytest.raises(UnknownEntity, match=f"^{re.escape(str(first))}: ordinal outside the vocabulary$"):
+                evaluate(params, [good, first, good, later], store, EvalConfig(corruptions_per_side=2, seed=1))

@@ -754,6 +754,19 @@ class TestSampleCorrupt:
         b = sample_corrupt(store, t, 4, Side.TAIL, rng_seed=11)
         assert a.tolist() == b.tolist()
 
+    def test_seed_domain_is_that_of_default_rng(self):
+        store = generate_synthetic(2, 10, 3, 2, 0.2, 0.01, seed=5)
+        t = next(t for t in store.triples if t.relation is RelationKind.CITE)
+        pool = corruption_candidates(store, t, Side.TAIL, CandidatePool.SAME_KIND, False)
+        for seed in (-1, -2**63, 2**64, 2**70):
+            with pytest.raises(InvalidConfig, match=r"outside \[0, 2\*\*64\)"):
+                sample_corrupt(store, t, 4, Side.TAIL, rng_seed=seed)
+        for seed in (0, 2**63, 2**64 - 1):
+            want = np.random.default_rng(seed).choice(pool, size=4, replace=False)
+            assert sample_corrupt(store, t, 4, Side.TAIL, rng_seed=seed).tolist() == want.tolist()
+            given = np.random.default_rng(seed)
+            assert sample_corrupt(store, t, 4, Side.TAIL, rng_seed=-1, rng=given).tolist() == want.tolist()
+
 
 class TestStats:
     def test_empty(self):
