@@ -14,8 +14,6 @@ exactly, then runs the full study machinery over simulated agents with
 an informed and an uninformed embedding set.
 """
 
-from datetime import date
-
 import numpy as np
 
 from patkg import (
@@ -30,7 +28,7 @@ from patkg import (
     run_study,
 )
 from patkg.expansion import DomainState, group_proximity_matrix
-from patkg.ingestion import AgentPortfolio, PatentRecord
+from patkg.ingestion import AgentPortfolio
 
 # -- the worked example ---------------------------------------------------
 phi_table = {
@@ -69,20 +67,17 @@ phi_matrix = group_proximity_matrix(informed, store.vocab, universe)
 portfolios = []
 for a in range(25):
     counts = {universe[int(rng.integers(len(universe)))]: 1}
-    patents = [("p00", date(1970, 1, 1), next(iter(counts)))]
+    patent_ids, groups = ["p00"], [frozenset(counts)]
     for step in range(1, 13):
         weights = np.array([counts.get(g, 0) for g in universe])
         home = weights > 0
         scores = phi_matrix[np.ix_(home, ~home)].T @ weights[home] / weights.sum()
         targets = [g for g, h in zip(universe, home) if not h]
         best = targets[int(np.argmax(scores))]
-        patents.append((f"p{step:02d}", date(1970 + step, 1, 1), best))
+        patent_ids.append(f"p{step:02d}")
+        groups.append(frozenset([best]))
         counts[best] = 1
-    records = [
-        PatentRecord(pid, d, frozenset([g]), frozenset([f"agent{a}"]), frozenset())
-        for pid, d, g in patents
-    ]
-    portfolios.append(AgentPortfolio(f"agent{a}", EntityKind.INVENTOR, records))
+    portfolios.append(AgentPortfolio(f"agent{a}", EntityKind.INVENTOR, patent_ids, groups))
 
 report = run_study(store.vocab, portfolios, universe,
                    {"informed": informed, "uninformed": uninformed}, min_patents=10)

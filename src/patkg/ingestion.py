@@ -26,6 +26,7 @@ import logging
 import os
 import re
 from itertools import compress, repeat
+from operator import itemgetter
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
@@ -151,25 +152,17 @@ def derive_comprise(store: TripleStore, groups: set[str]) -> list[Triple]:
     return added
 
 
-@dataclass(frozen=True, slots=True)
-class PatentRecord:
-    patent_id: str
-    application_date: date
-    groups: frozenset[str]
-    inventors: frozenset[str]
-    assignees: frozenset[str]
-
-
 @dataclass(slots=True)
 class AgentPortfolio:
-    """Chronologically ordered patent events of one inventor or assignee."""
+    """One inventor's or assignee's patents in (application date, patent id) order: ids and group-code sets."""
 
     agent_id: str
     agent_kind: EntityKind
-    records: list[PatentRecord]
+    patent_ids: list[str]
+    groups: list[frozenset[str]]
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.patent_ids)
 
 
 def _validate_group_code(code: str, line_no: int) -> None:
@@ -177,71 +170,65 @@ def _validate_group_code(code: str, line_no: int) -> None:
         raise ParseError(f"line {line_no}: group code {code!r} {_GROUP_RULE}")
 
 
-def parse_patent_records(path) -> list[PatentRecord]:
-    """Parse a patent-record file, first occurrence winning on duplicate ids."""
-    records: list[PatentRecord] = []
+def parse_patent_records(path) -> list[tuple[str, str, frozenset[str], frozenset[str], frozenset[str]]]:
+    """(patent id, date text, groups, inventors, assignees) per record in file order, first occurrence
+    winning on duplicate ids. Each distinct date text and group code is checked once."""
+    records = []
     seen: set[str] = set()
+    dates: set[str] = set()
+    codes: set[str] = set()
     duplicates = 0
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
+            if line.startswith(("#", "\n")):
                 continue
-            parts = line.split("\t")
+            parts = line.rstrip("\n").split("\t")
             if len(parts) != 5:
                 raise ParseError(f"line {line_no}: expected 5 tab-separated fields, got {len(parts)}")
             patent_id, date_text, groups_text, inventors_text, assignees_text = parts
             if not patent_id:
                 raise ParseError(f"line {line_no}: empty patent id")
-            try:  # fromisoformat also reads forms such as 20200101 and 2020-W01-1
-                application_date = date.fromisoformat(date_text)
-                if application_date.isoformat() != date_text:
-                    raise ValueError(date_text)
-            except ValueError:
-                raise ParseError(f"line {line_no}: bad date {date_text!r}") from None
+            if date_text not in dates:
+                try:  # fromisoformat also reads forms such as 20200101 and 2020-W01-1
+                    if date.fromisoformat(date_text).isoformat() != date_text:
+                        raise ValueError(date_text)
+                except ValueError:
+                    raise ParseError(f"line {line_no}: bad date {date_text!r}") from None
+                dates.add(date_text)
             groups = [g for g in groups_text.split(",") if g]
             if not groups:
                 raise ParseError(f"line {line_no}: patent {patent_id} has no groups")
             for g in groups:
-                _validate_group_code(g, line_no)
+                if g not in codes:
+                    _validate_group_code(g, line_no)
+                    codes.add(g)
             if patent_id in seen:
                 duplicates += 1
                 continue
             seen.add(patent_id)
-            records.append(
-                PatentRecord(
-                    patent_id=patent_id,
-                    application_date=application_date,
-                    groups=frozenset(groups),
-                    inventors=frozenset(i for i in inventors_text.split(",") if i),
-                    assignees=frozenset(a for a in assignees_text.split(",") if a),
-                )
-            )
+            records.append((patent_id, date_text, frozenset(groups), frozenset(inventors_text.split(",")) - {""},
+                            frozenset(assignees_text.split(",")) - {""}))
     if duplicates:
         log.info("%s: skipped %d duplicate patent ids", path, duplicates)
     return records
 
 
 def load_portfolios(path, agent_kind: EntityKind) -> list[AgentPortfolio]:
-    """One portfolio per agent named in any record; `expansion.run_study` applies `min_patents`.
-
-    Events are sorted by application date, ties broken by patent id, so
-    the ordering is a total order and re-sorting is a no-op. Portfolios
-    come back sorted by agent id.
-    """
+    """One portfolio per agent named in any record, sorted by agent id; `expansion.run_study` applies
+    `min_patents`. Records are sorted once by (date text, patent id), a total order in which exact
+    `YYYY-MM-DD` texts sort as their dates do, and appended to each of their agents' portfolios."""
     if agent_kind not in (EntityKind.INVENTOR, EntityKind.ASSIGNEE):
         raise ValueError("agent_kind must be INVENTOR or ASSIGNEE")
-    records = parse_patent_records(path)
-    by_agent: dict[str, list[PatentRecord]] = {}
-    for record in records:
-        agents = record.inventors if agent_kind is EntityKind.INVENTOR else record.assignees
-        for agent_id in agents:
-            by_agent.setdefault(agent_id, []).append(record)
-    portfolios = []
-    for agent_id in sorted(by_agent):
-        events = sorted(by_agent[agent_id], key=lambda r: (r.application_date, r.patent_id))
-        portfolios.append(AgentPortfolio(agent_id, agent_kind, events))
-    return portfolios
+    column = 3 if agent_kind is EntityKind.INVENTOR else 4
+    by_agent: dict[str, AgentPortfolio] = {}
+    for record in sorted(parse_patent_records(path), key=itemgetter(1, 0)):
+        for agent_id in record[column]:
+            portfolio = by_agent.get(agent_id)
+            if portfolio is None:
+                portfolio = by_agent[agent_id] = AgentPortfolio(agent_id, agent_kind, [], [])
+            portfolio.patent_ids.append(record[0])
+            portfolio.groups.append(record[2])
+    return [by_agent[agent_id] for agent_id in sorted(by_agent)]
 
 
 def load_list(path) -> dict[int, str]:

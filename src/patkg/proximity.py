@@ -177,11 +177,16 @@ def pairwise_matrix(
 ) -> np.ndarray:
     """Cosine matrix after transforming every entity to `common_kind`.
 
-    Exactly symmetric with a unit diagonal. `vocab` is unused; callers pass it positionally.
+    Exactly symmetric with a unit diagonal. Every row is read before any is moved, so an
+    ordinal outside the table raises before a model that cannot move rows does. `vocab` is
+    unused; callers pass it positionally.
     """
     if not entities:
         raise InvalidConfig("entities must be non-empty")
-    rows = np.stack([transform(params, e, common_kind, mode) for e in entities])
+    rows = _rows(params, [e.ordinal for e in entities])
+    for kind in dict.fromkeys(e.kind for e in entities):
+        at = [i for i, e in enumerate(entities) if e.kind is kind]
+        rows[at] = _moved(params, rows[at], kind, common_kind, mode)
     norms = np.linalg.norm(rows, axis=1, keepdims=True)
     if np.any(norms == 0.0):
         raise ZeroVector("transformed embedding has zero norm")

@@ -7,7 +7,6 @@ line per criterion. The heavyweight criteria share one planted
 
 import time
 from contextlib import contextmanager
-from datetime import date
 
 import numpy as np
 import pytest
@@ -32,7 +31,7 @@ from patkg.graph import (
     TripleStore,
     sample_corrupt,
 )
-from patkg.ingestion import AgentPortfolio, PatentRecord, write_triples_file
+from patkg.ingestion import AgentPortfolio, write_triples_file
 from patkg.models import ModelKind, grad, init_params
 from patkg.proximity import TransformMode, knowledge_proximity, nearest_neighbors
 
@@ -293,20 +292,17 @@ def _simulated_agents(universe, phi, n_agents, entries_per_agent, seed):
     for a in range(n_agents):
         start = universe[int(rng.integers(len(universe)))]
         counts = {start: 1}
-        patents = [(f"g{a}p00", date(1970, 1, 1), start)]
+        patent_ids, groups = [f"g{a}p00"], [frozenset([start])]
         for step in range(1, entries_per_agent + 1):
             weights = np.array([counts.get(g, 0) for g in universe])
             home = weights > 0
             prox = phi[np.ix_(home, ~home)].T @ weights[home] / weights.sum()
             targets = [g for g in universe if not home[idx[g]]]
             best = targets[int(np.argmax(prox))]
-            patents.append((f"g{a}p{step:02d}", date(1970 + step, 1, 1), best))
+            patent_ids.append(f"g{a}p{step:02d}")
+            groups.append(frozenset([best]))
             counts[best] = 1
-        records = [
-            PatentRecord(pid, d, frozenset([g]), frozenset([f"agent{a}"]), frozenset())
-            for pid, d, g in patents
-        ]
-        portfolios.append(AgentPortfolio(f"agent{a}", EntityKind.INVENTOR, records))
+        portfolios.append(AgentPortfolio(f"agent{a}", EntityKind.INVENTOR, patent_ids, groups))
     return portfolios
 
 

@@ -696,7 +696,7 @@ def write_commands(draw):
         argv = ["expansion", "{archive}", *draw(st.sampled_from([(), ("{archive}",)])),
                 "{portfolios}", "{universe}", "{out}"]
         flags = [_given("--agent-kind", ["inventor", "assignee"], ["bogus"]),
-                 _flag("--min-patents", SEEDS, ["x"]),
+                 _flag("--min-patents", [s for s in SEEDS if s >= 0], [s for s in SEEDS if s < 0] + ["x"]),
                  st.sampled_from([((), GOOD), (("--raw-cosine",), GOOD)])]
     return _drawn_case(draw, argv, roles, flags)
 
@@ -720,6 +720,15 @@ def write_commands(draw):
                {"store": ("valid", 0), "sidecar": ("valid", 0)}, False))
 def test_write_commands_keep_the_cli_contract(contract_files, case):
     assert_cli_contract(contract_files, case)
+
+
+def test_negative_min_patents_is_one_error_line(contract_files):
+    # it exited 0 and wrote `min_patents: -5` into the report
+    argv = ("expansion", "{archive}", "{portfolios}", "{universe}", "{out}", "--agent-kind", "inventor",
+            "--min-patents", "-5")
+    variants = {role: ("valid", 0) for role in ("archive", "portfolios", "universe")}
+    assert run_case(contract_files, argv, variants)[:3] == (
+        1, "error: InvalidConfig: min_patents must be >= 0, got -5\n", None)
 
 
 def portfolio_lines():

@@ -1,5 +1,6 @@
 """Domain-expansion study: percentiles, profiles, AUC and explainability."""
 
+import logging
 from datetime import date
 
 import numpy as np
@@ -12,6 +13,7 @@ from patkg.errors import (
     EmptyPortfolio,
     EmptyProfile,
     InconsistentModelSets,
+    InvalidConfig,
     TargetInHome,
     TooFewTargets,
     UnknownGroup,
@@ -30,7 +32,7 @@ from patkg.expansion import (
     run_study,
 )
 from patkg.graph import EntityKind, TripleStore
-from patkg.ingestion import AgentPortfolio, PatentRecord
+from patkg.ingestion import AgentPortfolio
 from patkg.models import ModelKind, init_params
 from patkg.proximity import knowledge_proximity
 
@@ -156,12 +158,8 @@ def test_percentiles_match_sort_and_walk_oracle(pool_values):
 
 def make_portfolio(agent, patents, kind=EntityKind.INVENTOR):
     """patents: list of (patent_id, iso_date, groups)."""
-    records = [
-        PatentRecord(pid, date.fromisoformat(d), frozenset(groups), frozenset([agent]), frozenset())
-        for pid, d, groups in patents
-    ]
-    records.sort(key=lambda r: (r.application_date, r.patent_id))
-    return AgentPortfolio(agent, kind, records)
+    ordered = sorted(patents, key=lambda p: (p[1], p[0]))
+    return AgentPortfolio(agent, kind, [pid for pid, _, _ in ordered], [frozenset(g) for _, _, g in ordered])
 
 
 UNIVERSE = ["A01A", "B01B", "C01C", "D01D", "E01E", "F01F"]
@@ -260,7 +258,7 @@ class TestBuildProfile:
 
     def test_empty_portfolio(self):
         with pytest.raises(EmptyPortfolio):
-            profile_from_phi(phi_matrix({}), AgentPortfolio("x", EntityKind.INVENTOR, []), UNIVERSE)
+            profile_from_phi(phi_matrix({}), AgentPortfolio("x", EntityKind.INVENTOR, [], []), UNIVERSE)
 
     def test_matrix_path_matches_scalar_op(self):
         # vectorized Eq-1 inside profile building equals the scalar operation
@@ -286,12 +284,12 @@ def profile_oracle(phi, portfolio, universe, proximities=None) -> tuple[list[flo
     counts = np.zeros(len(universe), dtype=np.int64)
     entries: list[float] = []
     skipped = 0
-    for code in portfolio.records[0].groups:
+    for code in portfolio.groups[0]:
         counts[index[code]] += 1
-    for record in portfolio.records[1:]:
+    for groups in portfolio.groups[1:]:
         home_mask = counts > 0
         target_idx = np.nonzero(~home_mask)[0]
-        new_groups = sorted(g for g in record.groups if not home_mask[index[g]])
+        new_groups = sorted(g for g in groups if not home_mask[index[g]])
         if new_groups and len(target_idx) < 2:
             skipped += 1
         elif new_groups:
@@ -301,52 +299,64 @@ def profile_oracle(phi, portfolio, universe, proximities=None) -> tuple[list[flo
                 proximities.append(prox.tobytes())
             pp = percentiles_oracle([(universe[i], float(p)) for i, p in zip(target_idx, prox)])
             entries.extend(pp[g] for g in new_groups)
-        for code in record.groups:
+        for code in groups:
             counts[index[code]] += 1
     return entries, skipped
 
 
 @st.composite
 def study_cases(draw):
-    """(phi floored at 0, portfolio, universe) over 2-6 groups and 1-8 patents."""
+    """(a stack of 1-3 phi matrices floored at 0, portfolio, universe) over 2-6 groups and 1-8 patents."""
     n = draw(st.integers(2, len(UNIVERSE)))
     universe = UNIVERSE[:n]
-    upper = np.triu(np.array(draw(st.lists(st.sampled_from(VALUE_POOL), min_size=n * n,
-                                           max_size=n * n))).reshape(n, n), 1)
-    phi = np.maximum(upper + upper.T, 0.0)
-    np.fill_diagonal(phi, 1.0)
+    phis = []
+    for _ in range(draw(st.integers(1, 3))):
+        upper = np.triu(np.array(draw(st.lists(st.sampled_from(VALUE_POOL), min_size=n * n,
+                                               max_size=n * n))).reshape(n, n), 1)
+        phis.append(np.maximum(upper + upper.T, 0.0))
+        np.fill_diagonal(phis[-1], 1.0)
     records = draw(st.lists(st.sets(st.sampled_from(universe), min_size=1, max_size=3),
                             min_size=1, max_size=8))
     patents = [(f"p{i}", f"{1980 + i}-01-01", sorted(groups)) for i, groups in enumerate(records)]
-    return phi, make_portfolio("x", patents), universe
+    return np.stack(phis), make_portfolio("x", patents), universe
 
 
 def three_group_case(*records):
     """Zero off-diagonal proximities over three groups: every target ties."""
     universe = UNIVERSE[:3]
     patents = [(f"p{i}", f"{1980 + i}-01-01", groups) for i, groups in enumerate(records)]
-    return np.eye(3), make_portfolio("x", patents), universe
+    return np.stack([np.eye(3)] * 2), make_portfolio("x", patents), universe
 
 
 @given(study_cases())
 @example(three_group_case(["A01A"], ["B01B", "C01C"]))  # two new groups at once
 @example(three_group_case(["A01A"], ["B01B"], ["C01C"]))  # one target left: skipped
 def test_profile_matches_sort_and_walk_oracle(case):
-    phi, portfolio, universe = case
-    prof = profile_from_phi(phi, portfolio, universe)
-    entries, skipped = profile_oracle(phi, portfolio, universe)
-    assert bits(prof.entries) == bits(entries)
-    assert prof.skipped == skipped
+    # one walk over the stack gives each matrix the profile the oracle builds from it alone
+    phis, portfolio, universe = case
+    profiles = profile_from_phi(phis, portfolio, universe)
+    assert len(profiles) == len(phis)
+    # a list of the matrices, as `run_study` passes them, walks alike
+    assert [bits(p.entries) + [p.skipped] for p in profile_from_phi(list(phis), portfolio, universe)] == [
+        bits(p.entries) + [p.skipped] for p in profiles]
+    for phi, prof in zip(phis, profiles):
+        single = profile_from_phi(phi, portfolio, universe)
+        entries, skipped = profile_oracle(phi, portfolio, universe)
+        assert bits(prof.entries) == bits(single.entries) == bits(entries)
+        assert prof.skipped == single.skipped == skipped
 
 
 def benchmark_scale_case(order):
-    """A study-5x-sized universe (650 groups) with cosine-like phi floored at 0, in `order`, and
-    one agent whose home passes 64 groups: 200 patents of 1-3 groups, a third of them repeats."""
+    """Two study-5x-sized matrices (650 groups) with cosine-like phi floored at 0, stacked in
+    `order`, and one agent whose home passes 64 groups: 200 patents of 1-3 groups, a third of
+    them repeats."""
     rng = np.random.default_rng(23)
     universe = [f"{chr(65 + i // 250)}{i // 5 % 50:02d}{chr(65 + i % 5)}" for i in range(650)]
-    upper = np.triu(rng.normal(0.1, 0.3, (650, 650)), 1)
-    phi = np.maximum(upper + upper.T, 0.0)
-    np.fill_diagonal(phi, 1.0)
+    phis = []
+    for mean in (0.1, 0.0):
+        upper = np.triu(rng.normal(mean, 0.3, (650, 650)), 1)
+        phis.append(np.maximum(upper + upper.T, 0.0))
+        np.fill_diagonal(phis[-1], 1.0)
     held: list[str] = []
     patents = []
     for i in range(200):
@@ -354,21 +364,23 @@ def benchmark_scale_case(order):
                   else universe[int(rng.integers(650))] for _ in range(int(rng.integers(1, 4)))}
         held.extend(groups)
         patents.append((f"p{i:03d}", date.fromordinal(722000 + 30 * i).isoformat(), sorted(groups)))
-    return np.asarray(phi, order=order), make_portfolio("x", patents), universe
+    return np.asarray(np.stack(phis), order=order), make_portfolio("x", patents), universe
 
 
 @pytest.mark.parametrize("order", ["C", "F"])
 def test_profile_blocks_match_ix_oracle_at_benchmark_scale(order, monkeypatch):
     # every emission's proximity vector, not only the percentiles it ranks to, is the `np.ix_` one
-    phi, portfolio, universe = benchmark_scale_case(order)
+    phis, portfolio, universe = benchmark_scale_case(order)
     seen, rank = [], expansion._rank_percentiles
     monkeypatch.setattr(expansion, "_rank_percentiles", lambda values, at: seen.append(values.tobytes())
                         or rank(values, at))
-    prof = profile_from_phi(phi, portfolio, universe)
-    proximities = []
-    entries, skipped = profile_oracle(phi, portfolio, universe, proximities)
-    assert seen == proximities and bits(prof.entries) == bits(entries) and prof.skipped == skipped
-    assert len(universe) - len(proximities[-1]) // 8 > 64 and len(entries) > 100
+    profiles = profile_from_phi(phis, portfolio, universe)
+    proximities = [[], []]
+    for phi, prof, vectors in zip(phis, profiles, proximities):
+        entries, skipped = profile_oracle(phi, portfolio, universe, vectors)
+        assert bits(prof.entries) == bits(entries) and prof.skipped == skipped
+    assert seen == [v for pair in zip(*proximities) for v in pair]  # emission by emission, model by model
+    assert len(universe) - len(proximities[0][-1]) // 8 > 64 and len(profiles[0]) > 100
 
 
 class TestCombine:
@@ -583,7 +595,7 @@ class TestRunStudy:
         assert report.never_expanded == {EntityKind.INVENTOR: 0, EntityKind.ASSIGNEE: 0}
         # two agents cut to 2 patents, one that never leaves A01A, one whose
         # last emission is skipped with a single target left
-        short = [AgentPortfolio(p.agent_id, p.agent_kind, p.records[:2]) for p in portfolios[:2]]
+        short = [AgentPortfolio(p.agent_id, p.agent_kind, p.patent_ids[:2], p.groups[:2]) for p in portfolios[:2]]
         stayer = make_portfolio("stayer", [(f"s{i}", f"198{i}-01-01", ["A01A"]) for i in range(3)])
         filler = make_portfolio("filler", [("f0", "1980-01-01", UNIVERSE[:4]),
                                            ("f1", "1981-01-01", ["E01E"]),
@@ -595,6 +607,19 @@ class TestRunStudy:
         assert (report.below_min_patents, report.never_expanded) == (
             {EntityKind.INVENTOR: 2, EntityKind.ASSIGNEE: 0}, {EntityKind.INVENTOR: 1, EntityKind.ASSIGNEE: 0})
         assert result.combined_profiles["m"].skipped == 1
+
+    def test_skipped_emission_logged_once_for_all_models(self, caplog):
+        store, _ = self.build_world(n_agents=0)
+        filler = make_portfolio("filler", [("f0", "1980-01-01", UNIVERSE[:4]),
+                                           ("f1", "1981-01-01", ["E01E"]),
+                                           ("f2", "1982-01-01", ["F01F"])])
+        models = {"m1": self.model(store, 1), "m2": self.model(store, 2)}
+        with caplog.at_level(logging.INFO, logger="patkg.expansion"):
+            report = run_study(store.vocab, [filler], UNIVERSE, models, min_patents=3)
+        profiles = report.classes[EntityKind.INVENTOR].combined_profiles
+        assert [(len(p), p.skipped) for p in profiles.values()] == [(1, 1), (1, 1)]
+        assert [r.getMessage() for r in caplog.records] == [
+            "agent filler: 1 target domains left, skipping percentile emission"]
 
     def test_min_patents_boundary(self):
         # an agent holding exactly min_patents patents is kept, one fewer is excluded
@@ -608,10 +633,20 @@ class TestRunStudy:
         assert report.classes == {}
         assert report.below_min_patents[EntityKind.INVENTOR] == 1
 
-    def test_explainability_sums_to_one(self):
+    def test_negative_min_patents_refused(self):
         store, portfolios = self.build_world()
+        with pytest.raises(InvalidConfig, match=r"^min_patents must be >= 0, got -1$"):
+            run_study(store.vocab, portfolios, UNIVERSE, {"m": self.model(store, 1)}, min_patents=-1)
+
+    def test_explainability_sums_to_one(self, monkeypatch):
+        store, portfolios = self.build_world()
+        portfolios.append(make_portfolio("short", [("s0", "1970-01-01", ["A01A"])]))
         models = {"m1": self.model(store, 1), "m2": self.model(store, 2)}
-        report = run_study(store.vocab, portfolios, UNIVERSE, models, min_patents=1)
+        walks, walk = [], expansion.profile_from_phi
+        monkeypatch.setattr(expansion, "profile_from_phi", lambda *args: walks.append(args[1].agent_id)
+                            or walk(*args))
+        report = run_study(store.vocab, portfolios, UNIVERSE, models, min_patents=2)
+        assert walks == [f"agent{a}" for a in range(6)]  # one walk per eligible agent for both models
         result = report.classes[EntityKind.INVENTOR]
         assert abs(sum(result.explainability.values()) - 1.0) < 1e-12
         assert set(result.combined_auc) == {"m1", "m2"}

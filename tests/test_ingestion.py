@@ -3,7 +3,9 @@
 import hashlib
 import json
 import logging
+import re
 import tracemalloc
+from datetime import date
 from pathlib import Path
 from unittest import mock
 
@@ -206,8 +208,8 @@ class TestPatentRecords:
         path.write_text(RECORDS)
         records = parse_patent_records(path)
         assert len(records) == 3
-        assert records[0].groups == {"H04L"}
-        assert records[2].assignees == frozenset()
+        assert records[0] == ("p100", "1999-01-01", {"H04L"}, {"inv1", "inv2"}, {"asg1"})
+        assert records[2][4] == frozenset()
 
     def test_bad_date(self, tmp_path):
         path = tmp_path / "r.tsv"
@@ -236,7 +238,8 @@ class TestPortfolios:
         path.write_text(RECORDS)
         portfolios = load_portfolios(path, EntityKind.INVENTOR)
         inv1 = next(p for p in portfolios if p.agent_id == "inv1")
-        assert [r.patent_id for r in inv1.records] == ["p200", "p100"]
+        assert inv1.patent_ids == ["p200", "p100"]
+        assert inv1.groups == [{"H04L", "H04N"}, {"H04L"}]
 
     def test_date_tie_broken_by_patent_id(self, tmp_path):
         path = tmp_path / "r.tsv"
@@ -245,7 +248,7 @@ class TestPortfolios:
             "100\t1999-01-01\tH04N\ti\ta\n"
         )
         (portfolio,) = load_portfolios(path, EntityKind.INVENTOR)
-        assert [r.patent_id for r in portfolio.records] == ["100", "200"]
+        assert portfolio.patent_ids == ["100", "200"]
 
     def test_agent_kind_selects_column(self, tmp_path):
         path = tmp_path / "r.tsv"
@@ -256,9 +259,142 @@ class TestPortfolios:
     def test_resort_is_noop(self, tmp_path):
         path = tmp_path / "r.tsv"
         path.write_text(RECORDS)
+        dates = {record[0]: record[1] for record in parse_patent_records(path)}
         for portfolio in load_portfolios(path, EntityKind.INVENTOR):
-            resorted = sorted(portfolio.records, key=lambda r: (r.application_date, r.patent_id))
-            assert resorted == portfolio.records
+            resorted = sorted(portfolio.patent_ids, key=lambda pid: (dates[pid], pid))
+            assert resorted == portfolio.patent_ids
+
+
+# -- patent records: the one-sort loader against the per-record parser and per-agent sort it replaced --
+
+def parse_patent_records_oracle(path):
+    """The parser `parse_patent_records` replaced: every check on each line, a `date` per record."""
+    records = []
+    seen = set()
+    duplicates = 0
+    with open(path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split("\t")
+            if len(parts) != 5:
+                raise ParseError(f"line {line_no}: expected 5 tab-separated fields, got {len(parts)}")
+            patent_id, date_text, groups_text, inventors_text, assignees_text = parts
+            if not patent_id:
+                raise ParseError(f"line {line_no}: empty patent id")
+            try:
+                application_date = date.fromisoformat(date_text)
+                if application_date.isoformat() != date_text:
+                    raise ValueError(date_text)
+            except ValueError:
+                raise ParseError(f"line {line_no}: bad date {date_text!r}") from None
+            groups = [g for g in groups_text.split(",") if g]
+            if not groups:
+                raise ParseError(f"line {line_no}: patent {patent_id} has no groups")
+            for g in groups:
+                if not re.match(r"^[A-Za-z][0-9][0-9][A-Za-z]", g):
+                    raise ParseError(f"line {line_no}: group code {g!r} "
+                                     "must be >=4 chars with a letter-digit-digit-letter prefix")
+            if patent_id in seen:
+                duplicates += 1
+                continue
+            seen.add(patent_id)
+            records.append((patent_id, application_date, frozenset(groups),
+                            frozenset(i for i in inventors_text.split(",") if i),
+                            frozenset(a for a in assignees_text.split(",") if a)))
+    if duplicates:
+        logging.getLogger("patkg.ingestion").info("%s: skipped %d duplicate patent ids", path, duplicates)
+    return records
+
+
+def load_portfolios_oracle(path, agent_kind):
+    """(agent id, patent ids, group sets) per agent, each agent's records sorted on their own."""
+    by_agent = {}
+    for record in parse_patent_records_oracle(path):
+        for agent_id in record[3] if agent_kind is EntityKind.INVENTOR else record[4]:
+            by_agent.setdefault(agent_id, []).append(record)
+    portfolios = []
+    for agent_id in sorted(by_agent):
+        events = sorted(by_agent[agent_id], key=lambda r: (r[1], r[0]))
+        portfolios.append((agent_id, [r[0] for r in events], [r[2] for r in events]))
+    return portfolios
+
+
+def logged_outcome(call, *args):
+    """`call(*args)` and its log lines, or the error's type and message."""
+    records = []
+    handler = logging.Handler(logging.INFO)
+    handler.emit = records.append
+    logger = logging.getLogger("patkg.ingestion")
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.INFO)
+    try:
+        result = call(*args)
+    except PatkgError as exc:
+        return type(exc), str(exc)
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+    return result, [r.getMessage() for r in records]
+
+
+def load_portfolio_tuples(path, agent_kind):
+    portfolios = load_portfolios(path, agent_kind)
+    assert all(p.agent_kind is agent_kind for p in portfolios)
+    return [(p.agent_id, p.patent_ids, p.groups) for p in portfolios]
+
+
+def parse_records_oracle_text(path):
+    return [(pid, d.isoformat(), *rest) for pid, d, *rest in parse_patent_records_oracle(path)]
+
+
+GOOD_DATES = ["1999-01-01", "1998-12-31", "2000-02-29", "0001-01-01", "9999-12-31"]
+BAD_DATES = ["1999-02-29", "20200101", "2020-W01-1", "1999-1-01", "\uff12\uff10\uff12\uff10-01-01", ""]
+GOOD_CODES = ["H04L", "H04N", "G06F", "a01b", "H04L\x0c"]
+BAD_CODES = ["04LX", "H0", " H04L", "HO4L", ""]
+
+
+def record_lines(ids, dates, codes):
+    return st.tuples(st.sampled_from(ids), st.sampled_from(dates),
+                     st.lists(st.sampled_from(codes), min_size=1, max_size=3).map(",".join),
+                     st.lists(st.sampled_from(["i1", "i2", "i3", ""]), max_size=3).map(",".join),
+                     st.lists(st.sampled_from(["a1", "a2"]), max_size=2).map(",".join)).map("\t".join)
+
+
+# ids from a small pool, so that duplicates are common
+GOOD_RECORDS = record_lines(["p1", "p2", "p3", "p10", "9"], GOOD_DATES, GOOD_CODES)
+OTHER_RECORDS = record_lines(["p1", "p4", ""], GOOD_DATES + BAD_DATES, GOOD_CODES + BAD_CODES) | st.sampled_from(
+    ["", "# comment\twith\ttabs\tin\tit", "p1\t1999-01-01\tH04L\ti1", "p1\t1999-01-01\t,\ti1\ta1",
+     "p1\t1999-01-01\tH04L\ti1\ta1\tx", "#"])
+
+
+@st.composite
+def record_texts(draw):
+    """Good record lines plus up to three others anywhere: bad dates, codes, ids and field counts,
+    comments and blanks. Each line ends with `\\n`, `\\r\\n` or a lone `\\r`; the last may end with none."""
+    lines = draw(st.lists(GOOD_RECORDS, max_size=12))
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(OTHER_RECORDS))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(lines), max_size=len(lines)))
+    if lines and draw(st.booleans()):
+        ends[-1] = ""
+    return "".join(map(str.__add__, lines, ends))
+
+
+@given(text=record_texts())
+@example(text="p2\t1999-01-01\tH04L\ti1\ta1\np1\t1999-01-01\tG06F\ti1\t\np2\t1998-01-01\tH04N\ti1\ta1\n")
+@example(text="p1\t1999-01-01\tH04L\ti1\ta1\np2\t1999-02-29\t04LX\ti1\ta1\np3\t1999-01-01\tH0\ti1\ta1\n")
+@example(text="p1\t1999-01-01\tH04L,04LX,H0\ti1\ta1\n")  # the first bad code in listed order
+@example(text="p1\t1999-01-01\tH04L\ti1\ta1\np1\t1999-01-01\tH04L\ti1\ta1\np2\t1999-1-01\tH04L\ti1\t\n")
+def test_portfolios_match_per_agent_sort_oracle(fuzz_file, text):
+    # dates compared as text order records as dates do; a duplicate line is still checked in full
+    fuzz_file.write_bytes(text.encode("utf-8"))
+    assert logged_outcome(parse_patent_records, fuzz_file) == logged_outcome(parse_records_oracle_text, fuzz_file)
+    for kind in (EntityKind.INVENTOR, EntityKind.ASSIGNEE):
+        assert logged_outcome(load_portfolio_tuples, fuzz_file, kind) == logged_outcome(
+            load_portfolios_oracle, fuzz_file, kind)
 
 
 class TestUniverse:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from patkg.errors import InvalidConfig, PatkgError, UnsupportedModel, ZeroVector
+from patkg.errors import InvalidConfig, PatkgError, UnknownOrdinal, UnsupportedModel, ZeroVector
 from patkg.graph import EntityKind, EntityRef, RelationKind, TripleStore
 from patkg.models import ModelKind, init_params
 from patkg.proximity import (
@@ -359,23 +359,42 @@ def moved_cases(draw):
                          draw(st.integers(0, 2**16)), vocab.fingerprint())
     focal = draw(st.sampled_from([r for r in vocab.refs if r.kind is focal_kind]))
     kind_filter = draw(st.none() | st.sets(st.sampled_from(list(E))))
+    # any order, with repeats, and maybe an ordinal outside the table
+    entities = draw(st.lists(st.sampled_from(list(vocab.refs) + [ghost(vocab)]), min_size=1, max_size=12))
     return (params, vocab, focal, draw(st.sampled_from(list(E))), draw(st.sampled_from(list(TransformMode))),
-            kind_filter, draw(st.integers(1, 16)))
+            kind_filter, draw(st.integers(1, 16)), entities)
+
+
+def ghost(vocab):
+    return EntityRef(E.INVENTOR, "ghost", len(vocab))
 
 
 @given(case=moved_cases())
 def test_moved_rows_match_oracle(case):
-    params, vocab, focal, common_kind, mode, kind_filter, k = case
+    params, vocab, focal, common_kind, mode, kind_filter, k, entities = case
     # an ordinal outside the table fails on the row read before any model check
-    targets = list(vocab.refs) + [EntityRef(E.INVENTOR, "ghost", len(vocab))]
+    targets = list(vocab.refs) + [ghost(vocab)]
     for target in targets:
         assert outcome(transform, params, target, focal.kind, mode) == outcome(
             oracle_transform, params, vocab, target, focal.kind, mode)
     assert outcome(nearest_neighbors, params, vocab, focal, k, kind_filter, mode) == outcome(
         oracle_nearest_neighbors, params, vocab, focal, k, kind_filter, mode)
-    entities = list(vocab.refs)
-    assert outcome(pairwise_matrix, params, vocab, entities, common_kind, mode) == outcome(
-        oracle_pairwise_matrix, params, vocab, entities, common_kind, mode)
-    if not params.spec.vector_relations and any(t.kind is not focal.kind for t in entities):
+    expected = outcome(oracle_pairwise_matrix, params, vocab, entities, common_kind, mode)
+    if ghost(vocab) in entities:  # every row is read before any is moved, so the ghost wins wherever it is
+        expected = (UnknownOrdinal, "ordinal outside entity table")
+    assert outcome(pairwise_matrix, params, vocab, entities, common_kind, mode) == expected
+    if not params.spec.vector_relations and any(t.kind is not focal.kind for t in vocab.refs):
         with pytest.raises(UnsupportedModel):
-            transform(params, next(t for t in entities if t.kind is not focal.kind), focal.kind, mode)
+            transform(params, next(t for t in vocab.refs if t.kind is not focal.kind), focal.kind, mode)
+
+
+def test_pairwise_matrix_reads_every_row_before_moving_any():
+    # a cross-kind entity on a matrix-relation model, then an ordinal outside the table: one
+    # transform per entity refused the model first; one row read refuses the ordinal
+    vocab, refs = build_vocab()
+    params = init_params(ModelKind.RESCAL, len(vocab), 2, 0, vocab.fingerprint())
+    entities = [refs["inv"], ghost(vocab)]
+    mode = TransformMode.TRANSLATION_ALGEBRA
+    assert outcome(oracle_pairwise_matrix, params, vocab, entities, E.PATENT, mode)[0] is UnsupportedModel
+    assert outcome(pairwise_matrix, params, vocab, entities, E.PATENT, mode) == (
+        UnknownOrdinal, "ordinal outside entity table")
