@@ -4,10 +4,8 @@ For each test triple and requested side the true entity is ranked among
 K sampled corruptions; MR, MRR and Hits@{1,3,10} aggregate the ranks.
 Ties on the exact score get the midpoint rank by default. Corruptions
 are seeded per (seed, triple, side), so processing order cannot change
-the report. Each query draws as `np.random.default_rng` seeded with the
-query's 64-bit BLAKE2b key would: `evaluate` derives all its queries'
-PCG64 states in one vectorized pass (`_pcg64_states`) and sets each on
-one generator it owns.
+the report: `_record_state` hashes the query with BLAKE2b into a PCG64
+state and odd increment, and `evaluate` sets each on one generator it owns.
 """
 
 from __future__ import annotations
@@ -17,6 +15,7 @@ import logging
 import struct
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import product
 
 import numpy as np
 
@@ -124,7 +123,9 @@ def rank_target(
     return 1.0 + better + ties * _TIE_SHARE[tie_rule]
 
 
-def _record_seed(seed: int, triple: Triple, side: Side) -> int:
+def _record_state(seed: int, triple: Triple, side: Side) -> tuple[int, int]:
+    """PCG64 (state, inc) of one query: the first and last 16 bytes of the query's 32-byte BLAKE2b
+    key, read little-endian, the increment made odd, which gives the stream its full period."""
     payload = struct.pack(
         "<qqqqq",
         seed,
@@ -133,60 +134,8 @@ def _record_seed(seed: int, triple: Triple, side: Side) -> int:
         triple.tail,
         0 if side is Side.HEAD else 1,
     )
-    return int.from_bytes(hashlib.blake2b(payload, digest_size=8).digest(), "little")
-
-
-# SeedSequence's and PCG64's seeding constants (numpy/random/bit_generator.pyx, pcg64.h).
-_XSHIFT = np.uint32(16)
-_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_U128 = (1 << 128) - 1
-
-
-def _hash_consts(init: int, mult: int, n: int) -> list[np.uint32]:
-    """The n + 1 values a SeedSequence hash constant steps through: init times mult**i mod 2**32."""
-    out = [init]
-    for _ in range(n):
-        out.append(out[-1] * mult & 0xFFFFFFFF)
-    return [np.uint32(h) for h in out]
-
-
-_POOL_HASH = _hash_consts(0x43B0D7E5, 0x931E8875, 16)  # 4 pool fills, then 12 cross mixes
-_STATE_HASH = _hash_consts(0x8B51F9DD, 0x58F38DED, 8)  # 8 output words
-
-
-def _hashmix(words: np.ndarray, consts: list[np.uint32], i: int) -> np.ndarray:
-    words = (words ^ consts[i]) * consts[i + 1]
-    return words ^ (words >> _XSHIFT)
-
-
-def _pcg64_states(seeds: list[int]) -> list[tuple[int, int]]:
-    """(state, inc) of `np.random.default_rng(seed).bit_generator` for each seed in [0, 2**64).
-
-    SeedSequence(seed) hashes the seed's two 32-bit words and two zero words into a four-word
-    pool (one word or two give the same pool), mixes every pool word into every other, and hashes
-    the pool into eight output words: PCG64's initial state and stream as two 128-bit ints. PCG64
-    then takes two LCG steps. The 32-bit steps run on all seeds at once as uint32 arrays, whose
-    products wrap as numpy's C code does; the two LCG steps run on Python ints.
-    """
-    s = np.array(seeds, dtype=np.uint64)
-    zeros = np.zeros(len(s), dtype=np.uint32)
-    words = (s.astype(np.uint32), (s >> np.uint64(32)).astype(np.uint32), zeros, zeros)
-    pool = [_hashmix(w, _POOL_HASH, i) for i, w in enumerate(words)]
-    i = 4
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                mixed = _MIX_L * pool[dst] - _MIX_R * _hashmix(pool[src], _POOL_HASH, i)
-                pool[dst] = mixed ^ (mixed >> _XSHIFT)
-                i += 1
-    out = [_hashmix(pool[j % 4], _STATE_HASH, j).astype(np.uint64) for j in range(8)]
-    hi_s, lo_s, hi_inc, lo_inc = ((out[2 * j] | out[2 * j + 1] << np.uint64(32)).tolist() for j in range(4))
-    states = []
-    for a, b, c, d in zip(hi_s, lo_s, hi_inc, lo_inc):
-        inc = ((c << 64 | d) << 1 | 1) & _U128
-        states.append((((inc + (a << 64 | b)) * _PCG_MULT + inc) & _U128, inc))
-    return states
+    digest = hashlib.blake2b(payload, digest_size=32).digest()
+    return int.from_bytes(digest[:16], "little"), int.from_bytes(digest[16:], "little") | 1
 
 
 def _metrics(sorted_ranks: np.ndarray) -> RelationMetrics:
@@ -207,13 +156,13 @@ def evaluate(
 ) -> EvalReport:
     """Rank every test triple on the requested sides and aggregate.
 
-    Each query draws its corruptions with `sample_corrupt`, in the state
-    `np.random.default_rng(_record_seed(config.seed, triple, side))` would
-    start from. When K exceeds a triple's candidate pool it is clamped to
-    the pool (with a warning), which makes the ranking exhaustive for that
-    query; a query with an empty pool is skipped. The report counts both.
-    UnknownEntity names the first test triple, in test order, with an
-    ordinal outside the vocabulary.
+    Each query draws its corruptions with `sample_corrupt` from a PCG64
+    generator set to `_record_state(config.seed, triple, side)`, so its
+    draws depend on nothing else. When K exceeds a triple's candidate pool
+    it is clamped to the pool (with a warning), which makes the ranking
+    exhaustive for that query; a query with an empty pool is skipped. The
+    report counts both. UnknownEntity names the first test triple, in test
+    order, with an ordinal outside the vocabulary.
     """
     if not test:
         raise EmptyTestSet("no test triples")
@@ -221,13 +170,12 @@ def evaluate(
     for triple in test:
         check_ends(store, triple)  # before any key is packed: every ordinal fits int64
 
-    queries = [(triple, side) for triple in test for side in _SIDES[config.sides]]
-    states = _pcg64_states([_record_seed(config.seed, triple, side) for triple, side in queries])
     bits = np.random.PCG64()
     rng = np.random.Generator(bits)
     skipped = 0
     records: list[RankRecord] = []
-    for (triple, side), (state, inc) in zip(queries, states):
+    for triple, side in product(test, _SIDES[config.sides]):
+        state, inc = _record_state(config.seed, triple, side)
         bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
         try:
             corrupts = sample_corrupt(store, triple, config.corruptions_per_side, side, pool=config.pool,

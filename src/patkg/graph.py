@@ -101,6 +101,11 @@ class SplitSpec:
             raise InvalidConfig(f"split seed must be >= 0, got {self.seed}")
 
 
+def _breaks(text: str) -> bool:
+    """Whether `text` holds a tab, `\\n` or `\\r`, which no label may: it would not read back from a file."""
+    return "\t" in text or "\n" in text or "\r" in text
+
+
 def parse_label(label: str, where: str = "") -> tuple[int, str]:
     """(KIND_INDEX code, source id) of a `kind:source_id` label; `where` prefixes the ParseError."""
     kind_text, sep, source_id = label.partition(":")
@@ -109,12 +114,19 @@ def parse_label(label: str, where: str = "") -> tuple[int, str]:
     code = _KIND_CODES.get(kind_text)
     if code is None:
         raise ParseError(f"{where}unknown entity kind {kind_text!r}")
+    if _breaks(label):
+        raise ParseError(f"{where}entity token {label!r} holds a tab or line break")
     return code, source_id
 
 
 def label_kinds(labels: Iterable[str]) -> list[int | None]:
-    """`parse_label`'s KIND_INDEX code of each label, None for a label it rejects."""
-    return [_KIND_CODES.get(kind) if sep else None for kind, sep, _ in map(str.partition, labels, repeat(":"))]
+    """`parse_label`'s KIND_INDEX code of each label, None for a label it rejects. Tabs and line
+    breaks are looked for in all the labels joined, and label by label only if the join holds one."""
+    labels = list(labels)
+    codes = [_KIND_CODES.get(kind) if sep else None for kind, sep, _ in map(str.partition, labels, repeat(":"))]
+    if _breaks("".join(labels)):
+        codes = [None if _breaks(label) else code for label, code in zip(labels, codes)]
+    return codes
 
 
 class Vocabulary:

@@ -85,8 +85,9 @@ def parse_triples_file(path, vocab: Vocabulary | None = None) -> TripleStore:
 
 def _read_lines(lines: list[str], line_no: int, vocab: Vocabulary) -> tuple[np.ndarray, int] | None:
     """(head, relation code, tail, line number) rows of the fact lines among `lines`, the lines
-    after line `line_no`, less those with an empty id, which are counted; their new labels are
-    registered, head then tail, in line order. None, with nothing registered, if a line is bad."""
+    after line `line_no`, less those with an empty id `vocab` does not hold, which are counted; their
+    new labels are registered, head then tail, in line order. None, with nothing registered, if a
+    line is bad."""
     text, fact = "".join(lines), np.ones(len(lines), dtype=bool)
     tabs = np.fromiter(map(str.count, lines, repeat("\t")), np.int64, len(lines))
     if "#" in text or (tabs != 2).any():  # maybe a comment or blank line, which holds no tab
@@ -99,8 +100,8 @@ def _read_lines(lines: list[str], line_no: int, vocab: Vocabulary) -> tuple[np.n
     del fields[1::3]  # head and tail labels, interleaved
     ends = np.fromiter(map(known.get, fields, repeat(-1)), np.int64, len(fields))
     unseen = ends < 0
-    # lines with an empty id: their unseen labels are checked, but neither label is registered
-    empty = np.fromiter(map(_EMPTY_IDS.__contains__, fields), bool, len(fields)).reshape(-1, 2).any(axis=1)
+    # lines with an empty id the vocabulary does not hold: their unseen labels are checked, but not registered
+    empty = (np.fromiter(map(_EMPTY_IDS.__contains__, fields), bool, len(fields)) & unseen).reshape(-1, 2).any(axis=1)
     if (rels < 0).any():
         return None
     if unseen.any():  # a `.vocab` sidecar written with the store leaves no label unseen
@@ -251,10 +252,9 @@ def load_universe(path) -> list[str]:
 
 def write_triples_file(store: TripleStore, path) -> None:
     """Canonical TSV export in stored order plus a `.vocab` sidecar, each written `_BLOCK_ROWS` lines at a time
-    and hashed as written; then, if the two read back as the store (no label holds a tab, `\\n` or `\\r`, or
-    is an empty id `kind:`), a `.cols` column file, else a column file left at that path is deleted. It holds
-    a magic line, a sorted-keys JSON manifest (`rows`, and the SHA-256 of the store, the sidecar and the
-    payload), then heads, relation codes and tails as little-endian int64, each written through a memoryview.
+    and hashed as written, then a `.cols` column file. It holds a magic line, a sorted-keys JSON manifest
+    (`rows`, and the SHA-256 of the store, the sidecar and the payload), then heads, relation codes and
+    tails as little-endian int64, each written through a memoryview.
     """
     label, middle = store.vocab.labels, [f"\t{r.value}\t" for r in RELATIONS]
     store_digest, vocab_digest, columns_digest = (hashlib.sha256() for _ in _DIGESTS)
@@ -266,22 +266,14 @@ def write_triples_file(store: TripleStore, path) -> None:
             pieces[2::4] = map(label.__getitem__, tails)
             fh.write(block := "".join(pieces).encode("utf-8"))
             store_digest.update(block)
-    readable = store.vocab.ordinals.keys().isdisjoint(_EMPTY_IDS)  # five lookups
     with open(f"{path}.vocab", "wb") as fh:
         for start in range(0, len(label), _BLOCK_ROWS):
-            text = store.vocab.export_text(start, start + _BLOCK_ROWS)
-            lines = min(_BLOCK_ROWS, len(label) - start)
-            readable = readable and text.count("\t") == text.count("\n") == lines and "\r" not in text
-            fh.write(block := text.encode("utf-8"))
+            fh.write(block := store.vocab.export_text(start, start + _BLOCK_ROWS).encode("utf-8"))
             vocab_digest.update(block)
-    columns_path = Path(f"{path}.cols")
-    if not readable:
-        columns_path.unlink(missing_ok=True)
-        return
     columns = [np.ascontiguousarray(c, dtype="<i8") for c in store.triple_arrays()]  # views on little-endian hosts
     for column in columns:
         columns_digest.update(column)
-    with open(columns_path, "wb") as fh:
+    with open(f"{path}.cols", "wb") as fh:
         fh.write(_columns_header(len(store), [d.hexdigest() for d in (store_digest, vocab_digest, columns_digest)]))
         fh.writelines(map(memoryview, columns))
 

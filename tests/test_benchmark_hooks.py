@@ -1,17 +1,19 @@
 """The patkg names the benchmark's tracer and microbenchmarks call, checked without running either.
 
 `perfbench/tracer.py` patches its `TARGETS` by name, and `perfbench/microbench.py` calls the
-expansion functions in fixed shapes. A rename or a new signature fails here, not in a traced run.
+store, model, eval, archive, proximity and expansion functions in fixed shapes. A rename or a new
+signature fails here, not in a traced run.
 """
 
 import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from patkg import expansion, ingestion
-from patkg.graph import EntityKind, Vocabulary
+from patkg import archive, evaluator, expansion, graph, ingestion, models, proximity
+from patkg.graph import EntityKind, RelationKind, Side, Vocabulary, generate_synthetic
 from patkg.models import ModelKind, init_params
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -59,3 +61,47 @@ def test_microbench_expansion_calls_run_traced(tracer, tmp_path):
     assert work["expansion.profile_from_phi"] == len(longest)
     assert {"ingestion.load_universe", "ingestion.load_portfolios", "ingestion.parse_patent_records",
             "expansion.group_proximity_matrix", "proximity.pairwise_matrix", "expansion.percentiles"} <= set(work)
+
+
+def test_microbench_store_model_and_eval_calls_run_traced(tracer, tmp_path):
+    # the calls `microbench.run` makes on a workload's store and archive, on a tiny store, with the tracer
+    # installed; called through their modules, whose attributes the tracer patches
+    store_path, archive_path, copy = tmp_path / "store.tsv", tmp_path / "model.kge", tmp_path / "micro.kge"
+    built = generate_synthetic(2, 8, 3, 2, 0.3, 0.05, seed=4)
+    ingestion.write_triples_file(built, store_path)
+    archive.save_archive(archive_path, init_params(ModelKind.TRANSE_L2, len(built.vocab), 8, 1,
+                                                   built.vocab.fingerprint()), vocab=built.vocab)
+    spans = tracer.Tracer()
+    spans.install()
+    try:
+        store = ingestion.load_store(store_path)
+        cites = [t for t in store.triples if t.relation is RelationKind.CITE]
+        heads = np.array([t.head for t in cites], dtype=np.int64)
+        tails = np.array([t.tail for t in cites], dtype=np.int64)
+        weights = np.linspace(-1.0, 1.0, len(cites))
+        for kind in ModelKind:
+            params = init_params(kind, len(store.vocab), 50, 1)
+            assert models.scores(params, heads, RelationKind.CITE, tails).shape == (len(cites),)
+            models.weighted_gradients(params, heads, RelationKind.CITE, tails, weights)
+        queries = [(t, Side.HEAD if j % 2 else Side.TAIL) for j, t in enumerate(cites[:6])]
+        for filtered in (False, True):
+            for q in queries:
+                graph.sample_corrupt(store, q[0], 100, q[1], filtered=filtered, rng_seed=1)
+        params, vocab = archive.load_archive(archive_path)
+        corrupts = [(q, graph.sample_corrupt(store, q[0], 100, q[1], rng_seed=1)) for q in queries]
+        ranks = [evaluator.rank_target(params, qc[0][0], qc[0][1], qc[1]) for qc in corrupts]
+        archive.save_archive(copy, params, vocab=vocab)
+        archive.load_archive(copy)
+        inventor = next(ref.source_id for ref in vocab.refs if ref.kind is EntityKind.INVENTOR)
+        focal = vocab.refs[vocab.ordinal_of(EntityKind.INVENTOR, inventor)]
+        neighbors = proximity.nearest_neighbors(params, vocab, focal, 10, {EntityKind.PATENT})
+        refs = [ref for ref in vocab.refs if ref.kind is EntityKind.PATENT][:5]
+        matrix = proximity.pairwise_matrix(params, vocab, refs, EntityKind.PATENT)
+    finally:
+        spans.uninstall()
+    assert all(1.0 <= rank <= 101.0 for rank in ranks)
+    assert len(neighbors) == 10 and matrix.shape == (5, 5)
+    work = {name: work for name, _, _, _, _, work in spans.spans}
+    assert {"ingestion.load_store", "models.scores", "models.weighted_gradients", "graph.sample_corrupt",
+            "evaluator.rank_target", "archive.save_archive", "archive.load_archive",
+            "proximity.nearest_neighbors", "proximity.pairwise_matrix"} <= set(work)

@@ -1,6 +1,7 @@
 """Triple store, splitting, corruption sampling and the synthetic generator."""
 
 import hashlib
+import re
 from array import array
 from contextlib import nullcontext
 
@@ -583,13 +584,30 @@ def test_from_lines_matches_per_line_loop(lines):
     assert vocab_state(Vocabulary.from_lines, lines) == vocab_state(from_lines_loop, lines)
 
 
-@given(label=st.text(max_size=12) | VOCAB_LABELS | st.sampled_from(["patent", "patent:", ":x", "Patent:x"]))
-def test_label_kinds_follow_parse_label(label):
+LABEL_TOKENS = st.text(max_size=12) | VOCAB_LABELS | st.sampled_from(
+    ["patent", "patent:", ":x", "Patent:x", "patent:a\tb", "group:\r", "patent:a\n", "x\tpatent:a"])
+
+
+def parse_label_code(label):
     try:
-        want = parse_label(label)[0]
+        return parse_label(label)[0]
     except ParseError:
-        want = None
-    assert label_kinds([label]) == [want]
+        return None
+
+
+@given(labels=st.lists(LABEL_TOKENS, max_size=6))
+@example(labels=["patent:a", "patent:b\r", "inventor:c"])  # one label breaks the rule; the join holds its `\r`
+@example(labels=["patent:a\t", "inventor:"])
+def test_label_kinds_follow_parse_label(labels):
+    assert label_kinds(labels) == [parse_label_code(label) for label in labels]
+    assert label_kinds(iter(labels)) == label_kinds(labels)
+
+
+@pytest.mark.parametrize("label", ["patent:a\tb", "patent:\r", "patent:a\nb", "inventor:\r\n"])
+def test_parse_label_refuses_tabs_and_line_breaks(label):
+    with pytest.raises(ParseError, match=f"^line 3: entity token {re.escape(repr(label))} holds a tab or line break$"):
+        parse_label(label, "line 3: ")
+    assert label_kinds(["patent:a", label, "patent:b"]) == [0, None, 0]
 
 
 def test_ref_builds_one_entity_ref():

@@ -467,7 +467,8 @@ def _oracle_entity_token(token, line_no):
 
 
 def parse_triples_file_oracle(path, vocab=None):
-    """The line-by-line parser `parse_triples_file` replaced: every check on each line in turn."""
+    """The line-by-line parser `parse_triples_file` replaced: every check on each line in turn. A line
+    with an empty id (`patent:`) is dropped unless the vocabulary holds that label."""
     store = TripleStore(vocab)
     dropped_self_cites = 0
     dropped_missing = 0
@@ -486,7 +487,8 @@ def parse_triples_file_oracle(path, vocab=None):
             if relation is None:
                 raise ParseError(f"line {line_no}: unknown relation {parts[1]!r}")
             tail_kind, tail_id = _oracle_entity_token(parts[2], line_no)
-            if not head_id or not tail_id:
+            if any(not source_id and token not in store.vocab.ordinals
+                   for source_id, token in ((head_id, parts[0]), (tail_id, parts[2]))):
                 dropped_missing += 1
                 continue
             head = store.add_entity(head_kind, head_id).ordinal
@@ -637,14 +639,10 @@ def test_load_store_reads_the_column_file_as_the_tsv_parse(fuzz_file, text, voca
         return
     out = fuzz_file.with_name("store.tsv")
     write_triples_file(store, out)
-    # the drawn labels hold no tab or line break, so only an empty id (pinned) keeps the column file out
-    written = not any(f"{kind.value}:" in store.vocab.ordinals for kind in EntityKind)
-    assert Path(f"{out}.cols").exists() == written
+    assert Path(f"{out}.cols").exists()
     outcome, parsed = load_counting_parses(out)
-    assert parsed != written
-    assert outcome == load_outcome(parse_with_sidecar, out)
-    if written:
-        assert outcome == load_outcome(lambda _: store, out)
+    assert not parsed
+    assert outcome == load_outcome(parse_with_sidecar, out) == load_outcome(lambda _: store, out)
 
 
 def _swap_first_two_patents(sidecar):
@@ -733,14 +731,29 @@ def test_a_damaged_column_file_loads_as_the_tsv_parse(tmp_path, damage):
 @pytest.mark.parametrize("label", ["patent:a\tb", "patent:a\rb", "patent:a\nb", "patent:a\r\nb", "patent:"],
                          ids=["tab", "cr", "lf", "crlf", "empty-id"])
 def test_a_store_that_does_not_read_back_gets_no_column_file(tmp_path, label):
+    """No such store can be built any more. A label holding a tab or line break is refused at intake,
+    and a store holding an empty id reads back as itself, with its column file or without it."""
     out, cols = tmp_path / "s.tsv", tmp_path / "s.tsv.cols"
-    write_triples_file(generate_synthetic(2, 8, 3, 2, 0.3, 0.05, seed=4), out)
-    assert cols.exists()  # a column file for the store this write replaces
     store = TripleStore()
-    store.add_triples([store.vocab.add_label(label)], RELATION_INDEX[RelationKind.CITE],
-                      [store.vocab.add_label("patent:2")])
+    if label != "patent:":
+        with pytest.raises(ParseError, match="holds a tab or line break"):
+            store.vocab.add_label(label)
+        with pytest.raises(ParseError, match="holds a tab or line break"):
+            store.add_entity(EntityKind.PATENT, label.partition(":")[2])
+        assert not store.vocab.add_labels(["patent:2", label])
+        with pytest.raises(ParseError):
+            Vocabulary.from_lines(["0\tpatent:2", f"1\t{label}"])
+        assert len(store.vocab) == 0
+        return
+    inventor, patent, other = (store.vocab.add_label(x) for x in ("inventor:i1", label, "patent:2"))
+    store.add_triples([inventor, patent], [RELATION_INDEX[RelationKind.WRITE], RELATION_INDEX[RelationKind.CITE]],
+                      [patent, other])
     write_triples_file(store, out)
-    assert not cols.exists()
+    assert cols.exists()
+    with_columns = load_outcome(load_store, out)
+    cols.unlink()
+    assert with_columns == load_outcome(load_store, out) == load_outcome(lambda _: store, out)
+    assert len(with_columns[0][0]) == 2
 
 
 def test_column_file_layout_and_bytes_are_a_function_of_the_store(tmp_path):
