@@ -11,12 +11,13 @@ The payload holds the entity table first, then each relation's blocks in
 relation order (block names sorted within a relation), every matrix
 row-major. Complex-valued rows are interleaved (real, imaginary) on disk,
 the layout they have in memory, so nothing is converted on save or load.
-The manifest pins every shape, so the payload is the file's last bytes
-and its length is checked exactly, and its `vocab_sha256` pins the
-vocabulary lines: they are read as a `.vocab` sidecar is, with universal
-newlines, and the export text of what they read as must hash to it. So a
-load reads every embedding row under the label it was trained with, or
-raises.
+A load accepts only the manifest line `save_archive` writes for the kind,
+dim, entity count, encoding and `vocab_sha256` it names, so it pins every
+shape: the payload is the file's last bytes and its length is checked
+exactly. The vocabulary lines are read as a `.vocab` sidecar is, with
+universal newlines; they must be export text, and hash to `vocab_sha256`.
+So a load reads every embedding row under the label it was trained with,
+or raises.
 
 Encoding is float32 by default to halve archive size; float64 is the
 bit-exact mode. The manifest holds no timestamp, so equal inputs always
@@ -31,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ArchiveError, FingerprintMismatch, PatkgError
+from .errors import ArchiveError, FingerprintMismatch, ParseError
 from .graph import RelationKind, Vocabulary
 from .models import SPECS, ModelKind, ModelParams
 
@@ -48,10 +49,13 @@ def _payload_layout(kind: ModelKind, n_entities: int, dim: int):
     ]
 
 
-def _relation_shapes(kind: ModelKind, dim: int) -> dict[str, dict[str, list[int]]]:
-    """The manifest's `relations` entry: block shapes per relation."""
+def _header(kind: ModelKind, dim: int, n_entities: int, encoding: str, fingerprint: str) -> bytes:
+    """The magic line and the manifest line, one compact JSON object with sorted keys."""
     shapes = SPECS[kind].relation_blocks(dim)
-    return {rel.value: {name: list(shapes[name]) for name in sorted(shapes)} for rel in RelationKind}
+    relations = {rel.value: {name: list(shapes[name]) for name in sorted(shapes)} for rel in RelationKind}
+    manifest = {"kind": kind.value, "dim": dim, "entities": n_entities, "relations": relations, "encoding": encoding,
+                "vocab_sha256": fingerprint, "vocab_entities": n_entities}
+    return f"{MAGIC}\n{json.dumps(manifest, sort_keys=True, separators=(',', ':'))}\n".encode()
 
 
 def save_archive(path, params: ModelParams, vocab: Vocabulary, encoding: str = "float32") -> None:
@@ -63,35 +67,21 @@ def save_archive(path, params: ModelParams, vocab: Vocabulary, encoding: str = "
     if len(vocab) != params.n_entities or vocab.fingerprint() != params.vocab_fingerprint:
         raise ArchiveError("vocabulary does not match the entity table and vocab_sha256")
 
-    manifest = {
-        "kind": params.kind.value,
-        "dim": params.dim,
-        "entities": params.n_entities,
-        "relations": _relation_shapes(params.kind, params.dim),
-        "encoding": encoding,
-        "vocab_sha256": params.vocab_fingerprint,
-        "vocab_entities": len(vocab),
-    }
-
     blocks = [params.entities if rel is None else params.relations[rel][name]
               for rel, name, _ in _payload_layout(params.kind, params.n_entities, params.dim)]
     if any(max(block.max(), -block.min()) > np.finfo(dtype).max for block in blocks):
         raise ArchiveError(f"a parameter value is outside the {encoding} range")
 
     with open(path, "wb") as fh:
-        fh.write((MAGIC + "\n").encode("utf-8"))
-        fh.write((json.dumps(manifest, sort_keys=True, separators=(",", ":")) + "\n").encode("utf-8"))
+        fh.write(_header(params.kind, params.dim, params.n_entities, encoding, params.vocab_fingerprint))
         fh.write(vocab.export_text().encode("utf-8"))
         for block in blocks:
             fh.write(np.ascontiguousarray(block, dtype=dtype).tobytes())
 
 
-def _is_count(value, least: int) -> bool:
-    return type(value) is int and value >= least
-
-
 def _parse_manifest(text: bytes, offset: int):
-    """(kind, dim, n_entities, dtype, fingerprint) from the manifest line."""
+    """(kind, dim, n_entities, dtype, fingerprint) from the manifest line, which must be the one `_header` builds
+    from them."""
     def bad(reason: str) -> ArchiveError:
         return ArchiveError(f"bad manifest at byte {offset}: {reason}")
 
@@ -106,18 +96,16 @@ def _parse_manifest(text: bytes, offset: int):
     except ValueError:
         raise bad(f"unknown model kind {manifest.get('kind')!r}") from None
     dim, n_entities = manifest.get("dim"), manifest.get("entities")
-    if not (_is_count(dim, 1) and _is_count(n_entities, 1)):
+    if not all(type(value) is int and value >= 1 for value in (dim, n_entities)):
         raise bad("dim and entities must be integers >= 1")
-    if manifest.get("vocab_entities") != n_entities:
-        raise bad("vocab_entities must equal entities")
     encoding = manifest.get("encoding")
     if not isinstance(encoding, str) or encoding not in _ENCODINGS:
         raise bad(f"unknown encoding {encoding!r}")
     fingerprint = manifest.get("vocab_sha256")
     if not isinstance(fingerprint, str):
         raise bad("vocab_sha256 must be a string")
-    if manifest.get("relations") != _relation_shapes(kind, dim):
-        raise bad("relation block shapes do not match the model kind and dim")
+    if _header(kind, dim, n_entities, encoding, fingerprint).split(b"\n")[1] != text:
+        raise bad("not the manifest save_archive writes for its kind, dim, entities, encoding and vocab_sha256")
     dtype = np.dtype(_ENCODINGS[encoding]).newbyteorder("<")
     return kind, dim, n_entities, dtype, fingerprint
 
@@ -126,8 +114,9 @@ def load_archive(path) -> tuple[ModelParams, Vocabulary]:
     """Read an archive back into (params, vocab).
 
     Raises ArchiveError with the offending byte offset when the manifest
-    is malformed, the vocabulary lines do not hash to its `vocab_sha256`,
-    or the payload does not match it exactly or holds a NaN or infinity.
+    is not as `save_archive` writes it, a vocabulary line is not export
+    text, the lines do not hash to its `vocab_sha256`, or the payload does
+    not match it exactly or holds a NaN or infinity.
     """
     raw = Path(path).read_bytes()
     nl1 = raw.find(b"\n")
@@ -152,8 +141,11 @@ def load_archive(path) -> tuple[ModelParams, Vocabulary]:
         text = raw[pos:end].decode("utf-8")
         # lines as the `.vocab` sidecar's are read, with universal newlines
         vocab = Vocabulary.from_lines(text.replace("\r\n", "\n").replace("\r", "\n").split("\n")[:-1])
-    except (PatkgError, UnicodeDecodeError) as exc:
-        raise ArchiveError(f"bad vocabulary before byte {end}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ArchiveError(f"bad vocabulary at byte {pos + exc.start}: {exc}") from None
+    except ParseError as exc:  # at the line's first byte; `bytes.splitlines` breaks where the lines above do
+        at = pos + sum(map(len, raw[pos:end].splitlines(keepends=True)[:exc.line - 1]))
+        raise ArchiveError(f"bad vocabulary at byte {at}: {exc}") from None
     if len(vocab) != n_entities or vocab.fingerprint() != fingerprint:
         raise ArchiveError(f"vocabulary before byte {end} does not match vocab_sha256")
 

@@ -148,8 +148,9 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    spec = SplitSpec(args.test_fraction, args.split_seed)  # checked with or without --train-on-all
     store = ingestion.load_store(args.store_path)
-    train_store = store if args.train_on_all else split(store, SplitSpec(args.test_fraction, args.split_seed))[0]
+    train_store = store if args.train_on_all else split(store, spec)[0]
     kind = ModelKind(args.model_kind)
     params, report = trainer.train(train_store, kind, _train_config(args, kind))
     archive.save_archive(args.out_archive_path, params, vocab=store.vocab, encoding=args.encoding)

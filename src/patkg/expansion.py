@@ -264,6 +264,8 @@ def run_study(
     """
     if min_patents < 0:
         raise InvalidConfig(f"min_patents must be >= 0, got {min_patents}")
+    if not universe:
+        raise InvalidConfig("the group universe must hold at least one group code")
     if not models:
         raise InconsistentModelSets("no models given")
     for params in models.values():

@@ -214,34 +214,27 @@ class Vocabulary:
     def from_lines(cls, lines: Iterable[str]) -> Vocabulary:
         """Inverse of `export_text`; lines may keep their trailing newline, as an open file yields them.
 
-        Blank lines are skipped. Every other line is `<ordinal>\\t<label>`, with a label
-        `parse_label` accepts and the ordinal the label was first given. Lines that are all as
-        `export_text` writes them give the vocabulary and its fingerprint at once; otherwise the
-        lines are checked one by one, and the first line that breaks a rule raises.
+        Blank lines are skipped. Every other line must be as `export_text` writes it: its ordinal
+        among the kept lines, a tab and a new label `parse_label` accepts. The first line that is
+        not raises ParseError with its 1-based number among `lines`, also as the error's `line`.
         """
         lines = [line.rstrip("\n") for line in lines]
         kept = [line for line in lines if line.strip()]
         labels = [line.partition("\t")[2] for line in kept]
         vocab = cls()
         vocab.ordinals.update(zip(labels, count()))
-        if repeated := len(vocab.ordinals) < len(labels):  # number the labels first-seen
-            vocab.ordinals = dict(zip(vocab.ordinals, count()))
         codes, exported = label_kinds(vocab.ordinals), map(_export_line, count(), labels)
-        if None in codes or repeated or not all(map(str.__eq__, kept, exported)):
-            numbers = (i for i, line in enumerate(lines) if line.strip())
-            for i, line, label in zip(numbers, kept, labels):
-                ordinal_text = line.partition("\t")[0]
-                try:
-                    number = int(ordinal_text)
-                except ValueError:
-                    number = None
-                if number is None or label_kinds([label]) == [None]:  # a label's first line is the first to hold it
-                    raise ParseError(f"vocabulary line {i}: {line!r} is not <ordinal>\\t<kind>:<id>")
-                if number != vocab.ordinals[label]:
-                    raise UnknownEntity(f"vocabulary line {i}: non-contiguous ordinal {ordinal_text}")
-        else:  # the lines are the export text, which `fingerprint` hashes
-            vocab._derived["fingerprint"] = _sha256("\n".join(kept + [""]))
+        if len(vocab.ordinals) < len(labels) or None in codes or not all(map(str.__eq__, kept, exported)):
+            numbers, first = (number for number, line in enumerate(lines, 1) if line.strip()), {}
+            for number, ordinal, line, label in zip(numbers, count(), kept, labels):
+                if (line != _export_line(ordinal, label) or first.setdefault(label, ordinal) != ordinal
+                        or label_kinds([label]) == [None]):
+                    error = ParseError(f"vocabulary line {number}: {line!r} is not <ordinal>\\t<kind>:<id> "
+                                       f"with ordinal {ordinal} and a new label")
+                    error.line = number
+                    raise error
         vocab.kinds.extend(codes)
+        vocab._derived["fingerprint"] = _sha256("\n".join(kept + [""]))  # the lines are the export text it hashes
         return vocab
 
     def fingerprint(self) -> str:

@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import MalformedCode, ParseError, PatkgError, SchemaViolation
+from .errors import InvalidConfig, MalformedCode, ParseError, PatkgError, SchemaViolation
 from .graph import RELATION_INDEX, RELATIONS, EntityKind, RelationKind, Triple, TripleStore, Vocabulary
 from .graph import first_rows, label_kinds, pack_keys, parse_label
 
@@ -99,16 +99,18 @@ def _read_lines(lines: list[str], line_no: int, vocab: Vocabulary) -> tuple[np.n
     rels = np.fromiter(map(_RELATION_CODES.get, fields[1::3], repeat(-1)), np.int64, len(fields) // 3)
     del fields[1::3]  # head and tail labels, interleaved
     ends = np.fromiter(map(known.get, fields, repeat(-1)), np.int64, len(fields))
-    unseen = ends < 0
-    # lines with an empty id the vocabulary does not hold: their unseen labels are checked, but not registered
-    empty = (np.fromiter(map(_EMPTY_IDS.__contains__, fields), bool, len(fields)) & unseen).reshape(-1, 2).any(axis=1)
     if (rels < 0).any():
         return None
+    unseen, empty = ends < 0, np.zeros(len(fields) // 2, dtype=bool)
     if unseen.any():  # a `.vocab` sidecar written with the store leaves no label unseen
+        new, empty_ids = [*compress(fields, unseen.tolist())], np.zeros(len(fields), dtype=bool)
+        # lines with an empty id the vocabulary does not hold: their unseen labels are checked, but not registered
+        empty_ids[unseen] = np.fromiter(map(_EMPTY_IDS.__contains__, new), bool, len(new))
+        empty = empty_ids.reshape(-1, 2).any(axis=1)
         if (None in label_kinds(compress(fields, (unseen & np.repeat(empty, 2)).tolist()))
                 or not vocab.add_labels(compress(fields, (unseen & np.repeat(~empty, 2)).tolist()))):
             return None
-        ends[unseen] = list(map(known.get, compress(fields, unseen.tolist()), repeat(-1)))
+        ends[unseen] = list(map(known.get, new, repeat(-1)))
     return np.stack([ends[0::2], rels, ends[1::2], np.flatnonzero(fact) + line_no + 1])[:, ~empty], int(empty.sum())
 
 
@@ -219,7 +221,7 @@ def load_portfolios(path, agent_kind: EntityKind) -> list[AgentPortfolio]:
     `min_patents`. Records are sorted once by (date text, patent id), a total order in which exact
     `YYYY-MM-DD` texts sort as their dates do, and appended to each of their agents' portfolios."""
     if agent_kind not in (EntityKind.INVENTOR, EntityKind.ASSIGNEE):
-        raise ValueError("agent_kind must be INVENTOR or ASSIGNEE")
+        raise InvalidConfig(f"agent_kind must be INVENTOR or ASSIGNEE, got {agent_kind}")
     column = 3 if agent_kind is EntityKind.INVENTOR else 4
     by_agent: dict[str, AgentPortfolio] = {}
     for record in sorted(parse_patent_records(path), key=itemgetter(1, 0)):

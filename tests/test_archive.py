@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from patkg.archive import load_archive, save_archive
-from patkg.errors import ArchiveError
-from patkg.graph import RelationKind, Vocabulary, generate_synthetic
+from patkg.errors import ArchiveError, ParseError
+from patkg.graph import EntityKind, RelationKind, Vocabulary, generate_synthetic
+from patkg.ingestion import load_store
 from patkg.models import ModelKind, init_params
 
 
@@ -101,8 +102,8 @@ def test_vocab_entities_must_equal_entities(store, tmp_path):
     manifest = json.loads(manifest_line)
     for n_vocab in (0, manifest["entities"] - 1, manifest["entities"] + 1):
         manifest["vocab_entities"] = n_vocab
-        path.write_bytes(b"\n".join([magic, json.dumps(manifest).encode(), rest]))
-        with pytest.raises(ArchiveError, match="byte 16: vocab_entities must equal entities"):
+        path.write_bytes(b"\n".join([magic, json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode(), rest]))
+        with pytest.raises(ArchiveError, match="byte 16: not the manifest save_archive writes"):
             load_archive(path)
 
 
@@ -242,11 +243,13 @@ VOCABULARY_REWRITES = {
     "ordinal 01": lambda lines: lines[:1] + [b"0" + lines[1]] + lines[2:],
     "ordinal +2": lambda lines: lines[:2] + [b"+" + lines[2]] + lines[3:],
 }
+BROKEN_LINE = {"crlf endings": None, "ordinal 01": 2, "ordinal +2": 3}  # 1-based, None: the block loads
 
 
 @pytest.mark.parametrize("name", list(VOCABULARY_REWRITES))
 def test_vocabulary_block_is_checked_by_what_it_reads_as(store, tmp_path, name):
-    # the manifest keeps its vocab_sha256, which the rewritten block's export text still hashes to
+    # CRLF endings read as the export text, which the manifest's vocab_sha256 hashes; an ordinal
+    # `export_text` does not write is refused at its line's first byte
     path = tmp_path / "a.kge"
     params = params_for(store, ModelKind.TRANSE_L2)
     save_archive(path, params, vocab=store.vocab, encoding="float64")
@@ -254,6 +257,79 @@ def test_vocabulary_block_is_checked_by_what_it_reads_as(store, tmp_path, name):
     lines = rest.split(b"\n", len(store.vocab))  # the vocabulary lines, then the payload
     block = b"".join(line + b"\n" for line in VOCABULARY_REWRITES[name](lines[:-1]))
     path.write_bytes(b"\n".join([magic, manifest, block + lines[-1]]))
+    if (number := BROKEN_LINE[name]) is not None:
+        at = len(magic) + len(manifest) + 2 + sum(len(line) + 1 for line in lines[:number - 1])
+        with pytest.raises(ArchiveError, match=f"^bad vocabulary at byte {at}: vocabulary line {number}: "):
+            load_archive(path)
+        return
     loaded, vocab = load_archive(path)
     assert vocab.export_text() == store.vocab.export_text()
     assert loaded.entities.tobytes() == params.entities.tobytes()
+
+
+# labels `parse_label` accepts, so any list of distinct ones is a vocabulary
+LABELS = st.tuples(st.sampled_from([k.value for k in EntityKind]),
+                   st.sampled_from(["", "1", "x", "a:b", " 7", "\u00e9", "\u2028", "\x0c"])
+                   | st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\t\r\n"), max_size=3)).map(":".join)
+VOCABULARIES = st.lists(LABELS, min_size=2, max_size=8, unique=True)
+BLOCK_EDITS = ["ordinal 01", "ordinal +1", "ordinal space", "swap", "repeat", "unknown kind", "missing tab"]
+
+
+def vocabulary_of(labels):
+    vocab = Vocabulary()
+    assert vocab.add_labels(labels)
+    return vocab
+
+
+def edited(labels, edit, i):
+    """The export lines of `labels` (no newlines) with one edit at about line `i`, and the
+    1-based number of the first line the edit breaks."""
+    lines = [f"{n}\t{label}" for n, label in enumerate(labels)]
+    i = {"swap": min(i, len(labels) - 2), "repeat": max(i, 1)}.get(edit, i)
+    if edit.startswith("ordinal"):
+        lines[i] = {"ordinal 01": "0", "ordinal +1": "+", "ordinal space": " "}[edit] + lines[i]
+    elif edit == "swap":
+        lines[i], lines[i + 1] = lines[i + 1], lines[i]
+    elif edit == "repeat":
+        lines[i] = f"{i}\t{labels[i - 1]}"
+    elif edit == "unknown kind":
+        lines[i] = f"{i}\tbogus:{labels[i].partition(':')[2]}"
+    else:  # the tab goes
+        lines[i] = f"{i}{labels[i]}"
+    return lines, i + 1
+
+
+def sidecar_store(tmp_path, text, newline=None):
+    """`load_store` of an empty triple file with `text` as its `.vocab` sidecar."""
+    path = tmp_path / "store.tsv"
+    path.write_text("", encoding="utf-8")
+    with open(f"{path}.vocab", "w", encoding="utf-8", newline=newline) as fh:
+        fh.write(text)
+    return load_store(path)
+
+
+@given(labels=VOCABULARIES)
+def test_any_vocabulary_round_trips_through_its_sidecar_and_an_archive(tmp_path_factory, labels):
+    vocab, tmp_path = vocabulary_of(labels), tmp_path_factory.mktemp("round")
+    save_archive(tmp_path / "a.kge", init_params(ModelKind.TRANSE_L2, len(vocab), 2, 1, vocab.fingerprint()), vocab)
+    for newline in ("\n", "\r\n"):  # as written, and CRLF-rewritten
+        read = [sidecar_store(tmp_path, vocab.export_text(), newline).vocab, load_archive(tmp_path / "a.kge")[1]]
+        for back in read:
+            assert (back.labels, back.kinds, back.fingerprint()) == (labels, vocab.kinds, vocab.fingerprint())
+
+
+@given(labels=VOCABULARIES, edit=st.sampled_from(BLOCK_EDITS), i=st.integers(0, 7))
+def test_every_single_line_edit_is_refused_at_its_line(tmp_path_factory, labels, edit, i):
+    vocab, tmp_path = vocabulary_of(labels), tmp_path_factory.mktemp("edit")
+    lines, number = edited(labels, edit, i % len(labels))
+    text = "".join(line + "\n" for line in lines)
+    with pytest.raises(ParseError, match=f"^vocabulary line {number}: "):
+        sidecar_store(tmp_path, text)
+    path = tmp_path / "a.kge"
+    save_archive(path, init_params(ModelKind.TRANSE_L2, len(vocab), 2, 1, vocab.fingerprint()), vocab)
+    magic, manifest, rest = path.read_bytes().split(b"\n", 2)
+    payload = rest[len(vocab.export_text().encode()):]
+    path.write_bytes(b"%s\n%s\n%s%s" % (magic, manifest, text.encode(), payload))
+    at = len(magic) + len(manifest) + 2 + len("".join(line + "\n" for line in lines[:number - 1]).encode())
+    with pytest.raises(ArchiveError, match=f"^bad vocabulary at byte {at}: vocabulary line {number}: "):
+        load_archive(path)

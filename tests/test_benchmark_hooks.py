@@ -1,30 +1,70 @@
-"""The patkg names the benchmark's tracer and microbenchmarks call, checked without running either.
+"""The patkg names the benchmark's tracer, log counter, workloads and microbenchmarks use, checked
+without running any of them.
 
-`perfbench/tracer.py` patches its `TARGETS` by name, and `perfbench/microbench.py` calls the
-store, model, eval, archive, proximity and expansion functions in fixed shapes. A rename or a new
-signature fails here, not in a traced run.
+`perfbench/tracer.py` patches its `TARGETS` by name and counts ingest drops from their log line,
+`perfbench/workloads.py` builds CLI argvs, and `perfbench/microbench.py` calls the store, model,
+eval, archive, proximity and expansion functions in fixed shapes. A rename, a new signature or a
+reworded log line fails here, not in a benchmark run.
 """
 
 import importlib
 import importlib.util
+import logging
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from patkg import archive, evaluator, expansion, graph, ingestion, models, proximity
+from patkg import archive, cli, evaluator, expansion, graph, ingestion, models, proximity
 from patkg.graph import EntityKind, RelationKind, Side, Vocabulary, generate_synthetic
 from patkg.models import ModelKind, init_params
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-@pytest.fixture(scope="module")
-def tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", PERFBENCH / "tracer.py")
-    module = importlib.util.module_from_spec(spec)
+def perfbench_module(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # dataclasses look their module up
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(scope="module")
+def tracer():
+    return perfbench_module("tracer")
+
+
+@pytest.mark.parametrize("name", ["fit-1x", "rank-1x", "study-5x"])
+def test_workload_argvs_parse(tmp_path, name):
+    # every command a workload runs, built from stand-in inputs; argparse exits 2 on a renamed flag
+    inputs = {"raw_triples": str(tmp_path / "raw.tsv"), "n_lines": 10, "n_noise": 2, "patents": ["p1", "p2"],
+              "inventors": ["i1", "i2"], "records": str(tmp_path / "records.tsv"),
+              "universe": str(tmp_path / "universe.txt"), "eligible_records": 1}
+    workload = perfbench_module("workloads").build(name, inputs, tmp_path)
+    parser = cli.build_parser()
+    for cmd in [workload.ingest, *workload.commands]:
+        args = parser.parse_args(cmd.argv)
+        assert args.command in cli._COMMANDS, cmd.argv
+
+
+def test_log_counter_counts_an_ingests_drops(tracer, tmp_path):
+    # one duplicate, one self-citation and one empty-id line, as the workloads' raw files hold them
+    src, out = tmp_path / "raw.tsv", tmp_path / "store.tsv"
+    src.write_text("inventor:i1\twrite\tpatent:p1\npatent:p1\tcite\tpatent:p2\npatent:p1\tcite\tpatent:p2\n"
+                   "patent:p2\tcite\tpatent:p2\ninventor:\twrite\tpatent:p2\n", encoding="utf-8")
+    logger = logging.getLogger("patkg")
+    level, propagate = logger.level, logger.propagate
+    counter = tracer.LogCounter()
+    counter.attach()
+    try:
+        assert cli.main(["ingest", str(src), str(out)]) == 0
+    finally:
+        logger.removeHandler(counter)
+        logger.setLevel(level)
+        logger.propagate = propagate
+    assert dict(counter.counts) == {"ingestion.dropped": 3}
+    assert counter not in logger.handlers
 
 
 def test_tracer_targets_resolve(tracer):

@@ -184,7 +184,15 @@ class TestTrainEval:
                          ["eval", arc, damaged, tmp_path / "r.txt"]):
                 assert run_cli(*argv) == 1
                 err = capsys.readouterr().err
-                assert err.startswith("error: ParseError: vocabulary line 0:") and err.count("\n") == 1, err
+                assert err.startswith("error: ParseError: vocabulary line 1:") and err.count("\n") == 1, err
+
+    def test_split_flags_checked_with_train_on_all(self, graph_file, tmp_path, capsys):
+        arc = tmp_path / "m.kge"
+        for flags in (["--test-fraction", "5"], ["--test-fraction", "0"], ["--split-seed", "-1"]):
+            assert run_cli("train", graph_file, "transe_l2", arc, "--train-on-all", "--epochs", "1", *flags) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: InvalidConfig:") and err.count("\n") == 1, err
+        assert not arc.exists()
 
     def test_train_errors_are_one_line(self, tmp_path, capsys):
         src = tmp_path / "g.tsv"
@@ -762,6 +770,14 @@ class TestExpansionCommand:
         assert "agent_class: inventor" in text
         assert (tmp_path / "exp_inventor_cdf.csv").exists()
 
+    def test_empty_universe_exit_1(self, graph_file, tmp_path, capsys):
+        arc, portfolios, universe = tmp_path / "m.kge", tmp_path / "p.tsv", tmp_path / "u.txt"
+        assert run_cli("train", graph_file, "transe_l2", arc, "--dim", "4", "--epochs", "1", "--train-on-all") == 0
+        portfolios.write_text("xp0\t1980-01-01\tA00A\tx\tasg\n")
+        universe.write_text("# no codes\n\n")
+        assert run_cli("expansion", arc, portfolios, universe, tmp_path / "exp.txt", "--agent-kind", "inventor") == 1
+        err = capsys.readouterr().err
+        assert err == "error: InvalidConfig: the group universe must hold at least one group code\n", err
 
     def test_group_codes_keep_their_bytes(self, graph_file, tmp_path):
         # a code ending in a form feed, which ingest and the records parser keep, is kept by the

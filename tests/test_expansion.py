@@ -638,6 +638,12 @@ class TestRunStudy:
         with pytest.raises(InvalidConfig, match=r"^min_patents must be >= 0, got -1$"):
             run_study(store.vocab, portfolios, UNIVERSE, {"m": self.model(store, 1)}, min_patents=-1)
 
+    def test_empty_universe_refused_before_any_matrix(self, monkeypatch):
+        store, portfolios = self.build_world()
+        monkeypatch.setattr(expansion, "group_proximity_matrix", None)  # a matrix build would raise TypeError
+        with pytest.raises(InvalidConfig, match=r"^the group universe must hold at least one group code$"):
+            run_study(store.vocab, portfolios, [], {"m": self.model(store, 1)})
+
     def test_explainability_sums_to_one(self, monkeypatch):
         store, portfolios = self.build_world()
         portfolios.append(make_portfolio("short", [("s0", "1970-01-01", ["A01A"])]))

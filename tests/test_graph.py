@@ -377,7 +377,7 @@ class TestVocabulary:
         # `kind:` (empty id) is a label; a bare kind is not
         vocab = Vocabulary.from_lines(["0\tpatent:", "1\tinventor:x"])
         assert vocab.export_text() == "0\tpatent:\n1\tinventor:x\n"
-        with pytest.raises(ParseError, match=r"vocabulary line 0: '0\\tpatent' is not <ordinal>"):
+        with pytest.raises(ParseError, match=r"vocabulary line 1: '0\\tpatent' is not <ordinal>"):
             Vocabulary.from_lines(["0\tpatent", "1\tinventor:x"])
 
     def test_unknown_lookup(self):
@@ -420,6 +420,8 @@ class VocabularyOracle:
         label = f"{kind.value}:{source_id}"
         ordinal = self.ordinals.get(label)
         if ordinal is None:
+            if any(c in label for c in "\t\r\n"):
+                raise ParseError(f"entity token {label!r} holds a tab or line break")
             ordinal = self.ordinals[label] = len(self.refs)
             self.refs.append(EntityRef(kind, source_id, ordinal))
             self.kinds.append(list(EntityKind).index(kind))
@@ -439,20 +441,21 @@ class VocabularyOracle:
 
     @classmethod
     def from_lines(cls, lines):
+        """Each non-blank line must be `export_text`'s line for the next ordinal and a new label."""
         vocab = cls()
-        for i, line in enumerate(lines):
+        for number, line in enumerate(lines, 1):
             line = line.rstrip("\n")  # as an open file yields it; the message names the line without it
             if not line.strip():
                 continue
             ordinal_text, _, label = line.partition("\t")
             try:
-                ordinal = int(ordinal_text)
+                if ordinal_text != str(len(vocab)) or label in vocab.ordinals:
+                    raise ValueError(label)
                 kind_text, source_id = label.split(":", 1)
-                ref = vocab.add(EntityKind(kind_text), source_id)
-            except ValueError:
-                raise ParseError(f"vocabulary line {i}: {line!r} is not <ordinal>\\t<kind>:<id>") from None
-            if ref.ordinal != ordinal:
-                raise UnknownEntity(f"vocabulary line {i}: non-contiguous ordinal {ordinal_text}")
+                vocab.add(EntityKind(kind_text), source_id)
+            except (ValueError, ParseError):
+                raise ParseError(f"vocabulary line {number}: {line!r} is not <ordinal>\\t<kind>:<id> "
+                                 f"with ordinal {len(vocab)} and a new label") from None
         return vocab
 
     def fingerprint(self):
@@ -493,7 +496,10 @@ def vocab_run(cls, lines, ops):
     seen = []
     for op in ops + [None]:
         if op is not None:
-            seen.append(vocab.add(*op))
+            try:
+                seen.append(vocab.add(*op))
+            except PatkgError as exc:
+                seen.append((type(exc), str(exc)))
             continue
         by_kind = {kind: vocab.ordinals_of_kind(kind) for kind in EntityKind}
         assert all(o.dtype == np.int64 and not o.flags.writeable for o in by_kind.values())
@@ -506,6 +512,8 @@ def vocab_run(cls, lines, ops):
 @example(case=(["0\tpatent:", "1\tinventor:x"], [(EntityKind.PATENT, ""), None, (EntityKind.GROUP, "g")]))
 @example(case=(["0\tpatent:1", "1\tpatent:1"], []))
 @example(case=(["0\tgroup:a:b", "1\tbogus:2"], []))
+@example(case=(["0\tpatent:\r"], []))
+@example(case=(None, [(EntityKind.PATENT, "\t"), None]))
 def test_vocabulary_matches_stored_refs_oracle(case):
     lines, ops = case
     assert vocab_run(Vocabulary, lines, ops) == vocab_run(VocabularyOracle, lines, ops)
@@ -521,20 +529,22 @@ def test_refs_are_rebuilt_after_add():
 
 
 def from_lines_loop(lines):
-    """`Vocabulary.from_lines` as it read a sidecar before the bulk build: one `add_label`
-    per line."""
+    """`Vocabulary.from_lines` as one `add_label` per line: each non-blank line must be the
+    export line of the next ordinal and a new label."""
     vocab = Vocabulary()
-    for i, line in enumerate(lines):
+    for number, line in enumerate(lines, 1):
         line = line.rstrip("\n")
         if not line.strip():
             continue
         ordinal_text, _, label = line.partition("\t")
+        ordinal = len(vocab)
         try:
-            contiguous = int(ordinal_text) == vocab.add_label(label)
-        except (ValueError, ParseError):
-            raise ParseError(f"vocabulary line {i}: {line!r} is not <ordinal>\\t<kind>:<id>") from None
-        if not contiguous:
-            raise UnknownEntity(f"vocabulary line {i}: non-contiguous ordinal {ordinal_text}")
+            exported = ordinal_text == str(ordinal) and label not in vocab.ordinals and vocab.add_label(label) == ordinal
+        except ParseError:
+            exported = False
+        if not exported:
+            raise ParseError(f"vocabulary line {number}: {line!r} is not <ordinal>\\t<kind>:<id> "
+                             f"with ordinal {ordinal} and a new label")
     return vocab
 
 
@@ -573,7 +583,7 @@ def sidecar_inputs(draw):
 
 
 @given(lines=sidecar_inputs())
-@example(lines=["0\tpatent:a", "0\tpatent:a"])  # a repeat naming its first ordinal is accepted
+@example(lines=["0\tpatent:a", "0\tpatent:a"])  # a repeat is refused, even under its first ordinal
 @example(lines=["0\tpatent:a", "1\tpatent:b", "1\tpatent:b", "02\tpatent:c"])
 @example(lines=["0\tpatent:a", "2\tpatent:a"])
 @example(lines=["0\tpatent:a", "01\tbogus:b"])

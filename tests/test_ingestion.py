@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from patkg.errors import MalformedCode, ParseError, PatkgError, SchemaViolation
+from patkg.errors import InvalidConfig, MalformedCode, ParseError, PatkgError, SchemaViolation
 from patkg import ingestion
 from patkg.graph import (
     RELATION_INDEX,
@@ -255,6 +255,13 @@ class TestPortfolios:
         path.write_text(RECORDS)
         assignee_ids = {p.agent_id for p in load_portfolios(path, EntityKind.ASSIGNEE)}
         assert assignee_ids == {"asg1", "asg2"}
+
+    @pytest.mark.parametrize("kind", [EntityKind.PATENT, EntityKind.GROUP, EntityKind.SUBSECTION])
+    def test_other_agent_kinds_are_invalid_config(self, tmp_path, kind):
+        path = tmp_path / "r.tsv"
+        path.write_text(RECORDS)
+        with pytest.raises(InvalidConfig, match=f"^agent_kind must be INVENTOR or ASSIGNEE, got {kind}$"):
+            load_portfolios(path, kind)
 
     def test_resort_is_noop(self, tmp_path):
         path = tmp_path / "r.tsv"
