@@ -25,7 +25,6 @@ from .graph import (
 )
 from .ingestion import (
     AgentPortfolio,
-    derive_comprise,
     load_portfolios,
     load_store,
     load_universe,
@@ -39,11 +38,9 @@ from .proximity import (
     NeighborHit,
     TransformMode,
     TransformRule,
-    cosine,
     knowledge_proximity,
     nearest_neighbors,
     pairwise_matrix,
-    transform,
     transform_rule,
 )
 from .expansion import (

@@ -35,10 +35,6 @@ class ParseError(PatkgError):
     """Malformed input file; message carries line number and reason."""
 
 
-class MalformedCode(PatkgError):
-    """Classification code too short or of the wrong shape."""
-
-
 # -- models / trainer -----------------------------------------------------
 
 class UnknownOrdinal(PatkgError):

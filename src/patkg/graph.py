@@ -106,6 +106,15 @@ def _breaks(text: str) -> bool:
     return "\t" in text or "\n" in text or "\r" in text
 
 
+def _unencodable(text: str) -> bool:
+    """Whether `text` holds a lone surrogate, which no label may: no UTF-8 file can hold it."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return True
+    return False
+
+
 def parse_label(label: str, where: str = "") -> tuple[int, str]:
     """(KIND_INDEX code, source id) of a `kind:source_id` label; `where` prefixes the ParseError."""
     kind_text, sep, source_id = label.partition(":")
@@ -116,16 +125,20 @@ def parse_label(label: str, where: str = "") -> tuple[int, str]:
         raise ParseError(f"{where}unknown entity kind {kind_text!r}")
     if _breaks(label):
         raise ParseError(f"{where}entity token {label!r} holds a tab or line break")
+    if _unencodable(label):
+        raise ParseError(f"{where}entity token {label!r} holds a lone surrogate")
     return code, source_id
 
 
 def label_kinds(labels: Iterable[str]) -> list[int | None]:
-    """`parse_label`'s KIND_INDEX code of each label, None for a label it rejects. Tabs and line
-    breaks are looked for in all the labels joined, and label by label only if the join holds one."""
+    """`parse_label`'s KIND_INDEX code of each label, None for a label it rejects. Tabs, line breaks
+    and lone surrogates are looked for in all the labels joined (one strict UTF-8 encode finds a
+    surrogate), and label by label only if the join holds one."""
     labels = list(labels)
     codes = [_KIND_CODES.get(kind) if sep else None for kind, sep, _ in map(str.partition, labels, repeat(":"))]
-    if _breaks("".join(labels)):
-        codes = [None if _breaks(label) else code for label, code in zip(labels, codes)]
+    joined = "".join(labels)
+    if _breaks(joined) or _unencodable(joined):
+        codes = [None if _breaks(label) or _unencodable(label) else code for label, code in zip(labels, codes)]
     return codes
 
 

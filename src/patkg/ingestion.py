@@ -20,6 +20,7 @@ excluded from that agent kind's portfolios.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import logging
@@ -33,8 +34,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidConfig, MalformedCode, ParseError, PatkgError, SchemaViolation
-from .graph import RELATION_INDEX, RELATIONS, EntityKind, RelationKind, Triple, TripleStore, Vocabulary
+from .errors import InvalidConfig, ParseError, PatkgError, SchemaViolation
+from .graph import RELATION_INDEX, RELATIONS, EntityKind, RelationKind, TripleStore, Vocabulary
 from .graph import first_rows, label_kinds, pack_keys, parse_label
 
 log = logging.getLogger(__name__)
@@ -131,30 +132,6 @@ def _first_error(lines: list[str], line_no: int) -> tuple[int, ParseError]:
             return i, exc
 
 
-def subsection_of(group_code: str) -> str:
-    """Parent subsection code: the first 3 characters of the group code."""
-    if not _GROUP_PREFIX.match(group_code):
-        raise MalformedCode(f"group code {group_code!r} {_GROUP_RULE}")
-    return group_code[:3]
-
-
-def derive_comprise(store: TripleStore, groups: set[str]) -> list[Triple]:
-    """Add one <subsection, comprise, group> triple per group code.
-
-    Subsection entities are created on demand; already-present triples
-    are skipped, so the derivation is idempotent.
-    """
-    added: list[Triple] = []
-    for code in sorted(groups):
-        sub = store.add_entity(EntityKind.SUBSECTION, subsection_of(code))
-        grp = store.add_entity(EntityKind.GROUP, code)
-        triple = Triple(sub.ordinal, RelationKind.COMPRISE, grp.ordinal)
-        if triple not in store:
-            added.append(triple)
-    store.add_triples([t.head for t in added], RELATION_INDEX[RelationKind.COMPRISE], [t.tail for t in added])
-    return added
-
-
 @dataclass(slots=True)
 class AgentPortfolio:
     """One inventor's or assignee's patents in (application date, patent id) order: ids and group-code sets."""
@@ -224,13 +201,19 @@ def load_portfolios(path, agent_kind: EntityKind) -> list[AgentPortfolio]:
         raise InvalidConfig(f"agent_kind must be INVENTOR or ASSIGNEE, got {agent_kind}")
     column = 3 if agent_kind is EntityKind.INVENTOR else 4
     by_agent: dict[str, AgentPortfolio] = {}
-    for record in sorted(parse_patent_records(path), key=itemgetter(1, 0)):
-        for agent_id in record[column]:
-            portfolio = by_agent.get(agent_id)
-            if portfolio is None:
-                portfolio = by_agent[agent_id] = AgentPortfolio(agent_id, agent_kind, [], [])
-            portfolio.patent_ids.append(record[0])
-            portfolio.groups.append(record[2])
+    collecting = gc.isenabled()
+    gc.disable()  # the parse builds many containers and no cycles; collections there only cost time
+    try:
+        for record in sorted(parse_patent_records(path), key=itemgetter(1, 0)):
+            for agent_id in record[column]:
+                portfolio = by_agent.get(agent_id)
+                if portfolio is None:
+                    portfolio = by_agent[agent_id] = AgentPortfolio(agent_id, agent_kind, [], [])
+                portfolio.patent_ids.append(record[0])
+                portfolio.groups.append(record[2])
+    finally:
+        if collecting:
+            gc.enable()
     return [by_agent[agent_id] for agent_id in sorted(by_agent)]
 
 

@@ -99,9 +99,6 @@ class ModelParams:
     def row_dim(self) -> int:
         return self.entities.shape[1]
 
-    def entity_row(self, ordinal: int) -> np.ndarray:
-        return _rows(self, [ordinal])[0]
-
 
 def init_params(
     kind: ModelKind, n_entities: int, dim: int, seed: int = 0, vocab_fingerprint: str = ""

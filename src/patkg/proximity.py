@@ -19,18 +19,29 @@ it needs a model whose parameters are real vectors only (its spec's
 RESCAL (matrix relations) and the complex-valued models (ComplEx,
 RotatE) reject it; same-kind proximity works for all seven models,
 complex rows being compared as 2d-real vectors.
+
+`knowledge_proximity`, `nearest_neighbors` and `pairwise_matrix` read every
+value from one row-wise product of moved unit rows, so a pair gets the same
+bits from each, and an entity's proximity to itself is exactly 1.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
+from itertools import groupby
+from operator import attrgetter
 
 import numpy as np
 
 from .errors import InvalidConfig, UnsupportedModel, ZeroVector
 from .graph import EntityKind, EntityRef, RelationKind, Vocabulary
 from .models import ModelParams, _rows
+
+
+# products held at once by one `pairwise_matrix` row block: 512 KB of float64
+_BLOCK_ELEMENTS = 1 << 16
 
 
 class TransformMode(Enum):
@@ -67,42 +78,43 @@ def transform_rule(focal_kind: EntityKind, target_kind: EntityKind,
     return TransformRule(focal_kind, target_kind, steps)
 
 
-def cosine(u: np.ndarray, v: np.ndarray) -> float:
-    """Cosine similarity, clamped to [-1, 1] against rounding."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
-        raise ZeroVector("cosine undefined for zero-norm vector")
-    return float(np.clip(np.dot(u, v) / (nu * nv), -1.0, 1.0))
+def _unit_rows(params: ModelParams, groups: list[tuple[EntityKind, Sequence[int]]], into: EntityKind,
+               mode: TransformMode) -> np.ndarray:
+    """Unit rows of each (kind, ordinals) group in turn, every row moved into `into`'s kind.
+
+    Every row is read before any is moved, so an ordinal outside the table raises before a model
+    that cannot move rows does; one zero-norm check then covers every moved row. Norms are
+    row-wise sums, as in `_cosines`, so a row's unit bits do not depend on the rows beside it.
+    """
+    rows = _rows(params, *(ordinals for _, ordinals in groups))
+    start = 0
+    for kind, ordinals in groups:
+        stop = start + len(ordinals)
+        steps = transform_rule(into, kind, mode).steps
+        if steps:
+            if not params.spec.vector_relations:
+                raise UnsupportedModel(
+                    f"{params.kind.value} relations cannot be added as vectors; "
+                    "cross-kind transformation is undefined"
+                )
+            offset = np.zeros(params.row_dim)
+            for rel, sign in steps:
+                offset += sign * params.relations[rel]["vec"]
+            rows[start:stop] += offset
+        start = stop
+    norms = np.sqrt(np.multiply(rows, rows).sum(axis=-1, keepdims=True))
+    if np.any(norms == 0.0):
+        raise ZeroVector("embedding has zero norm after transformation")
+    return rows / norms
 
 
-def _moved(params: ModelParams, rows: np.ndarray, kind: EntityKind, focal_kind: EntityKind,
-           mode: TransformMode) -> np.ndarray:
-    """`rows` of `kind` entities moved into `focal_kind`'s kind by their rule's relation vectors."""
-    steps = transform_rule(focal_kind, kind, mode).steps
-    if not steps:
-        return rows
-    if not params.spec.vector_relations:
-        raise UnsupportedModel(
-            f"{params.kind.value} relations cannot be added as vectors; "
-            "cross-kind transformation is undefined"
-        )
-    offset = np.zeros(params.row_dim)
-    for rel, sign in steps:
-        offset += sign * params.relations[rel]["vec"]
-    return rows + offset
+def _cosines(unit: np.ndarray, other: np.ndarray) -> np.ndarray:
+    """Products of unit rows summed over the last axis, broadcast, clipped to [-1, 1] against rounding.
 
-
-def transform(
-    params: ModelParams,
-    target: EntityRef,
-    focal_kind: EntityKind,
-    mode: TransformMode = TransformMode.TRANSLATION_ALGEBRA,
-) -> np.ndarray:
-    """Target embedding converted into `focal_kind`'s kind."""
-    return _moved(params, params.entity_row(target.ordinal), target.kind, focal_kind, mode)
+    numpy sums each row's products in one order whatever the row count, so a pair gets the same
+    bits from every caller. A BLAS product would not: GEMM and GEMV round by shape.
+    """
+    return np.clip(np.multiply(unit, other).sum(axis=-1), -1.0, 1.0)
 
 
 def knowledge_proximity(
@@ -111,10 +123,10 @@ def knowledge_proximity(
     target: EntityRef,
     mode: TransformMode = TransformMode.TRANSLATION_ALGEBRA,
 ) -> float:
-    """Cosine between the focal row and the kind-transformed target row."""
-    return cosine(
-        params.entity_row(focal.ordinal), transform(params, target, focal_kind=focal.kind, mode=mode)
-    )
+    """Cosine between the focal row and the target row moved into the focal's kind; exactly 1
+    between an entity and itself."""
+    unit = _unit_rows(params, [(focal.kind, [focal.ordinal]), (target.kind, [target.ordinal])], focal.kind, mode)
+    return 1.0 if focal.ordinal == target.ordinal else float(_cosines(unit[1], unit[0]))
 
 
 @dataclass(frozen=True, slots=True)
@@ -140,32 +152,18 @@ def nearest_neighbors(
     """
     if k < 1:
         raise InvalidConfig("k must be >= 1")
-    focal_row = params.entity_row(focal.ordinal)
-    focal_norm = np.linalg.norm(focal_row)
-    if focal_norm == 0.0:
-        raise ZeroVector("focal embedding has zero norm")
-    kinds = sorted(kind_filter or set(EntityKind), key=lambda e: e.value)
-
-    ordinals: list[np.ndarray] = []
-    proximities: list[np.ndarray] = []
-    for kind in kinds:
+    groups: list[tuple[EntityKind, Sequence[int]]] = [(focal.kind, [focal.ordinal])]
+    for kind in sorted(kind_filter or set(EntityKind), key=lambda e: e.value):
         members = vocab.ordinals_of_kind(kind)
         members = members[members != focal.ordinal]
-        if members.size == 0:
-            continue
-        rows = _moved(params, _rows(params, members), kind, focal.kind, mode)
-        norms = np.linalg.norm(rows, axis=1)
-        if np.any(norms == 0.0):
-            raise ZeroVector("transformed embedding has zero norm")
-        proximities.append(np.clip(rows @ focal_row / (norms * focal_norm), -1.0, 1.0))
-        ordinals.append(members)
-    if not ordinals:
-        return []
-    all_ordinals = np.concatenate(ordinals)
-    all_prox = np.concatenate(proximities)
-    order = np.lexsort((all_ordinals, -all_prox))[:k]
-    refs = [vocab.ref(all_ordinals[i]) for i in order]
-    return [NeighborHit(ref, ref.kind, float(all_prox[i])) for ref, i in zip(refs, order)]
+        if members.size:
+            groups.append((kind, members))
+    unit = _unit_rows(params, groups, focal.kind, mode)
+    ordinals = np.concatenate([np.empty(0, np.int64)] + [members for _, members in groups[1:]])
+    proximities = _cosines(unit[1:], unit[0])
+    order = np.lexsort((ordinals, -proximities))[:k]
+    refs = [vocab.ref(ordinals[i]) for i in order]
+    return [NeighborHit(ref, ref.kind, float(proximities[i])) for ref, i in zip(refs, order)]
 
 
 def pairwise_matrix(
@@ -175,23 +173,25 @@ def pairwise_matrix(
     common_kind: EntityKind,
     mode: TransformMode = TransformMode.TRANSLATION_ALGEBRA,
 ) -> np.ndarray:
-    """Cosine matrix after transforming every entity to `common_kind`.
+    """Proximity matrix after moving every entity into `common_kind`'s kind.
 
-    Exactly symmetric with a unit diagonal. Every row is read before any is moved, so an
-    ordinal outside the table raises before a model that cannot move rows does. `vocab` is
-    unused; callers pass it positionally.
+    Entry (i, j) has the bits `knowledge_proximity` gives the two moved rows. The matrix is built
+    from upper-triangle row blocks and mirrored, so it is exactly symmetric, and it is 1 wherever
+    an entity meets itself. `vocab` is unused; callers pass it positionally.
     """
     if not entities:
         raise InvalidConfig("entities must be non-empty")
-    rows = _rows(params, [e.ordinal for e in entities])
-    for kind in dict.fromkeys(e.kind for e in entities):
-        at = [i for i, e in enumerate(entities) if e.kind is kind]
-        rows[at] = _moved(params, rows[at], kind, common_kind, mode)
-    norms = np.linalg.norm(rows, axis=1, keepdims=True)
-    if np.any(norms == 0.0):
-        raise ZeroVector("transformed embedding has zero norm")
-    unit = rows / norms
-    matrix = np.clip(unit @ unit.T, -1.0, 1.0)
-    matrix = (matrix + matrix.T) / 2.0
-    np.fill_diagonal(matrix, 1.0)
+    runs = groupby(entities, attrgetter("kind"))
+    unit = _unit_rows(params, [(kind, [e.ordinal for e in run]) for kind, run in runs], common_kind, mode)
+    n, d = unit.shape
+    matrix = np.empty((n, n))
+    start = 0
+    while start < n:
+        stop = min(n, start + max(1, _BLOCK_ELEMENTS // ((n - start) * d)))
+        block = _cosines(unit[None, start:], unit[start:stop, None])
+        matrix[start:stop, start:] = block
+        matrix[start:, start:stop] = block.T
+        start = stop
+    ordinals = np.array([e.ordinal for e in entities])
+    matrix[ordinals[:, None] == ordinals] = 1.0
     return matrix

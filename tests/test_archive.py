@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from patkg.archive import load_archive, save_archive
 from patkg.errors import ArchiveError, ParseError
@@ -182,6 +182,7 @@ def archive_bytes(store, tmp_path_factory):
 
 
 @given(kind=st.sampled_from(list(ModelKind)), edit=MANIFEST_EDITS)
+@example(kind=ModelKind.TRANSE_L2, edit=("set", "kind", "transe_l2"))  # the writer's own manifest: it loads
 def test_manifest_edits_load_or_raise_archive_error(archive_bytes, tmp_path_factory, kind, edit):
     magic, manifest_line, rest = archive_bytes[kind].split(b"\n", 2)
     manifest = json.loads(manifest_line)
@@ -194,7 +195,8 @@ def test_manifest_edits_load_or_raise_archive_error(archive_bytes, tmp_path_fact
         manifest["relations"][key] = value
     elif action == "replace":
         manifest = value
-    text = value if action == "text" else json.dumps(manifest)
+    # serialized as the writer serializes it, so an edit that changes nothing still loads
+    text = value if action == "text" else json.dumps(manifest, sort_keys=True, separators=(",", ":"))
     path = tmp_path_factory.getbasetemp() / "edited.kge"
     path.write_bytes(b"\n".join([magic, text.encode("utf-8"), rest]))
     try:
@@ -202,6 +204,7 @@ def test_manifest_edits_load_or_raise_archive_error(archive_bytes, tmp_path_fact
     except ArchiveError as exc:
         assert "byte" in str(exc)
     else:
+        assert text.encode("utf-8") == manifest_line  # only the written manifest loads
         assert params.entities.shape[0] == len(vocab)
 
 

@@ -608,6 +608,7 @@ def parse_label_code(label):
 @given(labels=st.lists(LABEL_TOKENS, max_size=6))
 @example(labels=["patent:a", "patent:b\r", "inventor:c"])  # one label breaks the rule; the join holds its `\r`
 @example(labels=["patent:a\t", "inventor:"])
+@example(labels=["patent:\ud83d", "patent:\ude00", "group:x"])  # lone surrogates; the join pairs none of them
 def test_label_kinds_follow_parse_label(labels):
     assert label_kinds(labels) == [parse_label_code(label) for label in labels]
     assert label_kinds(iter(labels)) == label_kinds(labels)
@@ -618,6 +619,17 @@ def test_parse_label_refuses_tabs_and_line_breaks(label):
     with pytest.raises(ParseError, match=f"^line 3: entity token {re.escape(repr(label))} holds a tab or line break$"):
         parse_label(label, "line 3: ")
     assert label_kinds(["patent:a", label, "patent:b"]) == [0, None, 0]
+
+
+@pytest.mark.parametrize("label", ["patent:\ud800", "inventor:a\udfffb", "group:\udc80"])
+def test_labels_no_utf8_file_can_hold_are_refused(label):
+    # a lone surrogate would make `write_triples_file` and `save_archive` raise UnicodeEncodeError
+    vocab = Vocabulary()
+    assert vocab.add_labels(["patent:a", label]) is False
+    assert len(vocab) == 0
+    with pytest.raises(ParseError, match=f"^entity token {re.escape(repr(label))} holds a lone surrogate$"):
+        vocab.add_label(label)
+    assert label_kinds(["patent:a", label]) == [0, None]
 
 
 def test_ref_builds_one_entity_ref():

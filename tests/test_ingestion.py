@@ -1,5 +1,6 @@
-"""Triple-file parsing, comprise derivation, portfolios and universes."""
+"""Triple-file parsing, portfolios and universes."""
 
+import gc
 import hashlib
 import json
 import logging
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from patkg.errors import InvalidConfig, MalformedCode, ParseError, PatkgError, SchemaViolation
+from patkg.errors import InvalidConfig, ParseError, PatkgError, SchemaViolation
 from patkg import ingestion
 from patkg.graph import (
     RELATION_INDEX,
@@ -26,13 +27,11 @@ from patkg.graph import (
     pack_keys,
 )
 from patkg.ingestion import (
-    derive_comprise,
     load_portfolios,
     load_store,
     load_universe,
     parse_patent_records,
     parse_triples_file,
-    subsection_of,
     write_triples_file,
 )
 
@@ -160,41 +159,6 @@ class TestParseTriples:
         assert transient(16) < 1.5 * transient(4)
 
 
-class TestDeriveComprise:
-    def test_single_code(self):
-        store = TripleStore()
-        added = derive_comprise(store, {"H01L"})
-        assert len(added) == 1
-        t = added[0]
-        assert store.vocab.refs[t.head].source_id == "H01"
-        assert store.vocab.refs[t.head].kind is EntityKind.SUBSECTION
-        assert store.vocab.refs[t.tail].source_id == "H01L"
-        assert t.relation is RelationKind.COMPRISE
-
-    def test_shared_subsection(self):
-        store = TripleStore()
-        added = derive_comprise(store, {"H04L", "H04N"})
-        assert len(added) == 2
-        assert {store.vocab.refs[t.head].source_id for t in added} == {"H04"}
-
-    def test_malformed_code(self):
-        # the parsers' rule: "1234" is long enough but lacks the letter-digit-digit-letter prefix
-        for code in ("X1", "1234", "H0AL"):
-            with pytest.raises(MalformedCode, match="letter-digit-digit-letter prefix"):
-                subsection_of(code)
-            store = TripleStore()
-            with pytest.raises(MalformedCode):
-                derive_comprise(store, {code})
-            assert len(store.vocab) == 0
-
-    def test_idempotent(self):
-        store = TripleStore()
-        derive_comprise(store, {"H01L", "H04N"})
-        again = derive_comprise(store, {"H01L", "H04N"})
-        assert again == []
-        assert len(store) == 2
-
-
 RECORDS = """\
 p100\t1999-01-01\tH04L\tinv1,inv2\tasg1
 p200\t1998-01-01\tH04L,H04N\tinv1\tasg1,asg2
@@ -270,6 +234,23 @@ class TestPortfolios:
         for portfolio in load_portfolios(path, EntityKind.INVENTOR):
             resorted = sorted(portfolio.patent_ids, key=lambda pid: (dates[pid], pid))
             assert resorted == portfolio.patent_ids
+
+    def test_collector_state_is_restored(self, tmp_path):
+        # the parse runs with the cyclic collector off; its prior state comes back, also after an error
+        good, bad = tmp_path / "r.tsv", tmp_path / "bad.tsv"
+        good.write_text(RECORDS)
+        bad.write_text("p1\t1999-13-01\tH04L\ti\ta\n")
+        was = gc.isenabled()
+        try:
+            for state in (True, False):
+                (gc.enable if state else gc.disable)()
+                load_portfolios(good, EntityKind.INVENTOR)
+                assert gc.isenabled() is state
+                with pytest.raises(ParseError):
+                    load_portfolios(bad, EntityKind.INVENTOR)
+                assert gc.isenabled() is state
+        finally:
+            (gc.enable if was else gc.disable)()
 
 
 # -- patent records: the one-sort loader against the per-record parser and per-agent sort it replaced --
@@ -425,6 +406,15 @@ class TestUniverse:
         path.write_text("H04L\n A00B\n", encoding="utf-8")
         with pytest.raises(ParseError, match=r"^line 2: group code ' A00B' "):
             load_universe(path)
+
+    def test_malformed_code(self, tmp_path):
+        # "1234" is long enough but lacks the letter-digit-digit-letter prefix
+        path = tmp_path / "u.txt"
+        for code in ("X1", "1234", "H0AL"):
+            path.write_text(f"H04L\n{code}\n", encoding="utf-8")
+            with pytest.raises(ParseError, match=f"^line 2: group code '{code}' must be >=4 chars with a "
+                                                 "letter-digit-digit-letter prefix$"):
+                load_universe(path)
 
 
 # -- fuzzing: any text yields a result or a PatkgError -----------------------

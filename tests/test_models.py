@@ -15,7 +15,7 @@ from patkg.models import (
     scores,
     weighted_gradients,
 )
-from patkg.proximity import knowledge_proximity, transform
+from patkg.proximity import knowledge_proximity, pairwise_matrix
 
 REL = RelationKind.CITE
 
@@ -124,8 +124,8 @@ class TestScoreExamples:
                  lambda: grad(p, ordinal, REL, 0), lambda: grad(p, 0, REL, ordinal),
                  lambda: weighted_gradients(p, [ordinal], REL, [0], w),
                  lambda: weighted_gradients(p, [0], REL, [ordinal], w),
-                 lambda: p.entity_row(ordinal),
-                 lambda: transform(p, bad, EntityKind.PATENT), lambda: transform(p, bad, EntityKind.INVENTOR),
+                 lambda: pairwise_matrix(p, None, [bad], EntityKind.PATENT),
+                 lambda: pairwise_matrix(p, None, [ok, bad], EntityKind.INVENTOR),
                  lambda: knowledge_proximity(p, bad, ok), lambda: knowledge_proximity(p, ok, bad)]
         for call in calls:
             with pytest.raises(UnknownOrdinal):

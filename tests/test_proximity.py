@@ -2,20 +2,20 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from patkg.errors import InvalidConfig, PatkgError, UnknownOrdinal, UnsupportedModel, ZeroVector
+from patkg.expansion import group_proximity_matrix
 from patkg.graph import EntityKind, EntityRef, RelationKind, TripleStore
-from patkg.models import ModelKind, init_params
+from patkg.models import ModelKind, _rows, init_params
 from patkg.proximity import (
     _TO_PATENT,
     TransformMode,
     TransformRule,
-    cosine,
+    _unit_rows,
     knowledge_proximity,
     nearest_neighbors,
     pairwise_matrix,
-    transform,
     transform_rule,
 )
 
@@ -42,33 +42,62 @@ def vec_params(dim=2):
     return params, vocab, refs
 
 
+def oracle_cosine(u, v):
+    """The `dot / (|u| |v|)` cosine the proximity routes computed before they shared one product."""
+    u, v = np.asarray(u, dtype=np.float64), np.asarray(v, dtype=np.float64)
+    nu, nv = np.linalg.norm(u), np.linalg.norm(v)
+    if nu == 0.0 or nv == 0.0:
+        raise ZeroVector("cosine undefined for zero-norm vector")
+    return float(np.clip(np.dot(u, v) / (nu * nv), -1.0, 1.0))
+
+
+def planted(u, v):
+    """A model of two patents whose rows are `u` and `v`, and their refs."""
+    store = TripleStore()
+    refs = [store.add_entity(E.PATENT, "p1"), store.add_entity(E.PATENT, "p2")]
+    params = init_params(ModelKind.TRANSE_L2, 2, len(u), 0, store.vocab.fingerprint())
+    params.entities[:] = [u, v]
+    return params, store.vocab, refs
+
+
+def planted_proximity(u, v):
+    params, _, (a, b) = planted(u, v)
+    return knowledge_proximity(params, a, b)
+
+
 class TestCosine:
     def test_identical(self):
-        u = np.array([1.0, 2.0, 3.0])
-        assert cosine(u, u) == 1.0
+        params, vocab, (a, _) = planted([1.0, 2.0, 3.0], [3.0, 2.0, 1.0])
+        assert knowledge_proximity(params, a, a) == 1.0
+        assert pairwise_matrix(params, vocab, [a, a], E.PATENT).tolist() == [[1.0, 1.0], [1.0, 1.0]]
 
     def test_orthogonal(self):
-        assert cosine(np.array([1.0, 0.0]), np.array([0.0, 2.0])) == 0.0
+        assert planted_proximity([1.0, 0.0], [0.0, 2.0]) == 0.0
 
     def test_opposite(self):
-        assert cosine(np.array([1.0, 0.0]), np.array([-1.0, 0.0])) == -1.0
+        assert planted_proximity([1.0, 0.0], [-1.0, 0.0]) == -1.0
 
     def test_zero_vector(self):
-        with pytest.raises(ZeroVector):
-            cosine(np.zeros(3), np.ones(3))
+        params, vocab, (a, b) = planted(np.zeros(3), np.ones(3))
+        for call in (lambda: knowledge_proximity(params, a, b), lambda: knowledge_proximity(params, b, a),
+                     lambda: knowledge_proximity(params, a, a), lambda: nearest_neighbors(params, vocab, b, 1),
+                     lambda: pairwise_matrix(params, vocab, [b, a], E.PATENT)):
+            with pytest.raises(ZeroVector):
+                call()
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(2)
         for _ in range(200):
             u, v = rng.normal(size=(2, 5))
             a, b = rng.uniform(0.01, 100.0, size=2)
-            assert abs(cosine(a * u, b * v) - cosine(u, v)) < 1e-12
+            assert abs(planted_proximity(a * u, b * v) - planted_proximity(u, v)) < 1e-12
+            assert abs(planted_proximity(u, v) - oracle_cosine(u, v)) < 1e-12
 
     def test_clamped_range(self):
         rng = np.random.default_rng(3)
         for _ in range(500):
             u, v = rng.normal(size=(2, 4))
-            assert -1.0 <= cosine(u, v) <= 1.0
+            assert -1.0 <= planted_proximity(u, v) <= 1.0
 
 
 class TestTransformRules:
@@ -125,33 +154,44 @@ class TestTransformRules:
         assert net(direct) == net(hop1 + hop2)
 
 
+def unit_of(row):
+    row = np.asarray(row, dtype=np.float64)
+    return row / np.sqrt(np.multiply(row, row).sum())
+
+
 class TestTransform:
     def test_same_kind_unchanged(self):
         params, vocab, refs = vec_params()
-        out = transform(params, refs["pat"], E.PATENT)
-        np.testing.assert_array_equal(out, params.entities[refs["pat"].ordinal])
+        for mode in TransformMode:
+            out = _unit_rows(params, [(E.PATENT, [refs["pat"].ordinal])], E.PATENT, mode)
+            np.testing.assert_array_equal(out, [unit_of(params.entities[refs["pat"].ordinal])])
 
     def test_algebra_worked_example(self):
         params, vocab, refs = vec_params()
         params.entities[refs["inv"].ordinal] = [1.0, 0.0]
         params.relations[R.WRITE]["vec"][:] = [0.0, 1.0]
-        out = transform(params, refs["inv"], E.PATENT, TransformMode.TRANSLATION_ALGEBRA)
-        np.testing.assert_array_equal(out, [1.0, 1.0])
+        out = _unit_rows(params, [(E.INVENTOR, [refs["inv"].ordinal])], E.PATENT, TransformMode.TRANSLATION_ALGEBRA)
+        np.testing.assert_array_equal(out, [unit_of([1.0, 1.0])])
+        params.entities[refs["pat"].ordinal] = [0.0, 3.0]
+        assert knowledge_proximity(params, refs["pat"], refs["inv"], TransformMode.TRANSLATION_ALGEBRA) == 1.0 / np.sqrt(2.0)
 
     def test_guide_literal_worked_example(self):
         params, vocab, refs = vec_params()
         params.entities[refs["inv"].ordinal] = [1.0, 0.0]
         params.relations[R.WRITE]["vec"][:] = [0.0, 1.0]
-        out = transform(params, refs["inv"], E.PATENT, TransformMode.GUIDE_LITERAL)
-        np.testing.assert_array_equal(out, [1.0, -1.0])
+        out = _unit_rows(params, [(E.INVENTOR, [refs["inv"].ordinal])], E.PATENT, TransformMode.GUIDE_LITERAL)
+        np.testing.assert_array_equal(out, [unit_of([1.0, -1.0])])
+        params.entities[refs["pat"].ordinal] = [0.0, 3.0]
+        assert knowledge_proximity(params, refs["pat"], refs["inv"], TransformMode.GUIDE_LITERAL) == -1.0 / np.sqrt(2.0)
 
     @pytest.mark.parametrize("kind", [ModelKind.TRANSR, ModelKind.RESCAL,
                                       ModelKind.COMPLEX, ModelKind.ROTATE])
     def test_cross_kind_rejected_for_matrix_and_complex_models(self, kind):
         vocab, refs = build_vocab()
         params = init_params(kind, len(vocab), 4, 0, vocab.fingerprint())
-        with pytest.raises(UnsupportedModel):
-            transform(params, refs["inv"], E.PATENT)
+        for focal, target in ((refs["pat"], refs["inv"]), (refs["inv"], refs["pat"])):
+            with pytest.raises(UnsupportedModel):
+                knowledge_proximity(params, focal, target)
 
     @pytest.mark.parametrize("kind", [ModelKind.TRANSR, ModelKind.RESCAL,
                                       ModelKind.COMPLEX, ModelKind.ROTATE])
@@ -173,7 +213,7 @@ class TestKnowledgeProximity:
         ab = knowledge_proximity(params, a, b)
         ba = knowledge_proximity(params, b, a)
         assert ab == ba
-        assert ab == cosine(params.entities[a.ordinal], params.entities[b.ordinal])
+        assert abs(ab - oracle_cosine(params.entities[a.ordinal], params.entities[b.ordinal])) < 1e-12
 
     def test_cross_kind_asymmetry_witness(self):
         params, vocab, refs = vec_params(dim=4)
@@ -211,8 +251,7 @@ class TestNearestNeighbors:
         params, vocab, refs = vec_params(dim=5)
         hits = nearest_neighbors(params, vocab, refs["inv"], k=4)
         for h in hits:
-            want = knowledge_proximity(params, refs["inv"], h.entity)
-            assert abs(h.proximity - want) < 1e-12
+            assert h.proximity == knowledge_proximity(params, refs["inv"], h.entity)
 
     def test_hits_carry_their_own_refs(self):
         params, vocab, refs = vec_params(dim=5)
@@ -231,7 +270,7 @@ class TestPairwiseMatrix:
     def test_identical_entities_all_ones(self):
         params, vocab, refs = vec_params()
         m = pairwise_matrix(params, vocab, [refs["pat"], refs["pat"]], E.PATENT)
-        np.testing.assert_allclose(m, 1.0, atol=1e-12)
+        np.testing.assert_array_equal(m, 1.0)
 
     def test_mixed_kinds_symmetric_unit_diagonal(self):
         params, vocab, refs = vec_params(dim=6)
@@ -239,7 +278,7 @@ class TestPairwiseMatrix:
         m = pairwise_matrix(params, vocab, entities, E.PATENT)
         assert np.isfinite(m).all()
         np.testing.assert_array_equal(m, m.T)
-        np.testing.assert_allclose(np.diag(m), 1.0, atol=1e-9)
+        np.testing.assert_array_equal(np.diag(m), 1.0)
         assert np.all(m >= -1.0) and np.all(m <= 1.0)
 
 
@@ -274,18 +313,27 @@ def oracle_relation_offset(params, steps):
     return offset
 
 
+def oracle_row(params, ordinal):
+    return _rows(params, [ordinal])[0]
+
+
 def oracle_transform(params, vocab, target, focal_kind, mode):
     rule = ORACLE_RULES[mode][(focal_kind, target.kind)]
-    row = params.entity_row(target.ordinal)
+    row = oracle_row(params, target.ordinal)
     if not rule.steps:
         return row.copy()
     return row + oracle_relation_offset(params, rule.steps)
 
 
+def oracle_knowledge_proximity(params, vocab, focal, target, mode):
+    return oracle_cosine(oracle_row(params, focal.ordinal), oracle_transform(params, vocab, target, focal.kind, mode))
+
+
 def oracle_nearest_neighbors(params, vocab, focal, k, kind_filter, mode):
+    """(ordinals, proximities) of the top k, from one GEMV per kind."""
     if k < 1:
         raise InvalidConfig("k must be >= 1")
-    focal_row = params.entity_row(focal.ordinal)
+    focal_row = oracle_row(params, focal.ordinal)
     focal_norm = np.linalg.norm(focal_row)
     if focal_norm == 0.0:
         raise ZeroVector("focal embedding has zero norm")
@@ -313,6 +361,7 @@ def oracle_nearest_neighbors(params, vocab, focal, k, kind_filter, mode):
 
 
 def oracle_pairwise_matrix(params, vocab, entities, common_kind, mode):
+    """A GEMM of unit rows, symmetrized, with a unit diagonal."""
     rows = np.stack([oracle_transform(params, vocab, e, common_kind, mode) for e in entities])
     norms = np.linalg.norm(rows, axis=1, keepdims=True)
     if np.any(norms == 0.0):
@@ -325,17 +374,11 @@ def oracle_pairwise_matrix(params, vocab, entities, common_kind, mode):
 
 
 def outcome(call, *args):
-    """`call(*args)` as bytes-comparable values, or the error's type and message."""
+    """`call(*args)`, or the type of the PatkgError it raised."""
     try:
-        result = call(*args)
+        return call(*args)
     except PatkgError as exc:
-        return type(exc), str(exc)
-    if isinstance(result, list):  # NeighborHits
-        return (np.array([h.entity.ordinal for h in result], dtype=np.int64).tobytes(),
-                np.array([h.proximity for h in result]).tobytes())
-    if isinstance(result, tuple):
-        return tuple(a.tobytes() for a in result)
-    return result.tobytes()
+        return type(exc)
 
 
 def test_rules_match_table_oracle():
@@ -371,21 +414,33 @@ def ghost(vocab):
 
 @given(case=moved_cases())
 def test_moved_rows_match_oracle(case):
+    """Every route raises what the old routes raised and agrees with them within 1e-12; the
+    neighbors are the top k of the new values, whose order may differ from the old one only
+    among values within 1e-12 of each other."""
     params, vocab, focal, common_kind, mode, kind_filter, k, entities = case
     # an ordinal outside the table fails on the row read before any model check
-    targets = list(vocab.refs) + [ghost(vocab)]
-    for target in targets:
-        assert outcome(transform, params, target, focal.kind, mode) == outcome(
-            oracle_transform, params, vocab, target, focal.kind, mode)
-    assert outcome(nearest_neighbors, params, vocab, focal, k, kind_filter, mode) == outcome(
-        oracle_nearest_neighbors, params, vocab, focal, k, kind_filter, mode)
+    for target in list(vocab.refs) + [ghost(vocab)]:
+        got = outcome(knowledge_proximity, params, focal, target, mode)
+        want = outcome(oracle_knowledge_proximity, params, vocab, focal, target, mode)
+        assert got == want if isinstance(want, type) else abs(got - want) < 1e-12
+    hits = outcome(nearest_neighbors, params, vocab, focal, k, kind_filter, mode)
+    ranked = outcome(oracle_nearest_neighbors, params, vocab, focal, len(vocab), kind_filter, mode)
+    if isinstance(ranked, type):
+        assert hits == ranked
+    else:
+        old = dict(zip(ranked[0].tolist(), ranked[1].tolist()))
+        assert len(hits) == min(k, len(old))
+        assert all(abs(h.proximity - old[h.entity.ordinal]) < 1e-12 for h in hits)
+        rest = [value for ordinal, value in old.items() if ordinal not in {h.entity.ordinal for h in hits}]
+        assert all(value <= hits[-1].proximity + 2e-12 for value in rest)
     expected = outcome(oracle_pairwise_matrix, params, vocab, entities, common_kind, mode)
     if ghost(vocab) in entities:  # every row is read before any is moved, so the ghost wins wherever it is
-        expected = (UnknownOrdinal, "ordinal outside entity table")
-    assert outcome(pairwise_matrix, params, vocab, entities, common_kind, mode) == expected
-    if not params.spec.vector_relations and any(t.kind is not focal.kind for t in vocab.refs):
-        with pytest.raises(UnsupportedModel):
-            transform(params, next(t for t in vocab.refs if t.kind is not focal.kind), focal.kind, mode)
+        expected = UnknownOrdinal
+    got = outcome(pairwise_matrix, params, vocab, entities, common_kind, mode)
+    if isinstance(expected, type):
+        assert got == expected
+    else:
+        np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-12)
 
 
 def test_pairwise_matrix_reads_every_row_before_moving_any():
@@ -395,6 +450,65 @@ def test_pairwise_matrix_reads_every_row_before_moving_any():
     params = init_params(ModelKind.RESCAL, len(vocab), 2, 0, vocab.fingerprint())
     entities = [refs["inv"], ghost(vocab)]
     mode = TransformMode.TRANSLATION_ALGEBRA
-    assert outcome(oracle_pairwise_matrix, params, vocab, entities, E.PATENT, mode)[0] is UnsupportedModel
-    assert outcome(pairwise_matrix, params, vocab, entities, E.PATENT, mode) == (
-        UnknownOrdinal, "ordinal outside entity table")
+    assert outcome(oracle_pairwise_matrix, params, vocab, entities, E.PATENT, mode) is UnsupportedModel
+    assert outcome(pairwise_matrix, params, vocab, entities, E.PATENT, mode) is UnknownOrdinal
+
+
+@st.composite
+def routed_pairs(draw):
+    """A model with normal-drawn rows over 1-3 entities of each kind (at least two groups), a
+    focal entity, a mode, and the targets every route can reach from it: every entity on a
+    model whose relations are vectors, the focal's own kind on any other."""
+    kind = draw(st.sampled_from(list(ModelKind)))
+    store = TripleStore()
+    for entity_kind in E:
+        for i in range(draw(st.integers(2 if entity_kind is E.GROUP else 1, 3))):
+            store.add_entity(entity_kind, f"{entity_kind.value[0]}{i}")
+    vocab = store.vocab
+    params = init_params(kind, len(vocab), draw(st.integers(1, 40)), 0, vocab.fingerprint())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    params.entities[:] = rng.normal(size=params.entities.shape) * rng.uniform(0.1, 10.0, size=(len(vocab), 1))
+    for blocks in params.relations.values():
+        for block in blocks.values():
+            block[...] = rng.normal(size=block.shape)
+    focal = draw(st.sampled_from(vocab.refs))
+    targets = [t for t in vocab.refs if params.spec.vector_relations or t.kind is focal.kind]
+    return params, vocab, focal, draw(st.sampled_from(list(TransformMode))), targets
+
+
+def odd_dim_case():
+    """Cross-kind pairs on a dim-7 TransE_L2 model, every kind present."""
+    vocab, _ = build_vocab()
+    params = init_params(ModelKind.TRANSE_L2, len(vocab), 7, 3, vocab.fingerprint())
+    return params, vocab, vocab.refs[0], TransformMode.TRANSLATION_ALGEBRA, vocab.refs
+
+
+@given(case=routed_pairs())
+@example(case=odd_dim_case())
+def test_every_route_gives_one_value_per_pair(case):
+    params, vocab, focal, mode, targets = case
+    kinds = {t.kind for t in targets}
+    hits = {h.entity.ordinal: h.proximity for h in nearest_neighbors(params, vocab, focal, len(vocab), kinds, mode)}
+    matrix = pairwise_matrix(params, vocab, [focal] + targets, focal.kind, mode)
+    codes = [r.source_id for r in vocab.refs if r.kind is E.GROUP]
+    raw = group_proximity_matrix(params, vocab, codes, floor_negative=False)
+    floored = group_proximity_matrix(params, vocab, codes)
+    for m in (matrix, raw, floored):
+        np.testing.assert_array_equal(m, m.T)
+        np.testing.assert_array_equal(np.diag(m), 1.0)
+    assert set(hits) == {t.ordinal for t in targets} - {focal.ordinal}
+    for j, target in enumerate(targets, start=1):
+        value = knowledge_proximity(params, focal, target, mode)
+        bits = np.float64(value).tobytes()
+        assert matrix[0, j].tobytes() == bits
+        if target.ordinal == focal.ordinal:
+            assert value == 1.0
+        else:
+            assert np.float64(hits[target.ordinal]).tobytes() == bits
+            assert abs(value - oracle_knowledge_proximity(params, vocab, focal, target, mode)) < 1e-12
+    groups = [vocab.refs[vocab.ordinal_of(E.GROUP, code)] for code in codes]
+    for i, a in enumerate(groups):
+        for j, b in enumerate(groups):
+            value = knowledge_proximity(params, a, b, mode)
+            assert raw[i, j].tobytes() == np.float64(value).tobytes()
+            assert floored[i, j] == max(value, 0.0)
