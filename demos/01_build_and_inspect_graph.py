@@ -20,8 +20,10 @@ from pathlib import Path
 
 from patkg import (
     EntityKind,
+    RelationKind,
     Side,
     SplitSpec,
+    Triple,
     generate_synthetic,
     load_store,
     sample_corrupt,
@@ -57,13 +59,15 @@ with tempfile.TemporaryDirectory() as tmp:
           clone.vocab.fingerprint() == store.vocab.fingerprint())
     print("sample line:", path.read_text().splitlines()[0])
 
-# Deterministic 90/10 split: a pure function of contents and seed.
+# Deterministic 90/10 split: a pure function of contents and seed. The
+# held-out triples come back as (heads, relation codes, tails) int64 columns.
 train_store, test = split(store, SplitSpec(test_fraction=0.10, seed=7))
-print(f"\nsplit: {len(train_store)} train / {len(test)} test")
+heads, rels, tails = test
+print(f"\nsplit: {len(train_store)} train / {len(heads)} test")
 
-# Corrupt a test triple on the tail side, staying within the same kind:
-# the sampler returns the replacement tails as an int64 ordinal array.
-triple = test[0]
+# Corrupt the first held-out triple on the tail side, staying within the same
+# kind: the sampler returns the replacement tails as an int64 ordinal array.
+triple = Triple(int(heads[0]), list(RelationKind)[rels[0]], int(tails[0]))
 corrupts = sample_corrupt(store, triple, n=5, side=Side.TAIL, rng_seed=3)
 print(f"\ntrue triple: {triple}")
 for ordinal in corrupts.tolist():

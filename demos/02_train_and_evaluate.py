@@ -30,7 +30,7 @@ store = generate_synthetic(
     seed=11,
 )
 train_store, test = split(store, SplitSpec(0.10, seed=1))
-print(f"training on {len(train_store)} triples, evaluating {len(test)}")
+print(f"training on {len(train_store)} triples, evaluating {len(test[0])}")
 
 print(f"\n{'model':12s} {'loss':12s} {'MR':>7s} {'MRR':>7s} {'hits@10':>8s}")
 for kind in (ModelKind.TRANSE_L2, ModelKind.DISTMULT, ModelKind.ROTATE):

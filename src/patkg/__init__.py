@@ -33,7 +33,7 @@ from .ingestion import (
 )
 from .models import ModelKind, ModelParams, grad, init_params, score, scores
 from .trainer import LossKind, TrainConfig, TrainReport, default_config, train
-from .evaluator import EvalConfig, EvalReport, RankRecord, Sides, TieRule, evaluate, rank_target
+from .evaluator import EvalConfig, EvalReport, Sides, TieRule, evaluate, rank_target
 from .proximity import (
     NeighborHit,
     TransformMode,

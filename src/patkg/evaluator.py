@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import logging
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from itertools import product
 
@@ -29,7 +29,8 @@ from .graph import (
     Side,
     Triple,
     TripleStore,
-    check_ends,
+    _range_rule,
+    _unknown_row,
     sample_corrupt,
 )
 from .models import ModelParams, _rows
@@ -52,6 +53,7 @@ class TieRule(Enum):
 
 
 _SIDES = {Sides.HEAD_ONLY: (Side.HEAD,), Sides.TAIL_ONLY: (Side.TAIL,), Sides.BOTH: (Side.HEAD, Side.TAIL)}
+_SIDE_CODES = {Side.HEAD: 0, Side.TAIL: 1}  # a query's side in its key and in `EvalReport.records`
 _TIE_SHARE = {TieRule.MIDPOINT: 0.5, TieRule.OPTIMISTIC: 0.0, TieRule.PESSIMISTIC: 1.0}  # of ties ranked above
 
 
@@ -71,14 +73,6 @@ class EvalConfig:
             raise InvalidConfig(f"seed {self.seed} outside [-2**63, 2**63)")
 
 
-@dataclass(frozen=True, slots=True)
-class RankRecord:
-    triple: Triple
-    side: Side
-    rank: float
-    n_corrupts: int
-
-
 @dataclass(slots=True)
 class RelationMetrics:
     queries: int
@@ -95,7 +89,8 @@ class EvalReport:
     n_queries: int
     per_relation: dict[RelationKind, RelationMetrics]
     config: EvalConfig
-    records: list[RankRecord] = field(default_factory=list)
+    # per ranked query, in query order: test row, side code (`_SIDE_CODES`), rank, corruption count
+    records: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     clamped: int = 0  # queries whose pool held fewer than K candidates, ranked exhaustively
     skipped: int = 0  # queries with an empty pool, left unranked
 
@@ -126,14 +121,7 @@ def rank_target(
 def _record_state(seed: int, triple: Triple, side: Side) -> tuple[int, int]:
     """PCG64 (state, inc) of one query: the first and last 16 bytes of the query's 32-byte BLAKE2b
     key, read little-endian, the increment made odd, which gives the stream its full period."""
-    payload = struct.pack(
-        "<qqqqq",
-        seed,
-        triple.head,
-        RELATION_INDEX[triple.relation],
-        triple.tail,
-        0 if side is Side.HEAD else 1,
-    )
+    payload = struct.pack("<5q", seed, triple.head, RELATION_INDEX[triple.relation], triple.tail, _SIDE_CODES[side])
     digest = hashlib.blake2b(payload, digest_size=32).digest()
     return int.from_bytes(digest[:16], "little"), int.from_bytes(digest[16:], "little") | 1
 
@@ -148,33 +136,30 @@ def _metrics(sorted_ranks: np.ndarray) -> RelationMetrics:
     )
 
 
-def evaluate(
-    params: ModelParams,
-    test: list[Triple],
-    store: TripleStore,
-    config: EvalConfig = EvalConfig(),
-) -> EvalReport:
-    """Rank every test triple on the requested sides and aggregate.
+def evaluate(params: ModelParams, test, store: TripleStore, config: EvalConfig = EvalConfig()) -> EvalReport:
+    """Rank every row of `test`, equal-length (heads, relation codes, tails) int columns such as
+    `split`'s, on the requested sides and aggregate.
 
-    Each query draws its corruptions with `sample_corrupt` from a PCG64
-    generator set to `_record_state(config.seed, triple, side)`, so its
-    draws depend on nothing else. When K exceeds a triple's candidate pool
-    it is clamped to the pool (with a warning), which makes the ranking
-    exhaustive for that query; a query with an empty pool is skipped. The
-    report counts both. UnknownEntity names the first test triple, in test
-    order, with an ordinal outside the vocabulary.
+    Each query draws its corruptions with `sample_corrupt` from a PCG64 generator set to
+    `_record_state(config.seed, triple, side)`, so its draws depend on nothing else. When K exceeds
+    a query's pool it is clamped to the pool (with a warning), ranking it exhaustively; a query with
+    an empty pool is skipped. The report counts both. Before any query, the first row that
+    `TripleStore.add_triples`' range rule refuses, even an int beyond int64, raises UnknownEntity.
     """
-    if not test:
+    columns, in_range = _range_rule(*test, len(store.vocab))
+    if len(in_range) == 0:
         raise EmptyTestSet("no test triples")
     check_fingerprint(params, store.vocab)
-    for triple in test:
-        check_ends(store, triple)  # before any key is packed: every ordinal fits int64
+    if not in_range.all():
+        raise _unknown_row(columns, int(np.argmin(in_range)))
+    heads, rels, tails = columns
+    triples = [Triple(h, RELATIONS[r], t) for h, r, t in zip(heads.tolist(), rels.tolist(), tails.tolist())]
 
     bits = np.random.PCG64()
     rng = np.random.Generator(bits)
     skipped = 0
-    records: list[RankRecord] = []
-    for triple, side in product(test, _SIDES[config.sides]):
+    ranked = []  # (test row, side code, rank, corruption count) per ranked query
+    for (row, triple), side in product(enumerate(triples), _SIDES[config.sides]):
         state, inc = _record_state(config.seed, triple, side)
         bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
         try:
@@ -184,20 +169,20 @@ def evaluate(
             skipped += 1  # nothing to corrupt with; query is unrankable
             continue
         rank = rank_target(params, triple, side, corrupts, config.tie_rule)
-        records.append(RankRecord(triple, side, rank, len(corrupts)))
-    if not records:
+        ranked.append((row, _SIDE_CODES[side], rank, len(corrupts)))
+    if not ranked:
         raise PoolTooSmall("every query had an empty corruption pool")
-    clamped = sum(r.n_corrupts < config.corruptions_per_side for r in records)
+    records = rows, _, ranks, n_corrupts = tuple(np.array(column) for column in zip(*ranked))
+    clamped = int(np.count_nonzero(n_corrupts < config.corruptions_per_side))
     if skipped:
         log.warning("skipped %d queries with an empty corruption pool", skipped)
     if clamped:
         log.warning(
             "K=%d exceeded the candidate pool for %d of %d queries; clamped to exhaustive ranking",
-            config.corruptions_per_side, clamped, len(records),
+            config.corruptions_per_side, clamped, len(ranks),
         )
 
-    ranks = np.array([r.rank for r in records])
-    codes = np.array([RELATION_INDEX[r.triple.relation] for r in records])
+    codes = rels[rows]
     order = np.lexsort((ranks, codes))  # by relation, then rank: one ascending slice per relation
     ranks = ranks[order]
     bounds = np.searchsorted(codes[order], np.arange(len(RELATIONS) + 1))
@@ -207,7 +192,7 @@ def evaluate(
         mr=overall.mr,
         mrr=overall.mrr,
         hits=overall.hits,
-        n_queries=len(records),
+        n_queries=len(ranks),
         per_relation=per_relation,
         config=config,
         records=records,

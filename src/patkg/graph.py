@@ -279,9 +279,24 @@ def first_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return first, ordered
 
 
-def _as_triples(heads: np.ndarray, rels: np.ndarray, tails: np.ndarray) -> list[Triple]:
-    """`Triple` values of int64 (head, relation code, tail) columns, row by row."""
-    return [Triple(h, RELATIONS[r], t) for h, r, t in zip(heads.tolist(), rels.tolist(), tails.tolist())]
+def _range_rule(heads, rels, tails, n: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """The columns broadcast, and whether each row names ordinals in [0, n) and a relation code. A column
+    holding an int beyond int64 is compared as Python ints; if every row is in range, every column is int64."""
+    columns = []
+    for values in (heads, rels, tails):
+        try:
+            columns.append(np.asarray(values, dtype=np.int64))
+        except OverflowError:
+            columns.append(np.asarray(values, dtype=object))
+    h, r, t = columns = np.broadcast_arrays(*columns)
+    return columns, (h >= 0) & (h < n) & (t >= 0) & (t < n) & (r >= 0) & (r < len(RELATIONS))
+
+
+def _unknown_row(columns: tuple[np.ndarray, ...], i: int) -> UnknownEntity:
+    row = tuple(int(c[i]) for c in columns)
+    error = UnknownEntity(f"row {row}: ordinal outside the vocabulary or unknown relation")
+    error.row = i
+    return error
 
 
 class TripleStore:
@@ -305,13 +320,11 @@ class TripleStore:
     def __len__(self) -> int:
         return len(self.heads)
 
-    def __contains__(self, t: Triple) -> bool:
-        return bool(self.contains(t.head, RELATION_INDEX[t.relation], t.tail))
-
     @property
     def triples(self) -> list[Triple]:
         """Every triple in insertion order, built anew on each read."""
-        return _as_triples(self.heads, self.rels, self.tails)
+        columns = self.heads.tolist(), self.rels.tolist(), self.tails.tolist()
+        return [Triple(h, RELATIONS[r], t) for h, r, t in zip(*columns)]
 
     def contains(self, heads, rels, tails) -> np.ndarray:
         """Membership of each (head, relation code, tail) row, as bools."""
@@ -335,14 +348,15 @@ class TripleStore:
         (UnknownEntity), fit the relation's schema, do not cite yourself (SchemaViolation),
         repeat neither a stored triple nor an earlier row (DuplicateTriple). The first
         failing row raises for the first rule it breaks; the exception's `row` is its index.
+        Ordinals are checked as given, so an int beyond int64 breaks the first rule too.
         """
-        heads, rels, tails = np.broadcast_arrays(*(np.asarray(c, dtype=np.int64) for c in (heads, rels, tails)))
+        columns, in_range = _range_rule(heads, rels, tails, len(self.vocab))
+        # a row out of range reads 0 in every int64 column: it breaks the first rule whatever it reads
+        heads, rels, tails = columns if in_range.all() else [np.where(in_range, c, 0).astype(np.int64) for c in columns]
         keys = pack_keys(heads, rels, tails)
-        n = len(self.vocab)
-        in_range = (heads >= 0) & (heads < n) & (tails >= 0) & (tails < n) & (rels >= 0) & (rels < len(RELATIONS))
-        # (head, tail) kinds against the relation's; rows out of range read the appended -1
-        kinds = np.append(np.array(self.vocab.kinds, dtype=np.int8), -1)[np.where(in_range, [heads, tails], -1)]
-        off_schema = (kinds != _SCHEMA_CODES[np.where(in_range, rels, 0)].T).any(axis=0)
+        # (head, tail) kinds against the relation's; the appended -1 is read as entity 0 of an empty vocabulary
+        kinds = np.append(np.array(self.vocab.kinds, dtype=np.int8), -1)[np.stack([heads, tails])]
+        off_schema = (kinds != _SCHEMA_CODES[rels].T).any(axis=0)
         self_cite = (rels == RELATION_INDEX[RelationKind.CITE]) & (heads == tails)
         first, ordered = first_rows(keys)
         duplicate = ~first | self.contains(heads, rels, tails)  # repeats an earlier row or a stored triple
@@ -351,7 +365,7 @@ class TripleStore:
             i = int(np.argmax(rule > 0))
             h, r, t = int(heads[i]), int(rels[i]), int(tails[i])
             if rule[i] == 1:
-                error = UnknownEntity(f"row {(h, r, t)}: ordinal outside the vocabulary or unknown relation")
+                error = _unknown_row(columns, i)
             elif rule[i] == 2:
                 (want_head, want_tail), kinds = RELATION_SCHEMA[RELATIONS[r]], self.vocab.kinds
                 error = SchemaViolation(f"{RELATIONS[r].value} requires {want_head.value}->{want_tail.value}, "
@@ -405,8 +419,8 @@ def stats(store: TripleStore) -> StoreStats:
     return StoreStats(entity_counts, relation_counts, len(store.vocab), len(store))
 
 
-def split(store: TripleStore, spec: SplitSpec) -> tuple[TripleStore, list[Triple]]:
-    """Partition the store into a train store and a held-out test list.
+def split(store: TripleStore, spec: SplitSpec) -> tuple[TripleStore, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Partition the store into a train store and the held-out (heads, relation codes, tails) int64 columns.
 
     |test| = round(test_fraction * |triples|). The split is a pure function
     of the triple set and the seed: triples are put in canonical order
@@ -424,14 +438,7 @@ def split(store: TripleStore, spec: SplitSpec) -> tuple[TripleStore, list[Triple
     train = TripleStore(store.vocab)
     train.add_triples(store.heads[rows], store.rels[rows], store.tails[rows])
     held = canonical[is_test]
-    return train, _as_triples(store.heads[held], store.rels[held], store.tails[held])
-
-
-def check_ends(store: TripleStore, t: Triple) -> None:
-    """UnknownEntity if `t` names an ordinal outside the store's vocabulary."""
-    n = len(store.vocab)
-    if not (0 <= t.head < n and 0 <= t.tail < n):
-        raise UnknownEntity(f"{t}: ordinal outside the vocabulary")
+    return train, (store.heads[held], store.rels[held], store.tails[held])
 
 
 def corruption_candidates(
@@ -440,8 +447,9 @@ def corruption_candidates(
     """Ascending ordinals that may replace `side` of `t`: the pool minus the original
     entity and, if `filtered`, minus every entity that would rebuild a stored triple.
     UnknownEntity if `t` names an ordinal outside the vocabulary."""
-    check_ends(store, t)
     vocab = store.vocab
+    if not (0 <= t.head < len(vocab) and 0 <= t.tail < len(vocab)):
+        raise UnknownEntity(f"{t}: ordinal outside the vocabulary")
     original, fixed = (t.head, t.tail) if side is Side.HEAD else (t.tail, t.head)
     if pool is CandidatePool.SAME_KIND:
         candidates = vocab.ordinals_of_kind(KINDS[vocab.kinds[original]])

@@ -85,6 +85,7 @@ def _unit_rows(params: ModelParams, groups: list[tuple[EntityKind, Sequence[int]
     Every row is read before any is moved, so an ordinal outside the table raises before a model
     that cannot move rows does; one zero-norm check then covers every moved row. Norms are
     row-wise sums, as in `_cosines`, so a row's unit bits do not depend on the rows beside it.
+    A row whose plain sum of squares is subnormal, zero or infinite is first divided by its largest magnitude.
     """
     rows = _rows(params, *(ordinals for _, ordinals in groups))
     start = 0
@@ -102,10 +103,15 @@ def _unit_rows(params: ModelParams, groups: list[tuple[EntityKind, Sequence[int]
                 offset += sign * params.relations[rel]["vec"]
             rows[start:stop] += offset
         start = stop
-    norms = np.sqrt(np.multiply(rows, rows).sum(axis=-1, keepdims=True))
-    if np.any(norms == 0.0):
+    with np.errstate(over="ignore"):  # an infinite sum is rescaled below
+        squares = np.multiply(rows, rows).sum(axis=-1)
+    far = (squares < np.finfo(np.float64).tiny) | np.isinf(squares)
+    scales = np.abs(rows[far]).max(axis=-1, keepdims=True)
+    if not scales.all():
         raise ZeroVector("embedding has zero norm after transformation")
-    return rows / norms
+    rows[far] /= scales
+    squares[far] = np.multiply(rows[far], rows[far]).sum(axis=-1)
+    return rows / np.sqrt(squares)[:, None]
 
 
 def _cosines(unit: np.ndarray, other: np.ndarray) -> np.ndarray:

@@ -82,5 +82,4 @@ def trained_models(accept_store):
 def accept_test_sample(accept_store):
     rng = np.random.default_rng(0)
     idx = rng.choice(len(accept_store), size=400, replace=False)
-    triples = accept_store.triples
-    return [triples[i] for i in idx]
+    return tuple(column[idx] for column in accept_store.triple_arrays())

@@ -560,9 +560,11 @@ def _drawn_case(draw, argv, roles, flags):
         argv += tokens
         good = good and ok
     broken = FILE_VARIANTS | st.just(("unknown", 0))
-    variants = {role: ("valid", 0) if clean_files else draw(broken if role == "listing" else FILE_VARIANTS)
-                for role in roles}
-    return tuple(argv), variants, good and all(v == ("valid", 0) for v in variants.values())
+    # a column file is drawn beside clean files too, and left out of `valid`: any one must act as a missing one
+    variants = {role: draw(FILE_VARIANTS) if role == "columns" else ("valid", 0) if clean_files
+                else draw(broken if role == "listing" else FILE_VARIANTS) for role in roles}
+    valid = good and all(v == ("valid", 0) for role, v in variants.items() if role != "columns")
+    return tuple(argv), variants, valid
 
 
 @st.composite

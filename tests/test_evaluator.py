@@ -8,12 +8,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
-from test_graph import micro_store, reference_candidates
+from test_graph import micro_store, reference_candidates, triples_of
 
 from patkg.errors import EmptyTestSet, FingerprintMismatch, PoolTooSmall, UnknownEntity, UnknownOrdinal
 from patkg.evaluator import (
     EvalConfig,
-    RankRecord,
     Sides,
     TieRule,
     _metrics,
@@ -22,6 +21,7 @@ from patkg.evaluator import (
     rank_target,
 )
 from patkg.graph import (
+    RELATIONS,
     CandidatePool,
     EntityKind,
     RelationKind,
@@ -38,6 +38,11 @@ from patkg.models import ModelKind, _rows, init_params, score, scores
 
 def fixed_params(store, kind=ModelKind.TRANSE_L2, dim=8, seed=21):
     return init_params(kind, len(store.vocab), dim, seed, store.vocab.fingerprint())
+
+
+def rows_of(store, rows=slice(None)):
+    """The store's (heads, relation codes, tails) columns at `rows`, as `evaluate` takes them."""
+    return tuple(column[rows] for column in store.triple_arrays())
 
 
 @pytest.fixture(scope="module")
@@ -169,7 +174,7 @@ class TestAggregates:
 
     def test_evaluate_report_fields(self, toy):
         store, params = toy
-        report = evaluate(params, store.triples[:40], store, EvalConfig(corruptions_per_side=5, seed=3))
+        report = evaluate(params, rows_of(store, slice(40)), store, EvalConfig(corruptions_per_side=5, seed=3))
         assert report.n_queries == 80
         assert 1.0 <= report.mr <= 6.0
         assert 0.0 < report.mrr <= 1.0
@@ -179,29 +184,28 @@ class TestAggregates:
     def test_rank_bounds(self, toy):
         store, params = toy
         K = 7
-        report = evaluate(params, store.triples[:60], store,
+        report = evaluate(params, rows_of(store, slice(60)), store,
                           EvalConfig(corruptions_per_side=K, seed=5))
-        for record in report.records:
-            assert 1.0 <= record.rank <= K + 1
+        ranks = report.records[2]
+        assert len(ranks) == report.n_queries and ((1.0 <= ranks) & (ranks <= K + 1)).all()
 
     def test_seed_determinism(self, toy):
         store, params = toy
         cfg = EvalConfig(corruptions_per_side=6, seed=11)
-        a = evaluate(params, store.triples[:30], store, cfg)
-        b = evaluate(params, store.triples[:30], store, cfg)
+        a = evaluate(params, rows_of(store, slice(30)), store, cfg)
+        b = evaluate(params, rows_of(store, slice(30)), store, cfg)
         assert a.mr == b.mr and a.mrr == b.mrr and a.hits == b.hits
 
     def test_order_independence(self, toy):
         store, params = toy
         cfg = EvalConfig(corruptions_per_side=6, seed=11)
-        test = store.triples[:30]
-        a = evaluate(params, test, store, cfg)
-        b = evaluate(params, list(reversed(test)), store, cfg)
+        a = evaluate(params, rows_of(store, slice(30)), store, cfg)
+        b = evaluate(params, rows_of(store, slice(29, None, -1)), store, cfg)
         assert a.mr == b.mr and a.mrr == b.mrr
 
     def test_sides_selection(self, toy):
         store, params = toy
-        test = store.triples[:10]
+        test = rows_of(store, slice(10))
         head = evaluate(params, test, store, EvalConfig(corruptions_per_side=5, sides=Sides.HEAD_ONLY, seed=2))
         both = evaluate(params, test, store, EvalConfig(corruptions_per_side=5, sides=Sides.BOTH, seed=2))
         assert head.n_queries == 10
@@ -211,18 +215,18 @@ class TestAggregates:
         store, params = toy
         other = generate_synthetic(1, 4, 2, 1, 0.0, 0.0, seed=1)
         with pytest.raises(FingerprintMismatch):
-            evaluate(params, store.triples[:5], other, EvalConfig(seed=0))
+            evaluate(params, rows_of(store, slice(5)), other, EvalConfig(seed=0))
 
     def test_empty_test_set(self, toy):
         store, params = toy
         with pytest.raises(EmptyTestSet):
-            evaluate(params, [], store, EvalConfig(seed=0))
+            evaluate(params, ([], [], []), store, EvalConfig(seed=0))
 
 
 def exhaustive_oracle(params, test, store, sides=(Side.HEAD, Side.TAIL), tie=TieRule.MIDPOINT):
     """Score every same-kind candidate with scalar calls; direct formulas."""
     ranks = []
-    for triple in test:
+    for triple in triples_of(test):
         for side in sides:
             original = triple.head if side is Side.HEAD else triple.tail
             kind = store.vocab.refs[original].kind
@@ -266,13 +270,14 @@ class TestFilteredMode:
         # can only improve (or keep) the true entity's rank
         store = generate_synthetic(5, 4, 3, 2, 0.4, 0.1, seed=44)
         params = fixed_params(store, kind=ModelKind.DISTMULT, dim=6, seed=44)
-        test = store.triples[::4][:20]
+        test = rows_of(store, slice(None, 80, 4))
         raw = evaluate(params, test, store, EvalConfig(corruptions_per_side=10_000, seed=1))
         filt = evaluate(params, test, store,
                         EvalConfig(corruptions_per_side=10_000, filtered=True, seed=1))
-        for a, b in zip(raw.records, filt.records):
-            assert b.rank <= a.rank
-            assert b.n_corrupts <= a.n_corrupts
+        for a, b in zip(raw.records[:2], filt.records[:2]):
+            np.testing.assert_array_equal(a, b)  # the same queries, in the same order
+        assert (filt.records[2] <= raw.records[2]).all()
+        assert (filt.records[3] <= raw.records[3]).all()
         assert filt.mr <= raw.mr
 
 
@@ -281,7 +286,7 @@ class TestOracleEquivalence:
     def test_full_pool_equals_exhaustive(self, kind):
         store = generate_synthetic(5, 4, 3, 2, 0.4, 0.1, seed=33)
         params = fixed_params(store, kind=kind, dim=6, seed=33)
-        test = store.triples[::3][:25]
+        test = rows_of(store, slice(None, 75, 3))
         # K far beyond every pool: clamped to the full pool per query
         report = evaluate(params, test, store, EvalConfig(corruptions_per_side=10_000, seed=1))
         want = exhaustive_oracle(params, test, store)
@@ -298,15 +303,15 @@ class TestClampedAndSkipped:
         store = micro_store()
         params = fixed_params(store)
         with caplog.at_level(logging.WARNING, logger="patkg.evaluator"):
-            report = evaluate(params, store.triples, store,
+            report = evaluate(params, store.triple_arrays(), store,
                               EvalConfig(corruptions_per_side=2, filtered=True, seed=1))
         assert (report.n_queries, report.clamped, report.skipped) == (9, 2, 5)
         assert [r.getMessage() for r in caplog.records] == [
             "skipped 5 queries with an empty corruption pool",
             "K=2 exceeded the candidate pool for 2 of 9 queries; clamped to exhaustive ranking",
         ]
-        assert sorted(r.n_corrupts for r in report.records) == [1, 1] + [2] * 7
-        raw = evaluate(params, store.triples, store, EvalConfig(corruptions_per_side=2, seed=1))
+        assert sorted(report.records[3].tolist()) == [1, 1] + [2] * 7
+        raw = evaluate(params, store.triple_arrays(), store, EvalConfig(corruptions_per_side=2, seed=1))
         assert (raw.n_queries, raw.clamped, raw.skipped) == (9, 0, 5)
 
 
@@ -321,6 +326,15 @@ def query_generator(seed, triple, side):
     return np.random.Generator(bits)
 
 
+def record_rows(records):
+    """`EvalReport.records` as one (test row, side code, rank, corruption count) tuple per query."""
+    return list(zip(*(column.tolist() for column in records)))
+
+
+def side_code(side):
+    return 0 if side is Side.HEAD else 1
+
+
 def sampled_oracle(params, test, store, config):
     """Records as the per-triple evaluator built them, for every TieRule at once.
 
@@ -330,7 +344,7 @@ def sampled_oracle(params, test, store, config):
     """
     facts = {(t.head, t.relation, t.tail) for t in store.triples}
     records = {tie: [] for tie in TieRule}
-    for triple in test:
+    for row, triple in enumerate(triples_of(test)):
         for side in ORACLE_SIDES[config.sides]:
             candidates = reference_candidates(store, facts, triple, side, config.pool, config.filtered)
             if not candidates:
@@ -347,22 +361,23 @@ def sampled_oracle(params, test, store, config):
             for tie, rank in ((TieRule.MIDPOINT, 1.0 + better + ties / 2.0),
                               (TieRule.OPTIMISTIC, 1.0 + better),
                               (TieRule.PESSIMISTIC, 1.0 + better + ties)):
-                records[tie].append(RankRecord(triple, side, rank, k))
+                records[tie].append((row, side_code(side), rank, k))
     return records
 
 
-def rescan_oracle(records, n_queries, k):
+def rescan_oracle(records, test, n_queries, k):
     """The report's aggregates as the evaluator once took them: one rescan of the
     records per relation, clamped counted per query, skipped as the queries left unranked."""
+    triples = triples_of(test)
     per_relation = {}
     for rel in RelationKind:
-        rel_ranks = np.sort([r.rank for r in records if r.triple.relation is rel])
+        rel_ranks = np.sort([rank for row, _, rank, _ in records if triples[row].relation is rel])
         if rel_ranks.size:
             per_relation[rel] = _metrics(rel_ranks)
-    overall = _metrics(np.sort([r.rank for r in records]))
+    overall = _metrics(np.sort([rank for _, _, rank, _ in records]))
     clamped = 0
-    for r in records:
-        clamped += r.n_corrupts < k
+    for _, _, _, n_corrupts in records:
+        clamped += n_corrupts < k
     return (overall.mr, overall.mrr, overall.hits, per_relation, clamped, n_queries - len(records))
 
 
@@ -370,7 +385,7 @@ def loop_oracle(params, test, store, config):
     """Records built one query at a time: a fresh generator in each query's state, through
     `sample_corrupt(rng=...)`, ranked with the repeated fixed row."""
     records = []
-    for triple in test:
+    for row, triple in enumerate(triples_of(test)):
         for side in ORACLE_SIDES[config.sides]:
             try:
                 corrupts = sample_corrupt(store, triple, config.corruptions_per_side, side, pool=config.pool,
@@ -378,7 +393,7 @@ def loop_oracle(params, test, store, config):
             except PoolTooSmall:
                 continue
             rank = rank_with_repeat(params, triple, side, corrupts, config.tie_rule)
-            records.append(RankRecord(triple, side, rank, len(corrupts)))
+            records.append((row, side_code(side), rank, len(corrupts)))
     return records
 
 
@@ -387,7 +402,7 @@ def loop_oracle(params, test, store, config):
 def test_records_equal_sampled_oracle(pool, filtered):
     store = generate_synthetic(3, 12, 4, 2, 0.3, 0.05, seed=5)
     train_store, held_out = split(store, SplitSpec(0.2, seed=1))
-    test = held_out + train_store.triples[::4]
+    test = tuple(np.concatenate((held, train[::4])) for held, train in zip(held_out, train_store.triple_arrays()))
     for kind in ModelKind:
         params = fixed_params(store, kind=kind, dim=4, seed=5)
         # entries in {-1, 0, 1}: many exact ties, and DistMult's scores are exact, so its scalar scores agree
@@ -401,13 +416,14 @@ def test_records_equal_sampled_oracle(pool, filtered):
                 for tie in TieRule:
                     report = evaluate(params, test, store, replace(config, tie_rule=tie))
                     records = loop_oracle(params, test, store, replace(config, tie_rule=tie))
-                    assert report.records == records
+                    assert [c.dtype for c in report.records] == [np.int64, np.int64, np.float64, np.int64]
+                    assert record_rows(report.records) == records
                     if want is not None:
                         assert records == want[tie]
                     got = (report.mr, report.mrr, report.hits, report.per_relation, report.clamped, report.skipped)
-                    assert got == rescan_oracle(records, len(test) * len(ORACLE_SIDES[sides]), 20)
+                    assert got == rescan_oracle(records, test, len(test[0]) * len(ORACLE_SIDES[sides]), 20)
                 if want is not None:
-                    assert [r.rank for r in want[TieRule.OPTIMISTIC]] != [r.rank for r in want[TieRule.PESSIMISTIC]]
+                    assert [r[2] for r in want[TieRule.OPTIMISTIC]] != [r[2] for r in want[TieRule.PESSIMISTIC]]
                 if pool is CandidatePool.SAME_KIND and sides is Sides.BOTH:
                     assert report.clamped > 0 and report.skipped > 0  # the 57-entity pool never runs short of K=20
 
@@ -431,26 +447,42 @@ def test_record_state_is_the_blake2b_digest_of_the_query(seed, triple, side):
 @given(seed=st.integers(-2**63, 2**63 - 1), filtered=st.booleans(), data=st.data())
 def test_a_querys_record_depends_only_on_the_query(toy, seed, filtered, data):
     store, params = toy
-    test = store.triples[:16]
+    test = rows_of(store, slice(16))
+    triples = triples_of(test)
     config = EvalConfig(corruptions_per_side=4, filtered=filtered, seed=seed)
-    full = {(r.triple, r.side): r for r in evaluate(params, test, store, config).records}
-    shuffled = data.draw(st.permutations(test))
-    repeated = data.draw(st.permutations(test + data.draw(st.lists(st.sampled_from(test), min_size=1, max_size=8))))
-    half = len(test) // 2
-    for variant in (shuffled, repeated, test[:half], test[half:]):
-        records = evaluate(params, variant, store, config).records
-        assert [(r.triple, r.side) for r in records] == [(t, side) for t in variant for side in Side
-                                                         if (t, side) in full]
-        assert all(full[(r.triple, r.side)] == r for r in records)
+    full = {(triples[row], side): record
+            for row, side, *record in record_rows(evaluate(params, test, store, config).records)}
+    rows = list(range(16))
+    shuffled = data.draw(st.permutations(rows))
+    repeated = data.draw(st.permutations(rows + data.draw(st.lists(st.sampled_from(rows), min_size=1, max_size=8))))
+    first, second = rows[:8], rows[8:]
+    for variant in (shuffled, repeated, first, second):
+        columns = tuple(column[variant] for column in test)
+        if variant is second:
+            columns = tuple(column.tolist() for column in columns)  # plain int lists are columns too
+        records = record_rows(evaluate(params, columns, store, config).records)
+        assert [(row, side) for row, side, _, _ in records] == [
+            (row, side) for row, i in enumerate(variant) for side in (0, 1) if (triples[i], side) in full]
+        assert all(full[(triples[variant[row]], side)] == record for row, side, *record in records)
 
 
 def test_unknown_entity_names_the_first_bad_triple():
+    # evaluate checks its rows with `TripleStore.add_triples`' rule, even ints beyond int64
     store = micro_store()
     params = fixed_params(store)
-    n = len(store.vocab)
-    good = store.triples[0]
-    bad = [Triple(h, RelationKind.CITE, t) for h, t in ((2**63, 1), (1, 2**64), (-2**63 - 1, 1), (-1, 1), (0, n))]
+    n, cite = len(store.vocab), RELATIONS.index(RelationKind.CITE)
+    good = [(1, cite, 0), (1, cite, 2)]  # rows the store lacks, so `add_triples` would take them
+    ordinals = (-1, n, 2**63, -2**63 - 1, 2**64)
+    bad = [(o, cite, 1) for o in ordinals] + [(1, cite, o) for o in ordinals] + [(0, -1, 1), (0, 5, 1)]
+    before = [c.copy() for c in store.triple_arrays()]
     for first in bad:
         for later in bad:
-            with pytest.raises(UnknownEntity, match=f"^{re.escape(str(first))}: ordinal outside the vocabulary$"):
-                evaluate(params, [good, first, good, later], store, EvalConfig(corruptions_per_side=2, seed=1))
+            heads, rels, tails = (list(c) for c in zip(good[0], first, good[1], later))
+            message = f"^row {re.escape(str(first))}: ordinal outside the vocabulary or unknown relation$"
+            with pytest.raises(UnknownEntity, match=message) as caught:
+                evaluate(params, (heads, rels, tails), store, EvalConfig(corruptions_per_side=2, seed=1))
+            assert caught.value.row == 1
+            with pytest.raises(UnknownEntity, match=message) as caught:
+                store.add_triples(heads, rels, tails)
+            assert caught.value.row == 1
+    assert all(np.array_equal(a, b) for a, b in zip(store.triple_arrays(), before))

@@ -85,6 +85,20 @@ class TestCosine:
             with pytest.raises(ZeroVector):
                 call()
 
+    @pytest.mark.parametrize("scale", [1e-170, 1e200], ids=["tiny", "huge"])
+    def test_rows_whose_plain_sum_of_squares_under_or_overflows(self, scale):
+        # the squares of these rows sum to 0 or to inf in float64; every route still reads 1/sqrt(2)
+        store = TripleStore()
+        a, b = store.add_entity(E.GROUP, "A01A"), store.add_entity(E.GROUP, "B01B")
+        params = init_params(ModelKind.TRANSE_L2, 2, 2, 0, store.vocab.fingerprint())
+        params.entities[:] = [[scale, 0.0], [scale, scale]]
+        values = [knowledge_proximity(params, a, b), knowledge_proximity(params, b, a),
+                  nearest_neighbors(params, store.vocab, a, 1)[0].proximity,
+                  nearest_neighbors(params, store.vocab, b, 1)[0].proximity,
+                  *pairwise_matrix(params, store.vocab, [a, b], E.GROUP)[[0, 1], [1, 0]],
+                  *group_proximity_matrix(params, store.vocab, ["A01A", "B01B"])[[0, 1], [1, 0]]]
+        assert values == [0.7071067811865475] * 8
+
     def test_scale_invariance(self):
         rng = np.random.default_rng(2)
         for _ in range(200):

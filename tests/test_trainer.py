@@ -115,7 +115,6 @@ class TestTrain:
     def test_learning_signal_on_held_out(self, small_store):
         # held-out positives end up scoring above random same-kind corruptions
         from patkg.graph import SplitSpec, split
-        from patkg.graph import RelationKind
 
         train_store, test = split(small_store, SplitSpec(0.2, seed=1))
         cfg = small_config(epochs=40, learning_rate=2.0, dim=16)
@@ -123,10 +122,11 @@ class TestTrain:
         rng = np.random.default_rng(0)
         pools = _kind_pools(small_store)
         pos, neg = [], []
-        for t in test:
-            pos.append(scores(params, np.array([t.head]), t.relation, np.array([t.tail]))[0])
-            corrupt = _draw_replacements(rng, pools[t.relation][1], np.array([t.tail]))
-            neg.append(scores(params, np.array([t.head]), t.relation, corrupt)[0])
+        for head, code, tail in zip(*(column.tolist() for column in test)):
+            rel = RELATIONS[code]
+            pos.append(scores(params, np.array([head]), rel, np.array([tail]))[0])
+            corrupt = _draw_replacements(rng, pools[rel][1], np.array([tail]))
+            neg.append(scores(params, np.array([head]), rel, corrupt)[0])
         assert np.mean(pos) > np.mean(neg)
 
     def test_empty_store(self):
