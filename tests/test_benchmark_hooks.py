@@ -75,9 +75,11 @@ def test_tracer_targets_resolve(tracer):
         assert missing == [], f"patkg.{owner} lacks {missing}"
 
 
-def test_microbench_run_runs_traced(tracer, tmp_path):
+@pytest.fixture(scope="module")
+def microbench_run(tracer, tmp_path_factory):
     # `microbench.run` on a tiny store, archive, records file and universe; microbench is imported
     # after the tracer is installed, as its `from patkg.x import f` names must be traced too
+    tmp_path = tmp_path_factory.mktemp("microbench")
     store_path, archive_path = tmp_path / "store.tsv", tmp_path / "model.kge"
     records, universe = tmp_path / "records.tsv", tmp_path / "universe.txt"
     built = generate_synthetic(2, 8, 3, 2, 0.3, 0.05, seed=4)
@@ -96,13 +98,21 @@ def test_microbench_run_runs_traced(tracer, tmp_path):
                                                  ids[EntityKind.INVENTOR], ids[EntityKind.PATENT], tmp_path, 1)
     finally:
         spans.uninstall()
-    benchmark = json.loads((PERFBENCH.parent / "BENCHMARK.json").read_text(encoding="utf-8"))
-    per_layer = {metric["name"] for metric in benchmark["per_layer"]}
-    assert set(out) <= per_layer and all(np.isfinite(v) and v > 0 for v in out.values()), out
-    work = {name: work for name, _, _, _, _, work in spans.spans}
+    return out, {name: work for name, _, _, _, _, work in spans.spans}
+
+
+def test_microbench_expansion_calls_run_traced(microbench_run):
+    _, work = microbench_run
     assert work["expansion.profile_from_phi"] == 3  # the longest portfolio: i1's p2, p1 and p3
     assert {"ingestion.load_universe", "ingestion.load_portfolios", "ingestion.parse_patent_records",
             "expansion.group_proximity_matrix", "proximity.pairwise_matrix", "expansion.percentiles"} <= set(work)
+
+
+def test_microbench_store_model_and_eval_calls_run_traced(microbench_run):
+    out, work = microbench_run
+    benchmark = json.loads((PERFBENCH.parent / "BENCHMARK.json").read_text(encoding="utf-8"))
+    per_layer = {metric["name"] for metric in benchmark["per_layer"]}
+    assert set(out) <= per_layer and all(np.isfinite(v) and v > 0 for v in out.values()), out
     assert {"ingestion.load_store", "models.scores", "models.weighted_gradients", "graph.sample_corrupt",
             "evaluator.rank_target", "archive.save_archive", "archive.load_archive",
             "proximity.nearest_neighbors", "proximity.pairwise_matrix"} <= set(work)
