@@ -18,12 +18,12 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from patkg import cli
-from patkg.archive import load_archive
+from patkg.archive import load_archive, save_archive
 from patkg.cli import main
 from patkg.errors import ArchiveError
 from patkg.graph import RelationKind, generate_synthetic
-from patkg.ingestion import write_triples_file
-from patkg.models import SPECS, ModelKind
+from patkg.ingestion import parse_triples_file, write_triples_file
+from patkg.models import SPECS, ModelKind, init_params
 from patkg.reports import fnum
 from patkg.trainer import default_config
 
@@ -798,6 +798,130 @@ class TestExpansionCommand:
         universe.write_text(f"{code}\n  # c\nA00B\nA00C\n", encoding="utf-8")
         assert run_cli("expansion", arc, portfolios, universe, tmp_path / "exp.txt",
                        "--agent-kind", "inventor", "--min-patents", "2") == 0
+
+
+GOLDEN_GROUPS = ["A01A", "B01B", "C01C", "D01D", "E01E", "F01F"]
+
+# inv3 and asg3 hold one patent each (below --min-patents 2); inv4 never leaves A01A
+GOLDEN_RECORDS = """\
+p0\t1980-01-01\tA01A\tinv1\tasg1
+p1\t1981-01-01\tB01B\tinv1,inv3\tasg1
+p2\t1982-01-01\tC01C,D01D\tinv1,inv2\tasg2
+p3\t1983-01-01\tE01E\tinv2\tasg2
+p4\t1984-01-01\tA01A\tinv2,inv4\tasg1
+p5\t1985-01-01\tF01F\tinv1\tasg2
+p6\t1986-01-01\tB01B\tinv2\tasg2
+p7\t1987-01-01\tA01A\tinv4\tasg3
+"""
+
+GOLDEN_OUTPUTS = {
+    "inventor": {
+        "exp.txt": """\
+patkg expansion-report
+min_patents: 2
+agent_class: inventor
+agents: 2
+model\tcombined_auc\texplainability\tprofile_entries
+distmult\t0.5\t0.5\t7
+transe_l2\t0.470238095238\t0.5\t7
+""",
+        "exp_inventor_cdf.csv": """\
+model,x,proportion
+distmult,0,1
+distmult,0.166666666667,0.714285714286
+distmult,0.5,0.571428571429
+distmult,0.833333333333,0.428571428571
+distmult,1,0.285714285714
+transe_l2,0,1
+transe_l2,0.166666666667,0.857142857143
+transe_l2,0.25,0.714285714286
+transe_l2,0.375,0.571428571429
+transe_l2,0.666666666667,0.428571428571
+transe_l2,0.833333333333,0.285714285714
+transe_l2,1,0.142857142857
+""",
+        "exp_inventor_profiles.csv": """\
+model,position,percentile
+distmult,1,0.5
+distmult,2,0.166666666667
+distmult,3,1
+distmult,4,1
+distmult,5,0.833333333333
+distmult,6,0
+distmult,7,0
+transe_l2,1,0.375
+transe_l2,2,0.166666666667
+transe_l2,3,0.666666666667
+transe_l2,4,1
+transe_l2,5,0.833333333333
+transe_l2,6,0.25
+transe_l2,7,0
+""",
+    },
+    "assignee": {
+        "exp.txt": """\
+patkg expansion-report
+min_patents: 2
+agent_class: assignee
+agents: 2
+model\tcombined_auc\texplainability\tprofile_entries
+distmult\t0.833333333333\t1\t4
+transe_l2\t0.364583333333\t0\t4
+""",
+        "exp_assignee_cdf.csv": """\
+model,x,proportion
+distmult,0,1
+distmult,0.5,1
+distmult,0.833333333333,0.75
+distmult,1,0.5
+transe_l2,0,1
+transe_l2,0.25,0.75
+transe_l2,0.375,0.5
+transe_l2,0.833333333333,0.25
+transe_l2,1,0
+""",
+        "exp_assignee_profiles.csv": """\
+model,position,percentile
+distmult,1,0.5
+distmult,2,0.833333333333
+distmult,3,1
+distmult,4,1
+transe_l2,1,0.375
+transe_l2,2,0.833333333333
+transe_l2,3,0.25
+transe_l2,4,0
+""",
+    },
+    "nobody": {"exp.txt": "patkg expansion-report\nmin_patents: 100000\n"},
+}
+
+
+@pytest.fixture(scope="module")
+def golden_study_inputs(tmp_path_factory):
+    """Two archives whose group rows are small integers, so every proximity is exact up to
+    one rounding, plus the records and universe of GOLDEN_RECORDS."""
+    tmp = tmp_path_factory.mktemp("golden")
+    (tmp / "g.tsv").write_text("".join(f"group:{g}\tcontain\tpatent:q{i}\n" for i, g in enumerate(GOLDEN_GROUPS)))
+    vocab = parse_triples_file(tmp / "g.tsv").vocab
+    archives = []
+    for kind, step, mod in ((ModelKind.TRANSE_L2, 7, 5), (ModelKind.DISTMULT, 3, 7)):
+        params = init_params(kind, len(vocab), 3, 0, vocab.fingerprint())
+        params.entities[:] = np.arange(params.entities.size).reshape(params.entities.shape) * step % mod - mod // 2
+        save_archive(tmp / f"{kind.value}.kge", params, vocab)
+        archives.append(tmp / f"{kind.value}.kge")
+    (tmp / "p.tsv").write_text(GOLDEN_RECORDS)
+    (tmp / "u.txt").write_text("\n".join(GOLDEN_GROUPS) + "\n")
+    return archives, tmp / "p.tsv", tmp / "u.txt"
+
+
+@pytest.mark.parametrize("run, agent_kind, min_patents", [
+    ("inventor", "inventor", 2), ("assignee", "assignee", 2), ("nobody", "inventor", 100000)])
+def test_expansion_outputs_keep_their_bytes(golden_study_inputs, tmp_path, run, agent_kind, min_patents):
+    # a run with no eligible agent writes the two-line report and no CSV
+    archives, portfolios, universe = golden_study_inputs
+    assert run_cli("expansion", *archives, portfolios, universe, tmp_path / "exp.txt",
+                   "--agent-kind", agent_kind, "--min-patents", min_patents) == 0
+    assert {f.name: f.read_text() for f in tmp_path.iterdir()} == GOLDEN_OUTPUTS[run]
 
 
 class TestDeterminism:
