@@ -40,8 +40,8 @@ for focal, target in [
     (EntityKind.INVENTOR, EntityKind.ASSIGNEE),
     (EntityKind.SUBSECTION, EntityKind.PATENT),
 ]:
-    rule = transform_rule(focal, target, TransformMode.TRANSLATION_ALGEBRA)
-    steps = " ".join(f"{'+' if s > 0 else '-'}{rel.value}" for rel, s in rule.steps)
+    steps = " ".join(f"{'+' if s > 0 else '-'}{rel.value}"
+                     for rel, s in transform_rule(focal, target, TransformMode.TRANSLATION_ALGEBRA))
     print(f"  {focal.value:10s} <- {target.value:10s}: emb(target) {steps}")
 
 # Nearest neighborhood of an inventor: its own patents should surface.

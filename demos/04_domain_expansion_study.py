@@ -81,13 +81,12 @@ for a in range(25):
 
 report = run_study(store.vocab, portfolios, universe,
                    {"informed": informed, "uninformed": uninformed}, min_patents=10)
-result = report.classes[EntityKind.INVENTOR]
-print(f"\nstudy over {len(result.agent_ids)} agents:")
+print(f"\nstudy over {len(report.agent_ids)} agents:")
 print(f"{'model':12s} {'combined AUC':>13s} {'explainability':>15s}")
-for name in sorted(result.combined_auc):
-    print(f"{name:12s} {result.combined_auc[name]:13.3f} {result.explainability[name]:15.2f}")
+for name in sorted(report.combined_auc):
+    print(f"{name:12s} {report.combined_auc[name]:13.3f} {report.explainability[name]:15.2f}")
 
-profile = result.combined_profiles["informed"]
+profile = report.combined_profiles["informed"]
 print("\ninformed model CDF samples (x, share of profile >= x):")
 samples = cumulative_distribution(profile)
 for x, share in samples[:: max(1, len(samples) // 6)]:

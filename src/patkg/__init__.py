@@ -37,7 +37,6 @@ from .evaluator import EvalConfig, EvalReport, Sides, TieRule, evaluate, rank_ta
 from .proximity import (
     NeighborHit,
     TransformMode,
-    TransformRule,
     knowledge_proximity,
     nearest_neighbors,
     pairwise_matrix,

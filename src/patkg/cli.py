@@ -222,11 +222,10 @@ def _cmd_expansion(args) -> int:
     )
     reports.write_text(args.out_report_path, reports.expansion_report_text(report))
     out = Path(args.out_report_path)
-    for kind in report.classes:
-        reports.write_text(out.with_name(f"{out.stem}_{kind.value}_cdf.csv"),
-                           reports.expansion_cdf_csv(report, kind))
-        reports.write_text(out.with_name(f"{out.stem}_{kind.value}_profiles.csv"),
-                           reports.expansion_profiles_csv(report, kind))
+    if report.agent_ids:
+        stem = f"{out.stem}_{report.agent_kind.value}"
+        reports.write_text(out.with_name(f"{stem}_cdf.csv"), reports.expansion_cdf_csv(report))
+        reports.write_text(out.with_name(f"{stem}_profiles.csv"), reports.expansion_profiles_csv(report))
     print(f"expansion study over {len(models)} model(s) -> {args.out_report_path}")
     return 0
 

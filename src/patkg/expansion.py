@@ -229,22 +229,17 @@ def explainability(per_agent_auc: dict[str, dict[str, float]]) -> dict[str, floa
 
 
 @dataclass(slots=True)
-class ClassResult:
-    """Per-agent-class study outputs, keyed by model name."""
+class ExpansionReport:
+    """Study outputs for one agent class, keyed by model name; empty when no agent remains."""
 
+    min_patents: int
+    agent_kind: EntityKind | None  # None when no portfolio was given
     agent_ids: list[str]
     combined_auc: dict[str, float]
     explainability: dict[str, float]
     combined_profiles: dict[str, ExpansionProfile]
-
-
-@dataclass(slots=True)
-class ExpansionReport:
-    classes: dict[EntityKind, ClassResult]
-    min_patents: int
-    # agents excluded per agent kind, for both kinds whether or not `classes` has them
-    below_min_patents: dict[EntityKind, int]  # holding fewer than min_patents patents
-    never_expanded: dict[EntityKind, int]  # eligible, but their profiles are empty
+    below_min_patents: int  # agents holding fewer than min_patents patents
+    never_expanded: int  # eligible agents whose profiles are empty
 
 
 def run_study(
@@ -255,17 +250,18 @@ def run_study(
     min_patents: int = 30,
     floor_negative: bool = True,
 ) -> ExpansionReport:
-    """Full study: per-agent profiles, combined AUC and explainability per model.
+    """Full study over portfolios of one agent kind: per-agent profiles, combined AUC and
+    explainability per model.
 
     Agents below `min_patents` or whose profiles never expand are
-    excluded and counted per agent kind; a class none of whose agents
-    remain has no entry in `classes`. All model fingerprints must match
-    the one vocabulary.
+    excluded and counted. All model fingerprints must match the one vocabulary.
     """
     if min_patents < 0:
         raise InvalidConfig(f"min_patents must be >= 0, got {min_patents}")
     if not universe:
         raise InvalidConfig("the group universe must hold at least one group code")
+    if len({p.agent_kind for p in portfolios}) > 1:
+        raise InvalidConfig("portfolios must all be of one agent kind")
     if not models:
         raise InconsistentModelSets("no models given")
     for params in models.values():
@@ -274,33 +270,23 @@ def run_study(
     # a list, not one (m, n, n) array: a contiguous stack cannot reuse the heap holes the
     # matrices' temporaries leave, and it raised the study's peak RSS by about 3 MB at 650 groups
     phis = [group_proximity_matrix(params, vocab, universe, floor_negative) for params in models.values()]
-    report = ExpansionReport({}, min_patents, below_min_patents={}, never_expanded={})
-    for agent_kind in (EntityKind.INVENTOR, EntityKind.ASSIGNEE):
-        of_kind = [p for p in portfolios if p.agent_kind is agent_kind]
-        members = sorted((p for p in of_kind if len(p) >= min_patents), key=lambda p: p.agent_id)
-        report.below_min_patents[agent_kind] = len(of_kind) - len(members)
-        report.never_expanded[agent_kind] = 0
-        profiles: dict[str, list[ExpansionProfile]] = {name: [] for name in models}
-        agent_ids: list[str] = []
-        per_agent_auc: dict[str, dict[str, float]] = {}
-        for portfolio in members:
-            by_model = dict(zip(models, profile_from_phi(phis, portfolio, universe)))
-            if len(next(iter(by_model.values()))) == 0:
-                report.never_expanded[agent_kind] += 1  # profile length is model-independent
-                continue
-            agent_ids.append(portfolio.agent_id)
-            per_agent_auc[portfolio.agent_id] = {
-                name: auc(profile) for name, profile in by_model.items()
-            }
-            for name, profile in by_model.items():
-                profiles[name].append(profile)
-        if not agent_ids:
+    members = sorted((p for p in portfolios if len(p) >= min_patents), key=lambda p: p.agent_id)
+    report = ExpansionReport(min_patents, portfolios[0].agent_kind if portfolios else None, agent_ids=[],
+                             combined_auc={}, explainability={}, combined_profiles={},
+                             below_min_patents=len(portfolios) - len(members), never_expanded=0)
+    profiles: dict[str, list[ExpansionProfile]] = {name: [] for name in models}
+    per_agent_auc: dict[str, dict[str, float]] = {}
+    for portfolio in members:
+        by_model = dict(zip(models, profile_from_phi(phis, portfolio, universe)))
+        if len(next(iter(by_model.values()))) == 0:
+            report.never_expanded += 1  # profile length is model-independent
             continue
-        combined_profiles = {name: combine(profiles[name]) for name in models}
-        report.classes[agent_kind] = ClassResult(
-            agent_ids=agent_ids,
-            combined_auc={name: auc(p) for name, p in combined_profiles.items()},
-            explainability=explainability(per_agent_auc),
-            combined_profiles=combined_profiles,
-        )
+        report.agent_ids.append(portfolio.agent_id)
+        per_agent_auc[portfolio.agent_id] = {name: auc(profile) for name, profile in by_model.items()}
+        for name, profile in by_model.items():
+            profiles[name].append(profile)
+    if report.agent_ids:
+        report.combined_profiles = {name: combine(profiles[name]) for name in models}
+        report.combined_auc = {name: auc(p) for name, p in report.combined_profiles.items()}
+        report.explainability = explainability(per_agent_auc)
     return report

@@ -279,16 +279,28 @@ def first_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return first, ordered
 
 
+def _int_column(values) -> np.ndarray:
+    """A triple column as int64, or as Python ints when one lies beyond int64. Anything but a
+    one-dimensional column of integers (a float or bool column, say) raises InvalidConfig."""
+    column = given = np.asarray(values)
+    integral = given.dtype.kind == "i" or given.size == 0
+    if not integral:  # numpy reads a list holding an int beyond int64 as uint64, float64 or object
+        column = np.array(values, dtype=object)
+        integral = all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in column.flat)
+    if given.ndim != 1 or not integral:
+        raise InvalidConfig(f"a triple column must be one-dimensional integers, got {given.dtype} {given.shape}")
+    try:
+        return column.astype(np.int64, copy=False)
+    except OverflowError:
+        return column
+
+
 def _range_rule(heads, rels, tails, n: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-    """The columns broadcast, and whether each row names ordinals in [0, n) and a relation code. A column
-    holding an int beyond int64 is compared as Python ints; if every row is in range, every column is int64."""
-    columns = []
-    for values in (heads, rels, tails):
-        try:
-            columns.append(np.asarray(values, dtype=np.int64))
-        except OverflowError:
-            columns.append(np.asarray(values, dtype=object))
-    h, r, t = columns = np.broadcast_arrays(*columns)
+    """The columns, and whether each row names ordinals in [0, n) and a relation code. Columns of unequal
+    length raise InvalidConfig; if every row is in range, every column is int64."""
+    h, r, t = columns = tuple(map(_int_column, (heads, rels, tails)))
+    if not len(h) == len(r) == len(t):
+        raise InvalidConfig(f"triple columns differ in length: {len(h)}, {len(r)}, {len(t)}")
     return columns, (h >= 0) & (h < n) & (t >= 0) & (t < n) & (r >= 0) & (r < len(RELATIONS))
 
 
@@ -342,7 +354,7 @@ class TripleStore:
         self.add_triples([t.head], [RELATION_INDEX[t.relation]], [t.tail])
 
     def add_triples(self, heads, rels, tails) -> None:
-        """Append (head, relation code, tail) rows, all or none; a scalar column is broadcast.
+        """Append (head, relation code, tail) rows, all or none; non-integer or unequal columns raise InvalidConfig.
 
         The row rules, in check order: name vocabulary ordinals and a relation code
         (UnknownEntity), fit the relation's schema, do not cite yourself (SchemaViolation),

@@ -49,15 +49,10 @@ class TransformMode(Enum):
     TRANSLATION_ALGEBRA = "translation_algebra"
 
 
-@dataclass(frozen=True, slots=True)
-class TransformRule:
-    focal_kind: EntityKind
-    target_kind: EntityKind
-    steps: tuple[tuple[RelationKind, int], ...]
-
+Steps = tuple[tuple[RelationKind, int], ...]  # signed relation steps: a row moves by sum(sign * relation vector)
 
 # Signed steps taking each kind to its patent-equivalent under h + r = t.
-_TO_PATENT: dict[EntityKind, tuple[tuple[RelationKind, int], ...]] = {
+_TO_PATENT: dict[EntityKind, Steps] = {
     EntityKind.PATENT: (),
     EntityKind.INVENTOR: ((RelationKind.WRITE, +1),),
     EntityKind.ASSIGNEE: ((RelationKind.OWN, +1),),
@@ -67,15 +62,15 @@ _TO_PATENT: dict[EntityKind, tuple[tuple[RelationKind, int], ...]] = {
 
 
 def transform_rule(focal_kind: EntityKind, target_kind: EntityKind,
-                   mode: TransformMode = TransformMode.TRANSLATION_ALGEBRA) -> TransformRule:
+                   mode: TransformMode = TransformMode.TRANSLATION_ALGEBRA) -> Steps:
     """Signed steps taking a `target_kind` row to its patent-equivalent, then on to `focal_kind`."""
-    steps: tuple[tuple[RelationKind, int], ...] = ()
+    steps: Steps = ()
     if focal_kind is not target_kind:
         from_patent = tuple((rel, -sign) for rel, sign in reversed(_TO_PATENT[focal_kind]))
         steps = _TO_PATENT[target_kind] + from_patent
     if mode is TransformMode.GUIDE_LITERAL:
         steps = tuple((rel, -sign) for rel, sign in steps)
-    return TransformRule(focal_kind, target_kind, steps)
+    return steps
 
 
 def _unit_rows(params: ModelParams, groups: list[tuple[EntityKind, Sequence[int]]], into: EntityKind,
@@ -91,7 +86,7 @@ def _unit_rows(params: ModelParams, groups: list[tuple[EntityKind, Sequence[int]
     start = 0
     for kind, ordinals in groups:
         stop = start + len(ordinals)
-        steps = transform_rule(into, kind, mode).steps
+        steps = transform_rule(into, kind, mode)
         if steps:
             if not params.spec.vector_relations:
                 raise UnsupportedModel(
@@ -138,7 +133,6 @@ def knowledge_proximity(
 @dataclass(frozen=True, slots=True)
 class NeighborHit:
     entity: EntityRef
-    kind: EntityKind
     proximity: float
 
 
@@ -169,7 +163,7 @@ def nearest_neighbors(
     proximities = _cosines(unit[1:], unit[0])
     order = np.lexsort((ordinals, -proximities))[:k]
     refs = [vocab.ref(ordinals[i]) for i in order]
-    return [NeighborHit(ref, ref.kind, float(proximities[i])) for ref, i in zip(refs, order)]
+    return [NeighborHit(ref, float(proximities[i])) for ref, i in zip(refs, order)]
 
 
 def pairwise_matrix(

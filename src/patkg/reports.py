@@ -79,8 +79,8 @@ def train_report_text(report: TrainReport) -> str:
 def neighbors_tsv(hits: list[NeighborHit]) -> str:
     lines = ["rank\tentity\tkind\tproximity"]
     for rank, hit in enumerate(hits, start=1):
-        label = f"{hit.entity.kind.value}:{hit.entity.source_id}"
-        lines.append(f"{rank}\t{label}\t{hit.kind.value}\t{fnum(hit.proximity)}")
+        kind = hit.entity.kind.value
+        lines.append(f"{rank}\t{kind}:{hit.entity.source_id}\t{kind}\t{fnum(hit.proximity)}")
     return "\n".join(lines) + "\n"
 
 
@@ -102,35 +102,30 @@ def embeddings_tsv(params: ModelParams, vocab: Vocabulary,
 
 def expansion_report_text(report: ExpansionReport) -> str:
     lines = ["patkg expansion-report", f"min_patents: {report.min_patents}"]
-    for agent_kind in (EntityKind.INVENTOR, EntityKind.ASSIGNEE):
-        result = report.classes.get(agent_kind)
-        if result is None:
-            continue
-        lines.append(f"agent_class: {agent_kind.value}")
-        lines.append(f"agents: {len(result.agent_ids)}")
+    if report.agent_ids:
+        lines.append(f"agent_class: {report.agent_kind.value}")
+        lines.append(f"agents: {len(report.agent_ids)}")
         lines.append("model\tcombined_auc\texplainability\tprofile_entries")
-        for name in sorted(result.combined_auc):
-            lines.append(f"{name}\t{fnum(result.combined_auc[name])}\t{fnum(result.explainability[name])}\t"
-                         f"{len(result.combined_profiles[name])}")
+        for name in sorted(report.combined_auc):
+            lines.append(f"{name}\t{fnum(report.combined_auc[name])}\t{fnum(report.explainability[name])}\t"
+                         f"{len(report.combined_profiles[name])}")
     return "\n".join(lines) + "\n"
 
 
-def expansion_cdf_csv(report: ExpansionReport, agent_kind: EntityKind) -> str:
+def expansion_cdf_csv(report: ExpansionReport) -> str:
     """`model,x,proportion` rows of each model's combined-profile CDF."""
-    result = report.classes[agent_kind]
     lines = ["model,x,proportion"]
-    for name in sorted(result.combined_profiles):
-        for x, proportion in cumulative_distribution(result.combined_profiles[name]):
+    for name in sorted(report.combined_profiles):
+        for x, proportion in cumulative_distribution(report.combined_profiles[name]):
             lines.append(f"{name},{fnum(x)},{fnum(proportion)}")
     return "\n".join(lines) + "\n"
 
 
-def expansion_profiles_csv(report: ExpansionReport, agent_kind: EntityKind) -> str:
+def expansion_profiles_csv(report: ExpansionReport) -> str:
     """`model,position,percentile` rows of each model's combined profile."""
-    result = report.classes[agent_kind]
     lines = ["model,position,percentile"]
-    for name in sorted(result.combined_profiles):
-        for i, pp in enumerate(result.combined_profiles[name].entries, start=1):
+    for name in sorted(report.combined_profiles):
+        for i, pp in enumerate(report.combined_profiles[name].entries, start=1):
             lines.append(f"{name},{i},{fnum(pp)}")
     return "\n".join(lines) + "\n"
 

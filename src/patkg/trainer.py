@@ -172,15 +172,12 @@ def _sgd_batch(params: ModelParams, cfg: TrainConfig,
     touched_blocks = [block for rel, _ in present for block in params.relations[rel].values()]
     if cfg.l2_coefficient > 0.0:
         rows = params.entities[touched]
-        sq = float((rows**2).sum())
-        for block in touched_blocks:
-            sq += float((block**2).sum())
-        loss += cfg.l2_coefficient * sq
+        blocks = [rows, *touched_blocks]
+        loss += cfg.l2_coefficient * sum(float((block**2).sum()) for block in blocks)
         decay = cfg.learning_rate * 2.0 * cfg.l2_coefficient
-        rows -= decay * rows
-        params.entities[touched] = rows
-        for block in touched_blocks:
+        for block in blocks:
             block -= decay * block
+        params.entities[touched] = rows
 
     lr = cfg.learning_rate
     for rel, sel in present:

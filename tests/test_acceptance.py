@@ -333,11 +333,10 @@ def test_criterion_09_expansion_discrimination():
 
         report = run_study(store.vocab, portfolios, universe,
                            {"oracle": oracle, "random": random_model}, min_patents=30)
-        result = report.classes[EntityKind.INVENTOR]
-        assert len(result.agent_ids) == 60
-        assert result.combined_auc["oracle"] > 0.9
-        assert abs(result.combined_auc["random"] - 0.5) <= 0.05
-        assert result.explainability["oracle"] >= 0.95
+        assert report.agent_kind is EntityKind.INVENTOR and len(report.agent_ids) == 60
+        assert report.combined_auc["oracle"] > 0.9
+        assert abs(report.combined_auc["random"] - 0.5) <= 0.05
+        assert report.explainability["oracle"] >= 0.95
 
 
 # -----------------------------------------------------------------------

@@ -10,7 +10,14 @@ import pytest
 from hypothesis import example, given, strategies as st
 from test_graph import micro_store, reference_candidates, triples_of
 
-from patkg.errors import EmptyTestSet, FingerprintMismatch, PoolTooSmall, UnknownEntity, UnknownOrdinal
+from patkg.errors import (
+    EmptyTestSet,
+    FingerprintMismatch,
+    InvalidConfig,
+    PoolTooSmall,
+    UnknownEntity,
+    UnknownOrdinal,
+)
 from patkg.evaluator import (
     EvalConfig,
     Sides,
@@ -485,4 +492,22 @@ def test_unknown_entity_names_the_first_bad_triple():
             with pytest.raises(UnknownEntity, match=message) as caught:
                 store.add_triples(heads, rels, tails)
             assert caught.value.row == 1
+    assert all(np.array_equal(a, b) for a, b in zip(store.triple_arrays(), before))
+
+
+@pytest.mark.parametrize("shape", ["float", "bool", "short heads", "long tails", "scalar"])
+def test_columns_must_be_integers_of_one_length(shape):
+    # a float column was truncated (`add_triples([0.9], [0], [1.2])` stored (0, cite, 1)) and columns of
+    # unequal length were broadcast (1-long heads and relations beside 4 tails ranked 8 queries)
+    store = micro_store()
+    params = fixed_params(store)
+    heads, rels, tails = (c[:1] for c in store.triple_arrays())
+    columns = {"float": ([0.9], [0], [1.2]), "bool": (heads, rels, tails == tails),
+               "short heads": (heads[:0], rels, tails), "long tails": (heads, rels, tails.repeat(4)),
+               "scalar": (int(heads[0]), int(rels[0]), int(tails[0]))}[shape]
+    before = [c.copy() for c in store.triple_arrays()]
+    with pytest.raises(InvalidConfig, match="^(a triple column must be|triple columns differ)"):
+        evaluate(params, columns, store, EvalConfig(corruptions_per_side=2, seed=1))
+    with pytest.raises(InvalidConfig, match="^(a triple column must be|triple columns differ)"):
+        store.add_triples(*columns)
     assert all(np.array_equal(a, b) for a, b in zip(store.triple_arrays(), before))

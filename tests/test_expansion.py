@@ -583,16 +583,16 @@ class TestRunStudy:
         store, portfolios = self.build_world()
         report = run_study(store.vocab, portfolios, UNIVERSE, {"only": self.model(store, 1)},
                            min_patents=1)
-        result = report.classes[EntityKind.INVENTOR]
-        assert result.explainability == {"only": 1.0}
+        assert report.agent_kind is EntityKind.INVENTOR
+        assert report.explainability == {"only": 1.0}
 
     def test_min_patents_excludes(self):
         store, portfolios = self.build_world(n_agents=3, patents_per_agent=4)
         report = run_study(store.vocab, portfolios, UNIVERSE, {"m": self.model(store, 1)},
                            min_patents=30)
-        assert report.classes == {}
-        assert report.below_min_patents == {EntityKind.INVENTOR: 3, EntityKind.ASSIGNEE: 0}
-        assert report.never_expanded == {EntityKind.INVENTOR: 0, EntityKind.ASSIGNEE: 0}
+        assert (report.agent_kind, report.agent_ids, report.combined_auc, report.explainability,
+                report.combined_profiles) == (EntityKind.INVENTOR, [], {}, {}, {})
+        assert (report.below_min_patents, report.never_expanded) == (3, 0)
         # two agents cut to 2 patents, one that never leaves A01A, one whose
         # last emission is skipped with a single target left
         short = [AgentPortfolio(p.agent_id, p.agent_kind, p.patent_ids[:2], p.groups[:2]) for p in portfolios[:2]]
@@ -602,11 +602,9 @@ class TestRunStudy:
                                            ("f2", "1982-01-01", ["F01F"])])
         report = run_study(store.vocab, short + portfolios[2:] + [stayer, filler], UNIVERSE,
                            {"m": self.model(store, 1)}, min_patents=3)
-        result = report.classes[EntityKind.INVENTOR]
-        assert result.agent_ids == ["agent2", "filler"]
-        assert (report.below_min_patents, report.never_expanded) == (
-            {EntityKind.INVENTOR: 2, EntityKind.ASSIGNEE: 0}, {EntityKind.INVENTOR: 1, EntityKind.ASSIGNEE: 0})
-        assert result.combined_profiles["m"].skipped == 1
+        assert report.agent_ids == ["agent2", "filler"]
+        assert (report.below_min_patents, report.never_expanded) == (2, 1)
+        assert report.combined_profiles["m"].skipped == 1
 
     def test_skipped_emission_logged_once_for_all_models(self, caplog):
         store, _ = self.build_world(n_agents=0)
@@ -616,7 +614,7 @@ class TestRunStudy:
         models = {"m1": self.model(store, 1), "m2": self.model(store, 2)}
         with caplog.at_level(logging.INFO, logger="patkg.expansion"):
             report = run_study(store.vocab, [filler], UNIVERSE, models, min_patents=3)
-        profiles = report.classes[EntityKind.INVENTOR].combined_profiles
+        profiles = report.combined_profiles
         assert [(len(p), p.skipped) for p in profiles.values()] == [(1, 1), (1, 1)]
         assert [r.getMessage() for r in caplog.records] == [
             "agent filler: 1 target domains left, skipping percentile emission"]
@@ -627,11 +625,31 @@ class TestRunStudy:
         codes = UNIVERSE * 5
         agent = make_portfolio("big", [(f"p{i}", f"{1950 + i}-01-01", [codes[i]]) for i in range(29)])
         report = run_study(store.vocab, [agent], UNIVERSE, {"m": self.model(store, 1)}, min_patents=29)
-        assert report.classes[EntityKind.INVENTOR].agent_ids == ["big"]
-        assert report.below_min_patents[EntityKind.INVENTOR] == 0
+        assert (report.agent_ids, report.below_min_patents) == (["big"], 0)
         report = run_study(store.vocab, [agent], UNIVERSE, {"m": self.model(store, 1)}, min_patents=30)
-        assert report.classes == {}
-        assert report.below_min_patents[EntityKind.INVENTOR] == 1
+        assert (report.agent_ids, report.below_min_patents) == ([], 1)
+
+    def test_mixed_agent_kinds_refused(self):
+        store, portfolios = self.build_world()
+        portfolios.append(make_portfolio("firm", [("f0", "1970-01-01", ["A01A"])], kind=EntityKind.ASSIGNEE))
+        with pytest.raises(InvalidConfig, match=r"^portfolios must all be of one agent kind$"):
+            run_study(store.vocab, portfolios, UNIVERSE, {"m": self.model(store, 1)}, min_patents=1)
+
+    def test_assignee_study(self):
+        store, portfolios = self.build_world()
+        as_firms = [AgentPortfolio(p.agent_id, EntityKind.ASSIGNEE, p.patent_ids, p.groups) for p in portfolios]
+        models = {"m1": self.model(store, 1), "m2": self.model(store, 2)}
+        inventors = run_study(store.vocab, portfolios, UNIVERSE, models, min_patents=2)
+        firms = run_study(store.vocab, as_firms, UNIVERSE, models, min_patents=2)
+        assert (firms.agent_kind, inventors.agent_kind) == (EntityKind.ASSIGNEE, EntityKind.INVENTOR)
+        assert (firms.agent_ids, firms.combined_auc, firms.explainability) == (
+            inventors.agent_ids, inventors.combined_auc, inventors.explainability)
+
+    def test_no_portfolios(self):
+        store, _ = self.build_world(n_agents=0)
+        report = run_study(store.vocab, [], UNIVERSE, {"m": self.model(store, 1)})
+        assert (report.agent_kind, report.agent_ids, report.below_min_patents, report.never_expanded) == (
+            None, [], 0, 0)
 
     def test_negative_min_patents_refused(self):
         store, portfolios = self.build_world()
@@ -653,6 +671,5 @@ class TestRunStudy:
                             or walk(*args))
         report = run_study(store.vocab, portfolios, UNIVERSE, models, min_patents=2)
         assert walks == [f"agent{a}" for a in range(6)]  # one walk per eligible agent for both models
-        result = report.classes[EntityKind.INVENTOR]
-        assert abs(sum(result.explainability.values()) - 1.0) < 1e-12
-        assert set(result.combined_auc) == {"m1", "m2"}
+        assert abs(sum(report.explainability.values()) - 1.0) < 1e-12
+        assert set(report.combined_auc) == {"m1", "m2"}

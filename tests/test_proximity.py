@@ -11,7 +11,6 @@ from patkg.models import ModelKind, _rows, init_params
 from patkg.proximity import (
     _TO_PATENT,
     TransformMode,
-    TransformRule,
     _unit_rows,
     knowledge_proximity,
     nearest_neighbors,
@@ -118,7 +117,7 @@ class TestTransformRules:
     def test_same_kind_empty(self):
         for mode in TransformMode:
             for kind in E:
-                assert transform_rule(kind, kind, mode).steps == ()
+                assert transform_rule(kind, kind, mode) == ()
 
     def test_table_total_over_25_pairs(self):
         for mode in TransformMode:
@@ -127,37 +126,37 @@ class TestTransformRules:
 
     def test_algebra_single_hop(self):
         rule = transform_rule(E.PATENT, E.INVENTOR, TransformMode.TRANSLATION_ALGEBRA)
-        assert rule.steps == ((R.WRITE, +1),)
+        assert rule == ((R.WRITE, +1),)
         rule = transform_rule(E.INVENTOR, E.PATENT, TransformMode.TRANSLATION_ALGEBRA)
-        assert rule.steps == ((R.WRITE, -1),)
+        assert rule == ((R.WRITE, -1),)
 
     def test_algebra_multi_hop(self):
         rule = transform_rule(E.INVENTOR, E.ASSIGNEE, TransformMode.TRANSLATION_ALGEBRA)
-        assert rule.steps == ((R.OWN, +1), (R.WRITE, -1))
+        assert rule == ((R.OWN, +1), (R.WRITE, -1))
         rule = transform_rule(E.PATENT, E.SUBSECTION, TransformMode.TRANSLATION_ALGEBRA)
-        assert rule.steps == ((R.COMPRISE, +1), (R.CONTAIN, +1))
+        assert rule == ((R.COMPRISE, +1), (R.CONTAIN, +1))
 
     def test_literal_is_sign_flipped(self):
         for f in E:
             for t in E:
-                algebra = transform_rule(f, t, TransformMode.TRANSLATION_ALGEBRA).steps
-                lit = transform_rule(f, t, TransformMode.GUIDE_LITERAL).steps
+                algebra = transform_rule(f, t, TransformMode.TRANSLATION_ALGEBRA)
+                lit = transform_rule(f, t, TransformMode.GUIDE_LITERAL)
                 assert lit == tuple((rel, -s) for rel, s in algebra)
 
     def test_literal_published_guide_rows(self):
         # focal patent <- inventor: emb(target) - emb(write)
-        assert transform_rule(E.PATENT, E.INVENTOR, TransformMode.GUIDE_LITERAL).steps == (
+        assert transform_rule(E.PATENT, E.INVENTOR, TransformMode.GUIDE_LITERAL) == (
             (R.WRITE, -1),
         )
         # focal subsection <- patent: emb(target) + emb(comprise) + emb(contain)
-        steps = transform_rule(E.SUBSECTION, E.PATENT, TransformMode.GUIDE_LITERAL).steps
+        steps = transform_rule(E.SUBSECTION, E.PATENT, TransformMode.GUIDE_LITERAL)
         assert set(steps) == {(R.CONTAIN, +1), (R.COMPRISE, +1)}
 
     def test_algebra_composition(self):
         # subsection <- patent equals (group <- patent) then (subsection <- group)
-        direct = transform_rule(E.SUBSECTION, E.PATENT, TransformMode.TRANSLATION_ALGEBRA).steps
-        hop1 = transform_rule(E.GROUP, E.PATENT, TransformMode.TRANSLATION_ALGEBRA).steps
-        hop2 = transform_rule(E.SUBSECTION, E.GROUP, TransformMode.TRANSLATION_ALGEBRA).steps
+        direct = transform_rule(E.SUBSECTION, E.PATENT, TransformMode.TRANSLATION_ALGEBRA)
+        hop1 = transform_rule(E.GROUP, E.PATENT, TransformMode.TRANSLATION_ALGEBRA)
+        hop2 = transform_rule(E.SUBSECTION, E.GROUP, TransformMode.TRANSLATION_ALGEBRA)
 
         def net(steps):
             out = {}
@@ -245,7 +244,7 @@ class TestNearestNeighbors:
     def test_kind_filter(self):
         params, vocab, refs = vec_params()
         hits = nearest_neighbors(params, vocab, refs["inv"], k=3, kind_filter={E.PATENT})
-        assert all(h.kind is E.PATENT for h in hits)
+        assert all(h.entity.kind is E.PATENT for h in hits)
 
     def test_sorted_descending_focal_excluded(self):
         params, vocab, refs = vec_params(dim=6)
@@ -272,7 +271,7 @@ class TestNearestNeighbors:
         hits = nearest_neighbors(params, vocab, refs["inv"], k=3)
         assert "refs" not in vocab._derived  # only the hits' EntityRefs are built
         assert [h.entity for h in hits] == [vocab.refs[h.entity.ordinal] for h in hits]
-        assert all(type(h.entity.ordinal) is int and h.kind is h.entity.kind for h in hits)
+        assert all(type(h.entity.ordinal) is int for h in hits)
 
 
 class TestPairwiseMatrix:
@@ -308,7 +307,7 @@ def oracle_rule_table(mode):
                 steps = _TO_PATENT[target] + from_patent
             if mode is TransformMode.GUIDE_LITERAL:
                 steps = tuple((rel, -sign) for rel, sign in steps)
-            table[(focal, target)] = TransformRule(focal, target, steps)
+            table[(focal, target)] = steps
     return table
 
 
@@ -334,9 +333,9 @@ def oracle_row(params, ordinal):
 def oracle_transform(params, vocab, target, focal_kind, mode):
     rule = ORACLE_RULES[mode][(focal_kind, target.kind)]
     row = oracle_row(params, target.ordinal)
-    if not rule.steps:
+    if not rule:
         return row.copy()
-    return row + oracle_relation_offset(params, rule.steps)
+    return row + oracle_relation_offset(params, rule)
 
 
 def oracle_knowledge_proximity(params, vocab, focal, target, mode):
@@ -359,8 +358,8 @@ def oracle_nearest_neighbors(params, vocab, focal, k, kind_filter, mode):
             continue
         rows = params.entities[members]
         rule = ORACLE_RULES[mode][(focal.kind, kind)]
-        if rule.steps:
-            rows = rows + oracle_relation_offset(params, rule.steps)
+        if rule:
+            rows = rows + oracle_relation_offset(params, rule)
         norms = np.linalg.norm(rows, axis=1)
         if np.any(norms == 0.0):
             raise ZeroVector("transformed embedding has zero norm")
