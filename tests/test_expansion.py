@@ -635,16 +635,6 @@ class TestRunStudy:
         with pytest.raises(InvalidConfig, match=r"^portfolios must all be of one agent kind$"):
             run_study(store.vocab, portfolios, UNIVERSE, {"m": self.model(store, 1)}, min_patents=1)
 
-    def test_assignee_study(self):
-        store, portfolios = self.build_world()
-        as_firms = [AgentPortfolio(p.agent_id, EntityKind.ASSIGNEE, p.patent_ids, p.groups) for p in portfolios]
-        models = {"m1": self.model(store, 1), "m2": self.model(store, 2)}
-        inventors = run_study(store.vocab, portfolios, UNIVERSE, models, min_patents=2)
-        firms = run_study(store.vocab, as_firms, UNIVERSE, models, min_patents=2)
-        assert (firms.agent_kind, inventors.agent_kind) == (EntityKind.ASSIGNEE, EntityKind.INVENTOR)
-        assert (firms.agent_ids, firms.combined_auc, firms.explainability) == (
-            inventors.agent_ids, inventors.combined_auc, inventors.explainability)
-
     def test_no_portfolios(self):
         store, _ = self.build_world(n_agents=0)
         report = run_study(store.vocab, [], UNIVERSE, {"m": self.model(store, 1)})
