@@ -27,24 +27,27 @@ from patkg import (
     percentiles,
     run_study,
 )
-from patkg.expansion import DomainState, group_proximity_matrix
+from patkg.expansion import group_proximity_matrix
 from patkg.ingestion import AgentPortfolio
 
 # -- the worked example ---------------------------------------------------
+# pairwise proximities of groups A-F as a symmetric matrix (unit diagonal)
 phi_table = {
     ("A", "D"): 0.06, ("C", "D"): 0.18,
     ("A", "E"): 0.36, ("D", "E"): 0.018,
     ("A", "F"): 0.03, ("D", "F"): 0.019,
 }
-phi = lambda i, j: phi_table.get((i, j), phi_table.get((j, i), 0.0))
+codes = "ABCDEF"
+phi = np.eye(6)
+for (i, j), value in phi_table.items():
+    phi[codes.index(i), codes.index(j)] = phi[codes.index(j), codes.index(i)] = value
 
-state = DomainState(home={"A": 1, "B": 2, "C": 3}, targets={"D", "E", "F"})
-prox = {j: domain_agent_proximity(state, j, phi) for j in sorted(state.targets)}
+# the same routine the study's walk runs for every emission
+prox = dict(zip("DEF", domain_agent_proximity(phi, np.array([1, 2, 3, 0, 0, 0]), [3, 4, 5]).tolist()))
 print("home {A:1, B:2, C:3}; proximity to targets:", prox)
 print("percentiles:", percentiles(sorted(prox.items())))
 
-state = DomainState(home={"A": 1, "B": 2, "C": 3, "D": 1}, targets={"E", "F"})
-prox = {j: domain_agent_proximity(state, j, phi) for j in sorted(state.targets)}
+prox = dict(zip("EF", domain_agent_proximity(phi, np.array([1, 2, 3, 1, 0, 0]), [4, 5]).tolist()))
 print("after entering D:", prox, "->", percentiles(sorted(prox.items())))
 
 # -- full study over simulated agents --------------------------------------
@@ -70,10 +73,9 @@ for a in range(25):
     patent_ids, groups = ["p00"], [frozenset(counts)]
     for step in range(1, 13):
         weights = np.array([counts.get(g, 0) for g in universe])
-        home = weights > 0
-        scores = phi_matrix[np.ix_(home, ~home)].T @ weights[home] / weights.sum()
-        targets = [g for g, h in zip(universe, home) if not h]
-        best = targets[int(np.argmax(scores))]
+        target_idx = np.flatnonzero(weights == 0)
+        scores = domain_agent_proximity(phi_matrix, weights, target_idx)
+        best = universe[target_idx[int(np.argmax(scores))]]
         patent_ids.append(f"p{step:02d}")
         groups.append(frozenset([best]))
         counts[best] = 1

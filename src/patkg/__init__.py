@@ -43,7 +43,6 @@ from .proximity import (
     transform_rule,
 )
 from .expansion import (
-    DomainState,
     ExpansionProfile,
     ExpansionReport,
     auc,

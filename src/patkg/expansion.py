@@ -3,7 +3,7 @@
 An agent's home domains are the classification groups it already holds
 patents in, weighted by patent counts. The proximity of the home domain
 to a target group j is the patent-count-weighted mean of pairwise group
-proximities:
+proximities, which `domain_agent_proximity` computes for every target at once:
 
     proximity(a, j) = sum_i phi(i, j) * a_i / sum_i a_i      over home i
 
@@ -43,17 +43,7 @@ log = logging.getLogger(__name__)
 
 
 @dataclass(slots=True)
-class DomainState:
-    """Patent counts per home group; all other universe groups are targets."""
-
-    home: dict[str, int]
-    targets: set[str]
-
-
-@dataclass(slots=True)
 class ExpansionProfile:
-    agent_id: str
-    agent_kind: EntityKind | None
     entries: list[float] = field(default_factory=list)
     skipped: int = 0  # emissions skipped because fewer than two targets were left
 
@@ -77,23 +67,23 @@ def group_proximity_matrix(
     return phi
 
 
-def domain_agent_proximity(state: DomainState, j: str, phi) -> float:
-    """Patent-count-weighted mean of home-to-target proximities.
+def domain_agent_proximity(phi: np.ndarray, counts: np.ndarray, targets) -> np.ndarray:
+    """Patent-count-weighted mean of `phi` over the home rows (`counts > 0`) in each target column.
 
-    `phi(i, j)` supplies the pairwise group proximity; absent links are
-    simply phi = 0. The result lies within [min phi, max phi] over the
-    home domains (it is a convex combination).
+    One float per target, each a convex combination: within [min phi, max phi] over its column's home rows.
     """
-    if not state.home:
+    home = counts > 0
+    if not home.any():
         raise EmptyHome("agent has no home domains")
-    if j not in state.targets:
-        raise TargetInHome(f"group {j!r} is not a target domain")
-    num = 0.0
-    den = 0
-    for i, count in state.home.items():
-        num += phi(i, j) * count
-        den += count
-    return num / den
+    if home[targets].any():
+        raise TargetInHome("a target group is one of the agent's home domains")
+    weights = counts[home]
+    return _home_proximity(phi, home, targets, weights, weights.sum())
+
+
+def _home_proximity(phi: np.ndarray, home: np.ndarray, targets, weights: np.ndarray, total) -> np.ndarray:
+    # the home x target block, gathered C-ordered as `np.ix_` does, so the GEMV rounds alike
+    return np.take(phi[home], targets, axis=1).T @ weights / total
 
 
 def _rank_percentiles(values: np.ndarray, at: np.ndarray) -> np.ndarray:
@@ -149,7 +139,7 @@ def profile_from_phi(
     single = isinstance(phi, np.ndarray) and phi.ndim == 2
     stack = [phi] if single else phi
     counts = np.zeros(len(universe), dtype=np.int64)
-    profiles = [ExpansionProfile(portfolio.agent_id, portfolio.agent_kind) for _ in stack]
+    profiles = [ExpansionProfile() for _ in stack]
     counts[held[0]] += 1
     for groups, rows in zip(portfolio.groups[1:], held[1:]):
         home_mask = counts > 0
@@ -168,16 +158,15 @@ def profile_from_phi(
                 total = weights.sum()
                 at = np.searchsorted(target_idx, [index[g] for g in new_groups])
                 for phi_k, profile in zip(stack, profiles):
-                    # the home x target block, gathered C-ordered as `np.ix_` does, so the GEMV rounds alike
-                    prox = np.take(phi_k[home_mask], target_idx, axis=1).T @ weights / total
+                    prox = _home_proximity(phi_k, home_mask, target_idx, weights, total)
                     profile.entries.extend(_rank_percentiles(prox, at).tolist())
         counts[rows] += 1
     return profiles[0] if single else profiles
 
 
 def combine(profiles: list[ExpansionProfile]) -> ExpansionProfile:
-    """Concatenate profiles in input order into one composite profile; skips add up."""
-    combined = ExpansionProfile(agent_id="composite", agent_kind=None)
+    """Concatenate profiles in input order into one profile; skips add up."""
+    combined = ExpansionProfile()
     for p in profiles:
         combined.entries.extend(p.entries)
         combined.skipped += p.skipped

@@ -219,9 +219,9 @@ class Vocabulary:
             ordinals.flags.writeable = False
         return ordinals
 
-    def export_text(self, start: int = 0, stop: int | None = None) -> str:
-        """`<ordinal>\\t<kind>:<source_id>\\n` per ordinal in [start, stop): a sidecar or archive block."""
-        return "".join([_export_line(i, label) + "\n" for i, label in enumerate(self.labels[start:stop], start)])
+    def export_text(self) -> str:
+        """`<ordinal>\\t<kind>:<source_id>\\n` per ordinal: a sidecar or an archive's vocabulary block."""
+        return "".join([_export_line(i, label) + "\n" for i, label in enumerate(self.labels)])
 
     @classmethod
     def from_lines(cls, lines: Iterable[str]) -> Vocabulary:

@@ -236,10 +236,10 @@ def load_universe(path) -> list[str]:
 
 
 def write_triples_file(store: TripleStore, path) -> None:
-    """Canonical TSV export in stored order plus a `.vocab` sidecar, each written `_BLOCK_ROWS` lines at a time
-    and hashed as written, then a `.cols` column file. It holds a magic line, a sorted-keys JSON manifest
-    (`rows`, and the SHA-256 of the store, the sidecar and the payload), then heads, relation codes and
-    tails as little-endian int64, each written through a memoryview.
+    """Canonical TSV export in stored order, written `_BLOCK_ROWS` lines at a time and hashed as written, plus
+    a `.vocab` sidecar, the vocabulary's export text in one piece, then a `.cols` column file. It holds a magic
+    line, a sorted-keys JSON manifest (`rows`, and the SHA-256 of the store, the sidecar and the payload),
+    then heads, relation codes and tails as little-endian int64, each written through a memoryview.
     """
     label, middle = store.vocab.labels, [f"\t{r.value}\t" for r in RELATIONS]
     store_digest, vocab_digest, columns_digest = (hashlib.sha256() for _ in _DIGESTS)
@@ -252,9 +252,8 @@ def write_triples_file(store: TripleStore, path) -> None:
             fh.write(block := "".join(pieces).encode("utf-8"))
             store_digest.update(block)
     with open(f"{path}.vocab", "wb") as fh:
-        for start in range(0, len(label), _BLOCK_ROWS):
-            fh.write(block := store.vocab.export_text(start, start + _BLOCK_ROWS).encode("utf-8"))
-            vocab_digest.update(block)
+        fh.write(sidecar := store.vocab.export_text().encode("utf-8"))
+        vocab_digest.update(sidecar)  # the fingerprint, without building the text a second time
     columns = [np.ascontiguousarray(c, dtype="<i8") for c in store.triple_arrays()]  # views on little-endian hosts
     for column in columns:
         columns_digest.update(column)

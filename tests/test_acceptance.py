@@ -14,7 +14,6 @@ import pytest
 from patkg.cli import main as cli_main
 from patkg.evaluator import EvalConfig, evaluate, rank_target
 from patkg.expansion import (
-    DomainState,
     ExpansionProfile,
     auc,
     domain_agent_proximity,
@@ -64,17 +63,18 @@ def test_criterion_01_worked_proximity_example():
             ("A", "E"): 0.36, ("B", "E"): 0.0, ("C", "E"): 0.0, ("D", "E"): 0.018,
             ("A", "F"): 0.03, ("B", "F"): 0.0, ("C", "F"): 0.0, ("D", "F"): 0.019,
         }
-        phi = lambda i, j: phi_table.get((i, j), phi_table.get((j, i), 0.0))
-        state = DomainState(home={"A": 1, "B": 2, "C": 3}, targets={"D", "E", "F"})
-        prox = {j: domain_agent_proximity(state, j, phi) for j in ("D", "E", "F")}
+        groups = "ABCDEF"
+        phi = np.eye(6)  # symmetric over groups A-F
+        for (i, j), value in phi_table.items():
+            phi[groups.index(i), groups.index(j)] = phi[groups.index(j), groups.index(i)] = value
+        prox = dict(zip("DEF", domain_agent_proximity(phi, np.array([1, 2, 3, 0, 0, 0]), [3, 4, 5]).tolist()))
         assert abs(prox["D"] - 0.1) < 1e-12
         assert abs(prox["E"] - 0.06) < 1e-12
         assert abs(prox["F"] - 0.005) < 1e-12
         assert percentiles(sorted(prox.items())) == {"D": 1.0, "E": 0.5, "F": 0.0}
 
         # simulated entry into D: remaining targets E and F rank (1, 0)
-        state = DomainState(home={"A": 1, "B": 2, "C": 3, "D": 1}, targets={"E", "F"})
-        prox = {j: domain_agent_proximity(state, j, phi) for j in ("E", "F")}
+        prox = dict(zip("EF", domain_agent_proximity(phi, np.array([1, 2, 3, 1, 0, 0]), [4, 5]).tolist()))
         assert abs(prox["E"] - 0.054) < 1e-12
         assert abs(prox["F"] - 0.007) < 1e-12
         assert percentiles(sorted(prox.items())) == {"E": 1.0, "F": 0.0}
@@ -244,11 +244,11 @@ def test_criterion_07_auc_mean_identity():
         rng = np.random.default_rng(7)
         for _ in range(1000):
             entries = rng.uniform(0, 1, size=int(rng.integers(1, 60)))
-            profile = ExpansionProfile("a", EntityKind.INVENTOR, list(entries))
+            profile = ExpansionProfile(list(entries))
             assert abs(auc(profile) - entries.mean()) < 1e-9
-        ideal = ExpansionProfile("a", EntityKind.INVENTOR, [1.0, 1.0, 1.0])
+        ideal = ExpansionProfile([1.0, 1.0, 1.0])
         assert auc(ideal) == 1.0
-        uniform = ExpansionProfile("a", EntityKind.INVENTOR, list(rng.uniform(0, 1, 1000)))
+        uniform = ExpansionProfile(list(rng.uniform(0, 1, 1000)))
         assert abs(auc(uniform) - 0.5) < 0.05
 
 

@@ -19,7 +19,6 @@ from patkg.errors import (
     UnknownGroup,
 )
 from patkg.expansion import (
-    DomainState,
     ExpansionProfile,
     auc,
     combine,
@@ -38,7 +37,7 @@ from patkg.proximity import knowledge_proximity
 
 
 def profile(*entries):
-    return ExpansionProfile("x", EntityKind.INVENTOR, list(entries))
+    return ExpansionProfile(list(entries))
 
 
 # Pairwise domain proximities consistent with the worked expansion example:
@@ -49,42 +48,77 @@ PHI = {
     ("A", "E"): 0.36, ("B", "E"): 0.0, ("C", "E"): 0.0, ("D", "E"): 0.018,
     ("A", "F"): 0.03, ("B", "F"): 0.0, ("C", "F"): 0.0, ("D", "F"): 0.019,
 }
+GROUPS = list("ABCDEF")
 
 
-def phi(i, j):
-    return PHI.get((i, j), PHI.get((j, i), 0.0))
+def proximity_oracle(phi, counts, targets) -> list[float]:
+    """The count-weighted mean as a scalar loop per (home, target) pair, home = groups with a count."""
+    out = []
+    for j in targets:
+        num = 0.0
+        den = 0
+        for i, count in enumerate(counts):
+            if count > 0:
+                num += phi[i, j] * count
+                den += count
+        out.append(num / den)
+    return out
 
 
 class TestDomainAgentProximity:
+    def worked(self):
+        return phi_matrix(PHI, GROUPS)
+
     def test_worked_example_d(self):
-        state = DomainState(home={"A": 1, "B": 2, "C": 3}, targets={"D", "E", "F"})
-        assert abs(domain_agent_proximity(state, "D", phi) - 0.1) < 1e-12
+        prox = domain_agent_proximity(self.worked(), np.array([1, 2, 3, 0, 0, 0]), [3, 4, 5])
+        assert abs(prox[0] - 0.1) < 1e-12
 
     def test_worked_example_e_f(self):
-        state = DomainState(home={"A": 1, "B": 2, "C": 3}, targets={"D", "E", "F"})
-        assert abs(domain_agent_proximity(state, "E", phi) - 0.06) < 1e-12
-        assert abs(domain_agent_proximity(state, "F", phi) - 0.005) < 1e-12
+        prox = domain_agent_proximity(self.worked(), np.array([1, 2, 3, 0, 0, 0]), [3, 4, 5])
+        assert abs(prox[1] - 0.06) < 1e-12
+        assert abs(prox[2] - 0.005) < 1e-12
+        after_d = domain_agent_proximity(self.worked(), np.array([1, 2, 3, 1, 0, 0]), [4, 5])
+        assert abs(after_d[0] - 0.054) < 1e-12
+        assert abs(after_d[1] - 0.007) < 1e-12
 
     def test_single_home_weighted_mean_of_one(self):
         for n in (1, 5, 40):
-            state = DomainState(home={"A": n}, targets={"D"})
-            assert domain_agent_proximity(state, "D", phi) == 0.06
+            assert domain_agent_proximity(self.worked(), np.array([n, 0, 0, 0, 0, 0]), [3]).tolist() == [0.06]
 
     def test_convexity(self):
         rng = np.random.default_rng(4)
         for _ in range(100):
-            values = {g: float(rng.uniform(0, 1)) for g in "ABC"}
-            state = DomainState(
-                home={g: int(rng.integers(1, 9)) for g in "ABC"}, targets={"Z"}
-            )
-            out = domain_agent_proximity(state, "Z", lambda i, j: values[i])
-            assert min(values.values()) - 1e-12 <= out <= max(values.values()) + 1e-12
+            phi = rng.uniform(0, 1, (6, 6))
+            counts = np.concatenate([rng.integers(1, 9, 3), np.zeros(3, dtype=np.int64)])
+            out = domain_agent_proximity(phi, counts, [3, 4, 5])
+            column = phi[:3, 3:]
+            assert np.all((column.min(axis=0) - 1e-12 <= out) & (out <= column.max(axis=0) + 1e-12))
 
     def test_errors(self):
         with pytest.raises(EmptyHome):
-            domain_agent_proximity(DomainState({}, {"D"}), "D", phi)
+            domain_agent_proximity(self.worked(), np.zeros(6, dtype=np.int64), [3])
         with pytest.raises(TargetInHome):
-            domain_agent_proximity(DomainState({"A": 1}, {"D"}), "A", phi)
+            domain_agent_proximity(self.worked(), np.array([1, 0, 0, 0, 0, 0]), [3, 0])
+
+
+@st.composite
+def proximity_cases(draw):
+    """(phi, counts, targets) over 2-8 groups: phi in [0, 1], at least one home and one target group."""
+    n = draw(st.integers(2, 8))
+    phi = np.array(draw(st.lists(st.floats(0, 1), min_size=n * n, max_size=n * n))).reshape(n, n)
+    counts = np.array(draw(st.lists(st.integers(0, 50), min_size=n, max_size=n)), dtype=np.int64)
+    home, target = draw(st.permutations(range(n)))[:2]
+    counts[home], counts[target] = max(counts[home], 1), 0
+    targets = draw(st.lists(st.sampled_from(np.flatnonzero(counts == 0).tolist()), min_size=1, unique=True))
+    return phi, counts, targets
+
+
+@given(proximity_cases())
+def test_domain_agent_proximity_matches_scalar_oracle(case):
+    phi, counts, targets = case
+    prox = domain_agent_proximity(phi, counts, targets)
+    assert len(prox) == len(targets)
+    assert np.all(np.abs(prox - proximity_oracle(phi, counts, targets)) < 1e-12)
 
 
 class TestPercentiles:
@@ -165,12 +199,11 @@ def make_portfolio(agent, patents, kind=EntityKind.INVENTOR):
 UNIVERSE = ["A01A", "B01B", "C01C", "D01D", "E01E", "F01F"]
 
 
-def phi_matrix(values):
-    """Symmetric matrix over UNIVERSE from a {(code, code): phi} dict."""
-    n = len(UNIVERSE)
-    m = np.eye(n)
+def phi_matrix(values, universe=UNIVERSE):
+    """Symmetric matrix over `universe` from a {(code, code): phi} dict, unit diagonal."""
+    m = np.eye(len(universe))
     for (a, b), v in values.items():
-        i, j = UNIVERSE.index(a), UNIVERSE.index(b)
+        i, j = universe.index(a), universe.index(b)
         m[i, j] = m[j, i] = v
     return m
 
@@ -185,26 +218,13 @@ PHI_CODES = {
 
 class TestBuildProfile:
     def test_top_ranked_entries_give_all_ones(self):
-        # first patent seeds {A,B,C}; then D, E, F in order: each top-ranked
-        portfolio = make_portfolio("x", [
-            ("p1", "1990-01-01", ["A01A", "B01B", "C01C"]),
-            ("p2", "1991-01-01", ["D01D"]),
-            ("p3", "1992-01-01", ["E01E"]),
-            ("p4", "1993-01-01", ["F01F"]),
-        ])
-        # home {A:1,B:2,C:3} needs B and C repeated; emulate with counts via extra patents
-        portfolio = make_portfolio("x", [
-            ("p0", "1989-01-01", ["A01A", "B01B", "C01C"]),
-            ("p1", "1989-06-01", ["B01B", "C01C"]),
-            ("p2", "1989-09-01", ["C01C"]),
-            ("p3", "1991-01-01", ["D01D"]),
-            ("p4", "1992-01-01", ["E01E"]),
-            ("p5", "1993-01-01", ["F01F"]),
-        ])
-        prof = profile_from_phi(phi_matrix(PHI_CODES), portfolio, UNIVERSE)
-        # D entered at percentile 1; E at 1 (0.054 > 0.007); F last target skipped
-        assert prof.entries == [1.0, 1.0]
-        assert prof.skipped == 1
+        # the worked example as a walk: home {A:1, B:2, C:3}, then D enters top-ranked and E too
+        # (0.054 > 0.007); entering F as well finds it the last target, so that emission is skipped
+        for tail, skipped in (([], 0), (["F"], 1)):
+            portfolio = make_portfolio("x", [(f"p{i}", f"{1990 + i}-01-01", groups)
+                                             for i, groups in enumerate(["ABC", "BC", "C", "D", "E", *tail])])
+            prof = profile_from_phi(phi_matrix(PHI, GROUPS), portfolio, GROUPS)
+            assert (prof.entries, prof.skipped) == ([1.0, 1.0], skipped)
 
     def test_never_expanding_agent_empty_profile(self):
         portfolio = make_portfolio("x", [
@@ -259,22 +279,6 @@ class TestBuildProfile:
     def test_empty_portfolio(self):
         with pytest.raises(EmptyPortfolio):
             profile_from_phi(phi_matrix({}), AgentPortfolio("x", EntityKind.INVENTOR, [], []), UNIVERSE)
-
-    def test_matrix_path_matches_scalar_op(self):
-        # vectorized Eq-1 inside profile building equals the scalar operation
-        rng = np.random.default_rng(17)
-        n = len(UNIVERSE)
-        m = np.clip(np.abs(rng.normal(0.3, 0.2, (n, n))), 0, 1)
-        m = (m + m.T) / 2
-        np.fill_diagonal(m, 1.0)
-        counts = {"A01A": 3, "B01B": 1, "C01C": 2}
-        state = DomainState(home=counts, targets=set(UNIVERSE) - set(counts))
-        weights = np.array([counts.get(g, 0) for g in UNIVERSE])
-        home_mask = weights > 0
-        vec = m[np.ix_(home_mask, ~home_mask)].T @ weights[home_mask] / weights.sum()
-        phi_fn = lambda i, j: m[UNIVERSE.index(i), UNIVERSE.index(j)]
-        for value, j in zip(vec, [g for g in UNIVERSE if g not in counts]):
-            assert abs(value - domain_agent_proximity(state, j, phi_fn)) < 1e-12
 
 
 def profile_oracle(phi, portfolio, universe, proximities=None) -> tuple[list[float], int]:
@@ -387,7 +391,6 @@ class TestCombine:
     def test_concatenation(self):
         out = combine([profile(1.0, 1.0, 1.0), profile(0.5, 0.0)])
         assert out.entries == [1.0, 1.0, 1.0, 0.5, 0.0]
-        assert out.agent_id == "composite"
 
     def test_empty(self):
         assert combine([]).entries == []
