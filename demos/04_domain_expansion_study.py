@@ -42,7 +42,7 @@ phi = np.eye(6)
 for (i, j), value in phi_table.items():
     phi[codes.index(i), codes.index(j)] = phi[codes.index(j), codes.index(i)] = value
 
-# the same routine the study's walk runs for every emission
+# the routine whose core the study's walk runs for every emission and model
 prox = dict(zip("DEF", domain_agent_proximity(phi, np.array([1, 2, 3, 0, 0, 0]), [3, 4, 5]).tolist()))
 print("home {A:1, B:2, C:3}; proximity to targets:", prox)
 print("percentiles:", percentiles(sorted(prox.items())))
