@@ -22,7 +22,7 @@ from patkg.archive import load_archive, save_archive
 from patkg.cli import main
 from patkg.errors import ArchiveError
 from patkg.graph import RelationKind, generate_synthetic
-from patkg.ingestion import parse_triples_file, write_triples_file
+from patkg.ingestion import load_store, parse_triples_file, write_triples_file
 from patkg.models import SPECS, ModelKind, init_params
 from patkg.reports import fnum
 from patkg.trainer import default_config
@@ -922,6 +922,177 @@ def test_expansion_outputs_keep_their_bytes(golden_study_inputs, tmp_path, run, 
     assert run_cli("expansion", *archives, portfolios, universe, tmp_path / "exp.txt",
                    "--agent-kind", agent_kind, "--min-patents", min_patents) == 0
     assert {f.name: f.read_text() for f in tmp_path.iterdir()} == GOLDEN_OUTPUTS[run]
+
+
+READ_GRAPH = """\
+inventor:i1\twrite\tpatent:p1
+inventor:i1\twrite\tpatent:p2
+inventor:i2\twrite\tpatent:p2
+inventor:i2\twrite\tpatent:p3
+inventor:i3\twrite\tpatent:p4
+assignee:a1\town\tpatent:p1
+assignee:a1\town\tpatent:p3
+assignee:a2\town\tpatent:p2
+assignee:a2\town\tpatent:p4
+group:G1\tcontain\tpatent:p1
+group:G2\tcontain\tpatent:p2
+group:G2\tcontain\tpatent:p3
+group:G3\tcontain\tpatent:p4
+subsection:S1\tcomprise\tgroup:G1
+subsection:S1\tcomprise\tgroup:G2
+subsection:S2\tcomprise\tgroup:G3
+patent:p2\tcite\tpatent:p1
+patent:p3\tcite\tpatent:p1
+patent:p4\tcite\tpatent:p3
+"""
+
+# -K 50 exceeds every candidate pool (at most 4 entities of a kind), so each query ranks its
+# whole pool whatever order the draws come in
+EVAL = ("eval", "ARC", "STORE", "OUT", "-K", "50", "--sides", "both", "--test-fraction", "0.3")
+READ_RUNS = {
+    "eval_raw.txt": EVAL,
+    "eval_raw_opt.txt": (*EVAL, "--tie-rule", "optimistic"),
+    "eval_filt.txt": (*EVAL, "--filtered"),
+    "eval_filt_opt.txt": (*EVAL, "--filtered", "--tie-rule", "optimistic"),
+    "nn.tsv": ("neighbors", "ARC", "inventor:i1", "OUT", "-k", "20"),
+    "prox.tsv": ("proximity", "ARC", "ENTITIES", "patent", "OUT"),
+    "emb.tsv": ("export-embeddings", "ARC", "OUT"),
+}
+
+GOLDEN_READ_OUTPUTS = {
+    "eval_raw.txt": """\
+patkg eval-report
+model: transe_l2
+queries: 12
+mr: 2.45833333333
+mrr: 0.487896825397
+hits@1: 0.166666666667
+hits@3: 0.75
+hits@10: 1
+config: K=50 sides=both pool=same_kind filtered=false seed=0 tie=midpoint
+per-relation:
+relation\tqueries\tmr\tmrr\thits@1\thits@3\thits@10
+cite\t4\t3.25\t0.317261904762\t0\t0.5\t1
+write\t2\t2.5\t0.4\t0\t1\t1
+own\t2\t1.5\t0.75\t0.5\t1\t1
+contain\t4\t2.125\t0.571428571429\t0.25\t0.75\t1
+""",
+    "eval_raw_opt.txt": """\
+patkg eval-report
+model: transe_l2
+queries: 12
+mr: 2.25
+mrr: 0.520833333333
+hits@1: 0.166666666667
+hits@3: 0.916666666667
+hits@10: 1
+config: K=50 sides=both pool=same_kind filtered=false seed=0 tie=optimistic
+per-relation:
+relation\tqueries\tmr\tmrr\thits@1\thits@3\thits@10
+cite\t4\t3\t0.354166666667\t0\t0.75\t1
+write\t2\t2\t0.5\t0\t1\t1
+own\t2\t1.5\t0.75\t0.5\t1\t1
+contain\t4\t2\t0.583333333333\t0.25\t1\t1
+""",
+    "eval_filt.txt": """\
+patkg eval-report
+model: transe_l2
+queries: 12
+mr: 2.375
+mrr: 0.494841269841
+hits@1: 0.166666666667
+hits@3: 0.833333333333
+hits@10: 1
+config: K=50 sides=both pool=same_kind filtered=true seed=0 tie=midpoint
+per-relation:
+relation\tqueries\tmr\tmrr\thits@1\thits@3\thits@10
+cite\t4\t3\t0.338095238095\t0\t0.75\t1
+write\t2\t2.5\t0.4\t0\t1\t1
+own\t2\t1.5\t0.75\t0.5\t1\t1
+contain\t4\t2.125\t0.571428571429\t0.25\t0.75\t1
+""",
+    "eval_filt_opt.txt": """\
+patkg eval-report
+model: transe_l2
+queries: 12
+mr: 2.16666666667
+mrr: 0.527777777778
+hits@1: 0.166666666667
+hits@3: 1
+hits@10: 1
+config: K=50 sides=both pool=same_kind filtered=true seed=0 tie=optimistic
+per-relation:
+relation\tqueries\tmr\tmrr\thits@1\thits@3\thits@10
+cite\t4\t2.75\t0.375\t0\t1\t1
+write\t2\t2\t0.5\t0\t1\t1
+own\t2\t1.5\t0.75\t0.5\t1\t1
+contain\t4\t2\t0.583333333333\t0.25\t1\t1
+""",
+    "nn.tsv": """\
+rank\tentity\tkind\tproximity
+1\tinventor:i3\tinventor\t1
+2\tgroup:G2\tgroup\t0.645497224368
+3\tpatent:p3\tpatent\t0.471404520791
+4\tgroup:G1\tgroup\t0.408248290464
+5\tsubsection:S2\tsubsection\t-0.272165526976
+6\tsubsection:S1\tsubsection\t-0.516397779494
+7\tinventor:i2\tinventor\t-0.547722557505
+8\tpatent:p1\tpatent\t-0.666666666667
+9\tpatent:p4\tpatent\t-0.666666666667
+10\tassignee:a2\tassignee\t-0.7126966451
+11\tpatent:p2\tpatent\t-0.763762615826
+12\tgroup:G3\tgroup\t-0.866025403784
+13\tassignee:a1\tassignee\t-0.870388279778
+""",
+    "prox.tsv": """\
+entity\tpatent:p1\tinventor:i2\tassignee:a1\tgroup:G2\tsubsection:S2
+patent:p1\t1\t0\t0\t-0.67082039325\t-0.816496580928
+inventor:i2\t0\t1\t0.57735026919\t-0.316227766017\t0.57735026919
+assignee:a1\t0\t0.57735026919\t1\t-0.73029674334\t0.333333333333
+group:G2\t-0.67082039325\t-0.316227766017\t-0.73029674334\t1\t0.36514837167
+subsection:S2\t-0.816496580928\t0.57735026919\t0.333333333333\t0.36514837167\t1
+""",
+    "emb.tsv": """\
+inventor:i1\t-2\t1\t-1
+patent:p1\t2\t0\t-2
+patent:p2\t1\t-1\t2
+inventor:i2\t0\t-2\t1
+patent:p3\t-1\t2\t0
+inventor:i3\t-2\t1\t-1
+patent:p4\t2\t0\t-2
+assignee:a1\t1\t-1\t2
+assignee:a2\t0\t-2\t1
+group:G1\t-1\t2\t0
+group:G2\t-2\t1\t-1
+group:G3\t2\t0\t-2
+subsection:S1\t1\t-1\t2
+subsection:S2\t0\t-2\t1
+""",
+}
+
+
+@pytest.fixture(scope="module")
+def golden_read_inputs(tmp_path_factory):
+    """An ingested store of READ_GRAPH and a float64 TransE_L2 archive whose entity rows and
+    relation vectors are small integers, so every score and cosine is exact up to one rounding."""
+    tmp = tmp_path_factory.mktemp("golden_read")
+    (tmp / "g.tsv").write_text(READ_GRAPH)
+    assert run_cli("ingest", tmp / "g.tsv", tmp / "s.tsv") == 0
+    vocab = load_store(tmp / "s.tsv").vocab
+    params = init_params(ModelKind.TRANSE_L2, len(vocab), 3, 0, vocab.fingerprint())
+    params.entities[:] = np.arange(params.entities.size).reshape(params.entities.shape) * 3 % 5 - 2
+    for i, rel in enumerate(RelationKind):
+        params.relations[rel]["vec"][:] = (np.arange(3) + i) % 3 - 1
+    save_archive(tmp / "m.kge", params, vocab, encoding="float64")
+    (tmp / "ents.txt").write_text("patent:p1\ninventor:i2\nassignee:a1\ngroup:G2\nsubsection:S2\n")
+    return {"ARC": tmp / "m.kge", "STORE": tmp / "s.tsv", "ENTITIES": tmp / "ents.txt"}
+
+
+@pytest.mark.parametrize("name", READ_RUNS)
+def test_read_outputs_keep_their_bytes(golden_read_inputs, tmp_path, name):
+    paths = {**golden_read_inputs, "OUT": tmp_path / name}
+    assert run_cli(*(paths.get(arg, arg) for arg in READ_RUNS[name])) == 0
+    assert (tmp_path / name).read_text() == GOLDEN_READ_OUTPUTS[name]
 
 
 class TestDeterminism:
