@@ -46,7 +46,6 @@ from .expansion import (
     ExpansionProfile,
     ExpansionReport,
     auc,
-    combine,
     cumulative_distribution,
     domain_agent_proximity,
     explainability,

@@ -164,15 +164,6 @@ def profile_from_phi(
     return profiles[0] if single else profiles
 
 
-def combine(profiles: list[ExpansionProfile]) -> ExpansionProfile:
-    """Concatenate profiles in input order into one profile; skips add up."""
-    combined = ExpansionProfile()
-    for p in profiles:
-        combined.entries.extend(p.entries)
-        combined.skipped += p.skipped
-    return combined
-
-
 def cumulative_distribution(profile: ExpansionProfile) -> list[tuple[float, float]]:
     """Step samples of F(x) = |{pp >= x}| / n at 0, every distinct value, and 1."""
     if len(profile) == 0:
@@ -239,8 +230,8 @@ def run_study(
     min_patents: int = 30,
     floor_negative: bool = True,
 ) -> ExpansionReport:
-    """Full study over portfolios of one agent kind: per-agent profiles, combined AUC and
-    explainability per model.
+    """Full study over portfolios of one agent kind: per model, the combined profile grown agent
+    by agent during the walk, its AUC, and explainability over the per-agent AUCs.
 
     Agents below `min_patents` or whose profiles never expand are
     excluded and counted. All model fingerprints must match the one vocabulary.
@@ -263,7 +254,7 @@ def run_study(
     report = ExpansionReport(min_patents, portfolios[0].agent_kind if portfolios else None, agent_ids=[],
                              combined_auc={}, explainability={}, combined_profiles={},
                              below_min_patents=len(portfolios) - len(members), never_expanded=0)
-    profiles: dict[str, list[ExpansionProfile]] = {name: [] for name in models}
+    combined = {name: ExpansionProfile() for name in models}  # every included agent's entries, in agent order
     per_agent_auc: dict[str, dict[str, float]] = {}
     for portfolio in members:
         by_model = dict(zip(models, profile_from_phi(phis, portfolio, universe)))
@@ -273,9 +264,10 @@ def run_study(
         report.agent_ids.append(portfolio.agent_id)
         per_agent_auc[portfolio.agent_id] = {name: auc(profile) for name, profile in by_model.items()}
         for name, profile in by_model.items():
-            profiles[name].append(profile)
+            combined[name].entries.extend(profile.entries)
+            combined[name].skipped += profile.skipped
     if report.agent_ids:
-        report.combined_profiles = {name: combine(profiles[name]) for name in models}
-        report.combined_auc = {name: auc(p) for name, p in report.combined_profiles.items()}
+        report.combined_profiles = combined
+        report.combined_auc = {name: auc(p) for name, p in combined.items()}
         report.explainability = explainability(per_agent_auc)
     return report

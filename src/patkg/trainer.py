@@ -68,14 +68,11 @@ def default_config(kind: ModelKind) -> TrainConfig:
     )
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    e = np.exp(-np.abs(x))  # exp(-x) where x >= 0, exp(x) elsewhere: it never overflows
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
-
-
-def _log_sigmoid(x: np.ndarray) -> np.ndarray:
-    l = np.log1p(np.exp(-np.abs(x)))
-    return np.where(x >= 0, -l, x - l)  # not np.minimum(x, 0.0) - l, which turns -0.0 into +0.0
+def _logistic(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(log sigmoid(x), sigmoid(-x)) from one exp(-|x|), which never overflows."""
+    e = np.exp(-np.abs(x))  # exp(-x) where x >= 0, exp(x) elsewhere
+    l = np.log1p(e)  # x - l below 0, not np.minimum(x, 0.0) - l, which turns -0.0 into +0.0
+    return np.where(x >= 0, -l, x - l), np.where(x <= 0, 1.0, e) / (1.0 + e)
 
 
 def _kind_pools(store: TripleStore) -> dict[RelationKind, tuple[np.ndarray, np.ndarray]]:
@@ -139,8 +136,6 @@ def _sgd_batch(params: ModelParams, cfg: TrainConfig,
         neg = (pos[:, None] * npp + slots).ravel()
         at_head = (neg + (offset * npp - m)) % 2 == 0
         for pool, ends, sel in zip(pools[rel], (sample_heads, sample_tails), (neg[at_head], neg[~at_head])):
-            if sel.size == 0:
-                continue
             if len(pool) < 2:
                 valid[sel] = False  # no alternative entity to swap in
             else:
@@ -160,10 +155,10 @@ def _sgd_batch(params: ModelParams, cfg: TrainConfig,
         weights[m:] = active.astype(np.float64) / m
         weights[:m] = -active.reshape(m, npp).sum(axis=1).astype(np.float64) / m
     else:
-        neg_ll = np.where(neg_valid, _log_sigmoid(-neg_scores), 0.0)
-        loss = float(-_log_sigmoid(pos_scores).sum() - neg_ll.sum())
-        weights[:m] = -_sigmoid(-pos_scores) / m
-        weights[m:] = np.where(neg_valid, _sigmoid(neg_scores), 0.0) / m
+        (pos_ll, pos_w), (neg_ll, neg_w) = _logistic(pos_scores), _logistic(-neg_scores)
+        loss = float(-pos_ll.sum() - np.where(neg_valid, neg_ll, 0.0).sum())
+        weights[:m] = -pos_w / m
+        weights[m:] = np.where(neg_valid, neg_w, 0.0) / m
 
     mask = np.zeros(params.n_entities, dtype=bool)
     mask[sample_heads] = True

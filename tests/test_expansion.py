@@ -21,7 +21,6 @@ from patkg.errors import (
 from patkg.expansion import (
     ExpansionProfile,
     auc,
-    combine,
     cumulative_distribution,
     domain_agent_proximity,
     explainability,
@@ -387,20 +386,6 @@ def test_profile_blocks_match_ix_oracle_at_benchmark_scale(order, monkeypatch):
     assert len(universe) - len(proximities[0][-1]) // 8 > 64 and len(profiles[0]) > 100
 
 
-class TestCombine:
-    def test_concatenation(self):
-        out = combine([profile(1.0, 1.0, 1.0), profile(0.5, 0.0)])
-        assert out.entries == [1.0, 1.0, 1.0, 0.5, 0.0]
-
-    def test_empty(self):
-        assert combine([]).entries == []
-
-    def test_lengths_add(self):
-        x = profile(*np.linspace(0, 1, 3))
-        y = profile(*np.linspace(0, 1, 5))
-        assert len(combine([x, y])) == 8
-
-
 class TestCumulativeDistribution:
     def test_all_ones(self):
         samples = dict(cumulative_distribution(profile(1.0, 1.0, 1.0)))
@@ -609,6 +594,24 @@ class TestRunStudy:
         assert (report.below_min_patents, report.never_expanded) == (2, 1)
         assert report.combined_profiles["m"].skipped == 1
 
+    def test_combined_profiles_concatenate_included_agents_in_id_order(self):
+        # given out of order, beside an agent that never expands and one whose last emission is skipped
+        store, portfolios = self.build_world()
+        stayer = make_portfolio("stayer", [(f"s{i}", f"198{i}-01-01", ["A01A"]) for i in range(3)])
+        filler = make_portfolio("filler", [("f0", "1980-01-01", UNIVERSE[:4]),
+                                           ("f1", "1981-01-01", ["E01E"]),
+                                           ("f2", "1982-01-01", ["F01F"])])
+        models = {"m1": self.model(store, 1), "m2": self.model(store, 2)}
+        report = run_study(store.vocab, portfolios[::-1] + [stayer, filler], UNIVERSE, models, min_patents=2)
+        included = sorted(portfolios + [filler], key=lambda p: p.agent_id)
+        assert report.agent_ids == [p.agent_id for p in included]
+        for name, params in models.items():
+            walks = [profile_from_phi(group_proximity_matrix(params, store.vocab, UNIVERSE), p, UNIVERSE)
+                     for p in included]
+            combined = report.combined_profiles[name]
+            assert combined.entries == [pp for walk in walks for pp in walk.entries]
+            assert combined.skipped == sum(walk.skipped for walk in walks) == 1
+
     def test_skipped_emission_logged_once_for_all_models(self, caplog):
         store, _ = self.build_world(n_agents=0)
         filler = make_portfolio("filler", [("f0", "1980-01-01", UNIVERSE[:4]),
@@ -643,6 +646,7 @@ class TestRunStudy:
         report = run_study(store.vocab, [], UNIVERSE, {"m": self.model(store, 1)})
         assert (report.agent_kind, report.agent_ids, report.below_min_patents, report.never_expanded) == (
             None, [], 0, 0)
+        assert (report.combined_profiles, report.combined_auc, report.explainability) == ({}, {}, {})
 
     def test_negative_min_patents_refused(self):
         store, portfolios = self.build_world()

@@ -18,10 +18,9 @@ from patkg.trainer import (
     TrainConfig,
     _draw_replacements,
     _kind_pools,
-    _log_sigmoid,
+    _logistic,
     _scatter_rows,
     _sgd_batch,
-    _sigmoid,
     default_config,
     train,
 )
@@ -305,10 +304,10 @@ def _sgd_batch_oracle(params, cfg, pools, heads, rels, tails, offset, rng):
         w_neg = active.astype(np.float64) / m
         w_pos = -active.reshape(m, npp).sum(axis=1).astype(np.float64) / m
     else:
-        neg_ll = np.where(neg_valid, _log_sigmoid(-neg_scores), 0.0)
-        data_loss = float(-_log_sigmoid(pos_scores).sum() - neg_ll.sum())
-        w_pos = -_sigmoid(-pos_scores) / m
-        w_neg = np.where(neg_valid, _sigmoid(neg_scores), 0.0) / m
+        neg_ll = np.where(neg_valid, _log_sigmoid_oracle(-neg_scores), 0.0)
+        data_loss = float(-_log_sigmoid_oracle(pos_scores).sum() - neg_ll.sum())
+        w_pos = -_sigmoid_oracle(-pos_scores) / m
+        w_neg = np.where(neg_valid, _sigmoid_oracle(neg_scores), 0.0) / m
 
     all_heads = np.concatenate([heads, neg_heads])
     all_tails = np.concatenate([tails, neg_tails])
@@ -417,25 +416,27 @@ def test_scatter_rows_updates_interleaved_tables_in_place(kind):
 def test_sgd_batch_matches_oracle_bitwise(small_store, kind, l2, normalize):
     # a tenth of the default step: the defaults diverge on this 8-dim store
     lr, loss_kind, margin, _, _ = DEFAULTS[kind]
-    cfg = small_config(learning_rate=lr / 10, loss=loss_kind, margin=margin, l2_coefficient=l2,
-                       normalize_entities=normalize, batch_size=32, negatives_per_positive=3)
-    params = init_params(kind, len(small_store.vocab), cfg.dim, cfg.seed)
-    expected = copy.deepcopy(params)
     pools = _kind_pools(small_store)
     heads, rels, tails = small_store.triple_arrays()
     order = np.random.default_rng(0).permutation(len(heads))
-    rng, oracle_rng = np.random.default_rng(1), np.random.default_rng(1)
-    assert len(order) > 3 * cfg.batch_size
-    for start in range(0, len(order), cfg.batch_size):
-        sel = order[start : start + cfg.batch_size]
-        got = _sgd_batch(params, cfg, pools, heads[sel], rels[sel], tails[sel], start, rng)
-        want = _sgd_batch_oracle(expected, cfg, pools, heads[sel], rels[sel], tails[sel],
-                                 start, oracle_rng)
-        assert np.float64(got).tobytes() == np.float64(want).tobytes()
-        assert params.entities.tobytes() == expected.entities.tobytes()
-        for rel in params.relations:
-            for name, block in params.relations[rel].items():
-                assert block.tobytes() == expected.relations[rel][name].tobytes()
+    # with one negative per positive, some relation passes draw no negative on one side
+    for npp in (3, 1):
+        cfg = small_config(learning_rate=lr / 10, loss=loss_kind, margin=margin, l2_coefficient=l2,
+                           normalize_entities=normalize, batch_size=32, negatives_per_positive=npp)
+        params = init_params(kind, len(small_store.vocab), cfg.dim, cfg.seed)
+        expected = copy.deepcopy(params)
+        rng, oracle_rng = np.random.default_rng(1), np.random.default_rng(1)
+        assert len(order) > 3 * cfg.batch_size
+        for start in range(0, len(order), cfg.batch_size):
+            sel = order[start : start + cfg.batch_size]
+            got = _sgd_batch(params, cfg, pools, heads[sel], rels[sel], tails[sel], start, rng)
+            want = _sgd_batch_oracle(expected, cfg, pools, heads[sel], rels[sel], tails[sel],
+                                     start, oracle_rng)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+            assert params.entities.tobytes() == expected.entities.tobytes()
+            for rel in params.relations:
+                for name, block in params.relations[rel].items():
+                    assert block.tobytes() == expected.relations[rel][name].tobytes()
 
 
 def _one_assignee_store():
@@ -537,21 +538,24 @@ def assert_same_bytes_nan_for_nan(got, want, x):
     assert got[~nan].tobytes() == want[~nan].tobytes()
 
 
-@pytest.mark.parametrize("fn, oracle", [(_sigmoid, _sigmoid_oracle), (_log_sigmoid, _log_sigmoid_oracle)],
-                         ids=["sigmoid", "log_sigmoid"])
+# (half of `_logistic(x)`, its masked oracle): x is a positive's score or a negated negative's
+LOGISTIC_HALVES = [(1, lambda x: _sigmoid_oracle(-x)), (0, _log_sigmoid_oracle)]
+
+
+@pytest.mark.parametrize("half, oracle", LOGISTIC_HALVES, ids=["sigmoid", "log_sigmoid"])
 @pytest.mark.parametrize("size", [1, 2, 19, 256, 2560, 10240])
-def test_sigmoids_match_masked_oracles_bytewise(fn, oracle, size):
+def test_sigmoids_match_masked_oracles_bytewise(half, oracle, size):
     rng = np.random.default_rng(size)
     # every edge at the front, then normals at magnitudes 1e-300 to 1e300
     x = rng.standard_normal(size) * 10.0 ** rng.integers(-300, 301, size=size)
     x[:len(SIGMOID_EDGES)] = SIGMOID_EDGES[:size]
-    assert_same_bytes_nan_for_nan(fn(x), oracle(x), x)
+    assert_same_bytes_nan_for_nan(_logistic(x)[half], oracle(x), x)
 
 
 @given(arrays(np.float64, st.integers(1, 64), elements=st.floats(allow_subnormal=True)))
 def test_sigmoids_match_masked_oracles_on_drawn_arrays(x):
-    for fn, oracle in ((_sigmoid, _sigmoid_oracle), (_log_sigmoid, _log_sigmoid_oracle)):
-        assert_same_bytes_nan_for_nan(fn(x), oracle(x), x)
+    for half, oracle in LOGISTIC_HALVES:
+        assert_same_bytes_nan_for_nan(_logistic(x)[half], oracle(x), x)
 
 
 @given(pool_size=st.integers(2, 5), n=st.integers(0, 300), seed=st.integers(0, 2**32))
