@@ -594,24 +594,6 @@ class TestRunStudy:
         assert (report.below_min_patents, report.never_expanded) == (2, 1)
         assert report.combined_profiles["m"].skipped == 1
 
-    def test_combined_profiles_concatenate_included_agents_in_id_order(self):
-        # given out of order, beside an agent that never expands and one whose last emission is skipped
-        store, portfolios = self.build_world()
-        stayer = make_portfolio("stayer", [(f"s{i}", f"198{i}-01-01", ["A01A"]) for i in range(3)])
-        filler = make_portfolio("filler", [("f0", "1980-01-01", UNIVERSE[:4]),
-                                           ("f1", "1981-01-01", ["E01E"]),
-                                           ("f2", "1982-01-01", ["F01F"])])
-        models = {"m1": self.model(store, 1), "m2": self.model(store, 2)}
-        report = run_study(store.vocab, portfolios[::-1] + [stayer, filler], UNIVERSE, models, min_patents=2)
-        included = sorted(portfolios + [filler], key=lambda p: p.agent_id)
-        assert report.agent_ids == [p.agent_id for p in included]
-        for name, params in models.items():
-            walks = [profile_from_phi(group_proximity_matrix(params, store.vocab, UNIVERSE), p, UNIVERSE)
-                     for p in included]
-            combined = report.combined_profiles[name]
-            assert combined.entries == [pp for walk in walks for pp in walk.entries]
-            assert combined.skipped == sum(walk.skipped for walk in walks) == 1
-
     def test_skipped_emission_logged_once_for_all_models(self, caplog):
         store, _ = self.build_world(n_agents=0)
         filler = make_portfolio("filler", [("f0", "1980-01-01", UNIVERSE[:4]),
@@ -670,3 +652,44 @@ class TestRunStudy:
         assert walks == [f"agent{a}" for a in range(6)]  # one walk per eligible agent for both models
         assert abs(sum(report.explainability.values()) - 1.0) < 1e-12
         assert set(report.combined_auc) == {"m1", "m2"}
+
+
+class TestCombine:
+    """Each model's combined profile, grown agent by agent during run_study's walk."""
+    build_world = TestRunStudy.build_world
+    model = TestRunStudy.model
+
+    def study(self):
+        """Two models over build_world()'s agents given out of order, beside an agent that never
+        expands and one whose last emission is skipped; returns the report and, per model, the
+        included agents' own profiles in agent-id order."""
+        store, portfolios = self.build_world()
+        stayer = make_portfolio("stayer", [(f"s{i}", f"198{i}-01-01", ["A01A"]) for i in range(3)])
+        filler = make_portfolio("filler", [("f0", "1980-01-01", UNIVERSE[:4]),
+                                           ("f1", "1981-01-01", ["E01E"]),
+                                           ("f2", "1982-01-01", ["F01F"])])
+        models = {"m1": self.model(store, 1), "m2": self.model(store, 2)}
+        report = run_study(store.vocab, portfolios[::-1] + [stayer, filler], UNIVERSE, models, min_patents=2)
+        included = sorted(portfolios + [filler], key=lambda p: p.agent_id)
+        assert report.agent_ids == [p.agent_id for p in included]
+        walks = {name: [profile_from_phi(group_proximity_matrix(params, store.vocab, UNIVERSE), p, UNIVERSE)
+                        for p in included] for name, params in models.items()}
+        return report, walks
+
+    def test_concatenation(self):
+        report, walks = self.study()
+        for name, own in walks.items():
+            assert report.combined_profiles[name].entries == [pp for walk in own for pp in walk.entries]
+
+    def test_empty(self):
+        # every agent below min_patents: no combined profile at all, not an empty one per model
+        store, portfolios = self.build_world()
+        report = run_study(store.vocab, portfolios, UNIVERSE, {"m": self.model(store, 1)}, min_patents=30)
+        assert (report.agent_ids, report.combined_profiles) == ([], {})
+
+    def test_lengths_add(self):
+        report, walks = self.study()
+        for name, own in walks.items():
+            combined = report.combined_profiles[name]
+            assert len(combined) == sum(len(walk) for walk in own) > 0
+            assert combined.skipped == sum(walk.skipped for walk in own) == 1
