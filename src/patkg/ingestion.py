@@ -16,9 +16,8 @@ Patent-record file, tab-separated:
 
 Empty inventor/assignee fields are allowed; such records are simply
 excluded from that agent kind's portfolios. Records stream, one per line
-read; `load_portfolios` keeps of each only its date text, patent id, shared
-group set and one kind's agent ids, about 0.5 KB a record where the full
-parsed list took about 1.2 KB.
+read; `load_portfolios` keeps of each only its date text, patent id, group
+set and one kind's agent ids.
 """
 
 from __future__ import annotations
@@ -156,12 +155,11 @@ def _validate_group_code(code: str, line_no: int) -> None:
 def parse_patent_records(path) -> Iterator[tuple[str, str, frozenset[str], frozenset[str], frozenset[str]]]:
     """(patent id, date text, groups, inventors, assignees) per record, yielded in file order as each line is
     read, first occurrence winning on duplicate ids; a bad line raises once the records before it are yielded.
-    Each distinct date text and group code is checked once and kept as one string, and each distinct group
-    set as one frozenset, so the records of a file share them."""
+    Each distinct date text and group code is checked once, and each distinct date text is kept as one string,
+    which the records of a file share."""
     seen: set[str] = set()
     dates: dict[str, str] = {}
-    codes: dict[str, str] = {}
-    group_sets: dict[frozenset[str], frozenset[str]] = {}
+    codes: set[str] = set()
     duplicates = 0
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -181,22 +179,18 @@ def parse_patent_records(path) -> Iterator[tuple[str, str, frozenset[str], froze
                 except ValueError:
                     raise ParseError(f"line {line_no}: bad date {date_text!r}") from None
                 day = dates[date_text] = date_text
-            listed = groups_text.split(",")
-            groups = group_sets.get(named := frozenset(listed) - {""})
-            if groups is None:
-                if not named:
-                    raise ParseError(f"line {line_no}: patent {patent_id} has no groups")
-                for g in listed:  # in listed order, so the first bad code raises
-                    if g and g not in codes:
-                        _validate_group_code(g, line_no)
-                        codes[g] = g
-                groups = frozenset(map(codes.__getitem__, named))
-                group_sets[groups] = groups
+            groups = [g for g in groups_text.split(",") if g]
+            if not groups:
+                raise ParseError(f"line {line_no}: patent {patent_id} has no groups")
+            for g in groups:
+                if g not in codes:
+                    _validate_group_code(g, line_no)
+                    codes.add(g)
             if patent_id in seen:
                 duplicates += 1
                 continue
             seen.add(patent_id)
-            yield (patent_id, day, groups, frozenset(inventors_text.split(",")) - {""},
+            yield (patent_id, day, frozenset(groups), frozenset(inventors_text.split(",")) - {""},
                    frozenset(assignees_text.split(",")) - {""})
     if duplicates:
         log.info("%s: skipped %d duplicate patent ids", path, duplicates)

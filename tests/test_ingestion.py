@@ -249,18 +249,6 @@ class TestPortfolios:
             resorted = sorted(portfolio.patent_ids, key=lambda pid: (dates[pid], pid))
             assert resorted == portfolio.patent_ids
 
-    def test_equal_group_sets_and_codes_are_one_object(self, tmp_path):
-        path = tmp_path / "r.tsv"
-        path.write_text("p1\t1999-01-01\tH04L,H04N\ti1\ta1\n"
-                        "p2\t1999-01-02\tH04N,H04L,\ti2\ta1\n"
-                        "p3\t1999-01-03\tH04L\ti1,i2\t\n")
-        i1, i2 = load_portfolios(path, EntityKind.INVENTOR)
-        assert i1.groups == i2.groups == [{"H04L", "H04N"}, {"H04L"}]
-        sets = i1.groups + i2.groups
-        assert len(set(map(id, sets))) == len(set(sets)) == 2
-        codes = [code for groups in sets for code in groups]
-        assert len(set(map(id, codes))) == len(set(codes)) == 2
-
     def test_portfolios_peak_below_the_parsed_records(self, tmp_path):
         # only four fields of each record naming an agent of the kind are held while the records sort
         rng = np.random.default_rng(5)
