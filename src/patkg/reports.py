@@ -1,15 +1,14 @@
 """Structured text / TSV / CSV exports with stable ordering.
 
-Every writer emits keys in a fixed order and formats floats with
-`repr`-faithful 12-significant-digit text, so identical inputs produce
-byte-identical files and diffs stay meaningful.
+Builders return lines; `write_text` alone ends them with `\\n` and writes UTF-8.
+Keys come in a fixed order and floats as `repr`-faithful 12-significant-digit
+text, so identical inputs produce byte-identical files and diffs stay meaningful.
 """
 
 from __future__ import annotations
 
 from dataclasses import fields
 from itertools import repeat
-from pathlib import Path
 from typing import get_type_hints
 
 import numpy as np
@@ -45,7 +44,7 @@ def _config_fields(config) -> list[tuple[str, str]]:
             for f in fields(config)]
 
 
-def eval_report_text(report: EvalReport, model_name: str) -> str:
+def eval_report_text(report: EvalReport, model_name: str) -> list[str]:
     lines = [
         "patkg eval-report",
         f"model: {model_name}",
@@ -65,42 +64,39 @@ def eval_report_text(report: EvalReport, model_name: str) -> str:
             continue
         lines.append("\t".join([rel.value, str(metrics.queries), fnum(metrics.mr), fnum(metrics.mrr)]
                                + [fnum(metrics.hits[k]) for k in HITS_CUTOFFS]))
-    return "\n".join(lines) + "\n"
+    return lines
 
 
-def train_report_text(report: TrainReport) -> str:
+def train_report_text(report: TrainReport) -> list[str]:
     lines = ["patkg train-report", f"model: {report.kind.value}"]
     lines += [f"{name}: {text}" for name, text in _config_fields(report.config)]
     lines.append("epoch_mean_loss:")
     lines += [f"{i + 1}\t{fnum(loss)}" for i, loss in enumerate(report.epoch_losses)]
-    return "\n".join(lines) + "\n"
+    return lines
 
 
-def neighbors_tsv(hits: list[NeighborHit]) -> str:
+def neighbors_tsv(hits: list[NeighborHit]) -> list[str]:
     lines = ["rank\tentity\tkind\tproximity"]
     for rank, hit in enumerate(hits, start=1):
         kind = hit.entity.kind.value
         lines.append(f"{rank}\t{kind}:{hit.entity.source_id}\t{kind}\t{fnum(hit.proximity)}")
-    return "\n".join(lines) + "\n"
+    return lines
 
 
-def matrix_tsv(labels: list[str], matrix: np.ndarray) -> str:
-    lines = ["entity\t" + "\t".join(labels)]
-    for label, row in zip(labels, matrix.tolist()):
-        lines.append(label + "\t" + _fnums(row))
-    return "\n".join(lines) + "\n"
+def matrix_tsv(labels: list[str], matrix: np.ndarray) -> list[str]:
+    header = "entity\t" + "\t".join(labels)
+    return [header] + [label + "\t" + _fnums(row.tolist()) for label, row in zip(labels, matrix)]
 
 
 def embeddings_tsv(params: ModelParams, vocab: Vocabulary,
-                   kind_filter: set[EntityKind] | None = None) -> str:
-    lines = [
+                   kind_filter: set[EntityKind] | None = None) -> list[str]:
+    return [
         f"{label}\t" + _fnums(params.entities[ordinal].tolist())
         for label, ordinal in vocab.ordinals.items() if not kind_filter or KINDS[vocab.kinds[ordinal]] in kind_filter
     ]
-    return "\n".join(lines) + ("\n" if lines else "")
 
 
-def expansion_report_text(report: ExpansionReport) -> str:
+def expansion_report_text(report: ExpansionReport) -> list[str]:
     lines = ["patkg expansion-report", f"min_patents: {report.min_patents}"]
     if report.agent_ids:
         lines.append(f"agent_class: {report.agent_kind.value}")
@@ -109,26 +105,28 @@ def expansion_report_text(report: ExpansionReport) -> str:
         for name in sorted(report.combined_auc):
             lines.append(f"{name}\t{fnum(report.combined_auc[name])}\t{fnum(report.explainability[name])}\t"
                          f"{len(report.combined_profiles[name])}")
-    return "\n".join(lines) + "\n"
+    return lines
 
 
-def expansion_cdf_csv(report: ExpansionReport) -> str:
+def expansion_cdf_csv(report: ExpansionReport) -> list[str]:
     """`model,x,proportion` rows of each model's combined-profile CDF."""
     lines = ["model,x,proportion"]
     for name in sorted(report.combined_profiles):
         for x, proportion in cumulative_distribution(report.combined_profiles[name]):
             lines.append(f"{name},{fnum(x)},{fnum(proportion)}")
-    return "\n".join(lines) + "\n"
+    return lines
 
 
-def expansion_profiles_csv(report: ExpansionReport) -> str:
+def expansion_profiles_csv(report: ExpansionReport) -> list[str]:
     """`model,position,percentile` rows of each model's combined profile."""
     lines = ["model,position,percentile"]
     for name in sorted(report.combined_profiles):
         for i, pp in enumerate(report.combined_profiles[name].entries, start=1):
             lines.append(f"{name},{i},{fnum(pp)}")
-    return "\n".join(lines) + "\n"
+    return lines
 
 
-def write_text(path, text: str) -> None:
-    Path(path).write_text(text, encoding="utf-8")
+def write_text(path, lines: list[str]) -> None:
+    """Write `lines` as UTF-8, each ended with `\\n`; an empty list writes an empty file."""
+    with open(path, "w", encoding="utf-8") as out:
+        out.writelines(line + "\n" for line in lines)

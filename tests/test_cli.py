@@ -331,6 +331,16 @@ class TestProximityCommands:
         assert len(lines) == 3  # three groups
         assert all(line.startswith("group:") for line in lines)
 
+    def test_export_embeddings_of_an_absent_kind_is_an_empty_file(self, tmp_path):
+        src, store_path, arc = tmp_path / "in.tsv", tmp_path / "s.tsv", tmp_path / "m.kge"
+        src.write_text("inventor:i1\twrite\tpatent:p1\npatent:p2\tcite\tpatent:p1\n")  # no assignee
+        assert run_cli("ingest", src, store_path) == 0
+        assert run_cli("train", store_path, "transe_l2", arc, "--dim", "4", "--epochs", "1",
+                       "--train-on-all") == 0
+        out = tmp_path / "emb.tsv"
+        assert run_cli("export-embeddings", arc, out, "--kind-filter", "assignee") == 0
+        assert out.read_bytes() == b""
+
     def test_unknown_entity_exit_1(self, archive, tmp_path, capsys):
         no_labels = tmp_path / "none.txt"
         no_labels.write_text("# no entities\n")
@@ -1093,6 +1103,33 @@ def test_read_outputs_keep_their_bytes(golden_read_inputs, tmp_path, name):
     paths = {**golden_read_inputs, "OUT": tmp_path / name}
     assert run_cli(*(paths.get(arg, arg) for arg in READ_RUNS[name])) == 0
     assert (tmp_path / name).read_text() == GOLDEN_READ_OUTPUTS[name]
+
+
+GOLDEN_TRAIN_REPORT = """\
+patkg train-report
+model: transe_l2
+epochs: 2
+batch_size: 256
+negatives_per_positive: 4
+learning_rate: 2
+margin: 1
+loss: margin_rank
+l2_coefficient: 0
+normalize_entities: true
+seed: 3
+dim: 3
+epoch_mean_loss:
+1\t4.23805697441
+2\t3.60183565665
+"""
+
+
+def test_train_report_keeps_its_bytes(golden_read_inputs, tmp_path):
+    # TransE_L2's kernels call no BLAS, so its epoch losses are the same on every host
+    report = tmp_path / "train.txt"
+    assert run_cli("train", golden_read_inputs["STORE"], "transe_l2", tmp_path / "m.kge", "--dim", "3",
+                   "--epochs", "2", "--seed", "3", "--report", report) == 0
+    assert report.read_text() == GOLDEN_TRAIN_REPORT
 
 
 class TestDeterminism:
