@@ -6,6 +6,10 @@ Ties on the exact score get the midpoint rank by default. Corruptions
 are seeded per (seed, triple, side), so processing order cannot change
 the report: `_record_state` hashes the query with BLAKE2b into a PCG64
 state and odd increment, and `evaluate` sets each on one generator it owns.
+Queries are drawn one at a time and scored in blocks: `_rank_block` ranks
+queries of one relation, side and corruption count with one gather and one
+kernel call on (q, k, d) stacks, which give each query the bits of its own
+call, so a rank does not depend on the block it was scored in.
 """
 
 from __future__ import annotations
@@ -33,11 +37,15 @@ from .graph import (
     _unknown_row,
     sample_corrupt,
 )
-from .models import ModelParams, _rows
+from .models import ModelParams, _ordinals, _rows
 
 log = logging.getLogger(__name__)
 
 HITS_CUTOFFS = (1, 3, 10)
+# Float64 entries of the candidate rows one scoring call takes (384 KiB): about 9 queries of K=100
+# at dim 50, 4 for the complex models. Smaller and larger blocks both ranked slower on a 2-core host.
+BLOCK_VALUES = 48 * 1024
+HELD_DRAWS = 2**20  # drawn corruptions held unranked at most (8 MiB), whatever K and the pools are
 
 
 class Sides(Enum):
@@ -95,6 +103,25 @@ class EvalReport:
     skipped: int = 0  # queries with an empty pool, left unranked
 
 
+def _rank_block(params: ModelParams, relation: RelationKind, side: Side, fixed: np.ndarray,
+                candidates: np.ndarray, tie_share: float) -> np.ndarray:
+    """Ranks of the first entity of each row of `candidates` among the row's others (1 is best):
+    (q, k) ordinals for `side` of q queries on `relation`, whose other ends are the q `fixed`.
+
+    One `_rows` gather of the candidates and k copies of each fixed end, scored as (q, k, d) stacks
+    of H and T. The kernels reduce over the last axis and numpy's matmul runs one GEMM per (k, d)
+    slice, so each query's scores have the bits of a call on its rows alone.
+    """
+    q, k = candidates.shape
+    rows = _rows(params, candidates.reshape(-1), np.repeat(fixed, k))
+    replaced, kept = rows.reshape(2, q, k, -1)
+    H, T = (replaced, kept) if side is Side.HEAD else (kept, replaced)
+    s = params.spec.score(H, T, params.relations[relation])
+    better = (s[:, 1:] > s[:, :1]).sum(axis=1)
+    ties = (s[:, 1:] == s[:, :1]).sum(axis=1)
+    return 1.0 + better + ties * tie_share
+
+
 def rank_target(
     params: ModelParams,
     triple: Triple,
@@ -102,20 +129,12 @@ def rank_target(
     corrupts: np.ndarray,
     tie_rule: TieRule = TieRule.MIDPOINT,
 ) -> float:
-    """Rank of the true entity among the replacement ordinals `corrupts` for `side` (1 is best).
-
-    Scores one `_rows` gather of the original and corrupt rows and as many copies of the fixed
-    row with the model's kernel; UnknownOrdinal if `triple` or `corrupts` names a row outside
-    the entity table.
-    """
+    """Rank of the true entity among the replacement ordinals `corrupts` for `side` (1 is best):
+    `_rank_block` of one query. UnknownOrdinal if `triple` or `corrupts` names a row outside the
+    entity table."""
     original, fixed = (triple.head, triple.tail) if side is Side.HEAD else (triple.tail, triple.head)
-    k = len(corrupts) + 1
-    rows = _rows(params, [original], corrupts, np.full(k, fixed))
-    H, T = (rows[:k], rows[k:]) if side is Side.HEAD else (rows[k:], rows[:k])
-    s = params.spec.score(H, T, params.relations[triple.relation])
-    better = int(np.count_nonzero(s[1:] > s[0]))  # a numpy int would make the rank a numpy float
-    ties = int(np.count_nonzero(s[1:] == s[0]))
-    return 1.0 + better + ties * _TIE_SHARE[tie_rule]
+    ends = _ordinals(params, [fixed, original], corrupts)
+    return float(_rank_block(params, triple.relation, side, ends[:1], ends[None, 1:], _TIE_SHARE[tie_rule])[0])
 
 
 def _record_state(seed: int, triple: Triple, side: Side) -> tuple[int, int]:
@@ -143,8 +162,11 @@ def evaluate(params: ModelParams, test, store: TripleStore, config: EvalConfig =
     Each query draws its corruptions with `sample_corrupt` from a PCG64 generator set to
     `_record_state(config.seed, triple, side)`, so its draws depend on nothing else. When K exceeds
     a query's pool it is clamped to the pool (with a warning), ranking it exhaustively; a query with
-    an empty pool is skipped. The report counts both. Before any query, the first row that
-    `TripleStore.add_triples`' range rule refuses, even an int beyond int64, raises UnknownEntity.
+    an empty pool is skipped. The report counts both. Queries of one relation, side and corruption
+    count are ranked together by `_rank_block`, about BLOCK_VALUES candidate entries at a time, once
+    every query has drawn or HELD_DRAWS corruptions are pending; buffers are sized by the draws,
+    never by K. Before any query, the first row that `TripleStore.add_triples`' range rule refuses,
+    even an int beyond int64, raises UnknownEntity.
     """
     columns, in_range = _range_rule(*test, len(store.vocab))
     if len(in_range) == 0:
@@ -157,8 +179,21 @@ def evaluate(params: ModelParams, test, store: TripleStore, config: EvalConfig =
 
     bits = np.random.PCG64()
     rng = np.random.Generator(bits)
-    skipped = 0
-    ranked = []  # (test row, side code, rank, corruption count) per ranked query
+    skipped = held = 0
+    queries = []  # (test row, side code, corruption count) per ranked query
+    ranks = np.empty(len(triples) * len(_SIDES[config.sides]))  # its rank, in the first len(queries)
+    pending = {}  # (relation, side, corruption count) -> unranked (query, fixed end, original end, corruptions)
+
+    def rank_pending():
+        for (relation, side, n), block in pending.items():
+            step = max(1, BLOCK_VALUES // ((n + 1) * params.row_dim))
+            for lo in range(0, len(block), step):
+                at, fixed, originals, corrupts = zip(*block[lo : lo + step])
+                candidates = np.empty((len(at), n + 1), dtype=np.int64)
+                candidates[:, 0], candidates[:, 1:] = originals, corrupts
+                ranks[list(at)] = _rank_block(params, relation, side, fixed, candidates, _TIE_SHARE[config.tie_rule])
+        pending.clear()
+
     for (row, triple), side in product(enumerate(triples), _SIDES[config.sides]):
         state, inc = _record_state(config.seed, triple, side)
         bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
@@ -168,11 +203,20 @@ def evaluate(params: ModelParams, test, store: TripleStore, config: EvalConfig =
         except PoolTooSmall:
             skipped += 1  # nothing to corrupt with; query is unrankable
             continue
-        rank = rank_target(params, triple, side, corrupts, config.tie_rule)
-        ranked.append((row, _SIDE_CODES[side], rank, len(corrupts)))
-    if not ranked:
+        original, fixed = (triple.head, triple.tail) if side is Side.HEAD else (triple.tail, triple.head)
+        block = pending.setdefault((triple.relation, side, len(corrupts)), [])
+        block.append((len(queries), fixed, original, corrupts))
+        queries.append((row, _SIDE_CODES[side], len(corrupts)))
+        held += len(corrupts)
+        if held >= HELD_DRAWS:
+            rank_pending()
+            held = 0
+    rank_pending()
+    if not queries:
         raise PoolTooSmall("every query had an empty corruption pool")
-    records = rows, _, ranks, n_corrupts = tuple(np.array(column) for column in zip(*ranked))
+    rows, side_codes, n_corrupts = (np.array(column) for column in zip(*queries))
+    ranks = ranks[: len(queries)]
+    records = rows, side_codes, ranks, n_corrupts
     clamped = int(np.count_nonzero(n_corrupts < config.corruptions_per_side))
     if skipped:
         log.warning("skipped %d queries with an empty corruption pool", skipped)

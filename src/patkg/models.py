@@ -51,10 +51,11 @@ class ModelSpec:
 
     Kernels take the gathered head rows H, tail rows T and one relation's
     blocks; they own H and T and may overwrite them, never the blocks.
-    `score` returns one score per row; `gradients` also takes column weights
-    w, leaves dH in H and dT in T and returns dRel, as `weighted_gradients`
-    documents; `at_kink` tells whether a single triple sits where its score
-    is not differentiable.
+    `score` returns one score per row and reduces over the last axis, so a
+    (q, k, d) stack gets the bits of q separate (k, d) calls; `gradients`
+    also takes column weights w, leaves dH in H and dT in T and returns
+    dRel, as `weighted_gradients` documents; `at_kink` tells whether a
+    single triple sits where its score is not differentiable.
     """
 
     relation_blocks: Callable[[int], dict[str, tuple[int, ...]]]  # dim -> {name: shape}
@@ -146,17 +147,21 @@ def _interleaved(halves: np.ndarray, dim: int) -> np.ndarray:
     return halves.reshape(*halves.shape[:-1], 2, dim).swapaxes(-1, -2).reshape(halves.shape)
 
 
-def _rows(params: ModelParams, *ordinals: np.ndarray) -> np.ndarray:
-    """One fresh buffer of each ordinal array's entity rows in turn, for callers to split into views,
-    after the package's one ordinal check: viewed as unsigned, a negative ordinal exceeds any row
-    count, and one beyond int64 fails too."""
+def _ordinals(params: ModelParams, *ordinals: np.ndarray) -> np.ndarray:
+    """The ordinal arrays concatenated as int64, after the package's one ordinal check: viewed as
+    unsigned, a negative ordinal exceeds any row count, and one beyond int64 fails too."""
     try:
         idx = np.concatenate([np.asarray(o, dtype=np.int64) for o in ordinals])
     except OverflowError:
         raise UnknownOrdinal("ordinal outside entity table") from None
     if idx.size and idx.view(np.uint64).max() >= params.n_entities:
         raise UnknownOrdinal("ordinal outside entity table")
-    return np.take(params.entities, idx, axis=0)
+    return idx
+
+
+def _rows(params: ModelParams, *ordinals: np.ndarray) -> np.ndarray:
+    """One fresh buffer of each ordinal array's entity rows in turn, for callers to split into views."""
+    return np.take(params.entities, _ordinals(params, *ordinals), axis=0)
 
 
 def scores(params: ModelParams, heads: np.ndarray, relation: RelationKind, tails: np.ndarray) -> np.ndarray:
@@ -228,7 +233,7 @@ def _residual(H, T, b):
 
 
 def _transe_l1_score(H, T, b):
-    return -np.abs(_residual(H, T, b), out=H).sum(axis=1)
+    return -np.abs(_residual(H, T, b), out=H).sum(axis=-1)
 
 
 def _transe_l1_gradients(H, T, b, w):
@@ -242,7 +247,7 @@ def _transe_l1_at_kink(H, T, b):
 
 
 def _transe_l2_score(H, T, b):
-    return -np.sqrt(np.square(_residual(H, T, b), out=H).sum(axis=1))
+    return -np.sqrt(np.square(_residual(H, T, b), out=H).sum(axis=-1))
 
 
 def _transe_l2_gradients(H, T, b, w):
@@ -263,7 +268,7 @@ def _transe_l2_at_kink(H, T, b):
 def _transr_score(H, T, b):
     U = np.subtract(H, T, out=H) @ b["mat"].T
     U += b["vec"]
-    return -np.square(U, out=U).sum(axis=1)
+    return -np.square(U, out=U).sum(axis=-1)
 
 
 def _transr_gradients(H, T, b, w):
@@ -279,20 +284,22 @@ def _transr_gradients(H, T, b, w):
 
 
 def _rescal_score(H, T, b):
-    return np.multiply(H @ b["mat"], T, out=T).sum(axis=1)
+    return np.multiply(H @ b["mat"], T, out=T).sum(axis=-1)
 
 
 def _rescal_gradients(H, T, b, w):
-    dH, dT = T @ b["mat"].T, H @ b["mat"]
+    M = b["mat"]
+    dT = H @ M
     d_mat = np.multiply(H, w, out=H).T @ T
-    np.multiply(dH, w, out=H)
+    np.matmul(T, M.T, out=H)  # dH, once d_mat has read H
+    H *= w
     np.multiply(dT, w, out=T)
     return {"mat": d_mat}
 
 
 def _distmult_score(H, T, b):
     # (H*T)*r keeps score(h,r,t) == score(t,r,h) bit-exact.
-    return np.multiply(np.multiply(H, T, out=H), b["vec"], out=H).sum(axis=1)
+    return np.multiply(np.multiply(H, T, out=H), b["vec"], out=H).sum(axis=-1)
 
 
 def _distmult_gradients(H, T, b, w):
@@ -317,7 +324,7 @@ def _complex_score(H, T, b):
     # elementwise per row so a batch scores exactly as its single triples.
     h, t = H.view(np.complex128), T.view(np.complex128)
     hct = (h * np.conjugate(t, out=t)).view(np.float64)
-    return np.multiply(hct, b["vec"].view(np.complex128).conj().view(np.float64), out=hct).sum(axis=1)
+    return np.multiply(hct, b["vec"].view(np.complex128).conj().view(np.float64), out=hct).sum(axis=-1)
 
 
 def _complex_gradients(H, T, b, w):
@@ -346,7 +353,7 @@ def _rotate_parts(H, T, b):
 
 
 def _rotate_score(H, T, b):
-    return -np.sqrt(np.square(_rotate_parts(H, T, b)[2].view(np.float64), out=T).sum(axis=1))
+    return -np.sqrt(np.square(_rotate_parts(H, T, b)[2].view(np.float64), out=T).sum(axis=-1))
 
 
 def _rotate_gradients(H, T, b, w):

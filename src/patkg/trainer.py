@@ -15,6 +15,8 @@ from .errors import EmptyStore, InvalidConfig, NumericalDivergence
 from .graph import RELATION_SCHEMA, RELATIONS, RelationKind, TripleStore
 from .models import SPECS, ModelKind, ModelParams, init_params, scores, weighted_gradients
 
+SCATTER_ROWS = 1024  # rows per `_scatter_rows` index block: bounds the index at no measured cost
+
 
 class LossKind(Enum):
     MARGIN_RANK = "margin_rank"
@@ -96,11 +98,16 @@ def _scatter_rows(table: np.ndarray, rows: np.ndarray, values: np.ndarray) -> No
     its flat view: numpy's 1-D `add.at` fast path gives every element the
     same addends in the same order, so the result is bit-identical. An even
     row width is viewed as complex128, whose add is two float64 adds in the
-    same operand order: half the index and half the elements."""
+    same operand order: half the index and half the elements. The element
+    index is built SCATTER_ROWS rows at a time, in order, so it never grows
+    to the size of `values` and the add order stays the same."""
     dtype = np.complex128 if table.shape[1] % 2 == 0 else np.float64
     table, values = table.view(dtype), values.view(dtype)
-    d = table.shape[1]
-    np.add.at(table.reshape(-1), (rows[:, None] * d + np.arange(d)).ravel(), values.ravel())
+    flat, d = table.reshape(-1), table.shape[1]
+    columns = np.arange(d)
+    for lo in range(0, len(rows), SCATTER_ROWS):
+        hi = lo + SCATTER_ROWS
+        np.add.at(flat, (rows[lo:hi, None] * d + columns).ravel(), values[lo:hi].ravel())
 
 
 def _sgd_batch(params: ModelParams, cfg: TrainConfig,

@@ -165,6 +165,16 @@ class TestTrainEval:
         report = tmp_path / "report.txt"
         assert run_cli("eval", arc, graph_file, report, "-K", "10000", "--seed", "3") == 0
 
+    @pytest.mark.parametrize("filtered", [[], ["--filtered"]], ids=["raw", "filtered"])
+    def test_eval_K_beyond_every_pool_ranks_exhaustively(self, graph_file, tmp_path, caplog, filtered):
+        # eval sizes its buffers by the draws, not by K: 10**15 corruptions a side would not fit in memory
+        arc = tmp_path / "m.kge"
+        assert run_cli("train", graph_file, "transe_l2", arc, "--dim", "4", "--epochs", "1") == 0
+        with caplog.at_level(logging.WARNING, logger="patkg.evaluator"):
+            assert run_cli("eval", arc, graph_file, tmp_path / "r.txt", "-K", "1000000000000000", *filtered) == 0
+        assert re.fullmatch(r"K=1000000000000000 exceeded the candidate pool for (\d+) of \1 queries; "
+                            r"clamped to exhaustive ranking", caplog.records[-1].getMessage())
+
     def test_fingerprint_mismatch_exit_1(self, graph_file, tmp_path, capsys):
         other_store = tmp_path / "other_store.tsv"
         write_triples_file(generate_synthetic(2, 8, 3, 2, 0.3, 0.05, seed=99), other_store)

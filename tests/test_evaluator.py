@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 from test_graph import micro_store, reference_candidates, triples_of
 
+from patkg import evaluator
 from patkg.errors import (
     EmptyTestSet,
     FingerprintMismatch,
@@ -303,6 +304,36 @@ class TestOracleEquivalence:
             assert abs(report.hits[k] - want["hits"][k]) < 1e-12
 
 
+def test_k_beyond_every_pool_ranks_exhaustively():
+    # eval sizes its buffers by the draws, not by K: 10**15 corruptions a side would not fit in memory
+    store = generate_synthetic(5, 4, 3, 2, 0.4, 0.1, seed=33)
+    params = fixed_params(store, kind=ModelKind.RESCAL, dim=6, seed=33)
+    test = rows_of(store, slice(None, 75, 3))
+    report = evaluate(params, test, store, EvalConfig(corruptions_per_side=10**15, seed=1))
+    assert report.clamped == report.n_queries == 2 * len(test[0])
+    pools = [len(store.vocab.ordinals_of_kind(store.vocab.refs[o].kind)) - 1
+             for triple in triples_of(test) for o in (triple.head, triple.tail)]
+    assert report.records[3].tolist() == pools
+    want = exhaustive_oracle(params, test, store)
+    assert abs(report.mr - want["mr"]) < 1e-12 and abs(report.mrr - want["mrr"]) < 1e-12
+    assert report.hits == pytest.approx(want["hits"], abs=1e-12)
+
+
+def test_records_do_not_depend_on_the_draws_held_unranked(toy, monkeypatch):
+    # evaluate ranks what it holds whenever HELD_DRAWS corruptions are pending, mid-block included
+    store, params = toy
+    test = rows_of(store, slice(40))
+    for filtered in (False, True):
+        config = EvalConfig(corruptions_per_side=5, filtered=filtered, seed=3)
+        want = evaluate(params, test, store, config)
+        for held in (1, 7, 23):
+            monkeypatch.setattr(evaluator, "HELD_DRAWS", held)
+            got = evaluate(params, test, store, config)
+            assert record_rows(got.records) == record_rows(want.records)
+            assert (got.mr, got.mrr, got.hits, got.clamped) == (want.mr, want.mrr, want.hits, want.clamped)
+        monkeypatch.undo()
+
+
 class TestClampedAndSkipped:
     def test_report_counts_and_log_lines(self, caplog):
         # micro store: one inventor, assignee, group and subsection, so every head
@@ -433,6 +464,30 @@ def test_records_equal_sampled_oracle(pool, filtered):
                     assert [r[2] for r in want[TieRule.OPTIMISTIC]] != [r[2] for r in want[TieRule.PESSIMISTIC]]
                 if pool is CandidatePool.SAME_KIND and sides is Sides.BOTH:
                     assert report.clamped > 0 and report.skipped > 0  # the 57-entity pool never runs short of K=20
+
+
+@pytest.mark.parametrize("filtered", [False, True], ids=["raw", "filtered"])
+def test_records_equal_loop_oracle_at_benchmark_scale(filtered):
+    # Float tables at the benchmark's dim 50 and K=100, where `evaluate` scores blocks of queries
+    # as (q, k, d) stacks; the dim-4 integer tables above score every product exactly, so they
+    # cannot show a BLAS rounding difference from one query's (k, d) call. Every entity takes one
+    # of 6 float rows, so many candidates tie the original exactly only when each query's rows are
+    # scored as its own call scores them: scoring a block as one flattened (q*k, d) batch breaks
+    # some of those ties. The 20 assignees and 5 groups clamp their queries, so blocks of several
+    # corruption counts are ranked.
+    store = generate_synthetic(5, 60, 30, 4, 0.1, 0.005, seed=9)
+    test = rows_of(store, slice(None, None, 8))
+    config = EvalConfig(corruptions_per_side=100, filtered=filtered, seed=9)
+    rng = np.random.default_rng(9)
+    for kind in ModelKind:
+        params = fixed_params(store, kind=kind, dim=50, seed=9)
+        params.entities[:] = params.entities[rng.integers(0, 6, size=len(params.entities))]
+        for blocks in params.relations.values():
+            if "mat" in blocks:  # TransR starts at the identity, whose products are exact
+                blocks["mat"] = rng.uniform(-1.0, 1.0, size=blocks["mat"].shape)
+        report = evaluate(params, test, store, config)
+        assert record_rows(report.records) == loop_oracle(params, test, store, config)
+        assert 0 < report.clamped < report.n_queries == 2 * len(test[0])
 
 
 @pytest.mark.parametrize("seed, triple, side", [

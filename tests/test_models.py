@@ -566,3 +566,22 @@ def test_kernels_match_allocating_oracle_bytewise(case):
     same(dE, np.concatenate([oH, oT]))
     for name in dRel:
         same(dRel[name], oRel[name])
+
+
+@pytest.mark.parametrize("kind", list(ModelKind), ids=lambda k: k.value)
+def test_score_of_a_stack_has_the_bits_of_its_slices(kind):
+    # `evaluator._rank_block` scores (q, k, d) stacks: the kernels reduce over the last axis and
+    # numpy's matmul runs one GEMM per (k, d) slice, so each query keeps the bits of its own call.
+    # A flattened (q*k, d) batch changes the GEMM shape, and with it RESCAL's bits at dim 50.
+    spec = SPECS[kind]
+    for dim in (7, 32, 50):
+        p = make_params(kind, n=400, dim=dim, seed=dim)
+        rng = np.random.default_rng(dim)
+        blocks = {name: rng.uniform(-np.pi, np.pi, size=block.shape) if name == "phase"
+                  else rng.uniform(-1.0, 1.0, size=block.shape) for name, block in p.relations[REL].items()}
+        for k in (1, 2, 17, 101):
+            for q in (1, 3, 16):
+                H, T = p.entities[rng.integers(0, 400, size=(2, q, k))]
+                got = spec.score(H.copy(), T.copy(), blocks)
+                want = np.stack([spec.score(h.copy(), t.copy(), blocks) for h, t in zip(H, T)])
+                assert got.shape == (q, k) and got.tobytes() == want.tobytes(), (dim, k, q)

@@ -14,6 +14,7 @@ from patkg.errors import EmptyStore, FingerprintMismatch, InvalidConfig, Archive
 from patkg.graph import RELATIONS, EntityKind, RelationKind, Triple, TripleStore, generate_synthetic
 from patkg.models import SPECS, ModelKind, init_params, scores, weighted_gradients
 from patkg.trainer import (
+    SCATTER_ROWS,
     LossKind,
     TrainConfig,
     _draw_replacements,
@@ -395,6 +396,20 @@ def test_scatter_rows_matches_heads_then_tails_add_at(case):
         np.add.at(expected, tails, dT)
         _scatter_rows(table, np.concatenate([heads, tails]), np.concatenate([dH, dT]))
     assert table.tobytes() == expected.tobytes()
+
+
+def test_scatter_rows_keeps_the_add_order_across_index_blocks():
+    # rows repeat across SCATTER_ROWS boundaries, with addends of many magnitudes, so an element
+    # that took its addends in another order would round apart
+    rng = np.random.default_rng(4)
+    for d in (3, 4):  # float64 and complex128 elements
+        table = rng.normal(size=(5, d))
+        rows = rng.integers(0, 5, size=2 * SCATTER_ROWS + 7)
+        values = rng.normal(size=(len(rows), d)) * 10.0 ** rng.integers(-8, 9, size=(len(rows), 1))
+        expected = table.copy()
+        np.add.at(expected, rows, values)
+        _scatter_rows(table, rows, values)
+        assert table.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("kind", [ModelKind.COMPLEX, ModelKind.ROTATE])
